@@ -32,8 +32,9 @@ rep = check_non_crossing(bundle)
 print(f"24 trajectories over t in [0, 5]")
 print(f"non-crossing: {rep.ok}, minimum gap between neighbors = {rep.min_gap:.4f}")
 
-tubes = [tube_probability(bundle, run, i, i + 1) for i in (0, 11, 22)]
-for (i, tube) in zip((0, 11, 22), tubes):
+tubes = tube_probability(bundle, run)
+for i in (0, 11, 22):
+    tube = tubes[i]
     print(f"tube [{i},{i + 1}]: content {tube[0]:.4f}, "
           f"max drift {np.max(np.abs(tube - tube[0])):.2e}")
 

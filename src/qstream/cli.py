@@ -40,7 +40,7 @@ def _cmd_run(args) -> int:
         required = tuple(c for c in args.required_checks.replace(",", " ")
                          .split() if c)
     artifacts = run_scenario(config, out_dir=args.out_dir,
-                             threads=args.threads, required_checks=required)
+                             required_checks=required)
     for entry in artifacts.manifest["checks"]:
         status = "pass" if entry["passed"] else "FAIL"
         req = " (required)" if entry["required"] else ""
@@ -100,7 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out-dir", default=None,
                        help="output directory (default runs/<name>, or "
                             "$QSTREAM_OUT_DIR/<name> if set)")
-    p_run.add_argument("--threads", type=int, default=1)
     p_run.add_argument("--required-checks", default=None,
                        help="comma-separated list overriding the config")
     p_run.set_defaults(func=_cmd_run)

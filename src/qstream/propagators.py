@@ -84,7 +84,6 @@ class PropagatorConfig:
     potential: PotentialSpec = dc_field(default_factory=PotentialSpec)
     gamma: float = 0.0
     dt: float = 1e-3
-    t0: float = 0.0
     t_final: float = None
 
     def __post_init__(self):

@@ -140,7 +140,7 @@ _MATTER_SCHEMA = {
     "packet*": {"sigma0": _conv_float, "x0": _conv_float, "p0": _conv_float,
                 "weight": _conv_float, "phase": _conv_float},
     "ensemble": {"n_trajectories": _conv_int, "scheme": _conv_str,
-                 "seed": _conv_int, "dt_traj": _conv_float},
+                 "dt_traj": _conv_float},
     "checks": {"required": _conv_words, "norm_tol": _conv_float,
                "tube_tol": _conv_float},
     "outputs": {"series": _conv_bool, "snapshots": _conv_bool,
@@ -336,7 +336,6 @@ def _build_matter(name, notes, canonical, r, order):
     ensemble = {
         "n_trajectories": r.get(("ensemble", "n_trajectories"), 0),
         "scheme": scheme,
-        "seed": r.get(("ensemble", "seed"), 0),
         "dt_traj": r.get(("ensemble", "dt_traj"), 10.0 * dt),
     }
     checks = {
@@ -617,17 +616,18 @@ def propagator_config(config: ScenarioConfig) -> PropagatorConfig:
     t_final = config.t_final if config.model == "caldirola_kanai" else None
     return PropagatorConfig(model=config.model, constants=config.constants,
                             potential=config.potential, gamma=config.gamma,
-                            dt=config.dt, t0=config.t0, t_final=t_final)
+                            dt=config.dt, t_final=t_final)
 
 
-def _run_matter(config, out_dir, threads, required, manifest, files):
-    stages = manifest["stages"]
+def _stage(manifest, name):
+    """Append a running stage entry to the manifest and return it."""
+    manifest["stages"].append({"name": name, "status": "running",
+                               "error": None})
+    return manifest["stages"][-1]
 
-    def stage(name):
-        stages.append({"name": name, "status": "running", "error": None})
-        return stages[-1]
 
-    st = stage("propagate")
+def _run_matter(config, out_dir, required, manifest, files):
+    st = _stage(manifest, "propagate")
     psi0 = initial_state(config)
     run = qp.propagate(psi0, propagator_config(config), config.t_final,
                        snapshot_every=config.snapshot_every)
@@ -653,12 +653,11 @@ def _run_matter(config, out_dir, threads, required, manifest, files):
 
     n_traj = config.ensemble["n_trajectories"]
     if n_traj > 0 and config.t_final > config.t0 and config.outputs["bundle"]:
-        st = stage("trajectories")
+        st = _stage(manifest, "trajectories")
         rho0 = np.abs(run.snapshots[0].values) ** 2
         ens = qt.sample_initial_positions(rho0, config.grid, n_traj,
                                           scheme=config.ensemble["scheme"])
-        bundle = qt.integrate_bundle(ens, run, config.ensemble["dt_traj"],
-                                     threads=threads)
+        bundle = qt.integrate_bundle(ens, run, config.ensemble["dt_traj"])
         p = os.path.join(out_dir, "bundle.txt")
         qt.write_bundle(p, bundle, metadata={
             "scenario": config.name, "model": config.model,
@@ -671,10 +670,8 @@ def _run_matter(config, out_dir, threads, required, manifest, files):
         _record_check(manifest, "non_crossing", float(report.min_gap), 0.0,
                       bool(report.ok) and not bundle.errors, required)
         if not bundle.errors:
-            dev = 0.0
-            for i in range(n_traj - 1):
-                tube = qt.tube_probability(bundle, run, i, i + 1)
-                dev = max(dev, float(np.max(np.abs(tube - tube[0]))))
+            tubes = qt.tube_probability(bundle, run)
+            dev = float(np.max(np.abs(tubes - tubes[:, :1])))
             _record_check(manifest, "tube", dev, config.checks["tube_tol"],
                           dev < config.checks["tube_tol"], required)
         st["status"] = "ok"
@@ -710,15 +707,9 @@ def _launch_positions(scene, n_paths):
     return np.sort(np.concatenate(out))
 
 
-def _run_optics(config, out_dir, threads, required, manifest, files):
-    stages = manifest["stages"]
+def _run_optics(config, out_dir, required, manifest, files):
     scene = config.scene
-
-    def stage(name):
-        stages.append({"name": name, "status": "running", "error": None})
-        return stages[-1]
-
-    st = stage("fresnel")
+    st = _stage(manifest, "fresnel")
     field2d = qo.fresnel_propagate(scene, source_dx=config.source_dx)
     pf = qo.PoyntingField(field2d)
     if config.outputs["profiles"]:
@@ -732,7 +723,7 @@ def _run_optics(config, out_dir, threads, required, manifest, files):
 
     n_paths = config.paths["n_paths"]
     if n_paths > 0 and config.outputs["paths"]:
-        st = stage("paths")
+        st = _stage(manifest, "paths")
         x0s = _launch_positions(scene, n_paths)
         z0 = config.paths["z_start"]
         paths = qo.photon_path_bundle(x0s, z0, pf, ds=config.paths["ds"])
@@ -753,7 +744,7 @@ def _record_check(manifest, name, value, threshold, passed, required):
         "passed": bool(passed), "required": name in required})
 
 
-def run_scenario(config: ScenarioConfig, out_dir=None, threads: int = 1,
+def run_scenario(config: ScenarioConfig, out_dir=None,
                  required_checks=None) -> RunArtifacts:
     """Run a scenario end to end; the manifest is always written, even on
     partial failure."""
@@ -767,7 +758,6 @@ def run_scenario(config: ScenarioConfig, out_dir=None, threads: int = 1,
         "kind": config.kind,
         "config_sha256": config.sha256(),
         "version": __version__,
-        "threads": int(threads),
         "out_dir": out_dir,
         "out_dir_source": out_dir_source,
         "notes": config.notes,
@@ -781,9 +771,9 @@ def run_scenario(config: ScenarioConfig, out_dir=None, threads: int = 1,
     start = _time.perf_counter()
     try:
         if config.kind == "matter_wave":
-            _run_matter(config, out_dir, threads, required, manifest, files)
+            _run_matter(config, out_dir, required, manifest, files)
         else:
-            _run_optics(config, out_dir, threads, required, manifest, files)
+            _run_optics(config, out_dir, required, manifest, files)
     except (QStreamError, ValueError, FloatingPointError) as exc:
         if manifest["stages"]:
             manifest["stages"][-1]["status"] = "failed"

@@ -15,7 +15,6 @@ trajectories (probability tubes).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,10 +47,6 @@ class Trajectory:
     t: np.ndarray
     x: np.ndarray
 
-    @property
-    def samples(self):
-        return list(zip(self.t, self.x))
-
 
 @dataclass(frozen=True)
 class TrajectoryBundle:
@@ -59,10 +54,6 @@ class TrajectoryBundle:
     xs: np.ndarray  # shape (n_trajectories, n_times)
     config: object = None
     errors: tuple = ()
-
-    @property
-    def trajectories(self):
-        return [Trajectory(self.times, row) for row in self.xs]
 
 
 def _cdf(rho: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -177,23 +168,38 @@ def _step_with_halving(sampler, x: float, t: float, dt: float,
 
 
 def _march(sampler: VelocitySampler, x0: np.ndarray, times: np.ndarray):
+    """One RK4 call per mesh step over all live rows; rows with an invalid
+    velocity take the scalar halving fallback.  A row that meets a node or
+    leaves the grid is dropped and NaN at every mesh time.  Returns the
+    positions and the sorted [(row, exception), ...] of dropped rows."""
     g = sampler.grid
-    xs = np.empty((len(x0), len(times)))
+    xs = np.full((len(x0), len(times)), np.nan)
     xs[:, 0] = x0
     x = np.asarray(x0, dtype=float)
+    live = np.arange(len(x0))
+    errors = []
     for k in range(len(times) - 1):
         t, dt = times[k], times[k + 1] - times[k]
         x_new, ok = _rk4_step(sampler, x, t, dt)
-        if not ok.all():
-            for idx in np.flatnonzero(~ok):
-                x_new[idx] = _step_with_halving(sampler, x[idx], t, dt)
-        if np.any((x_new < g.x_min) | (x_new > g.x_max)):
-            bad = np.flatnonzero((x_new < g.x_min) | (x_new > g.x_max))
-            raise LeftDomain(f"trajectories {bad.tolist()} left the grid "
-                             f"at t = {times[k + 1]:g}")
+        failed = {}
+        for r in np.flatnonzero(~ok):
+            try:
+                x_new[r] = _step_with_halving(sampler, x[r], t, dt)
+            except NodeEncounter as exc:
+                failed[r] = exc
+        for r in np.flatnonzero((x_new < g.x_min) | (x_new > g.x_max)):
+            failed.setdefault(r, LeftDomain(
+                f"trajectory {live[r]} left the grid at t = {times[k + 1]:g}"))
+        if failed:
+            errors += [(int(live[r]), exc) for r, exc in failed.items()]
+            keep = np.ones(len(live), dtype=bool)
+            keep[list(failed)] = False
+            live, x_new = live[keep], x_new[keep]
         x = x_new
-        xs[:, k + 1] = x
-    return xs
+        xs[live, k + 1] = x
+    errors.sort(key=lambda e: e[0])
+    xs[[row for row, _ in errors]] = np.nan
+    return xs, errors
 
 
 def time_mesh(t_span, dt_traj: float) -> np.ndarray:
@@ -209,19 +215,20 @@ def integrate_trajectory(x0: float, sampler: VelocitySampler, t_span,
     if not g.x_min <= x0 <= g.x_max:
         raise LeftDomain(f"x0 = {x0:g} outside the grid")
     times = time_mesh(t_span, dt_traj)
-    xs = _march(sampler, np.array([float(x0)]), times)
+    xs, errors = _march(sampler, np.array([float(x0)]), times)
+    if errors:
+        raise errors[0][1]
     return Trajectory(times, xs[0])
 
 
 def integrate_bundle(ensemble: InitialEnsemble, run: PropagationRun,
-                     dt_traj: float, t_span=None, threads: int = 1,
+                     dt_traj: float, t_span=None,
                      sampler: VelocitySampler = None) -> TrajectoryBundle:
     """One trajectory per initial position, all on a shared time mesh.
 
-    Per-trajectory failures are recorded in bundle.errors (the failing
-    trajectory is frozen at its last position) rather than aborting the
-    run.  Execution is chunked across threads when threads > 1; results
-    are identical to the sequential order.
+    Per-trajectory failures are recorded in bundle.errors as
+    (index, error type, message), sorted by index, and the failing
+    trajectory is NaN at every mesh time; the other trajectories run on.
     """
     if sampler is None:
         sampler = VelocitySampler(run)
@@ -232,33 +239,9 @@ def integrate_bundle(ensemble: InitialEnsemble, run: PropagationRun,
         raise ValueError("snapshot spacing exceeds 10 * dt_traj; store more "
                          "snapshots or increase dt_traj")
     times = time_mesh(t_span, dt_traj)
-    x0 = ensemble.positions
-    errors = []
-
-    def run_chunk(chunk):
-        try:
-            return _march(sampler, x0[chunk], times)
-        except (LeftDomain, NodeEncounter):
-            # fall back to per-trajectory integration so one failure
-            # does not poison the chunk
-            out = np.empty((len(chunk), len(times)))
-            for row, idx in enumerate(chunk):
-                try:
-                    out[row] = _march(sampler, x0[idx:idx + 1], times)[0]
-                except (LeftDomain, NodeEncounter) as exc:
-                    errors.append((int(idx), type(exc).__name__, str(exc)))
-                    out[row] = np.nan
-            return out
-
-    n_chunks = max(1, min(int(threads), len(x0)))
-    chunks = np.array_split(np.arange(len(x0)), n_chunks)
-    if n_chunks == 1:
-        results = [run_chunk(chunks[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=n_chunks) as pool:
-            results = list(pool.map(run_chunk, chunks))
-    xs = np.vstack(results)
-    return TrajectoryBundle(times, xs, run.config, tuple(errors))
+    xs, errors = _march(sampler, ensemble.positions, times)
+    return TrajectoryBundle(times, xs, run.config, tuple(
+        (row, type(exc).__name__, str(exc)) for row, exc in errors))
 
 
 @dataclass(frozen=True)
@@ -282,24 +265,24 @@ def check_non_crossing(bundle: TrajectoryBundle) -> NonCrossingReport:
     return NonCrossingReport(False, min_gap, (float(bundle.times[k]), int(i)))
 
 
-def tube_probability(bundle: TrajectoryBundle, run: PropagationRun,
-                     i: int, j: int) -> np.ndarray:
-    """Probability enclosed between trajectories i and j at each mesh time
-    (rho interpolated linearly between snapshots)."""
-    if not 0 <= i < j < bundle.xs.shape[0]:
-        raise ValueError("need 0 <= i < j < n_trajectories")
+def tube_probability(bundle: TrajectoryBundle,
+                     run: PropagationRun) -> np.ndarray:
+    """Probability enclosed between each pair of neighbouring trajectories
+    at each mesh time, shape (n_trajectories - 1, n_times); rho is
+    interpolated linearly between snapshots."""
+    if bundle.xs.shape[0] < 2:
+        raise ValueError("need at least two trajectories")
     grid = run.snapshots[0].grid
+    x = grid.x
     snap_times = np.array([s.time for s in run.snapshots])
     rhos = np.array([np.abs(s.values) ** 2 for s in run.snapshots])
-    out = np.empty(len(bundle.times))
+    out = np.empty((bundle.xs.shape[0] - 1, len(bundle.times)))
     for k, t in enumerate(bundle.times):
         a = min(max(np.searchsorted(snap_times, t) - 1, 0), len(snap_times) - 2)
         w = np.clip((t - snap_times[a]) / (snap_times[a + 1] - snap_times[a]),
                     0.0, 1.0)
         rho = (1 - w) * rhos[a] + w * rhos[a + 1]
-        cdf = _cdf(rho, grid)
-        lo, hi = np.interp([bundle.xs[i, k], bundle.xs[j, k]], grid.x, cdf)
-        out[k] = hi - lo
+        out[:, k] = np.diff(np.interp(bundle.xs[:, k], x, _cdf(rho, grid)))
     return out
 
 

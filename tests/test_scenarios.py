@@ -89,8 +89,9 @@ class TestParser:
             parse_scenario(QUICK_MATTER + "sauce.level = 11\n")
 
     def test_unknown_key(self):
-        with pytest.raises(ValidationError):
-            parse_scenario(QUICK_MATTER + "time.warp = 9\n")
+        for extra in ("time.warp = 9\n", "ensemble.seed = 3\n"):
+            with pytest.raises(ValidationError):
+                parse_scenario(QUICK_MATTER + extra)
 
     def test_unknown_model(self):
         with pytest.raises(ValidationError):

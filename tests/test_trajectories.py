@@ -11,7 +11,7 @@ from qstream import (ComplexField, GridSpec, InitialEnsemble,
                      TrajectoryBundle, check_non_crossing, gaussian_packet,
                      integrate_bundle, integrate_trajectory, propagate,
                      sample_initial_positions, tube_probability)
-from qstream.errors import LeftDomain, ZeroDensity
+from qstream.errors import LeftDomain, NodeEncounter, ZeroDensity
 from qstream.propagators import PropagationRun
 from qstream.trajectories import VelocitySampler, time_mesh, write_bundle
 
@@ -126,12 +126,6 @@ class TestIntegrateTrajectory:
             integrate_trajectory(-5.0, VelocitySampler(run), (0.0, 1.0),
                                  dt_traj=0.01)
 
-    def test_samples_property(self):
-        run = plane_wave_run()
-        traj = integrate_trajectory(1.0, VelocitySampler(run, method="spectral"),
-                                    (0.0, 1.0), dt_traj=0.5)
-        assert len(traj.samples) == len(traj.t)
-
 
 class TestCoherentBundle:
     def test_all_trajectories_share_center_motion(self):
@@ -166,16 +160,20 @@ class TestOrderOfAccuracy:
 # bundles -------------------------------------------------------------------
 
 class TestBundles:
-    def test_threads_do_not_change_results(self):
+    def test_bundle_matches_per_trajectory_oracle(self):
         g = sym_grid(12, 1024)
         run = propagate(gaussian_packet(g, C, 1.0),
                         PropagatorConfig(dt=1e-3), 1.0, snapshot_every=5)
         rho0 = np.abs(run.snapshots[0].values) ** 2
         ens = sample_initial_positions(rho0, g, 12)
-        b1 = integrate_bundle(ens, run, dt_traj=0.01, threads=1)
-        b3 = integrate_bundle(ens, run, dt_traj=0.01, threads=3)
-        assert np.array_equal(b1.xs, b3.xs)
-        assert b1.errors == b3.errors
+        sampler = VelocitySampler(run)
+        bundle = integrate_bundle(ens, run, dt_traj=0.01, sampler=sampler)
+        t_span = (sampler.times[0], sampler.times[-1])
+        oracle = np.vstack([
+            integrate_trajectory(x0, sampler, t_span, dt_traj=0.01).x
+            for x0 in ens.positions])
+        assert np.array_equal(bundle.xs, oracle)
+        assert bundle.errors == ()
 
     def test_snapshot_gap_guard(self):
         run = plane_wave_run(n_snaps=4)  # gap = 1.0
@@ -191,8 +189,25 @@ class TestBundles:
         assert len(bundle.errors) == 1
         assert bundle.errors[0][0] == 1
         assert bundle.errors[0][1] == "LeftDomain"
+        assert "trajectory 1 " in bundle.errors[0][2]
         assert np.isnan(bundle.xs[1, -1])
         assert abs(bundle.xs[0, -1] - 7.0) < 1e-10
+
+    def test_node_encounter_recorded_not_fatal(self):
+        run = plane_wave_run()  # v = 2: over t in [0, 1] only row 1 crosses 4
+        sampler = VelocitySampler(run, method="spectral")
+        sampler.ok[:, (sampler.grid.x > 3.9) & (sampler.grid.x < 4.1)] = False
+        ens = InitialEnsemble(np.array([0.5, 3.0, 4.5]))
+        bundle = integrate_bundle(ens, run, dt_traj=0.01, t_span=(0.0, 1.0),
+                                  sampler=sampler)
+        assert [e[:2] for e in bundle.errors] == [(1, "NodeEncounter")]
+        assert np.all(np.isnan(bundle.xs[1]))
+        for row in (0, 2):
+            oracle = integrate_trajectory(ens.positions[row], sampler,
+                                          (0.0, 1.0), dt_traj=0.01)
+            assert np.array_equal(bundle.xs[row], oracle.x)
+        with pytest.raises(NodeEncounter):
+            integrate_trajectory(3.0, sampler, (0.0, 1.0), dt_traj=0.01)
 
     def test_bundle_serialization(self, tmp_path):
         run = plane_wave_run()
@@ -250,14 +265,16 @@ def free_run_and_bundle():
 class TestTubeProbability:
     def test_interquartile_tube_conserved(self, free_run_and_bundle):
         run, bundle = free_run_and_bundle
-        tube = tube_probability(bundle, run, 0, 1)
-        assert tube[0] == pytest.approx(0.5, abs=1e-6)
-        assert max_abs(tube - tube[0]) < 1e-3
+        tubes = tube_probability(bundle, run)
+        assert tubes.shape == (1, len(bundle.times))
+        assert tubes[0, 0] == pytest.approx(0.5, abs=1e-6)
+        assert max_abs(tubes[0] - tubes[0, 0]) < 1e-3
 
-    def test_index_validation(self, free_run_and_bundle):
+    def test_needs_two_trajectories(self, free_run_and_bundle):
         run, bundle = free_run_and_bundle
+        single = TrajectoryBundle(bundle.times, bundle.xs[:1])
         with pytest.raises(ValueError):
-            tube_probability(bundle, run, 1, 1)
+            tube_probability(single, run)
 
     def test_dissipative_run_tube_conserved(self):
         omega0 = 2 * math.pi / 10.0
@@ -271,9 +288,9 @@ class TestTubeProbability:
         rho0 = np.abs(run.snapshots[0].values) ** 2
         ens = sample_initial_positions(rho0, g, 8)
         bundle = integrate_bundle(ens, run, dt_traj=0.01)
-        for i in range(7):
-            tube = tube_probability(bundle, run, i, i + 1)
-            assert max_abs(tube - tube[0]) < 1e-3
+        tubes = tube_probability(bundle, run)
+        assert tubes.shape == (7, len(bundle.times))
+        assert max_abs(tubes - tubes[:, :1]) < 1e-3
 
 
 class TestEnsembleDensityConsistency:
