@@ -7,8 +7,7 @@ from .fields import (ComplexField, GridSpec, PhysicalConstants, PolarFields,
                      quantum_potential, velocity_field)
 from .propagators import (ClassicalCKState, PotentialSpec, PropagatorConfig,
                           analytic_gaussian_oracle, classical_ck_trajectory,
-                          propagate, step_caldirola_kanai, step_kostin,
-                          step_standard)
+                          propagate, step)
 from .trajectories import (InitialEnsemble, Trajectory, TrajectoryBundle,
                            check_non_crossing, integrate_bundle,
                            integrate_trajectory, sample_initial_positions,

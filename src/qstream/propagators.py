@@ -1,15 +1,17 @@
-"""Time steppers for the three dynamical models.
+"""One split-step stepper for the three dynamical models.
 
 standard           i hbar dPsi/dt = -(hbar^2/2m) Psi'' + V Psi
 caldirola_kanai    kinetic term scaled by exp(-gamma t), potential by
                    exp(+gamma t); both coefficients evaluated at the
                    temporal midpoint of each step
 kostin             nonlinear friction potential gamma (S - <S>) built from
-                   the unwrapped phase of the evolving state (V_R = 0 case)
+                   the unwrapped phase of the evolving state (V_R = 0 case),
+                   added in one predictor-corrector pass per step
 
-All three share one symmetric split-step kernel (half potential, full
+The models differ only in the kinetic scale, the potential scale and the
+extra potential handed to one symmetric split step (half potential, full
 kinetic in spectral space, half potential), so the gamma = 0 dissipative
-models reproduce the standard stepper bit for bit.
+models reproduce the standard model bit for bit.
 
 Closed-form Gaussian solutions for free and harmonic potentials serve as
 the numerical ground truth, and the classical Caldirola-Kanai equations
@@ -25,8 +27,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import fields as qf
-from .errors import (NotNormalized, PhaseUndefined, StabilityViolation,
-                     UnsupportedPotential)
+from .errors import PhaseUndefined, StabilityViolation, UnsupportedPotential
 from .fields import ComplexField, GridSpec, PhysicalConstants
 
 STABILITY_SAFETY = 0.5
@@ -130,38 +131,23 @@ def check_stability(psi: ComplexField, config: PropagatorConfig) -> None:
             f"{STABILITY_SAFETY * c.hbar / E:g} (E_char = {E:g})")
 
 
-def _split_step(values: np.ndarray, grid: GridSpec, constants: PhysicalConstants,
-                V_eff: np.ndarray, dt: float, kinetic_scale: float = 1.0) -> np.ndarray:
+def rate_factor(config: PropagatorConfig, t: float) -> float:
+    """The Caldirola-Kanai rate factor exp(-gamma t), which scales both the
+    kinetic term and the guidance velocity; 1 for the other models."""
+    if config.model == "caldirola_kanai":
+        return math.exp(-config.gamma * t)
+    return 1.0
+
+
+def _split_step(values: np.ndarray, V_eff: np.ndarray, kin_phase: np.ndarray,
+                dt: float, constants: PhysicalConstants,
+                kinetic_scale: float = 1.0) -> np.ndarray:
     """Symmetric split step: half potential, full kinetic, half potential."""
-    hbar, m = constants.hbar, constants.mass
-    k = grid.wavenumbers()
-    half_V = np.exp(-0.5j * V_eff * dt / hbar)
-    kin = np.exp(-0.5j * hbar * k ** 2 * kinetic_scale * dt / m)
+    half_V = np.exp(-0.5j * V_eff * dt / constants.hbar)
+    kin = np.exp(kin_phase * kinetic_scale * dt / constants.mass)
     out = half_V * values
     out = np.fft.ifft(kin * np.fft.fft(out))
     return half_V * out
-
-
-def step_standard(psi: ComplexField, config: PropagatorConfig) -> ComplexField:
-    if config.model != "standard":
-        raise ValueError("config.model must be 'standard'")
-    V = config.potential.evaluate(psi.grid, config.constants)
-    values = _split_step(psi.values, psi.grid, config.constants, V, config.dt)
-    return ComplexField(psi.grid, values, psi.time + config.dt)
-
-
-def step_caldirola_kanai(psi: ComplexField, config: PropagatorConfig) -> ComplexField:
-    if config.model != "caldirola_kanai":
-        raise ValueError("config.model must be 'caldirola_kanai'")
-    if (config.gamma > 0 and config.t_final is not None
-            and psi.time + config.dt > config.t_final + 0.5 * config.dt):
-        raise StabilityViolation("stepping past the declared t_final")
-    t_mid = psi.time + 0.5 * config.dt
-    V = config.potential.evaluate(psi.grid, config.constants)
-    values = _split_step(psi.values, psi.grid, config.constants,
-                         math.exp(config.gamma * t_mid) * V, config.dt,
-                         kinetic_scale=math.exp(-config.gamma * t_mid))
-    return ComplexField(psi.grid, values, psi.time + config.dt)
 
 
 def _friction_potential(psi: ComplexField, config: PropagatorConfig) -> np.ndarray:
@@ -181,30 +167,40 @@ def _friction_potential(psi: ComplexField, config: PropagatorConfig) -> np.ndarr
     return config.gamma * (S - S_mean)
 
 
-def step_kostin(psi: ComplexField, config: PropagatorConfig) -> ComplexField:
-    """One predictor-corrector pass: freeze the friction potential at the
-    step start, take a trial step, recompute it at the endpoint, then redo
-    the step with the average of the two."""
-    if config.model != "kostin":
-        raise ValueError("config.model must be 'kostin'")
-    V = config.potential.evaluate(psi.grid, config.constants)
-    try:
-        W0 = _friction_potential(psi, config)
-    except qf.AllBelowThreshold as exc:
-        raise PhaseUndefined(str(exc)) from exc
-    trial = _split_step(psi.values, psi.grid, config.constants, V + W0, config.dt)
-    W1 = _friction_potential(ComplexField(psi.grid, trial, psi.time + config.dt),
-                             config)
-    values = _split_step(psi.values, psi.grid, config.constants,
-                         V + 0.5 * (W0 + W1), config.dt)
-    return ComplexField(psi.grid, values, psi.time + config.dt)
+def _stepper(grid: GridSpec, config: PropagatorConfig):
+    """The configured model's time step as a psi -> psi function; V and
+    the kinetic phase -0.5j hbar k^2 are built once, here."""
+    c, dt, gamma = config.constants, config.dt, config.gamma
+    V = config.potential.evaluate(grid, c)
+    kin_phase = -0.5j * c.hbar * grid.wavenumbers() ** 2
+
+    def advance(psi: ComplexField) -> ComplexField:
+        t_mid, t_next = psi.time + 0.5 * dt, psi.time + dt
+        V_eff = V
+        if config.model == "caldirola_kanai":
+            if gamma > 0 and t_next > config.t_final + 0.5 * dt:
+                raise StabilityViolation("stepping past the declared t_final")
+            V_eff = math.exp(gamma * t_mid) * V
+        elif config.model == "kostin":
+            # predictor-corrector: the friction potential at the step start,
+            # then averaged with its value after a trial step
+            try:
+                W0 = _friction_potential(psi, config)
+            except qf.AllBelowThreshold as exc:
+                raise PhaseUndefined(str(exc)) from exc
+            trial = _split_step(psi.values, V + W0, kin_phase, dt, c)
+            W1 = _friction_potential(ComplexField(grid, trial, t_next), config)
+            V_eff = V + 0.5 * (W0 + W1)
+        values = _split_step(psi.values, V_eff, kin_phase, dt, c,
+                             rate_factor(config, t_mid))
+        return ComplexField(grid, values, t_next)
+
+    return advance
 
 
-_STEPPERS = {
-    "standard": step_standard,
-    "caldirola_kanai": step_caldirola_kanai,
-    "kostin": step_kostin,
-}
+def step(psi: ComplexField, config: PropagatorConfig) -> ComplexField:
+    """Advance psi by one time step config.dt of the configured model."""
+    return _stepper(psi.grid, config)(psi)
 
 
 def physical_energy(psi: ComplexField, config: PropagatorConfig) -> float:
@@ -244,9 +240,9 @@ class PropagationRun:
 
 
 def propagate(psi0: ComplexField, config: PropagatorConfig, t_final: float,
-              snapshot_every: int = 1, series_every: int = None,
-              check: bool = True) -> PropagationRun:
-    """Run the configured stepper from psi0.time to t_final.
+              snapshot_every: int = 1,
+              series_every: int = None) -> PropagationRun:
+    """Run the configured model from psi0.time to t_final.
 
     Snapshots are stored every `snapshot_every` steps (always including the
     initial and final states); the diagnostic series is sampled every
@@ -254,9 +250,9 @@ def propagate(psi0: ComplexField, config: PropagatorConfig, t_final: float,
     """
     if t_final < psi0.time:
         raise ValueError("t_final must be >= the initial time")
-    if check and t_final > psi0.time:
+    if t_final > psi0.time:
         check_stability(psi0, config)
-    stepper = _STEPPERS[config.model]
+    advance = _stepper(psi0.grid, config)
     n_steps = int(round((t_final - psi0.time) / config.dt))
     if series_every is None:
         series_every = snapshot_every
@@ -270,7 +266,7 @@ def propagate(psi0: ComplexField, config: PropagatorConfig, t_final: float,
     record(psi0)
     psi = psi0
     for i in range(1, n_steps + 1):
-        psi = stepper(psi, config)
+        psi = advance(psi)
         if i % series_every == 0 or i == n_steps:
             record(psi)
         if i % snapshot_every == 0 or i == n_steps:

@@ -39,9 +39,12 @@ _UNITS = {"m": 1.0, "mm": 1e-3, "um": 1e-6, "nm": 1e-9}
 
 def _conv_float(raw, key):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ValidationError(key, f"not a number: {raw!r}")
+    if not math.isfinite(value):
+        raise ValidationError(key, f"not a finite number: {raw!r}")
+    return value
 
 
 def _conv_int(raw, key):
@@ -71,11 +74,7 @@ def _conv_length(raw, key):
     m = _LENGTH_RE.match(raw.strip())
     if not m:
         raise ValidationError(key, f"not a length: {raw!r}")
-    try:
-        value = float(m.group(1))
-    except ValueError:
-        raise ValidationError(key, f"not a length: {raw!r}")
-    return value * _UNITS[m.group(2) or "m"]
+    return _conv_float(m.group(1), key) * _UNITS[m.group(2) or "m"]
 
 
 def _length_tokens(raw, key):
@@ -95,10 +94,11 @@ def _length_tokens(raw, key):
             m = _LENGTH_RE.match(tok)
             if not m:
                 raise ValidationError(key, f"not a length: {tok!r}")
+            value = _conv_float(m.group(1), key)
             if m.group(2):
-                values.append(float(m.group(1)) * _UNITS[m.group(2)])
+                values.append(value * _UNITS[m.group(2)])
             else:
-                pending = float(m.group(1))
+                pending = value
     if pending is not None:
         values.append(pending)
     return values
@@ -293,8 +293,13 @@ def _build_matter(name, notes, canonical, r, order):
     if model not in MODELS:
         raise ValidationError("model.type", f"must be one of {MODELS}")
     gamma = r.get(("model", "gamma"), 0.0)
-    constants = PhysicalConstants(hbar=r.get(("model", "hbar"), 1.0),
-                                  mass=r.get(("model", "mass"), 1.0))
+    if gamma < 0:
+        raise ValidationError("model.gamma", "must be >= 0")
+    try:
+        constants = PhysicalConstants(hbar=r.get(("model", "hbar"), 1.0),
+                                      mass=r.get(("model", "mass"), 1.0))
+    except ValueError as exc:
+        raise ValidationError("model", str(exc))
     pkind = r.get(("potential", "kind"), "free")
     if pkind not in ("free", "harmonic"):
         raise ValidationError("potential.kind", "must be free or harmonic")
@@ -338,6 +343,10 @@ def _build_matter(name, notes, canonical, r, order):
         "scheme": scheme,
         "dt_traj": r.get(("ensemble", "dt_traj"), 10.0 * dt),
     }
+    if ensemble["n_trajectories"] < 0 or ensemble["n_trajectories"] == 1:
+        raise ValidationError("ensemble.n_trajectories", "must be 0 or >= 2")
+    if ensemble["dt_traj"] <= 0:
+        raise ValidationError("ensemble.dt_traj", "must be > 0")
     checks = {
         "required": r.get(("checks", "required"), ()),
         "norm_tol": r.get(("checks", "norm_tol"), 1e-8),
@@ -774,7 +783,7 @@ def run_scenario(config: ScenarioConfig, out_dir=None,
             _run_matter(config, out_dir, required, manifest, files)
         else:
             _run_optics(config, out_dir, required, manifest, files)
-    except (QStreamError, ValueError, FloatingPointError) as exc:
+    except (QStreamError, ValueError, ArithmeticError) as exc:
         if manifest["stages"]:
             manifest["stages"][-1]["status"] = "failed"
             manifest["stages"][-1]["error"] = f"{type(exc).__name__}: {exc}"

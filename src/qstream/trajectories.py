@@ -14,7 +14,6 @@ trajectories (probability tubes).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,7 @@ import numpy as np
 from . import fields as qf
 from .errors import LeftDomain, NodeEncounter, ZeroDensity
 from .fields import GridSpec
-from .propagators import PropagationRun
+from .propagators import PropagationRun, rate_factor
 
 
 @dataclass(frozen=True)
@@ -98,22 +97,17 @@ class VelocitySampler:
     """v(x, t) from a snapshot sequence: cubic in x on valid points
     (shrinking to linear beside invalid nodes), linear in t."""
 
-    def __init__(self, run: PropagationRun, eps_node: float = qf.NODE_THRESHOLD,
-                 method: str = "fd4"):
+    def __init__(self, run: PropagationRun, method: str = "fd4"):
         self.grid = run.snapshots[0].grid
         self.config = run.config
         self.times = np.array([s.time for s in run.snapshots])
         vs, oks = [], []
         for snap in run.snapshots:
-            vf = qf.velocity_field(snap, run.config.constants, eps_node, method)
+            vf = qf.velocity_field(snap, run.config.constants, method=method)
             vs.append(np.where(vf.valid, vf.v, 0.0))
             oks.append(vf.valid)
         self.v = np.asarray(vs)
         self.ok = np.asarray(oks)
-        if run.config.model == "caldirola_kanai":
-            self.rate = lambda t: math.exp(-run.config.gamma * t)
-        else:
-            self.rate = lambda t: 1.0
 
     def _space(self, i_snap: int, xq: np.ndarray):
         g = self.grid
@@ -142,7 +136,7 @@ class VelocitySampler:
         w = min(max(w, 0.0), 1.0)
         v0, ok0 = self._space(i, xq)
         v1, ok1 = self._space(i + 1, xq)
-        return self.rate(t) * ((1 - w) * v0 + w * v1), ok0 & ok1
+        return rate_factor(self.config, t) * ((1 - w) * v0 + w * v1), ok0 & ok1
 
 
 def _rk4_step(sampler: VelocitySampler, x: np.ndarray, t: float, dt: float):

@@ -19,9 +19,7 @@ from qstream.fields import derivative, polar_decompose, quantum_potential
 from qstream.optics import (FresnelEvaluator, PoyntingField,
                             assemble_em_fields, energy_density,
                             gaussian_beam_intensity, poynting)
-from qstream.propagators import (classical_ck_energy, physical_energy,
-                                 step_caldirola_kanai, step_kostin,
-                                 step_standard)
+from qstream.propagators import classical_ck_energy, physical_energy, step
 from qstream.scenarios import (_launch_positions, _path_non_crossing,
                                builtin_scenario, initial_state,
                                parse_scenario, propagator_config)
@@ -380,9 +378,9 @@ def test_criterion_13_reductions_and_determinism(tmp_path, capsys):
     ks_cfg = PropagatorConfig(model="kostin", potential=pot, dt=1e-3)
     std = ck = ks = psi
     for _ in range(5):
-        std = step_standard(std, std_cfg)
-        ck = step_caldirola_kanai(ck, ck_cfg)
-        ks = step_kostin(ks, ks_cfg)
+        std = step(std, std_cfg)
+        ck = step(ck, ck_cfg)
+        ks = step(ks, ks_cfg)
         dev = max(dev, float(np.max(np.abs(std.values - ck.values))),
                   float(np.max(np.abs(std.values - ks.values))))
     # repeated runs are byte-identical, and the bundle equals the

@@ -9,7 +9,7 @@ import pytest
 from qstream import (ClassicalCKState, ComplexField, PhysicalConstants,
                      PotentialSpec, PropagatorConfig, analytic_gaussian_oracle,
                      classical_ck_trajectory, gaussian_packet, propagate,
-                     step_caldirola_kanai, step_kostin, step_standard)
+                     step)
 from qstream.errors import (PhaseUndefined, StabilityViolation,
                             UnsupportedPotential)
 from qstream.fields import norm, position_spread
@@ -82,12 +82,6 @@ class TestSpecs:
 # standard model ------------------------------------------------------------
 
 class TestStandardStepper:
-    def test_model_mismatch_rejected(self):
-        g = sym_grid(8, 256)
-        psi = gaussian_packet(g, C, 1.0)
-        with pytest.raises(ValueError):
-            step_standard(psi, PropagatorConfig(model="kostin"))
-
     def test_ground_state_one_period(self):
         g = sym_grid(8, 512)
         psi0 = gaussian_packet(g, C, sigma0=math.sqrt(0.5))
@@ -104,15 +98,16 @@ class TestStandardStepper:
         g = sym_grid(10, 512)
         psi = gaussian_packet(g, C, 1.0, p0=1.0)
         V = HARMONIC.evaluate(g, C)
-        fwd = _split_step(psi.values, g, C, V, 1e-3)
-        back = _split_step(fwd, g, C, V, -1e-3)
+        kin_phase = -0.5j * C.hbar * g.wavenumbers() ** 2
+        fwd = _split_step(psi.values, V, kin_phase, 1e-3, C)
+        back = _split_step(fwd, V, kin_phase, -1e-3, C)
         assert max_abs(back - psi.values) < 1e-9
 
     def test_norm_drift_per_step(self):
         g = sym_grid(10, 512)
         psi = gaussian_packet(g, C, 1.0, p0=1.0)
         cfg = PropagatorConfig(potential=HARMONIC, dt=1e-3)
-        out = step_standard(psi, cfg)
+        out = step(psi, cfg)
         assert abs(norm(out) - norm(psi)) < 1e-12
 
     def test_free_gaussian_width_at_t2(self):
@@ -157,11 +152,9 @@ class TestCaldirolaKanai:
     def test_frictionless_reduction(self):
         g = sym_grid(8, 512)
         psi = coherent(g)
-        std = step_standard(psi, PropagatorConfig(potential=HARMONIC,
-                                                  dt=1e-3))
-        ck = step_caldirola_kanai(
-            psi, PropagatorConfig(model="caldirola_kanai",
-                                  potential=HARMONIC, dt=1e-3))
+        std = step(psi, PropagatorConfig(potential=HARMONIC, dt=1e-3))
+        ck = step(psi, PropagatorConfig(model="caldirola_kanai",
+                                        potential=HARMONIC, dt=1e-3))
         assert max_abs(std.values - ck.values) < 1e-12
 
     def test_norm_drift_per_step(self):
@@ -174,7 +167,7 @@ class TestCaldirolaKanai:
         out = psi
         for _ in range(20):
             prev = norm(out)
-            out = step_caldirola_kanai(out, cfg)
+            out = step(out, cfg)
             assert abs(norm(out) - prev) < 1e-10
 
     def test_stepping_past_horizon_rejected(self):
@@ -185,9 +178,9 @@ class TestCaldirolaKanai:
                                potential=PotentialSpec("harmonic",
                                                        omega0=OMEGA0),
                                gamma=OMEGA0, dt=1e-3, t_final=1.0)
-        ok = step_caldirola_kanai(psi, cfg)  # lands exactly on t_final
+        ok = step(psi, cfg)  # lands exactly on t_final
         with pytest.raises(StabilityViolation):
-            step_caldirola_kanai(ok, cfg)
+            step(ok, cfg)
 
     def test_physical_energy_decreases(self):
         g = sym_grid(8, 1024)
@@ -205,10 +198,9 @@ class TestKostin:
     def test_frictionless_reduction(self):
         g = sym_grid(8, 512)
         psi = coherent(g)
-        std = step_standard(psi, PropagatorConfig(potential=HARMONIC,
-                                                  dt=1e-3))
-        ks = step_kostin(psi, PropagatorConfig(model="kostin",
-                                               potential=HARMONIC, dt=1e-3))
+        std = step(psi, PropagatorConfig(potential=HARMONIC, dt=1e-3))
+        ks = step(psi, PropagatorConfig(model="kostin", potential=HARMONIC,
+                                        dt=1e-3))
         assert max_abs(std.values - ks.values) < 1e-12
 
     def test_constant_phase_state_kills_friction(self):
@@ -226,7 +218,7 @@ class TestKostin:
         out = coherent(g)
         for _ in range(20):
             prev = norm(out)
-            out = step_kostin(out, cfg)
+            out = step(out, cfg)
             assert abs(norm(out) - prev) < 1e-10
 
     def test_zero_state_phase_undefined(self):
@@ -234,7 +226,7 @@ class TestKostin:
         psi = ComplexField(g, np.zeros(256, dtype=complex))
         cfg = PropagatorConfig(model="kostin", gamma=0.3, dt=1e-3)
         with pytest.raises(PhaseUndefined):
-            step_kostin(psi, cfg)
+            step(psi, cfg)
 
     def test_centroid_follows_damped_oscillator(self):
         # Ehrenfest: <x> solves x'' + gamma x' + omega^2 x = 0
@@ -284,6 +276,19 @@ class TestPropagate:
                                                        omega0=5.0), dt=0.5)
         with pytest.raises(StabilityViolation):
             propagate(psi, cfg, 1.0)
+
+    @pytest.mark.parametrize("model",
+                             ["standard", "caldirola_kanai", "kostin"])
+    def test_run_equals_repeated_steps(self, model):
+        g = sym_grid(8, 256)
+        cfg = PropagatorConfig(model=model, potential=HARMONIC, gamma=0.3,
+                               dt=1e-2, t_final=1.0)
+        psi = coherent(g)
+        run = propagate(psi, cfg, 0.05, snapshot_every=1)
+        for snap in run.snapshots[1:]:
+            psi = step(psi, cfg)
+            assert snap.time == psi.time
+            assert np.array_equal(snap.values, psi.values)
 
     def test_series_written(self, tmp_path):
         g = sym_grid(8, 256)

@@ -45,6 +45,35 @@ quadrature.source_dx = 8 um
 checks.required = paths_non_crossing
 """
 
+# Non-finite or out-of-range numbers, each of which must fail validation
+# (exit 2) rather than escape from the run: (base text, old line, new line).
+BAD_NUMBERS = {
+    "t_final-inf": (QUICK_MATTER, "time.t_final = 0.5", "time.t_final = inf"),
+    "dt-nan": (QUICK_MATTER, "time.dt = 0.01", "time.dt = nan"),
+    "gamma-nan": (QUICK_MATTER, "model.type = standard",
+                  "model.type = standard\nmodel.gamma = nan"),
+    "x0-nan": (QUICK_MATTER, "packet1.sigma0 = 1.0",
+               "packet1.sigma0 = 1.0\npacket1.x0 = nan"),
+    "hbar-zero": (QUICK_MATTER, "model.type = standard",
+                  "model.type = standard\nmodel.hbar = 0"),
+    "gamma-negative": (QUICK_MATTER, "model.type = standard",
+                       "model.type = standard\nmodel.gamma = -1"),
+    "one-trajectory": (QUICK_MATTER, "ensemble.n_trajectories = 6",
+                       "ensemble.n_trajectories = 1"),
+    "dt_traj-zero": (QUICK_MATTER, "ensemble.dt_traj = 0.05",
+                     "ensemble.dt_traj = 0"),
+    "wavelength-overflow": (QUICK_OPTICS, "943 nm", "1e999 nm"),
+    "zplane-malformed": (QUICK_OPTICS, "0.5 : 2.0 : 4", "0.5 1.2.3 2"),
+    "window_sigmas-inf": (QUICK_OPTICS, "slit1.sigma = 0.3 mm",
+                          "slit1.sigma = 0.3 mm\nslit1.window_sigmas = inf"),
+}
+
+
+def bad_number_text(case):
+    base, old, new = BAD_NUMBERS[case]
+    assert old in base
+    return base.replace(old, new)
+
 
 # grammar -------------------------------------------------------------------
 
@@ -150,6 +179,11 @@ class TestParser:
         with pytest.raises(ValidationError):
             parse_scenario(bad)
 
+    @pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
+    def test_bad_number_rejected(self, case):
+        with pytest.raises(ValidationError):
+            parse_scenario(bad_number_text(case))
+
     def test_window_sigmas_scales_sigma(self):
         cfg = parse_scenario(QUICK_OPTICS + "slit1.window_sigmas = 1.5\n")
         assert cfg.scene.slits[0].window_halfwidth == pytest.approx(
@@ -244,6 +278,16 @@ class TestRunScenario:
         assert m["stages"][-1]["status"] == "failed"
         assert "StabilityViolation" in m["stages"][-1]["error"]
 
+    def test_step_count_overflow_is_numeric_failure(self, tmp_path):
+        text = QUICK_MATTER.replace("time.dt = 0.01", "time.dt = 1e-300") \
+                           .replace("time.t_final = 0.5",
+                                    "time.t_final = 1e300")
+        art = run_scenario(parse_scenario(text),
+                           out_dir=str(tmp_path / "out"))
+        assert art.failure_kind == "numeric"
+        m = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert "OverflowError" in m["stages"][-1]["error"]
+
     def test_required_checks_override(self, tmp_path):
         cfg = parse_scenario(QUICK_MATTER)
         art = run_scenario(cfg, out_dir=str(tmp_path / "out"),
@@ -317,6 +361,15 @@ class TestCli:
                          str(tmp_path / "out")])
         assert code == 4
         assert "failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
+    def test_bad_number_exit_code(self, tmp_path, case):
+        path = tmp_path / "s.cfg"
+        path.write_text(bad_number_text(case))
+        assert cli.main(["validate", str(path)]) == 2
+        assert cli.main(["run", str(path), "--out-dir",
+                         str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_run_parse_failure_exit_code(self, tmp_path):
         path = tmp_path / "s.cfg"
