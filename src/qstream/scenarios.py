@@ -352,6 +352,9 @@ def _build_matter(name, notes, canonical, r, order):
         "norm_tol": r.get(("checks", "norm_tol"), 1e-8),
         "tube_tol": r.get(("checks", "tube_tol"), 1e-3),
     }
+    for key in ("norm_tol", "tube_tol"):
+        if checks[key] <= 0:
+            raise ValidationError(f"checks.{key}", "must be > 0")
     outputs = {
         "series": r.get(("outputs", "series"), True),
         "snapshots": r.get(("outputs", "snapshots"), True),
@@ -404,6 +407,16 @@ def _build_optics(name, notes, canonical, r, order):
         "z_start": r.get(("paths", "z_start"), z_planes[0]),
         "ds": r.get(("paths", "ds")),
     }
+    if paths["n_paths"] < 0:
+        raise ValidationError("paths.n_paths", "must be >= 0")
+    if not scene.z_planes[0] <= paths["z_start"] <= scene.z_planes[-1]:
+        raise ValidationError("paths.z_start",
+                              "must lie between the first and last z plane")
+    if paths["ds"] is not None and paths["ds"] <= 0:
+        raise ValidationError("paths.ds", "must be > 0")
+    source_dx = r.get(("quadrature", "source_dx"))
+    if source_dx is not None and source_dx <= 0:
+        raise ValidationError("quadrature.source_dx", "must be > 0")
     checks = {"required": r.get(("checks", "required"), ())}
     outputs = {
         "profiles": r.get(("outputs", "profiles"), True),
@@ -412,7 +425,7 @@ def _build_optics(name, notes, canonical, r, order):
     _known_check_names(checks["required"], ("paths_non_crossing",))
     return ScenarioConfig(name=name, kind="optics", entries=canonical,
                           notes=notes, scene=scene, paths=paths,
-                          source_dx=r.get(("quadrature", "source_dx")),
+                          source_dx=source_dx,
                           checks=checks, outputs=outputs)
 
 
@@ -801,9 +814,17 @@ def run_scenario(config: ScenarioConfig, out_dir=None,
             manifest["failed_checks"] = failed
     manifest["wall_time_s"] = _time.perf_counter() - start
     manifest["files"] = [os.path.basename(f) for f in files]
+    # write a temporary file and rename it over the manifest, so that an
+    # interrupted run never leaves a truncated manifest.json behind
     manifest_path = os.path.join(out_dir, "manifest.json")
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    tmp_path = f"{manifest_path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp_path, "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp_path, manifest_path)
+    finally:
+        if os.path.exists(tmp_path):
+            os.unlink(tmp_path)
     files.append(manifest_path)
     return RunArtifacts(manifest, tuple(files), out_dir)

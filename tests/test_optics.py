@@ -1,21 +1,27 @@
 """Fresnel two-slit propagation, EM assembly, Poynting fields, and
 energy-streamline tracing."""
 
+import functools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.constants import c as C_LIGHT, epsilon_0 as EPS0, mu_0 as MU0
 
+import qstream
 from qstream import (GridSpec, OpticalScene, SlitSpec, fresnel_propagate,
                      initial_two_slit_field, photon_path, photon_path_bundle,
                      transverse_momentum)
 from qstream.errors import (EmptyScene, LeftDomain, ResolutionViolation,
                             StagnationPoint, UnsupportedPolarization)
-from qstream.optics import (ExactPoyntingSampler, PoyntingField,
-                            assemble_em_fields, energy_density,
-                            gaussian_beam_intensity, poynting,
-                            write_plane_profile, write_paths)
+from qstream.optics import (ExactPoyntingSampler, FresnelEvaluator,
+                            PoyntingField, assemble_em_fields,
+                            energy_density, gaussian_beam_intensity,
+                            poynting, write_plane_profile, write_paths)
+from qstream.scenarios import builtin_scenario
 
 from conftest import max_abs
 
@@ -33,6 +39,43 @@ def symmetric_scene(n_points=1601, planes=(0.5, 1.0, 2.0, 3.0), **kw):
 def single_slit_scene(n_points=1601, planes=(0.5, 3.0, 8.0)):
     grid = GridSpec(-12 * MM, 12 * MM, n_points)
     return OpticalScene((SlitSpec(0.3 * MM),), LAMBDA, grid, planes)
+
+
+def catalog_plane(name, which):
+    """(evaluator, scene, z) for a catalog optics scene's first, middle or
+    last plane."""
+    cfg = builtin_scenario(name)
+    planes = cfg.scene.z_planes
+    z = {"first": planes[0], "middle": planes[len(planes) // 2],
+         "last": planes[-1]}[which]
+    return FresnelEvaluator(cfg.scene, source_dx=cfg.source_dx), cfg.scene, z
+
+
+def spline_initial_plane():
+    """Weights from a CubicSpline of an explicit field on the grid."""
+    scene = symmetric_scene(planes=(0.5, 3.0))
+    ev = FresnelEvaluator(scene, source_dx=8e-6,
+                          initial=initial_two_slit_field(scene))
+    return ev, scene, 3.0
+
+
+def incommensurate_plane():
+    """Grid spacing 12.5 um against source spacing ~4.7 um."""
+    scene = symmetric_scene(planes=(0.5, 1.0))
+    ev = FresnelEvaluator(scene, source_dx=4.7e-6)
+    ratio = scene.transverse_grid.dx / (ev.x_src[1] - ev.x_src[0])
+    assert abs(ratio - round(ratio)) > 0.1
+    return ev, scene, 1.0
+
+
+PLANE_CASES = {
+    **{f"{name}-{which}": functools.partial(catalog_plane, name, which)
+       for name in ("fig4-symmetric", "fig4-asymmetric", "fig4-trunc-1.5",
+                    "oracle-gaussian-beam")
+       for which in ("first", "middle", "last")},
+    "spline-initial": spline_initial_plane,
+    "dx-not-multiple-of-source-dx": incommensurate_plane,
+}
 
 
 class ConstantFlowSampler:
@@ -131,6 +174,32 @@ class TestFresnelPropagation:
         field = fresnel_propagate(symmetric_scene(), source_dx=8e-6)
         for row in field.psi:
             assert max_abs(row - row[::-1]) < 1e-10 * np.abs(row).max()
+
+    @pytest.mark.parametrize("case", list(PLANE_CASES))
+    def test_plane_matches_dense_oracle(self, case):
+        ev, scene, z = PLANE_CASES[case]()
+        grid = scene.transverse_grid
+        for fast, dense in zip(ev.plane(grid, z), ev.evaluate(grid.x, z)):
+            assert max_abs(fast - dense) <= 1e-9 * max_abs(dense)
+
+    def test_propagation_does_not_import_scipy_signal(self):
+        # scipy.signal costs about 0.4 s to import; no optics stage needs it
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            qstream.__file__)))
+        code = (
+            "import sys\n"
+            "import qstream\n"
+            "from qstream import GridSpec, OpticalScene, SlitSpec, "
+            "fresnel_propagate\n"
+            "scene = OpticalScene((SlitSpec(3e-4),), 943e-9, "
+            "GridSpec(-5e-3, 5e-3, 401), (0.5, 1.0))\n"
+            "fresnel_propagate(scene, source_dx=2e-5)\n"
+            "assert 'scipy.signal' not in sys.modules, 'scipy.signal imported'\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
 
     def test_transverse_norm_conserved_per_plane(self):
         scene = single_slit_scene()

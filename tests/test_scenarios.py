@@ -66,6 +66,22 @@ BAD_NUMBERS = {
     "zplane-malformed": (QUICK_OPTICS, "0.5 : 2.0 : 4", "0.5 1.2.3 2"),
     "window_sigmas-inf": (QUICK_OPTICS, "slit1.sigma = 0.3 mm",
                           "slit1.sigma = 0.3 mm\nslit1.window_sigmas = inf"),
+    "source_dx-negative": (QUICK_OPTICS, "8 um", "-20 um"),
+    "source_dx-zero": (QUICK_OPTICS, "8 um", "0 um"),
+    "ds-zero": (QUICK_OPTICS, "paths.ds = 0.1 m", "paths.ds = 0 m"),
+    "ds-negative": (QUICK_OPTICS, "paths.ds = 0.1 m", "paths.ds = -0.5 m"),
+    "n_paths-negative": (QUICK_OPTICS, "paths.n_paths = 4",
+                         "paths.n_paths = -3"),
+    "z_start-beyond-last-plane": (QUICK_OPTICS, "paths.n_paths = 4",
+                                  "paths.n_paths = 4\npaths.z_start = 100 m"),
+    "z_start-before-first-plane": (QUICK_OPTICS, "paths.n_paths = 4",
+                                   "paths.n_paths = 4\npaths.z_start = 0.1 m"),
+    "norm_tol-negative": (QUICK_MATTER, "time.dt = 0.01",
+                          "time.dt = 0.01\nchecks.norm_tol = -1"),
+    "norm_tol-zero": (QUICK_MATTER, "time.dt = 0.01",
+                      "time.dt = 0.01\nchecks.norm_tol = 0"),
+    "tube_tol-zero": (QUICK_MATTER, "norm_drift non_crossing",
+                      "norm_drift non_crossing tube\nchecks.tube_tol = 0"),
 }
 
 
@@ -287,6 +303,23 @@ class TestRunScenario:
         assert art.failure_kind == "numeric"
         m = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert "OverflowError" in m["stages"][-1]["error"]
+
+    def test_interrupted_manifest_write_keeps_old_manifest(self, tmp_path,
+                                                           monkeypatch):
+        cfg = parse_scenario(QUICK_MATTER)
+        out = tmp_path / "out"
+        run_scenario(cfg, out_dir=str(out))
+        before = (out / "manifest.json").read_text()
+
+        def interrupted_dump(obj, fh, **kw):
+            fh.write('{"name": ')
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(json, "dump", interrupted_dump)
+        with pytest.raises(KeyboardInterrupt):
+            run_scenario(cfg, out_dir=str(out))
+        assert (out / "manifest.json").read_text() == before
+        assert not [n for n in os.listdir(out) if n.endswith(".tmp")]
 
     def test_required_checks_override(self, tmp_path):
         cfg = parse_scenario(QUICK_MATTER)
