@@ -26,7 +26,7 @@ class PhaseUndefined(QStreamError):
 
 
 class UnsupportedPotential(QStreamError):
-    """Closed-form oracle only supports free and harmonic potentials."""
+    """The classical Caldirola-Kanai integrator needs a harmonic potential."""
 
 
 class LeftDomain(QStreamError):
@@ -47,10 +47,6 @@ class EmptyScene(QStreamError):
 
 class ResolutionViolation(QStreamError):
     """Transverse grid cannot resolve the finest fringe at the nearest plane."""
-
-
-class UnsupportedPolarization(QStreamError):
-    """Only the E-polarized field assembly is implemented."""
 
 
 class StagnationPoint(QStreamError):

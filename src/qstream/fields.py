@@ -269,6 +269,13 @@ def gaussian_packet(grid: GridSpec, constants: PhysicalConstants,
     return ComplexField(grid, values, time)
 
 
+def format_rows(*cols) -> list:
+    """Text table rows of the given columns (1D arrays, or 2D arrays of
+    several columns), each value as the repr of its float, two spaces apart."""
+    rows = np.column_stack(cols).tolist()
+    return ["  ".join(map(repr, row)) for row in rows]
+
+
 def write_snapshot(path, psi: ComplexField, constants: PhysicalConstants,
                    model: str = "standard") -> None:
     """Columnar text snapshot: header key = value lines, then one row per
@@ -289,10 +296,7 @@ def write_snapshot(path, psi: ComplexField, constants: PhysicalConstants,
         f"model = {model}",
         "# x re_psi im_psi rho S v Q",
     ]
-    rho = np.abs(psi.values) ** 2
-    for i, x in enumerate(g.x):
-        row = (x, psi.values[i].real, psi.values[i].imag, rho[i], S[i],
-               vel.v[i], Q[i])
-        lines.append("  ".join(repr(float(c)) for c in row))
+    lines += format_rows(g.x, psi.values.real, psi.values.imag,
+                         np.abs(psi.values) ** 2, S, vel.v, Q)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -16,7 +16,7 @@ so no finite differencing enters the Poynting vector.
 
 Fields carry the propagation factor exp(ikz) implicitly: psi here is the
 envelope, and the carrier is reinstated analytically where it matters
-(the z derivative).  E-polarization only: E = psi e_y,
+(the z derivative).  The field is E-polarized: E = psi e_y,
 H = (i/omega mu0)(dpsi/dz e_x - dpsi/dx e_z).
 """
 
@@ -30,8 +30,8 @@ from scipy.fft import fft, ifft, next_fast_len
 from scipy.interpolate import RegularGridInterpolator
 
 from .errors import (EmptyScene, LeftDomain, ResolutionViolation,
-                     StagnationPoint, UnsupportedPolarization)
-from .fields import GridSpec
+                     StagnationPoint)
+from .fields import GridSpec, format_rows
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,6 @@ class OpticalScene:
     wavelength: float
     transverse_grid: GridSpec
     z_planes: tuple
-    polarization: str = "E"
 
     def __post_init__(self):
         object.__setattr__(self, "slits", tuple(self.slits))
@@ -106,6 +105,20 @@ def initial_two_slit_field(scene: OpticalScene) -> np.ndarray:
     return psi / np.sqrt(n)
 
 
+def source_points(scene: OpticalScene, source_dx: float = None) -> tuple:
+    """(lo, hi, n_src): the aperture support [lo, hi] and the number of
+    source points at spacing source_dx (default min(sigma)/150)."""
+    if not scene.slits:
+        raise EmptyScene("scene has no slits")
+    if source_dx is None:
+        source_dx = min(s.sigma for s in scene.slits) / 150.0
+    if not source_dx > 0:
+        raise ValueError("source_dx must be > 0")
+    los, his = zip(*(s.support() for s in scene.slits))
+    lo, hi = min(los), max(his)
+    return lo, hi, int(np.ceil((hi - lo) / source_dx))
+
+
 class FresnelEvaluator:
     """Midpoint quadrature of the Fresnel kernel over the aperture support.
 
@@ -121,19 +134,8 @@ class FresnelEvaluator:
 
     def __init__(self, scene: OpticalScene, source_dx: float = None,
                  initial: np.ndarray = None):
-        if not scene.slits:
-            raise EmptyScene("scene has no slits")
-        if scene.polarization != "E":
-            raise UnsupportedPolarization(scene.polarization)
         self.scene = scene
-        if source_dx is None:
-            source_dx = min(s.sigma for s in scene.slits) / 150.0
-        if not source_dx > 0:
-            raise ValueError("source_dx must be > 0")
-        self.source_dx = source_dx
-        los, his = zip(*(s.support() for s in scene.slits))
-        lo, hi = min(los), max(his)
-        n_src = int(np.ceil((hi - lo) / source_dx))
+        lo, hi, n_src = source_points(scene, source_dx)
         dxs = (hi - lo) / n_src
         self.x_src = lo + (np.arange(n_src) + 0.5) * dxs
         if initial is None:
@@ -221,8 +223,6 @@ def assemble_em_fields(psi: np.ndarray, psi_x: np.ndarray, psi_z: np.ndarray,
                        scene: OpticalScene) -> EMFields:
     """E = psi e_y, H = (i/omega mu0)(dpsi/dz e_x - dpsi/dx e_z), with the
     carrier exp(ikz) reinstated in the z derivative."""
-    if scene.polarization != "E":
-        raise UnsupportedPolarization(scene.polarization)
     pref = 1j / (scene.omega * MU0)
     return EMFields(E_y=np.asarray(psi),
                     H_x=pref * (psi_z + 1j * scene.k * psi),
@@ -419,9 +419,7 @@ def write_plane_profile(path, scene: OpticalScene, z: float, psi, U, Sx, Sz,
     """Per-plane table: x |psi|^2 U Sx Sz kx/k."""
     x = scene.transverse_grid.x
     lines = [f"# z = {z!r}", "# x intensity U Sx Sz kx_over_k"]
-    inten = np.abs(psi) ** 2
-    for row in zip(x, inten, U, Sx, Sz, kx_over_k):
-        lines.append("  ".join(repr(float(v)) for v in row))
+    lines += format_rows(x, np.abs(psi) ** 2, U, Sx, Sz, kx_over_k)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -433,8 +431,7 @@ def write_paths(path, paths, metadata: dict = None) -> None:
         lines.append(f"# {key} = {value}")
     for i, p in enumerate(paths):
         lines.append(f"# path = {i}")
-        for row in zip(p.s, p.x, p.z):
-            lines.append("  ".join(repr(float(v)) for v in row))
+        lines += format_rows(p.s, p.x, p.z)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -35,47 +35,29 @@ STABILITY_SAFETY = 0.5
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Potential selector: free, harmonic(omega0, center), polynomial
-    (degree <= 2 coefficients), or tabulated values on the grid."""
+    """Potential selector: free, or harmonic(omega0, center)."""
 
     kind: str = "free"
     omega0: float = 0.0
     center: float = 0.0
-    coefficients: tuple = (0.0, 0.0, 0.0)
-    values: np.ndarray = None
 
     def __post_init__(self):
-        if self.kind not in ("free", "harmonic", "polynomial", "tabulated"):
+        if self.kind not in ("free", "harmonic"):
             raise ValueError(f"unknown potential kind {self.kind!r}")
         if self.kind == "harmonic" and self.omega0 <= 0:
             raise ValueError("harmonic potential requires omega0 > 0")
-        if self.kind == "tabulated" and self.values is None:
-            raise ValueError("tabulated potential requires values")
 
     def evaluate(self, grid: GridSpec, constants: PhysicalConstants) -> np.ndarray:
         x = grid.x
         if self.kind == "free":
             return np.zeros_like(x)
-        if self.kind == "harmonic":
-            return 0.5 * constants.mass * self.omega0 ** 2 * (x - self.center) ** 2
-        if self.kind == "polynomial":
-            c = self.coefficients
-            return c[0] + c[1] * x + (c[2] if len(c) > 2 else 0.0) * x ** 2
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (grid.n_points,):
-            raise ValueError("tabulated potential length must match grid")
-        return values
+        return 0.5 * constants.mass * self.omega0 ** 2 * (x - self.center) ** 2
 
     def gradient(self, x, constants: PhysicalConstants):
-        """dV/dx at scalar or array x (not available for tabulated)."""
+        """dV/dx at scalar or array x."""
         if self.kind == "free":
             return np.zeros_like(np.asarray(x, dtype=float))
-        if self.kind == "harmonic":
-            return constants.mass * self.omega0 ** 2 * (np.asarray(x) - self.center)
-        if self.kind == "polynomial":
-            c = self.coefficients
-            return c[1] + 2.0 * (c[2] if len(c) > 2 else 0.0) * np.asarray(x)
-        raise UnsupportedPotential("gradient of a tabulated potential")
+        return constants.mass * self.omega0 ** 2 * (np.asarray(x) - self.center)
 
 
 @dataclass(frozen=True)
@@ -231,10 +213,8 @@ class PropagationRun:
     energies: np.ndarray
 
     def write_series(self, path) -> None:
-        lines = ["# t norm x_mean sigma energy"]
-        for row in zip(self.times, self.norms, self.x_means, self.sigmas,
-                       self.energies):
-            lines.append("  ".join(repr(float(c)) for c in row))
+        lines = ["# t norm x_mean sigma energy"] + qf.format_rows(
+            self.times, self.norms, self.x_means, self.sigmas, self.energies)
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
 
@@ -290,8 +270,6 @@ def analytic_gaussian_oracle(params: dict, config: PropagatorConfig,
     with (xc, pc) the classical trajectory and phi the classical action
     integral of the Lagrangian along it.
     """
-    if config.potential.kind not in ("free", "harmonic"):
-        raise UnsupportedPotential(config.potential.kind)
     sigma0 = params["sigma0"]
     x0 = params.get("x0", 0.0)
     p0 = params.get("p0", 0.0)
@@ -342,8 +320,8 @@ def classical_ck_trajectory(state0: ClassicalCKState, config: PropagatorConfig,
     """Hamilton's equations in canonical variables (X, P = p e^{gamma t}),
     mapped back to physical (x, p).  The physical energy then decays as
     E0 exp(-gamma t) for the harmonic case."""
-    if config.potential.kind not in ("harmonic", "polynomial"):
-        raise UnsupportedPotential("classical CK needs harmonic or polynomial V")
+    if config.potential.kind != "harmonic":
+        raise UnsupportedPotential("classical CK needs a harmonic V")
     if t_final is None:
         t_final = config.t_final
     if t_final is None:
@@ -372,11 +350,7 @@ def classical_ck_energy(states, config: PropagatorConfig) -> np.ndarray:
     c = config.constants
     out = []
     for s in states:
-        if config.potential.kind == "harmonic":
-            pot = 0.5 * c.mass * config.potential.omega0 ** 2 \
-                * (s.x - config.potential.center) ** 2
-        else:
-            co = config.potential.coefficients
-            pot = co[0] + co[1] * s.x + (co[2] if len(co) > 2 else 0.0) * s.x ** 2
+        pot = 0.5 * c.mass * config.potential.omega0 ** 2 \
+            * (s.x - config.potential.center) ** 2
         out.append(s.p ** 2 / (2.0 * c.mass) + pot)
     return np.asarray(out)

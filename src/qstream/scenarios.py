@@ -7,6 +7,10 @@ Configs are plain text, one assignment per line::
 Unknown sections or keys are rejected (no silent typos).  Lengths in
 optics scenarios accept unit suffixes (m, mm, um, nm) and are stored in
 metres; matter-wave scenarios are dimensionless.
+
+`scenario.kind` picks the scenario type, `MatterScenario` (matter_wave) or
+`OpticsScenario` (optics); each type carries its own schema, validation and
+run.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ import math
 import os
 import re
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -33,6 +38,15 @@ from .propagators import PotentialSpec, PropagatorConfig
 OUT_DIR_ENV = "QSTREAM_OUT_DIR"
 
 _UNITS = {"m": 1.0, "mm": 1e-3, "um": 1e-6, "nm": 1e-9}
+
+# Work bounds checked at validation: a run far larger than any catalog entry
+# fails with exit 2 before it starts, instead of running for days or dying
+# of a MemoryError.  Matter work is grid points x time steps, 76x that of
+# fig2c (32768 points x 4000 steps), the largest catalog entry.  Optics work
+# is z planes x (grid points + source points), 120x that of the catalog's
+# two-slit scenes (31 planes x about 2640 points).
+MAX_MATTER_WORK = 1e10
+MAX_OPTICS_WORK = 1e7
 
 # value converters ---------------------------------------------------------
 
@@ -52,15 +66,6 @@ def _conv_int(raw, key):
         return int(raw)
     except ValueError:
         raise ValidationError(key, f"not an integer: {raw!r}")
-
-
-def _conv_bool(raw, key):
-    low = raw.strip().lower()
-    if low in ("true", "yes", "1"):
-        return True
-    if low in ("false", "no", "0"):
-        return False
-    raise ValidationError(key, f"not a boolean: {raw!r}")
 
 
 def _conv_str(raw, key):
@@ -113,8 +118,10 @@ def _conv_zplanes(raw, key):
         lo = _conv_length(parts[0], key)
         hi = _conv_length(parts[1], key)
         n = _conv_int(parts[2], key)
-        if n < 2 or hi <= lo:
-            raise ValidationError(key, "need stop > start and count >= 2")
+        # bounded here, before linspace allocates the planes
+        if n < 2 or hi <= lo or n > MAX_OPTICS_WORK:
+            raise ValidationError(key, "need stop > start and count >= 2 "
+                                       f"and <= {MAX_OPTICS_WORK:g}")
         return tuple(np.linspace(lo, hi, n))
     values = _length_tokens(raw, key)
     if not values:
@@ -143,8 +150,6 @@ _MATTER_SCHEMA = {
                  "dt_traj": _conv_float},
     "checks": {"required": _conv_words, "norm_tol": _conv_float,
                "tube_tol": _conv_float},
-    "outputs": {"series": _conv_bool, "snapshots": _conv_bool,
-                "bundle": _conv_bool},
 }
 
 _OPTICS_SCHEMA = {
@@ -158,7 +163,6 @@ _OPTICS_SCHEMA = {
               "ds": _conv_length},
     "quadrature": {"source_dx": _conv_length},
     "checks": {"required": _conv_words},
-    "outputs": {"profiles": _conv_bool, "paths": _conv_bool},
 }
 
 _STAR = re.compile(r"^(packet|slit)(\d+)$")
@@ -175,33 +179,47 @@ MODELS = ("standard", "caldirola_kanai", "kostin")
 SCHEMES = ("quantile", "equal_spacing")
 
 
+def _require(entries, section, key):
+    if (section, key) not in entries:
+        raise ValidationError(f"{section}.{key}", "required key missing")
+    return entries[(section, key)]
+
+
+def _numbered_sections(order, prefix):
+    seen = []
+    for section, _ in order:
+        m = _STAR.match(section)
+        if m and m.group(1) == prefix and section not in seen:
+            seen.append(section)
+    return sorted(seen, key=lambda s: int(_STAR.match(s).group(2)))
+
+
+def _known_check_names(names, allowed):
+    for n in names:
+        if n not in allowed:
+            raise ValidationError("checks.required",
+                                  f"unknown check {n!r}; allowed: {allowed}")
+
+
+def _check_work(key, work, bound):
+    """Reject a scenario whose work() exceeds bound, or cannot be computed
+    (a count beyond the float range, a source spacing that underflows)."""
+    try:
+        ok = work() <= bound
+    except (OverflowError, ValueError):
+        ok = False
+    if not ok:
+        raise ValidationError(key, f"exceeds the work bound {bound:g}")
+
+
 @dataclass(frozen=True)
-class ScenarioConfig:
+class _Scenario:
     """Validated scenario: canonical entries plus built domain objects."""
 
     name: str
-    kind: str
     entries: tuple  # ((section, key, value), ...) in canonical order
-    notes: str = ""
-    # matter_wave
-    model: str = "standard"
-    gamma: float = 0.0
-    constants: PhysicalConstants = None
-    potential: PotentialSpec = None
-    grid: GridSpec = None
-    dt: float = None
-    t0: float = 0.0
-    t_final: float = None
-    snapshot_every: int = 1
-    packets: tuple = ()
-    ensemble: dict = field(default_factory=dict)
-    # optics
-    scene: OpticalScene = None
-    paths: dict = field(default_factory=dict)
-    source_dx: float = None
-    # both
-    checks: dict = field(default_factory=dict)
-    outputs: dict = field(default_factory=dict)
+    notes: str
+    checks: dict
 
     def to_text(self) -> str:
         lines = []
@@ -209,8 +227,6 @@ class ScenarioConfig:
             if isinstance(value, tuple):
                 value = " ".join(repr(float(v)) if isinstance(v, float)
                                  else str(v) for v in value)
-            elif isinstance(value, bool):
-                value = "true" if value else "false"
             elif isinstance(value, float):
                 value = repr(value)
             lines.append(f"{section}.{key} = {value}")
@@ -220,13 +236,255 @@ class ScenarioConfig:
         return hashlib.sha256(self.to_text().encode()).hexdigest()
 
 
-def _require(entries, section, key):
-    if (section, key) not in entries:
-        raise ValidationError(f"{section}.{key}", "required key missing")
-    return entries[(section, key)]
+@dataclass(frozen=True)
+class MatterScenario(_Scenario):
+    """One wavepacket propagation plus an optional trajectory ensemble."""
+
+    kind: ClassVar[str] = "matter_wave"
+    schema: ClassVar[dict] = _MATTER_SCHEMA
+    model: str
+    gamma: float
+    constants: PhysicalConstants
+    potential: PotentialSpec
+    grid: GridSpec
+    dt: float
+    t0: float
+    t_final: float
+    snapshot_every: int
+    packets: tuple
+    ensemble: dict
+
+    @classmethod
+    def _build(cls, name, notes, canonical, r, order):
+        model = r.get(("model", "type"), "standard")
+        if model not in MODELS:
+            raise ValidationError("model.type", f"must be one of {MODELS}")
+        gamma = r.get(("model", "gamma"), 0.0)
+        if gamma < 0:
+            raise ValidationError("model.gamma", "must be >= 0")
+        try:
+            constants = PhysicalConstants(hbar=r.get(("model", "hbar"), 1.0),
+                                          mass=r.get(("model", "mass"), 1.0))
+        except ValueError as exc:
+            raise ValidationError("model", str(exc))
+        pkind = r.get(("potential", "kind"), "free")
+        if pkind not in ("free", "harmonic"):
+            raise ValidationError("potential.kind", "must be free or harmonic")
+        try:
+            potential = PotentialSpec(
+                pkind, omega0=r.get(("potential", "omega0"), 0.0),
+                center=r.get(("potential", "center"), 0.0))
+        except ValueError as exc:
+            raise ValidationError("potential", str(exc))
+        try:
+            grid = GridSpec(_require(r, "grid", "x_min"),
+                            _require(r, "grid", "x_max"),
+                            _require(r, "grid", "n_points"))
+        except ValueError as exc:
+            raise ValidationError("grid", str(exc))
+        dt = _require(r, "time", "dt")
+        t_final = _require(r, "time", "t_final")
+        t0 = r.get(("time", "t0"), 0.0)
+        snapshot_every = r.get(("time", "snapshot_every"), 1)
+        if dt <= 0 or snapshot_every < 1 or t_final < t0:
+            raise ValidationError("time", "need dt > 0, snapshot_every >= 1, "
+                                          "t_final >= t0")
+        _check_work("grid.n_points * time steps",
+                    lambda: grid.n_points * max((t_final - t0) / dt, 1),
+                    MAX_MATTER_WORK)
+        packets = []
+        for section in _numbered_sections(order, "packet"):
+            packets.append({
+                "sigma0": _require(r, section, "sigma0"),
+                "x0": r.get((section, "x0"), 0.0),
+                "p0": r.get((section, "p0"), 0.0),
+                "weight": r.get((section, "weight"), 1.0),
+                "phase": r.get((section, "phase"), 0.0),
+            })
+            if packets[-1]["sigma0"] <= 0:
+                raise ValidationError(f"{section}.sigma0", "must be > 0")
+        if not packets:
+            raise ValidationError("packet1.sigma0",
+                                  "at least one packet required")
+        scheme = r.get(("ensemble", "scheme"), "quantile")
+        if scheme not in SCHEMES:
+            raise ValidationError("ensemble.scheme",
+                                  f"must be one of {SCHEMES}")
+        ensemble = {
+            "n_trajectories": r.get(("ensemble", "n_trajectories"), 0),
+            "scheme": scheme,
+            "dt_traj": r.get(("ensemble", "dt_traj"), 10.0 * dt),
+        }
+        if ensemble["n_trajectories"] < 0 or ensemble["n_trajectories"] == 1:
+            raise ValidationError("ensemble.n_trajectories",
+                                  "must be 0 or >= 2")
+        if ensemble["dt_traj"] <= 0:
+            raise ValidationError("ensemble.dt_traj", "must be > 0")
+        checks = {
+            "required": r.get(("checks", "required"), ()),
+            "norm_tol": r.get(("checks", "norm_tol"), 1e-8),
+            "tube_tol": r.get(("checks", "tube_tol"), 1e-3),
+        }
+        for key in ("norm_tol", "tube_tol"):
+            if checks[key] <= 0:
+                raise ValidationError(f"checks.{key}", "must be > 0")
+        _known_check_names(checks["required"],
+                           ("norm_drift", "non_crossing", "tube"))
+        return cls(name=name, entries=canonical, notes=notes, checks=checks,
+                   model=model, gamma=gamma, constants=constants,
+                   potential=potential, grid=grid, dt=dt, t0=t0,
+                   t_final=t_final, snapshot_every=snapshot_every,
+                   packets=tuple(packets), ensemble=ensemble)
+
+    def _run(self, out_dir, required, manifest, files):
+        st = _stage(manifest, "propagate")
+        psi0 = initial_state(self)
+        run = qp.propagate(psi0, propagator_config(self), self.t_final,
+                           snapshot_every=self.snapshot_every)
+        p = os.path.join(out_dir, "series.txt")
+        run.write_series(p)
+        files.append(p)
+        for tag, snap in (("initial", run.snapshots[0]),
+                          ("final", run.snapshots[-1])):
+            p = os.path.join(out_dir, f"snapshot_{tag}.txt")
+            qf.write_snapshot(p, snap, self.constants, self.model)
+            files.append(p)
+        manifest["norm_drift"] = float(np.max(np.abs(run.norms - 1.0)))
+        manifest["energy_initial"] = float(run.energies[0])
+        manifest["energy_final"] = float(run.energies[-1])
+        st["status"] = "ok"
+
+        _record_check(manifest, "norm_drift", manifest["norm_drift"],
+                      self.checks["norm_tol"],
+                      manifest["norm_drift"] < self.checks["norm_tol"],
+                      required)
+
+        n_traj = self.ensemble["n_trajectories"]
+        if n_traj > 0 and self.t_final > self.t0:
+            st = _stage(manifest, "trajectories")
+            rho0 = np.abs(run.snapshots[0].values) ** 2
+            ens = qt.sample_initial_positions(rho0, self.grid, n_traj,
+                                              scheme=self.ensemble["scheme"])
+            bundle = qt.integrate_bundle(ens, run, self.ensemble["dt_traj"])
+            p = os.path.join(out_dir, "bundle.txt")
+            qt.write_bundle(p, bundle, metadata={
+                "scenario": self.name, "model": self.model,
+                "scheme": self.ensemble["scheme"]})
+            files.append(p)
+            report = qt.check_non_crossing(bundle)
+            manifest["non_crossing"] = {
+                "ok": bool(report.ok), "min_gap": float(report.min_gap)}
+            manifest["trajectory_errors"] = [list(e) for e in bundle.errors]
+            _record_check(manifest, "non_crossing", float(report.min_gap),
+                          0.0, bool(report.ok) and not bundle.errors,
+                          required)
+            if not bundle.errors:
+                tubes = qt.tube_probability(bundle, run)
+                dev = float(np.max(np.abs(tubes - tubes[:, :1])))
+                _record_check(manifest, "tube", dev, self.checks["tube_tol"],
+                              dev < self.checks["tube_tol"], required)
+            st["status"] = "ok"
 
 
-def parse_scenario(source: str) -> ScenarioConfig:
+@dataclass(frozen=True)
+class OpticsScenario(_Scenario):
+    """Fresnel planes behind a slit aperture plus optional photon paths."""
+
+    kind: ClassVar[str] = "optics"
+    schema: ClassVar[dict] = _OPTICS_SCHEMA
+    scene: OpticalScene
+    paths: dict
+    source_dx: float
+
+    @classmethod
+    def _build(cls, name, notes, canonical, r, order):
+        wavelength = _require(r, "optics", "wavelength")
+        z_planes = _require(r, "optics", "z_planes")
+        try:
+            grid = GridSpec(_require(r, "grid", "x_min"),
+                            _require(r, "grid", "x_max"),
+                            _require(r, "grid", "n_points"))
+        except ValueError as exc:
+            raise ValidationError("grid", str(exc))
+        slits = []
+        for section in _numbered_sections(order, "slit"):
+            sigma = _require(r, section, "sigma")
+            window = r.get((section, "window"))
+            wsig = r.get((section, "window_sigmas"))
+            if window is not None and wsig is not None:
+                raise ValidationError(f"{section}.window",
+                                      "give window or window_sigmas, not both")
+            if wsig is not None:
+                window = wsig * sigma
+            try:
+                slits.append(SlitSpec(sigma, r.get((section, "center"), 0.0),
+                                      window))
+            except ValueError as exc:
+                raise ValidationError(section, str(exc))
+        if not slits:
+            raise ValidationError("slit1.sigma", "at least one slit required")
+        try:
+            scene = OpticalScene(tuple(slits), wavelength, grid, z_planes)
+        except ValueError as exc:
+            raise ValidationError("optics", str(exc))
+        paths = {
+            "n_paths": r.get(("paths", "n_paths"), 0),
+            "z_start": r.get(("paths", "z_start"), z_planes[0]),
+            "ds": r.get(("paths", "ds")),
+        }
+        if paths["n_paths"] < 0:
+            raise ValidationError("paths.n_paths", "must be >= 0")
+        if not scene.z_planes[0] <= paths["z_start"] <= scene.z_planes[-1]:
+            raise ValidationError(
+                "paths.z_start", "must lie between the first and last z plane")
+        if paths["ds"] is not None and paths["ds"] <= 0:
+            raise ValidationError("paths.ds", "must be > 0")
+        source_dx = r.get(("quadrature", "source_dx"))
+        if source_dx is not None and source_dx <= 0:
+            raise ValidationError("quadrature.source_dx", "must be > 0")
+        _check_work("z planes * (grid.n_points + source points)",
+                    lambda: len(scene.z_planes) * (
+                        grid.n_points + qo.source_points(scene, source_dx)[2]),
+                    MAX_OPTICS_WORK)
+        checks = {"required": r.get(("checks", "required"), ())}
+        _known_check_names(checks["required"], ("paths_non_crossing",))
+        return cls(name=name, entries=canonical, notes=notes, checks=checks,
+                   scene=scene, paths=paths, source_dx=source_dx)
+
+    def _run(self, out_dir, required, manifest, files):
+        scene = self.scene
+        st = _stage(manifest, "fresnel")
+        field2d = qo.fresnel_propagate(scene, source_dx=self.source_dx)
+        pf = qo.PoyntingField(field2d)
+        for i, z in enumerate(scene.z_planes):
+            kx = qo.transverse_momentum(pf.Sx[i], pf.Sz[i], pf.U[i])
+            p = os.path.join(out_dir, f"plane_{i:03d}.txt")
+            qo.write_plane_profile(p, scene, z, field2d.psi[i], pf.U[i],
+                                   pf.Sx[i], pf.Sz[i], kx)
+            files.append(p)
+        st["status"] = "ok"
+
+        n_paths = self.paths["n_paths"]
+        if n_paths > 0:
+            st = _stage(manifest, "paths")
+            x0s = _launch_positions(scene, n_paths)
+            z0 = self.paths["z_start"]
+            paths = qo.photon_path_bundle(x0s, z0, pf, ds=self.paths["ds"])
+            p = os.path.join(out_dir, "paths.txt")
+            qo.write_paths(p, paths, metadata={"scenario": self.name,
+                                               "z_start": z0})
+            files.append(p)
+            ok, min_gap = _path_non_crossing(paths, z0, scene.z_planes[-1])
+            manifest["paths_non_crossing"] = {"ok": ok, "min_gap": min_gap}
+            _record_check(manifest, "paths_non_crossing", min_gap, 0.0, ok,
+                          required)
+            st["status"] = "ok"
+
+
+_KINDS = {cls.kind: cls for cls in (MatterScenario, OpticsScenario)}
+
+
+def parse_scenario(source: str) -> MatterScenario | OpticsScenario:
     """Parse and validate a scenario config from text."""
     entries = {}
     order = []
@@ -252,15 +510,14 @@ def parse_scenario(source: str) -> ScenarioConfig:
     if n_assign == 0:
         raise ParseError(1, "empty input")
 
-    kind = entries.get(("scenario", "kind"))
-    if kind not in ("matter_wave", "optics"):
+    cls = _KINDS.get(entries.get(("scenario", "kind")))
+    if cls is None:
         raise ValidationError("scenario.kind",
-                              "must be matter_wave or optics")
-    schema = _MATTER_SCHEMA if kind == "matter_wave" else _OPTICS_SCHEMA
+                              f"must be one of {tuple(_KINDS)}")
 
     resolved = {}
     for section, key in order:
-        keys = _schema_keys(schema, section)
+        keys = _schema_keys(cls.schema, section)
         if keys is None:
             raise ValidationError(f"{section}.{key}",
                                   f"unknown section {section!r}")
@@ -273,167 +530,7 @@ def parse_scenario(source: str) -> ScenarioConfig:
     name = _require(resolved, "scenario", "name")
     notes = resolved.get(("scenario", "notes"), "")
     canonical = tuple((s, k, resolved[(s, k)]) for s, k in sorted(order))
-
-    if kind == "matter_wave":
-        return _build_matter(name, notes, canonical, resolved, order)
-    return _build_optics(name, notes, canonical, resolved, order)
-
-
-def _numbered_sections(order, prefix):
-    seen = []
-    for section, _ in order:
-        m = _STAR.match(section)
-        if m and m.group(1) == prefix and section not in seen:
-            seen.append(section)
-    return sorted(seen, key=lambda s: int(_STAR.match(s).group(2)))
-
-
-def _build_matter(name, notes, canonical, r, order):
-    model = r.get(("model", "type"), "standard")
-    if model not in MODELS:
-        raise ValidationError("model.type", f"must be one of {MODELS}")
-    gamma = r.get(("model", "gamma"), 0.0)
-    if gamma < 0:
-        raise ValidationError("model.gamma", "must be >= 0")
-    try:
-        constants = PhysicalConstants(hbar=r.get(("model", "hbar"), 1.0),
-                                      mass=r.get(("model", "mass"), 1.0))
-    except ValueError as exc:
-        raise ValidationError("model", str(exc))
-    pkind = r.get(("potential", "kind"), "free")
-    if pkind not in ("free", "harmonic"):
-        raise ValidationError("potential.kind", "must be free or harmonic")
-    try:
-        potential = PotentialSpec(pkind,
-                                  omega0=r.get(("potential", "omega0"), 0.0),
-                                  center=r.get(("potential", "center"), 0.0))
-    except ValueError as exc:
-        raise ValidationError("potential", str(exc))
-    try:
-        grid = GridSpec(_require(r, "grid", "x_min"),
-                        _require(r, "grid", "x_max"),
-                        _require(r, "grid", "n_points"))
-    except ValueError as exc:
-        raise ValidationError("grid", str(exc))
-    dt = _require(r, "time", "dt")
-    t_final = _require(r, "time", "t_final")
-    t0 = r.get(("time", "t0"), 0.0)
-    snapshot_every = r.get(("time", "snapshot_every"), 1)
-    if dt <= 0 or snapshot_every < 1 or t_final < t0:
-        raise ValidationError("time", "need dt > 0, snapshot_every >= 1, "
-                                      "t_final >= t0")
-    packets = []
-    for section in _numbered_sections(order, "packet"):
-        packets.append({
-            "sigma0": _require(r, section, "sigma0"),
-            "x0": r.get((section, "x0"), 0.0),
-            "p0": r.get((section, "p0"), 0.0),
-            "weight": r.get((section, "weight"), 1.0),
-            "phase": r.get((section, "phase"), 0.0),
-        })
-        if packets[-1]["sigma0"] <= 0:
-            raise ValidationError(f"{section}.sigma0", "must be > 0")
-    if not packets:
-        raise ValidationError("packet1.sigma0", "at least one packet required")
-    scheme = r.get(("ensemble", "scheme"), "quantile")
-    if scheme not in SCHEMES:
-        raise ValidationError("ensemble.scheme", f"must be one of {SCHEMES}")
-    ensemble = {
-        "n_trajectories": r.get(("ensemble", "n_trajectories"), 0),
-        "scheme": scheme,
-        "dt_traj": r.get(("ensemble", "dt_traj"), 10.0 * dt),
-    }
-    if ensemble["n_trajectories"] < 0 or ensemble["n_trajectories"] == 1:
-        raise ValidationError("ensemble.n_trajectories", "must be 0 or >= 2")
-    if ensemble["dt_traj"] <= 0:
-        raise ValidationError("ensemble.dt_traj", "must be > 0")
-    checks = {
-        "required": r.get(("checks", "required"), ()),
-        "norm_tol": r.get(("checks", "norm_tol"), 1e-8),
-        "tube_tol": r.get(("checks", "tube_tol"), 1e-3),
-    }
-    for key in ("norm_tol", "tube_tol"):
-        if checks[key] <= 0:
-            raise ValidationError(f"checks.{key}", "must be > 0")
-    outputs = {
-        "series": r.get(("outputs", "series"), True),
-        "snapshots": r.get(("outputs", "snapshots"), True),
-        "bundle": r.get(("outputs", "bundle"),
-                        ensemble["n_trajectories"] > 0),
-    }
-    _known_check_names(checks["required"],
-                       ("norm_drift", "non_crossing", "tube"))
-    return ScenarioConfig(name=name, kind="matter_wave", entries=canonical,
-                          notes=notes, model=model, gamma=gamma,
-                          constants=constants, potential=potential, grid=grid,
-                          dt=dt, t0=t0, t_final=t_final,
-                          snapshot_every=snapshot_every,
-                          packets=tuple(packets), ensemble=ensemble,
-                          checks=checks, outputs=outputs)
-
-
-def _build_optics(name, notes, canonical, r, order):
-    wavelength = _require(r, "optics", "wavelength")
-    z_planes = _require(r, "optics", "z_planes")
-    try:
-        grid = GridSpec(_require(r, "grid", "x_min"),
-                        _require(r, "grid", "x_max"),
-                        _require(r, "grid", "n_points"))
-    except ValueError as exc:
-        raise ValidationError("grid", str(exc))
-    slits = []
-    for section in _numbered_sections(order, "slit"):
-        sigma = _require(r, section, "sigma")
-        window = r.get((section, "window"))
-        wsig = r.get((section, "window_sigmas"))
-        if window is not None and wsig is not None:
-            raise ValidationError(f"{section}.window",
-                                  "give window or window_sigmas, not both")
-        if wsig is not None:
-            window = wsig * sigma
-        try:
-            slits.append(SlitSpec(sigma, r.get((section, "center"), 0.0),
-                                  window))
-        except ValueError as exc:
-            raise ValidationError(section, str(exc))
-    if not slits:
-        raise ValidationError("slit1.sigma", "at least one slit required")
-    try:
-        scene = OpticalScene(tuple(slits), wavelength, grid, z_planes)
-    except ValueError as exc:
-        raise ValidationError("optics", str(exc))
-    paths = {
-        "n_paths": r.get(("paths", "n_paths"), 0),
-        "z_start": r.get(("paths", "z_start"), z_planes[0]),
-        "ds": r.get(("paths", "ds")),
-    }
-    if paths["n_paths"] < 0:
-        raise ValidationError("paths.n_paths", "must be >= 0")
-    if not scene.z_planes[0] <= paths["z_start"] <= scene.z_planes[-1]:
-        raise ValidationError("paths.z_start",
-                              "must lie between the first and last z plane")
-    if paths["ds"] is not None and paths["ds"] <= 0:
-        raise ValidationError("paths.ds", "must be > 0")
-    source_dx = r.get(("quadrature", "source_dx"))
-    if source_dx is not None and source_dx <= 0:
-        raise ValidationError("quadrature.source_dx", "must be > 0")
-    checks = {"required": r.get(("checks", "required"), ())}
-    outputs = {
-        "profiles": r.get(("outputs", "profiles"), True),
-        "paths": r.get(("outputs", "paths"), paths["n_paths"] > 0),
-    }
-    _known_check_names(checks["required"], ("paths_non_crossing",))
-    return ScenarioConfig(name=name, kind="optics", entries=canonical,
-                          notes=notes, scene=scene, paths=paths,
-                          source_dx=source_dx,
-                          checks=checks, outputs=outputs)
-
-
-def _known_check_names(names, allowed):
-    for n in names:
-        if n not in allowed:
-            raise ValidationError("checks.required",
-                                  f"unknown check {n!r}; allowed: {allowed}")
+    return cls._build(name, notes, canonical, resolved, order)
 
 
 # built-in catalog ---------------------------------------------------------
@@ -514,7 +611,8 @@ def _optics_text(name, slits, z_planes="0.5 : 8.0 : 31", half_mm=10.0,
     return "\n".join(lines) + "\n"
 
 
-def _catalog() -> dict:
+def list_scenarios() -> dict:
+    """Built-in scenarios: name -> (description, config text)."""
     coh = _SIGMA_COH
     cat = {}
     cat["fig2a"] = (
@@ -581,13 +679,8 @@ def _catalog() -> dict:
     return cat
 
 
-def list_scenarios() -> dict:
-    """Built-in scenarios: name -> (description, config text)."""
-    return {name: (desc, text) for name, (desc, text) in _catalog().items()}
-
-
-def builtin_scenario(name: str) -> ScenarioConfig:
-    cat = _catalog()
+def builtin_scenario(name: str) -> MatterScenario | OpticsScenario:
+    cat = list_scenarios()
     if name not in cat:
         raise ValidationError("scenario.name",
                               f"unknown built-in scenario {name!r}; "
@@ -622,7 +715,7 @@ def _resolve_out_dir(config, out_dir):
     return os.path.join("runs", config.name), "default"
 
 
-def initial_state(config: ScenarioConfig) -> ComplexField:
+def initial_state(config: MatterScenario) -> ComplexField:
     """Normalized superposition of the configured packets."""
     values = np.zeros(config.grid.n_points, dtype=complex)
     for p in config.packets:
@@ -634,7 +727,7 @@ def initial_state(config: ScenarioConfig) -> ComplexField:
     return ComplexField(config.grid, values / math.sqrt(n), config.t0)
 
 
-def propagator_config(config: ScenarioConfig) -> PropagatorConfig:
+def propagator_config(config: MatterScenario) -> PropagatorConfig:
     t_final = config.t_final if config.model == "caldirola_kanai" else None
     return PropagatorConfig(model=config.model, constants=config.constants,
                             potential=config.potential, gamma=config.gamma,
@@ -646,57 +739,6 @@ def _stage(manifest, name):
     manifest["stages"].append({"name": name, "status": "running",
                                "error": None})
     return manifest["stages"][-1]
-
-
-def _run_matter(config, out_dir, required, manifest, files):
-    st = _stage(manifest, "propagate")
-    psi0 = initial_state(config)
-    run = qp.propagate(psi0, propagator_config(config), config.t_final,
-                       snapshot_every=config.snapshot_every)
-    if config.outputs["series"]:
-        p = os.path.join(out_dir, "series.txt")
-        run.write_series(p)
-        files.append(p)
-    if config.outputs["snapshots"]:
-        for tag, snap in (("initial", run.snapshots[0]),
-                          ("final", run.snapshots[-1])):
-            p = os.path.join(out_dir, f"snapshot_{tag}.txt")
-            qf.write_snapshot(p, snap, config.constants, config.model)
-            files.append(p)
-    manifest["norm_drift"] = float(np.max(np.abs(run.norms - 1.0)))
-    manifest["energy_initial"] = float(run.energies[0])
-    manifest["energy_final"] = float(run.energies[-1])
-    st["status"] = "ok"
-
-    _record_check(manifest, "norm_drift", manifest["norm_drift"],
-                  config.checks["norm_tol"],
-                  manifest["norm_drift"] < config.checks["norm_tol"],
-                  required)
-
-    n_traj = config.ensemble["n_trajectories"]
-    if n_traj > 0 and config.t_final > config.t0 and config.outputs["bundle"]:
-        st = _stage(manifest, "trajectories")
-        rho0 = np.abs(run.snapshots[0].values) ** 2
-        ens = qt.sample_initial_positions(rho0, config.grid, n_traj,
-                                          scheme=config.ensemble["scheme"])
-        bundle = qt.integrate_bundle(ens, run, config.ensemble["dt_traj"])
-        p = os.path.join(out_dir, "bundle.txt")
-        qt.write_bundle(p, bundle, metadata={
-            "scenario": config.name, "model": config.model,
-            "scheme": config.ensemble["scheme"]})
-        files.append(p)
-        report = qt.check_non_crossing(bundle)
-        manifest["non_crossing"] = {
-            "ok": bool(report.ok), "min_gap": float(report.min_gap)}
-        manifest["trajectory_errors"] = [list(e) for e in bundle.errors]
-        _record_check(manifest, "non_crossing", float(report.min_gap), 0.0,
-                      bool(report.ok) and not bundle.errors, required)
-        if not bundle.errors:
-            tubes = qt.tube_probability(bundle, run)
-            dev = float(np.max(np.abs(tubes - tubes[:, :1])))
-            _record_check(manifest, "tube", dev, config.checks["tube_tol"],
-                          dev < config.checks["tube_tol"], required)
-        st["status"] = "ok"
 
 
 def _path_non_crossing(paths, z_lo, z_hi):
@@ -729,44 +771,13 @@ def _launch_positions(scene, n_paths):
     return np.sort(np.concatenate(out))
 
 
-def _run_optics(config, out_dir, required, manifest, files):
-    scene = config.scene
-    st = _stage(manifest, "fresnel")
-    field2d = qo.fresnel_propagate(scene, source_dx=config.source_dx)
-    pf = qo.PoyntingField(field2d)
-    if config.outputs["profiles"]:
-        for i, z in enumerate(scene.z_planes):
-            kx = qo.transverse_momentum(pf.Sx[i], pf.Sz[i], pf.U[i])
-            p = os.path.join(out_dir, f"plane_{i:03d}.txt")
-            qo.write_plane_profile(p, scene, z, field2d.psi[i], pf.U[i],
-                                   pf.Sx[i], pf.Sz[i], kx)
-            files.append(p)
-    st["status"] = "ok"
-
-    n_paths = config.paths["n_paths"]
-    if n_paths > 0 and config.outputs["paths"]:
-        st = _stage(manifest, "paths")
-        x0s = _launch_positions(scene, n_paths)
-        z0 = config.paths["z_start"]
-        paths = qo.photon_path_bundle(x0s, z0, pf, ds=config.paths["ds"])
-        p = os.path.join(out_dir, "paths.txt")
-        qo.write_paths(p, paths, metadata={"scenario": config.name,
-                                           "z_start": z0})
-        files.append(p)
-        ok, min_gap = _path_non_crossing(paths, z0, scene.z_planes[-1])
-        manifest["paths_non_crossing"] = {"ok": ok, "min_gap": min_gap}
-        _record_check(manifest, "paths_non_crossing", min_gap, 0.0, ok,
-                      required)
-        st["status"] = "ok"
-
-
 def _record_check(manifest, name, value, threshold, passed, required):
     manifest["checks"].append({
         "name": name, "value": value, "threshold": threshold,
         "passed": bool(passed), "required": name in required})
 
 
-def run_scenario(config: ScenarioConfig, out_dir=None,
+def run_scenario(config: MatterScenario | OpticsScenario, out_dir=None,
                  required_checks=None) -> RunArtifacts:
     """Run a scenario end to end; the manifest is always written, even on
     partial failure."""
@@ -792,10 +803,7 @@ def run_scenario(config: ScenarioConfig, out_dir=None,
     files = []
     start = _time.perf_counter()
     try:
-        if config.kind == "matter_wave":
-            _run_matter(config, out_dir, required, manifest, files)
-        else:
-            _run_optics(config, out_dir, required, manifest, files)
+        config._run(out_dir, required, manifest, files)
     except (QStreamError, ValueError, ArithmeticError) as exc:
         if manifest["stages"]:
             manifest["stages"][-1]["status"] = "failed"

@@ -27,18 +27,12 @@ from .propagators import PropagationRun, rate_factor
 @dataclass(frozen=True)
 class InitialEnsemble:
     positions: np.ndarray
-    weights: np.ndarray = None
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float)
         if pos.ndim != 1 or not np.all(np.diff(pos) > 0):
             raise ValueError("positions must be strictly increasing")
         object.__setattr__(self, "positions", pos)
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float)
-            if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
-                raise ValueError("weights must be nonnegative and sum to 1")
-            object.__setattr__(self, "weights", w)
 
 
 @dataclass(frozen=True)
@@ -63,7 +57,7 @@ def _cdf(rho: np.ndarray, grid: GridSpec) -> np.ndarray:
 def sample_initial_positions(rho: np.ndarray, grid: GridSpec, n: int,
                              scheme: str = "quantile") -> InitialEnsemble:
     """Deterministic ensemble from a density: quantile midpoints
-    (i - 1/2)/n, or equal spacing over the support with rho weights."""
+    (i - 1/2)/n, or equal spacing over the above-threshold support."""
     rho = np.asarray(rho, dtype=float)
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -79,9 +73,7 @@ def sample_initial_positions(rho: np.ndarray, grid: GridSpec, n: int,
         valid = qf.node_mask(rho)
         idx = np.flatnonzero(valid)
         lo, hi = grid.x[idx[0]], grid.x[idx[-1]]
-        positions = np.linspace(lo, hi, n)
-        w = np.interp(positions, grid.x, rho)
-        return InitialEnsemble(positions, w / w.sum())
+        return InitialEnsemble(np.linspace(lo, hi, n))
     raise ValueError(f"unknown sampling scheme {scheme!r}")
 
 
@@ -287,8 +279,6 @@ def write_bundle(path, bundle: TrajectoryBundle, metadata: dict = None) -> None:
     for key, value in (metadata or {}).items():
         lines.append(f"# {key} = {value}")
     lines.append("# t " + " ".join(f"x_{i + 1}" for i in range(bundle.xs.shape[0])))
-    for k, t in enumerate(bundle.times):
-        row = [repr(float(t))] + [repr(float(v)) for v in bundle.xs[:, k]]
-        lines.append("  ".join(row))
+    lines += qf.format_rows(bundle.times, bundle.xs.T)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

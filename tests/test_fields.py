@@ -10,8 +10,8 @@ from qstream import (ComplexField, GridSpec, PhysicalConstants,
                      polar_decompose, probability_current, quantum_potential,
                      velocity_field)
 from qstream.errors import (AllBelowThreshold, NegativeDensity, NotNormalized)
-from qstream.fields import (derivative, kinetic_energy, node_mask,
-                            position_spread, write_snapshot)
+from qstream.fields import (derivative, format_rows, kinetic_energy,
+                            node_mask, position_spread, write_snapshot)
 
 from conftest import max_abs, sym_grid
 
@@ -333,6 +333,12 @@ class TestSnapshotSerialization:
         rows = [ln for ln in path.read_text().splitlines()
                 if "=" not in ln and not ln.startswith("#")]
         assert "nan" in rows[10]
+
+    def test_format_rows_is_float_repr_per_value(self):
+        a = np.array([0.1, -0.0, np.nan, 1e-300])
+        b = np.arange(8.0).reshape(4, 2) / 3
+        assert format_rows(a, b) == [
+            "  ".join(repr(float(v)) for v in (a[i], *b[i])) for i in range(4)]
 
 
 def test_kinetic_energy_plane_wave_mode():

@@ -16,7 +16,7 @@ from qstream import (GridSpec, OpticalScene, SlitSpec, fresnel_propagate,
                      initial_two_slit_field, photon_path, photon_path_bundle,
                      transverse_momentum)
 from qstream.errors import (EmptyScene, LeftDomain, ResolutionViolation,
-                            StagnationPoint, UnsupportedPolarization)
+                            StagnationPoint)
 from qstream.optics import (ExactPoyntingSampler, FresnelEvaluator,
                             PoyntingField, assemble_em_fields,
                             energy_density, gaussian_beam_intensity,
@@ -235,12 +235,6 @@ class TestEMFields:
         em = assemble_em_fields(psi, psi_x, np.zeros_like(psi), scene)
         Sx, _ = poynting(em)
         assert max_abs(Sx) < 1e-30
-
-    def test_unsupported_polarization(self):
-        scene = OpticalScene((SlitSpec(0.3 * MM),), LAMBDA,
-                             GridSpec(-1, 1, 64), (1.0,), polarization="H")
-        with pytest.raises(UnsupportedPolarization):
-            assemble_em_fields(np.ones(4), np.zeros(4), np.zeros(4), scene)
 
     def test_plane_wave_energy_density_halves(self):
         scene = single_slit_scene()

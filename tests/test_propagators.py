@@ -33,27 +33,13 @@ def coherent(grid, a=1.0):
 
 class TestSpecs:
     def test_unknown_potential_kind(self):
-        with pytest.raises(ValueError):
-            PotentialSpec("coulomb")
+        for kind in ("coulomb", "polynomial", "tabulated"):
+            with pytest.raises(ValueError):
+                PotentialSpec(kind)
 
     def test_harmonic_needs_positive_frequency(self):
         with pytest.raises(ValueError):
             PotentialSpec("harmonic", omega0=0.0)
-
-    def test_tabulated_needs_values(self):
-        with pytest.raises(ValueError):
-            PotentialSpec("tabulated")
-
-    def test_polynomial_evaluate_and_gradient(self):
-        g = sym_grid(1, 16)
-        p = PotentialSpec("polynomial", coefficients=(1.0, 2.0, 3.0))
-        assert np.allclose(p.evaluate(g, C), 1 + 2 * g.x + 3 * g.x ** 2)
-        assert np.allclose(p.gradient(g.x, C), 2 + 6 * g.x)
-
-    def test_tabulated_gradient_unsupported(self):
-        p = PotentialSpec("tabulated", values=np.zeros(16))
-        with pytest.raises(UnsupportedPotential):
-            p.gradient(0.0, C)
 
     def test_unknown_model(self):
         with pytest.raises(ValueError):
@@ -329,14 +315,6 @@ class TestOracle:
         assert abs(np.trapezoid(g.x * np.abs(out.values) ** 2, dx=g.dx)
                    + 1.0) < 1e-9
         assert abs(position_spread(out) - math.sqrt(0.5)) < 1e-9
-
-    def test_unsupported_potential(self):
-        g = sym_grid(8, 256)
-        cfg = PropagatorConfig(
-            potential=PotentialSpec("polynomial", coefficients=(0, 1, 0)),
-            dt=1e-3)
-        with pytest.raises(UnsupportedPotential):
-            analytic_gaussian_oracle({"sigma0": 1.0, "grid": g}, cfg, 1.0)
 
 
 # classical dissipative trajectory -----------------------------------------

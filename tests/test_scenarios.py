@@ -1,16 +1,21 @@
 """Scenario config grammar, built-in catalog, run orchestration, and the
 command-line interface."""
 
+import dataclasses
 import json
 import math
 import os
+import sys
+import types
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qstream import cli
+from qstream import cli, scenarios
 from qstream.errors import ParseError, ValidationError
-from qstream.scenarios import (OUT_DIR_ENV, builtin_scenario, list_scenarios,
+from qstream.scenarios import (OUT_DIR_ENV, MatterScenario, OpticsScenario,
+                               builtin_scenario, list_scenarios,
                                parse_scenario, run_scenario)
 
 QUICK_MATTER = """\
@@ -82,6 +87,21 @@ BAD_NUMBERS = {
                       "time.dt = 0.01\nchecks.norm_tol = 0"),
     "tube_tol-zero": (QUICK_MATTER, "norm_drift non_crossing",
                       "norm_drift non_crossing tube\nchecks.tube_tol = 0"),
+    # work bounds: runs too large to finish or to fit in memory
+    "dt-tiny": (QUICK_MATTER, "time.dt = 0.01", "time.dt = 1e-12"),
+    "n_points-huge-matter": (QUICK_MATTER, "grid.n_points = 256",
+                             "grid.n_points = 10000000000000"),
+    "n_points-huge-optics": (QUICK_OPTICS, "grid.n_points = 401",
+                             "grid.n_points = 10000000000000"),
+    "source_dx-tiny": (QUICK_OPTICS, "8 um", "1e-15 m"),
+    "zplanes-count-huge": (QUICK_OPTICS, "0.5 : 2.0 : 4",
+                           "0.5 : 2.0 : 1000000000000"),
+    "n_points-beyond-float": (QUICK_MATTER, "grid.n_points = 256",
+                              "grid.n_points = 1" + "0" * 400),
+    "source_dx-subnormal": (QUICK_OPTICS, "8 um", "1e-320 m"),
+    "default-source_dx-underflow": (
+        QUICK_OPTICS.replace("quadrature.source_dx = 8 um\n", ""),
+        "slit1.sigma = 0.3 mm", "slit1.sigma = 1e-322 m"),
 }
 
 
@@ -130,8 +150,18 @@ class TestParser:
             parse_scenario("scenario.name = x\nscenario.kind = fluid\n")
 
     def test_unknown_section(self):
-        with pytest.raises(ValidationError):
-            parse_scenario(QUICK_MATTER + "sauce.level = 11\n")
+        for base, extra in ((QUICK_MATTER, "sauce.level = 11\n"),
+                            (QUICK_MATTER, "outputs.series = false\n"),
+                            (QUICK_OPTICS, "outputs.profiles = false\n")):
+            with pytest.raises(ValidationError, match="unknown section"):
+                parse_scenario(base + extra)
+
+    def test_kind_picks_the_type(self):
+        matter = parse_scenario(QUICK_MATTER)
+        optics = parse_scenario(QUICK_OPTICS)
+        assert type(matter) is MatterScenario
+        assert type(optics) is OpticsScenario
+        assert (matter.kind, optics.kind) == ("matter_wave", "optics")
 
     def test_unknown_key(self):
         for extra in ("time.warp = 9\n", "ensemble.seed = 3\n"):
@@ -227,6 +257,88 @@ class TestCatalog:
         assert len(cfg.packets) == 2
 
 
+# work bound ----------------------------------------------------------------
+
+def _load_workloads():
+    """perfbench/workloads.py, executed from its source (nothing written)."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "workloads.py")
+    module = types.ModuleType("perfbench_workloads")
+    sys.modules[module.__name__] = module  # dataclasses look it up by name
+    with open(path, encoding="utf-8") as fh:
+        exec(compile(fh.read(), path, "exec"), module.__dict__)
+    return module
+
+
+@pytest.fixture
+def fiftieth_of_work_bounds(monkeypatch):
+    """Divide both work bounds by 50: what validates then has 50x headroom."""
+    for name in ("MAX_MATTER_WORK", "MAX_OPTICS_WORK"):
+        monkeypatch.setattr(scenarios, name, getattr(scenarios, name) / 50)
+
+
+class TestWorkBound:
+    @pytest.mark.usefixtures("fiftieth_of_work_bounds")
+    @pytest.mark.parametrize("scale", ["full", "mini"])
+    def test_benchmark_workloads_validate(self, scale):
+        workloads = _load_workloads()
+        types_ = {"matter_wave": MatterScenario, "optics": OpticsScenario}
+        for workload in workloads.WORKLOADS:
+            for seed in (1, 2, 3):
+                scn = workloads.build(workload, seed, scale)
+                cfg = parse_scenario(scn.text)
+                assert type(cfg) is types_[scn.params["kind"]]
+
+    @pytest.mark.usefixtures("fiftieth_of_work_bounds")
+    def test_catalog_within_bound(self):
+        for name in list_scenarios():
+            builtin_scenario(name)
+
+
+# property tests ------------------------------------------------------------
+
+_LINES = [(text, i) for text in (QUICK_MATTER, QUICK_OPTICS)
+          for i in range(len(text.splitlines()))]
+_VALUES = st.one_of(
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",)),
+            max_size=30),
+    st.integers().map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats().map(lambda v: f"{v!r} mm"))
+
+
+@st.composite
+def _mutated(draw):
+    """QUICK_MATTER or QUICK_OPTICS with one line's value replaced by drawn
+    text or a drawn number, or with one line dropped or duplicated."""
+    text, i = draw(st.sampled_from(_LINES))
+    lines = text.splitlines()
+    action = draw(st.sampled_from(["value", "drop", "duplicate"]))
+    if action == "value":
+        lines[i] = lines[i].split("=", 1)[0] + "= " + draw(_VALUES)
+    elif action == "drop":
+        del lines[i]
+    else:
+        lines.insert(i, lines[i])
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=500, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_mutated())
+def test_validate_is_total_and_round_trips(tmp_path, text):
+    path = tmp_path / "s.cfg"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["validate", str(path)]) in (0, 2)
+    try:
+        cfg = parse_scenario(text)
+    except (ParseError, ValidationError):
+        return
+    again = parse_scenario(cfg.to_text())
+    assert again.entries == cfg.entries
+    assert again.sha256() == cfg.sha256()
+
+
 # orchestration -------------------------------------------------------------
 
 class TestRunScenario:
@@ -295,11 +407,11 @@ class TestRunScenario:
         assert "StabilityViolation" in m["stages"][-1]["error"]
 
     def test_step_count_overflow_is_numeric_failure(self, tmp_path):
-        text = QUICK_MATTER.replace("time.dt = 0.01", "time.dt = 1e-300") \
-                           .replace("time.t_final = 0.5",
-                                    "time.t_final = 1e300")
-        art = run_scenario(parse_scenario(text),
-                           out_dir=str(tmp_path / "out"))
+        # validation rejects this step count; a library caller can still
+        # build it, and the run must then fail as numeric
+        cfg = dataclasses.replace(parse_scenario(QUICK_MATTER), dt=1e-300,
+                                  t_final=1e300)
+        art = run_scenario(cfg, out_dir=str(tmp_path / "out"))
         assert art.failure_kind == "numeric"
         m = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert "OverflowError" in m["stages"][-1]["error"]

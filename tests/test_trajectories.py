@@ -65,8 +65,6 @@ class TestSampling:
         rho = np.where(np.abs(g.x) <= 2, 1.0, 0.0)
         ens = sample_initial_positions(rho, g, 5, scheme="equal_spacing")
         assert np.allclose(ens.positions, np.linspace(-2, 2, 5))
-        assert ens.weights is not None
-        assert ens.weights.sum() == pytest.approx(1.0)
 
     def test_zero_density_rejected(self):
         g = sym_grid(1, 64)
@@ -86,10 +84,6 @@ class TestSampling:
     def test_ensemble_ordering_enforced(self):
         with pytest.raises(ValueError):
             InitialEnsemble(np.array([0.0, 0.0, 1.0]))
-
-    def test_ensemble_weights_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            InitialEnsemble(np.array([0.0, 1.0]), np.array([0.5, 0.1]))
 
 
 # single trajectories -------------------------------------------------------
