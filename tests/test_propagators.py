@@ -33,13 +33,17 @@ def coherent(grid, a=1.0):
 
 class TestSpecs:
     def test_unknown_potential_kind(self):
-        for kind in ("coulomb", "polynomial", "tabulated"):
+        for kind in ("coulomb", "polynomial"):
             with pytest.raises(ValueError):
                 PotentialSpec(kind)
 
     def test_harmonic_needs_positive_frequency(self):
         with pytest.raises(ValueError):
             PotentialSpec("harmonic", omega0=0.0)
+
+    def test_tabulated_needs_values(self):
+        with pytest.raises(ValueError):
+            PotentialSpec("tabulated")
 
     def test_unknown_model(self):
         with pytest.raises(ValueError):
