@@ -8,7 +8,7 @@ zero-point value instead of falling through it.
 
 import numpy as np
 
-from qstream import propagate
+from qstream import damped_oscillator, propagate
 from qstream.scenarios import builtin_scenario, initial_state, propagator_config
 
 sc = builtin_scenario("kostin-relaxation")
@@ -17,9 +17,8 @@ run = propagate(initial_state(sc), propagator_config(sc), sc.t_final,
 
 omega0 = 2 * np.pi / 10.0
 gamma = sc.gamma
-wt = np.sqrt(omega0 ** 2 - gamma ** 2 / 4.0)
-classical = run.x_means[0] * np.exp(-gamma * run.times / 2.0) * (
-    np.cos(wt * run.times) + gamma / (2 * wt) * np.sin(wt * run.times))
+classical, _ = damped_oscillator(run.x_means[0], 0.0, omega0, gamma,
+                                 run.times)
 
 print(f"gamma = {gamma:.4f}, t_final = {sc.t_final}")
 print(f"centroid vs classical damped oscillator: "

@@ -21,18 +21,27 @@ EXIT_CHECK = 3
 EXIT_NUMERIC = 4
 
 
+# what loading a scenario may raise; each is exit 2
+_LOAD_ERRORS = (OSError, UnicodeDecodeError, ParseError, ValidationError)
+
+
+def _read(path: str):
+    """The scenario in a UTF-8 config file."""
+    with open(path, encoding="utf-8") as fh:
+        return parse_scenario(fh.read())
+
+
 def _load(target: str):
     """A scenario name from the catalog, or a path to a config file."""
     if os.path.exists(target):
-        with open(target, encoding="utf-8") as fh:
-            return parse_scenario(fh.read())
+        return _read(target)
     return builtin_scenario(target)
 
 
 def _cmd_run(args) -> int:
     try:
         config = _load(args.scenario)
-    except (ParseError, ValidationError) as exc:
+    except _LOAD_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     required = None
@@ -67,12 +76,8 @@ def _cmd_list(_args) -> int:
 
 def _cmd_validate(args) -> int:
     try:
-        with open(args.file, encoding="utf-8") as fh:
-            config = parse_scenario(fh.read())
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (ParseError, ValidationError) as exc:
+        config = _read(args.file)
+    except _LOAD_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     print(f"{args.file}: valid {config.kind} scenario {config.name!r}")

@@ -48,6 +48,14 @@ class GridSpec:
         return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.dx)
 
 
+def cubic_weights(f: np.ndarray):
+    """4-point Lagrange weights of nodes j-1 .. j+2 at f = (x - x_j) / dx."""
+    return (-f * (f - 1) * (f - 2) / 6.0,
+            (f + 1) * (f - 1) * (f - 2) / 2.0,
+            -(f + 1) * f * (f - 2) / 2.0,
+            (f + 1) * f * (f - 1) / 6.0)
+
+
 @dataclass(frozen=True)
 class PhysicalConstants:
     hbar: float = 1.0

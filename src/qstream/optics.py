@@ -22,16 +22,17 @@ H = (i/omega mu0)(dpsi/dz e_x - dpsi/dx e_z).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as C_LIGHT, epsilon_0 as EPS0, mu_0 as MU0
 from scipy.fft import fft, ifft, next_fast_len
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import (EmptyScene, LeftDomain, ResolutionViolation,
                      StagnationPoint)
-from .fields import GridSpec, format_rows
+from .fields import GridSpec, cubic_weights, format_rows
+
+# CODATA 2022, SI units: speed of light, vacuum permittivity, permeability
+C_LIGHT, EPS0, MU0 = 299792458.0, 8.8541878188e-12, 1.25663706127e-06
 
 
 @dataclass(frozen=True)
@@ -126,24 +127,16 @@ class FresnelEvaluator:
     `evaluate` sums the quadrature directly at paired (x, z) points and is
     the oracle that `plane` is tested against.
 
-    By default the aperture is sampled analytically from the scene's slits
-    on a fine source grid (default spacing min(sigma)/150); an explicit
-    initial field sampled on the transverse grid may be supplied instead,
-    in which case it is cubic-interpolated onto the source grid.
+    The aperture is sampled analytically from the scene's slits on a fine
+    source grid (default spacing min(sigma)/150).
     """
 
-    def __init__(self, scene: OpticalScene, source_dx: float = None,
-                 initial: np.ndarray = None):
+    def __init__(self, scene: OpticalScene, source_dx: float = None):
         self.scene = scene
         lo, hi, n_src = source_points(scene, source_dx)
         dxs = (hi - lo) / n_src
         self.x_src = lo + (np.arange(n_src) + 0.5) * dxs
-        if initial is None:
-            amp = scene.aperture_amplitude(self.x_src).astype(complex)
-        else:
-            from scipy.interpolate import CubicSpline
-            amp = CubicSpline(scene.transverse_grid.x,
-                              np.asarray(initial, dtype=complex))(self.x_src)
+        amp = scene.aperture_amplitude(self.x_src).astype(complex)
         norm = np.sqrt(np.sum(np.abs(amp) ** 2) * dxs)
         self.weights = amp * dxs / norm
         self.aperture_span = hi - lo
@@ -262,41 +255,51 @@ class OpticalField2D:
     psi_z: np.ndarray
 
 
-def fresnel_propagate(scene: OpticalScene, initial: np.ndarray = None,
+def fresnel_propagate(scene: OpticalScene,
                       source_dx: float = None) -> OpticalField2D:
     """Fresnel quadrature of the aperture field onto every scene plane."""
-    ev = FresnelEvaluator(scene, source_dx=source_dx, initial=initial)
+    ev = FresnelEvaluator(scene, source_dx=source_dx)
     rows = [ev.plane(scene.transverse_grid, z) for z in scene.z_planes]
     psi, psi_x, psi_z = (np.array([r[i] for r in rows]) for i in range(3))
     return OpticalField2D(scene, psi, psi_x, psi_z)
 
 
+def _lattice_sample(values: np.ndarray, scene: OpticalScene, x, z):
+    """values[..., i_z, i_x] on the scene's lattice at the points (x, z), by
+    Lagrange interpolation over 4 points along the uniform x (the kernel of
+    `VelocitySampler`) and min(6, n_planes) along the possibly uneven z.
+    Stencils are clamped inside the lattice: past an edge they extrapolate."""
+    grid, planes = scene.transverse_grid, np.asarray(scene.z_planes)
+    x, z = np.broadcast_arrays(np.asarray(x, float), np.asarray(z, float))
+    s = (x - grid.x_min) / grid.dx
+    j = np.clip(np.floor(s).astype(int), 1, grid.n_points - 3)
+    n = min(6, planes.size)
+    iz = np.clip(np.searchsorted(planes, z, side="right") - 1 - (n - 1) // 2,
+                 0, planes.size - n)[..., None] + np.arange(n)
+    # w_m = prod_{l != m} (z - z_l) / (z_m - z_l) over the stencil planes
+    zs, off = planes[iz], ~np.eye(n, dtype=bool)
+    wz = np.prod(np.where(off, z[..., None, None] - zs[..., None, :], 1.0)
+                 / np.where(off, zs[..., :, None] - zs[..., None, :], 1.0),
+                 axis=-1)
+    near = values[..., iz[..., :, None], j[..., None, None] + np.arange(-1, 3)]
+    return np.einsum("...ab,...a,...b->...", near, wz,
+                     np.stack(cubic_weights(s - j), axis=-1))
+
+
 class PoyntingField:
-    """U, Sx, Sz on the lattice, with bicubic sampling for path tracing."""
+    """U, Sx, Sz on the lattice, stacked so that `sample` interpolates all
+    three at once by `_lattice_sample` for path tracing."""
 
     def __init__(self, field: OpticalField2D):
-        self.scene = field.scene
-        em = assemble_em_fields(field.psi, field.psi_x, field.psi_z, field.scene)
-        self.U = energy_density(em)
-        self.Sx, self.Sz = poynting(em)
-        z = np.asarray(field.scene.z_planes)
-        x = field.scene.transverse_grid.x
-        method = "cubic" if len(z) >= 4 else "linear"
-        opts = dict(bounds_error=False, fill_value=None, method=method)
-        # interpolate on unit-scaled data: scipy's cubic solver loses
-        # values whose absolute magnitude is far below 1
-        self._scales = tuple(max(float(np.max(np.abs(a))), 1e-300)
-                             for a in (self.Sx, self.Sz, self.U))
-        self._interp = tuple(
-            RegularGridInterpolator((z, x), a / s, **opts)
-            for a, s in zip((self.Sx, self.Sz, self.U), self._scales))
-        self.x_bounds = (x[0], x[-1])
-        self.z_bounds = (z[0], z[-1])
+        self.scene = scene = field.scene
+        em = assemble_em_fields(field.psi, field.psi_x, field.psi_z, scene)
+        self._lattice = np.stack((*poynting(em), energy_density(em)))
+        self.Sx, self.Sz, self.U = self._lattice
+        g, z = scene.transverse_grid, scene.z_planes
+        self.x_bounds, self.z_bounds = (g.x_min, g.x_max), (z[0], z[-1])
 
     def sample(self, x, z):
-        pts = np.stack(np.broadcast_arrays(np.asarray(z, float),
-                                           np.asarray(x, float)), axis=-1)
-        return tuple(f(pts) * s for f, s in zip(self._interp, self._scales))
+        return tuple(_lattice_sample(self._lattice, self.scene, x, z))
 
 
 class ExactPoyntingSampler:

@@ -14,8 +14,8 @@ kinetic in spectral space, half potential), so the gamma = 0 dissipative
 models reproduce the standard model bit for bit.
 
 Closed-form Gaussian solutions for free and harmonic potentials serve as
-the numerical ground truth, and the classical Caldirola-Kanai equations
-are integrated in canonical variables for the E0 exp(-gamma t) energy law.
+the numerical ground truth; the classical Caldirola-Kanai path, with its
+E0 exp(-gamma t) energy law, is the closed-form damped oscillator.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import fields as qf
 from .errors import PhaseUndefined, StabilityViolation, UnsupportedPotential
@@ -52,12 +51,6 @@ class PotentialSpec:
         if self.kind == "free":
             return np.zeros_like(x)
         return 0.5 * constants.mass * self.omega0 ** 2 * (x - self.center) ** 2
-
-    def gradient(self, x, constants: PhysicalConstants):
-        """dV/dx at scalar or array x."""
-        if self.kind == "free":
-            return np.zeros_like(np.asarray(x, dtype=float))
-        return constants.mass * self.omega0 ** 2 * (np.asarray(x) - self.center)
 
 
 @dataclass(frozen=True)
@@ -314,43 +307,44 @@ def free_gaussian_width(sigma0: float, t, constants: PhysicalConstants):
     return sigma0 * np.sqrt(1.0 + (eps * np.asarray(t)) ** 2)
 
 
+def damped_oscillator(x0, v0, omega0: float, gamma: float, t):
+    """(x, v) at times t of x'' + gamma x' + omega0^2 x = 0 from (x0, v0),
+    which may be complex.  With Omega = sqrt(omega0^2 - gamma^2/4) complex,
+    x = x0 C + (v0 + gamma x0/2) S and v = v0 C - (omega0^2 x0 + gamma v0/2) S
+    for C = e^{-gamma t/2} cos(Omega t), S = e^{-gamma t/2} sin(Omega t)/Omega.
+    With lam = -i Omega both factor as e^{(lam - gamma/2) t} times expm1
+    terms, so S = t e^{-gamma t/2} is exact at Omega = 0 and an overdamped
+    e^{-gamma t/2} cosh never becomes inf * 0."""
+    t = np.asarray(t, dtype=float)
+    lam = -1j * np.sqrt(complex(omega0 ** 2 - 0.25 * gamma ** 2))
+    lead = np.exp((lam - 0.5 * gamma) * t)
+    rest = np.expm1(-2.0 * lam * t)
+    C = (lead * (1.0 + 0.5 * rest)).real
+    S = t * lead.real if lam == 0 else (-lead * rest / (2.0 * lam)).real
+    return (x0 * C + (v0 + 0.5 * gamma * x0) * S,
+            v0 * C - (omega0 ** 2 * x0 + 0.5 * gamma * v0) * S)
+
+
 def classical_ck_trajectory(state0: ClassicalCKState, config: PropagatorConfig,
-                            t_final: float = None, n_samples: int = 400,
-                            rtol: float = 1e-12, atol: float = 1e-12):
-    """Hamilton's equations in canonical variables (X, P = p e^{gamma t}),
-    mapped back to physical (x, p).  The physical energy then decays as
-    E0 exp(-gamma t) for the harmonic case."""
+                            t_final: float = None, n_samples: int = 400):
+    """Physical (x, p) along x'' + gamma x' + omega0^2 (x - center) = 0, to
+    which Hamilton's equations in (X, P = p e^{gamma t}) reduce; the
+    physical energy then decays as E0 exp(-gamma t)."""
     if config.potential.kind != "harmonic":
         raise UnsupportedPotential("classical CK needs a harmonic V")
-    if t_final is None:
-        t_final = config.t_final
+    t_final = config.t_final if t_final is None else t_final
     if t_final is None:
         raise ValueError("t_final required (argument or config.t_final)")
-    c = config.constants
-    g = config.gamma
-
-    def rhs(t, y):
-        X, P = y
-        return [P * math.exp(-g * t) / c.mass,
-                -math.exp(g * t) * config.potential.gradient(X, c)]
-
-    t_eval = np.linspace(state0.t, t_final, n_samples)
-    y0 = [state0.x, state0.p * math.exp(g * state0.t)]
-    sol = solve_ivp(rhs, (state0.t, t_final), y0, method="DOP853",
-                    t_eval=t_eval, rtol=rtol, atol=atol)
-    states = []
-    for t, X, P in zip(sol.t, sol.y[0], sol.y[1]):
-        states.append(ClassicalCKState(float(X), float(P * math.exp(-g * t)),
-                                       float(t)))
-    return states
+    m, pot = config.constants.mass, config.potential
+    t = np.linspace(state0.t, t_final, n_samples)
+    x, v = damped_oscillator(state0.x - pot.center, state0.p / m, pot.omega0,
+                             config.gamma, t - state0.t)
+    return [ClassicalCKState(float(xi + pot.center), float(m * vi), float(ti))
+            for xi, vi, ti in zip(x, v, t)]
 
 
 def classical_ck_energy(states, config: PropagatorConfig) -> np.ndarray:
     """Physical energy p^2/2m + V(x) along a classical CK trajectory."""
-    c = config.constants
-    out = []
-    for s in states:
-        pot = 0.5 * c.mass * config.potential.omega0 ** 2 \
-            * (s.x - config.potential.center) ** 2
-        out.append(s.p ** 2 / (2.0 * c.mass) + pot)
-    return np.asarray(out)
+    m, pot = config.constants.mass, config.potential
+    x, p = np.array([(s.x, s.p) for s in states]).T
+    return p ** 2 / (2.0 * m) + 0.5 * m * pot.omega0 ** 2 * (x - pot.center) ** 2

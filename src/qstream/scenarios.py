@@ -47,6 +47,10 @@ _UNITS = {"m": 1.0, "mm": 1e-3, "um": 1e-6, "nm": 1e-9}
 # two-slit scenes (31 planes x about 2640 points).
 MAX_MATTER_WORK = 1e10
 MAX_OPTICS_WORK = 1e7
+# Count bounds, checked at validation too: 500x the catalog's 20 trajectories
+# and 250x its 40 photon paths.
+MAX_TRAJECTORIES = 10_000
+MAX_PATHS = 10_000
 
 # value converters ---------------------------------------------------------
 
@@ -315,9 +319,11 @@ class MatterScenario(_Scenario):
             "scheme": scheme,
             "dt_traj": r.get(("ensemble", "dt_traj"), 10.0 * dt),
         }
-        if ensemble["n_trajectories"] < 0 or ensemble["n_trajectories"] == 1:
+        if (ensemble["n_trajectories"] < 0 or ensemble["n_trajectories"] == 1
+                or ensemble["n_trajectories"] > MAX_TRAJECTORIES):
             raise ValidationError("ensemble.n_trajectories",
-                                  "must be 0 or >= 2")
+                                  f"must be 0 or >= 2 and "
+                                  f"<= {MAX_TRAJECTORIES}")
         if ensemble["dt_traj"] <= 0:
             raise ValidationError("ensemble.dt_traj", "must be > 0")
         checks = {
@@ -432,8 +438,9 @@ class OpticsScenario(_Scenario):
             "z_start": r.get(("paths", "z_start"), z_planes[0]),
             "ds": r.get(("paths", "ds")),
         }
-        if paths["n_paths"] < 0:
-            raise ValidationError("paths.n_paths", "must be >= 0")
+        if not 0 <= paths["n_paths"] <= MAX_PATHS:
+            raise ValidationError("paths.n_paths",
+                                  f"must be >= 0 and <= {MAX_PATHS}")
         if not scene.z_planes[0] <= paths["z_start"] <= scene.z_planes[-1]:
             raise ValidationError(
                 "paths.z_start", "must lie between the first and last z plane")
@@ -804,7 +811,7 @@ def run_scenario(config: MatterScenario | OpticsScenario, out_dir=None,
     start = _time.perf_counter()
     try:
         config._run(out_dir, required, manifest, files)
-    except (QStreamError, ValueError, ArithmeticError) as exc:
+    except (QStreamError, ValueError, ArithmeticError, MemoryError) as exc:
         if manifest["stages"]:
             manifest["stages"][-1]["status"] = "failed"
             manifest["stages"][-1]["error"] = f"{type(exc).__name__}: {exc}"

@@ -77,14 +77,6 @@ def sample_initial_positions(rho: np.ndarray, grid: GridSpec, n: int,
     raise ValueError(f"unknown sampling scheme {scheme!r}")
 
 
-def _cubic_weights(f: np.ndarray):
-    """Uniform-grid 4-point Lagrange weights for nodes j-1, j, j+1, j+2."""
-    return (-f * (f - 1) * (f - 2) / 6.0,
-            (f + 1) * (f - 1) * (f - 2) / 2.0,
-            -(f + 1) * f * (f - 2) / 2.0,
-            (f + 1) * f * (f - 1) / 6.0)
-
-
 class VelocitySampler:
     """v(x, t) from a snapshot sequence: cubic in x on valid points
     (shrinking to linear beside invalid nodes), linear in t."""
@@ -111,7 +103,7 @@ class VelocitySampler:
         j2 = np.clip(j + 2, 0, g.n_points - 1)
         cubic_ok = (ok[jm] & ok[j] & ok[j + 1] & ok[j2]
                     & (j - 1 >= 0) & (j + 2 <= g.n_points - 1))
-        w = _cubic_weights(f)
+        w = qf.cubic_weights(f)
         cubic = w[0] * v[jm] + w[1] * v[j] + w[2] * v[j + 1] + w[3] * v[j2]
         linear = (1 - f) * v[j] + f * v[j + 1]
         linear_ok = ok[j] & ok[j + 1]

@@ -18,10 +18,11 @@ from qstream import (GridSpec, OpticalScene, SlitSpec, fresnel_propagate,
 from qstream.errors import (EmptyScene, LeftDomain, ResolutionViolation,
                             StagnationPoint)
 from qstream.optics import (ExactPoyntingSampler, FresnelEvaluator,
-                            PoyntingField, assemble_em_fields,
-                            energy_density, gaussian_beam_intensity,
-                            poynting, write_plane_profile, write_paths)
-from qstream.scenarios import builtin_scenario
+                            PoyntingField, _lattice_sample,
+                            assemble_em_fields, energy_density,
+                            gaussian_beam_intensity, poynting,
+                            write_plane_profile, write_paths)
+from qstream.scenarios import _launch_positions, builtin_scenario
 
 from conftest import max_abs
 
@@ -51,14 +52,6 @@ def catalog_plane(name, which):
     return FresnelEvaluator(cfg.scene, source_dx=cfg.source_dx), cfg.scene, z
 
 
-def spline_initial_plane():
-    """Weights from a CubicSpline of an explicit field on the grid."""
-    scene = symmetric_scene(planes=(0.5, 3.0))
-    ev = FresnelEvaluator(scene, source_dx=8e-6,
-                          initial=initial_two_slit_field(scene))
-    return ev, scene, 3.0
-
-
 def incommensurate_plane():
     """Grid spacing 12.5 um against source spacing ~4.7 um."""
     scene = symmetric_scene(planes=(0.5, 1.0))
@@ -73,7 +66,6 @@ PLANE_CASES = {
        for name in ("fig4-symmetric", "fig4-asymmetric", "fig4-trunc-1.5",
                     "oracle-gaussian-beam")
        for which in ("first", "middle", "last")},
-    "spline-initial": spline_initial_plane,
     "dx-not-multiple-of-source-dx": incommensurate_plane,
 }
 
@@ -183,18 +175,29 @@ class TestFresnelPropagation:
             assert max_abs(fast - dense) <= 1e-9 * max_abs(dense)
 
     def test_propagation_does_not_import_scipy_signal(self):
-        # scipy.signal costs about 0.4 s to import; no optics stage needs it
+        # the runtime needs numpy and scipy.fft only: each of these scipy
+        # subpackages costs a large share of start-up, and no stage uses it
         src = os.path.dirname(os.path.dirname(os.path.abspath(
             qstream.__file__)))
         code = (
             "import sys\n"
-            "import qstream\n"
-            "from qstream import GridSpec, OpticalScene, SlitSpec, "
-            "fresnel_propagate\n"
+            "import qstream.cli\n"
+            "from qstream import (ClassicalCKState, GridSpec, OpticalScene, "
+            "PotentialSpec, PropagatorConfig, SlitSpec, "
+            "classical_ck_trajectory, fresnel_propagate, "
+            "photon_path_bundle)\n"
+            "from qstream.optics import PoyntingField\n"
             "scene = OpticalScene((SlitSpec(3e-4),), 943e-9, "
             "GridSpec(-5e-3, 5e-3, 401), (0.5, 1.0))\n"
-            "fresnel_propagate(scene, source_dx=2e-5)\n"
-            "assert 'scipy.signal' not in sys.modules, 'scipy.signal imported'\n")
+            "pf = PoyntingField(fresnel_propagate(scene, source_dx=2e-5))\n"
+            "photon_path_bundle([-1e-4, 1e-4], 0.5, pf, ds=0.1)\n"
+            "cfg = PropagatorConfig(potential=PotentialSpec('harmonic', "
+            "omega0=1.0), gamma=0.3)\n"
+            "classical_ck_trajectory(ClassicalCKState(1.0, 0.0, 0.0), cfg, "
+            "t_final=5.0)\n"
+            "for name in ('signal', 'interpolate', 'integrate', "
+            "'constants'):\n"
+            "    assert 'scipy.' + name not in sys.modules, name\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, (src, os.environ.get("PYTHONPATH")))))
         result = subprocess.run([sys.executable, "-c", code], env=env,
@@ -213,6 +216,11 @@ class TestFresnelPropagation:
 # EM assembly and derived fields -------------------------------------------
 
 class TestEMFields:
+    def test_constants_equal_scipy(self):
+        assert qstream.optics.C_LIGHT == C_LIGHT
+        assert qstream.optics.EPS0 == EPS0
+        assert qstream.optics.MU0 == MU0
+
     @staticmethod
     def plane_wave_em(scene, n=64):
         psi = np.ones(n, dtype=complex)
@@ -361,6 +369,78 @@ class TestPoyntingFieldLattice:
         for p in paths:
             assert not p.stagnated
             assert p.z[-1] >= 4.0
+
+
+def cubic_quintic(x, z):
+    """A polynomial of degree 3 in x and 5 in z."""
+    return (1.0 + 2.0 * x - x ** 2 + 0.5 * x ** 3) * (
+        2.0 - z + 0.3 * z ** 2 - 0.1 * z ** 3 + 0.02 * z ** 4 - 1e-3 * z ** 5)
+
+
+class TestLatticeSample:
+    GRID = GridSpec(-1.0, 2.0, 13)
+    PLANES = np.array([0.5, 0.7, 1.3, 1.6, 2.9, 3.0, 4.4, 6.0])
+
+    def scene(self, planes):
+        return OpticalScene((), LAMBDA, self.GRID, planes)
+
+    def points(self):
+        # inside the lattice and up to one cell past each edge
+        rng = np.random.default_rng(7)
+        return rng.uniform(-1.2, 2.2, 200), rng.uniform(0.3, 6.5, 200)
+
+    def test_reproduces_cubic_x_quintic_z_on_uneven_planes(self):
+        g, planes = self.GRID, self.PLANES
+        values = cubic_quintic(g.x[None, :], planes[:, None])
+        x, z = self.points()
+        got = _lattice_sample(values, self.scene(planes), x, z)
+        assert max_abs(got - cubic_quintic(x, z)) < 1e-12 * max_abs(values)
+
+    @pytest.mark.parametrize("n_planes", [2, 3])
+    def test_stencil_shrinks_to_plane_count(self, n_planes):
+        # n planes reproduce a polynomial of degree n - 1 in z exactly
+        g, planes = self.GRID, self.PLANES[:n_planes]
+
+        def f(x, z):
+            return (1.0 - x + 0.5 * x ** 3) * (0.5 + z) ** (n_planes - 1)
+
+        values = f(g.x[None, :], planes[:, None])
+        x, z = self.points()
+        got = _lattice_sample(values, self.scene(planes), x, z)
+        assert max_abs(got - f(x, z)) < 1e-12 * max_abs(values)
+
+    def test_stacked_lattice_sampled_per_layer(self):
+        g, planes = self.GRID, self.PLANES
+        layer = cubic_quintic(g.x[None, :], planes[:, None])
+        got = _lattice_sample(np.stack((layer, -2.0 * layer)),
+                              self.scene(planes), 0.25, 2.0)
+        assert got.shape == (2,)
+        assert got[1] == pytest.approx(-2.0 * got[0], rel=1e-15)
+
+    def test_two_plane_scene_samples_its_nodes(self):
+        scene = symmetric_scene(planes=(0.5, 3.0))
+        pf = PoyntingField(fresnel_propagate(scene, source_dx=8e-6))
+        x = scene.transverse_grid.x[::50]
+        _, Sz, U = pf.sample(x, 3.0)
+        assert max_abs(U - pf.U[1, ::50]) <= 1e-12 * pf.U.max()
+        assert max_abs(Sz - pf.Sz[1, ::50]) <= 1e-12 * np.abs(pf.Sz).max()
+
+
+def test_lattice_paths_match_exact_sampler():
+    # the lattice is the fast path; the Fresnel quadrature at every path
+    # point is the oracle
+    cfg = builtin_scenario("fig4-symmetric")
+    scene = cfg.scene
+    assert len(scene.z_planes) == 31
+    x0s = _launch_positions(scene, 8)
+    field = fresnel_propagate(scene, source_dx=cfg.source_dx)
+    lattice = photon_path_bundle(x0s, 0.5, PoyntingField(field), ds=0.05)
+    exact = photon_path_bundle(
+        x0s, 0.5, ExactPoyntingSampler(scene, source_dx=cfg.source_dx),
+        ds=0.05)
+    for a, b in zip(lattice, exact):
+        assert len(a.x) == len(b.x)
+        assert max_abs(a.x - b.x) <= 6.3e-7
 
 
 class TestSerialization:

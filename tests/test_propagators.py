@@ -15,7 +15,8 @@ from qstream.errors import (PhaseUndefined, StabilityViolation,
 from qstream.fields import norm, position_spread
 from qstream.propagators import (_friction_potential, _split_step,
                                  check_stability, classical_ck_energy,
-                                 free_gaussian_width, physical_energy)
+                                 damped_oscillator, free_gaussian_width,
+                                 physical_energy)
 
 from conftest import max_abs, sym_grid
 
@@ -319,6 +320,61 @@ class TestOracle:
         assert abs(np.trapezoid(g.x * np.abs(out.values) ** 2, dx=g.dx)
                    + 1.0) < 1e-9
         assert abs(position_spread(out) - math.sqrt(0.5)) < 1e-9
+
+
+# closed-form damped oscillator --------------------------------------------
+
+class TestDampedOscillator:
+    @pytest.mark.parametrize("ratio", [0.0, 0.3, 2.0, 4.0])
+    def test_matches_numerical_integration(self, ratio):
+        # the closed form replaces an adaptive ODE solve, kept here as the
+        # oracle
+        from scipy.integrate import solve_ivp
+        w, gamma = OMEGA0, ratio * OMEGA0
+        t = np.linspace(0.0, 40.0, 201)
+        sol = solve_ivp(lambda _, y: [y[1], -gamma * y[1] - w ** 2 * y[0]],
+                        (0.0, 40.0), [2.0, -0.5], method="DOP853",
+                        t_eval=t, rtol=1e-13, atol=1e-13)
+        x, v = damped_oscillator(2.0, -0.5, w, gamma, t)
+        assert max_abs(x - sol.y[0]) < 1e-10
+        assert max_abs(v - sol.y[1]) < 1e-10
+
+    def test_critical_damping_exact(self):
+        w, x0, v0 = OMEGA0, 2.0, -0.5
+        t = np.linspace(0.0, 50.0, 101)
+        x, v = damped_oscillator(x0, v0, w, 2.0 * w, t)
+        b = v0 + w * x0
+        assert max_abs(x - (x0 + b * t) * np.exp(-w * t)) < 1e-14
+        assert max_abs(v - (v0 - w * b * t) * np.exp(-w * t)) < 1e-14
+
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_continuous_across_critical_damping(self, sign):
+        # Omega is tiny and imaginary (sign +1) or real (sign -1)
+        w = OMEGA0
+        t = np.linspace(0.0, 50.0, 101)
+        crit = damped_oscillator(2.0, -0.5, w, 2.0 * w, t)
+        near = damped_oscillator(2.0, -0.5, w, 2.0 * w * (1.0 + sign * 1e-9),
+                                 t)
+        for a, b in zip(near, crit):
+            assert max_abs(a - b) < 1e-8
+
+    def test_overdamped_finite_at_late_times(self):
+        t = np.array([0.0, 1.0, 1e2, 1e4])
+        x, v = damped_oscillator(2.0, 1.0, OMEGA0, 4.0 * OMEGA0, t)
+        assert np.all(np.isfinite(x)) and np.all(np.isfinite(v))
+        assert x[0] == pytest.approx(2.0) and v[0] == pytest.approx(1.0)
+        assert x[-1] == 0.0 and v[-1] == 0.0
+
+    def test_complex_start_is_the_gaussian_width_factor(self):
+        # s(0) = 1, s'(0) = i eps solves the oscillator; for gamma = 0 it is
+        # the width factor of analytic_gaussian_oracle
+        w, eps = OMEGA0, 0.7
+        t = np.linspace(0.0, 30.0, 61)
+        s, s_dot = damped_oscillator(1.0 + 0j, 1j * eps, w, 0.0, t)
+        assert max_abs(s - (np.cos(w * t) + 1j * eps / w * np.sin(w * t))) \
+            < 1e-14
+        assert max_abs(s_dot - (-w * np.sin(w * t)
+                                + 1j * eps * np.cos(w * t))) < 1e-14
 
 
 # classical dissipative trajectory -----------------------------------------

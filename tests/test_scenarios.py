@@ -102,6 +102,17 @@ BAD_NUMBERS = {
     "default-source_dx-underflow": (
         QUICK_OPTICS.replace("quadrature.source_dx = 8 um\n", ""),
         "slit1.sigma = 0.3 mm", "slit1.sigma = 1e-322 m"),
+    # count bounds: arrays too large to allocate
+    "n_paths-huge": (QUICK_OPTICS, "paths.n_paths = 4",
+                     "paths.n_paths = 1000000000000"),
+    "n_trajectories-huge": (QUICK_MATTER, "ensemble.n_trajectories = 6",
+                            "ensemble.n_trajectories = 1000000000000"),
+}
+
+# Files that cannot be read as scenario text: each must exit 2, not 1.
+UNREADABLE = {
+    "byte-0xff": lambda path: path.write_bytes(b"scenario.name = x\xff\n"),
+    "directory": lambda path: path.mkdir(),
 }
 
 
@@ -433,6 +444,28 @@ class TestRunScenario:
         assert (out / "manifest.json").read_text() == before
         assert not [n for n in os.listdir(out) if n.endswith(".tmp")]
 
+    @pytest.mark.parametrize("stage", ["propagate", "fresnel"])
+    def test_memory_error_is_numeric_failure(self, tmp_path, monkeypatch,
+                                             capsys, stage):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("cannot allocate")
+
+        from qstream import optics, propagators
+        module, name, text = {
+            "propagate": (propagators, "propagate", QUICK_MATTER),
+            "fresnel": (optics, "fresnel_propagate", QUICK_OPTICS)}[stage]
+        monkeypatch.setattr(module, name, out_of_memory)
+        path = tmp_path / "s.cfg"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out-dir", str(out)]) == 4
+        m = json.loads((out / "manifest.json").read_text())
+        assert m["failure_kind"] == "numeric"
+        assert m["stages"][-1]["name"] == stage
+        assert m["stages"][-1]["status"] == "failed"
+        assert m["stages"][-1]["error"] == "MemoryError: cannot allocate"
+        assert "MemoryError" in capsys.readouterr().err
+
     def test_required_checks_override(self, tmp_path):
         cfg = parse_scenario(QUICK_MATTER)
         art = run_scenario(cfg, out_dir=str(tmp_path / "out"),
@@ -520,6 +553,16 @@ class TestCli:
         path = tmp_path / "s.cfg"
         path.write_text("gibberish\n")
         assert cli.main(["run", str(path)]) == 2
+
+    @pytest.mark.parametrize("case", sorted(UNREADABLE))
+    def test_unreadable_file_exit_code(self, tmp_path, capsys, case):
+        path = tmp_path / "s.cfg"
+        UNREADABLE[case](path)
+        assert cli.main(["validate", str(path)]) == 2
+        assert cli.main(["run", str(path), "--out-dir",
+                         str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+        assert "error" in capsys.readouterr().err
 
 
 def test_initial_state_superposition_normalized():
