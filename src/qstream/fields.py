@@ -13,8 +13,10 @@ singular or undefined there and get flagged invalid instead of evaluated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+import scipy.fft as sfft
 
 from .errors import AllBelowThreshold, NegativeDensity, NotNormalized
 
@@ -39,13 +41,17 @@ class GridSpec:
     def dx(self) -> float:
         return (self.x_max - self.x_min) / (self.n_points - 1)
 
-    @property
+    @cached_property
     def x(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.n_points)
+        """The grid points, built on first use; read-only, as every
+        access returns the same array."""
+        x = np.linspace(self.x_min, self.x_max, self.n_points)
+        x.flags.writeable = False
+        return x
 
     def wavenumbers(self) -> np.ndarray:
         """FFT wavenumbers matching the grid (treats the box as periodic)."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.dx)
+        return 2.0 * np.pi * sfft.fftfreq(self.n_points, d=self.dx)
 
 
 def cubic_weights(f: np.ndarray):
@@ -148,7 +154,7 @@ def derivative(values: np.ndarray, dx: float, order: int = 1) -> np.ndarray:
 def spectral_derivative(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """FFT derivative; only valid for fields negligible at the box edges."""
     k = grid.wavenumbers()
-    return np.fft.ifft(1j * k * np.fft.fft(values))
+    return sfft.ifft(1j * k * sfft.fft(values))
 
 
 def norm(psi: ComplexField) -> float:
@@ -159,13 +165,14 @@ def norm(psi: ComplexField) -> float:
 def _unwrap_phase(raw: np.ndarray, valid: np.ndarray, i0: int) -> np.ndarray:
     """Sequentially unwrap raw phases outward from index i0.
 
-    A +-2*pi*n correction accumulates only across steps joining two valid
-    points; across sub-threshold gaps the accumulated offset is carried
+    Each step d between neighbours is wrapped into [-pi, pi] as
+    d - 2 pi round(d / 2 pi), in real arithmetic; the correction
+    -2 pi round(d / 2 pi) accumulates only across steps joining two valid
+    points, and across sub-threshold gaps the accumulated offset is carried
     through unchanged.
     """
     diff = np.diff(raw)
-    wrapped = np.angle(np.exp(1j * diff))
-    corr = wrapped - diff
+    corr = (-2.0 * np.pi) * np.round(diff / (2.0 * np.pi))
     corr[~(valid[:-1] & valid[1:])] = 0.0
     offset = np.zeros_like(raw)
     offset[i0 + 1:] = np.cumsum(corr[i0:])
@@ -235,7 +242,7 @@ def quantum_potential(psi: ComplexField, constants: PhysicalConstants,
 def kinetic_energy(psi: ComplexField, constants: PhysicalConstants) -> float:
     """<T> via the spectral Laplacian."""
     k = psi.grid.wavenumbers()
-    lap = np.fft.ifft(-(k ** 2) * np.fft.fft(psi.values))
+    lap = sfft.ifft(-(k ** 2) * sfft.fft(psi.values))
     T = -constants.hbar ** 2 / (2.0 * constants.mass)
     integrand = np.conj(psi.values) * T * lap
     return float(np.real(np.trapezoid(integrand, dx=psi.grid.dx)))

@@ -347,6 +347,14 @@ def _flow(sampler, x, z, stag_eps):
     return vx, vz, bad
 
 
+def default_ds(scene: OpticalScene, z_bounds: tuple) -> float:
+    """Default photon-path step: half the larger of the transverse grid
+    step and the mean plane gap over z_bounds."""
+    zlo, zhi = z_bounds
+    return 0.5 * max(scene.transverse_grid.dx,
+                     (zhi - zlo) / max(len(scene.z_planes) - 1, 1))
+
+
 def photon_path_bundle(x0s, z0: float, sampler, ds: float = None,
                        max_steps: int = 200000, stag_eps: float = 1e-9):
     """RK4 integration of dr/ds = S/(cU) for an ensemble of start points.
@@ -362,8 +370,7 @@ def photon_path_bundle(x0s, z0: float, sampler, ds: float = None,
     if np.any((x0s < xlo) | (x0s > xhi)) or not zlo <= z0 <= zhi:
         raise LeftDomain("path start outside the field domain")
     if ds is None:
-        ds = 0.5 * max(sampler.scene.transverse_grid.dx,
-                       (zhi - zlo) / max(len(sampler.scene.z_planes) - 1, 1))
+        ds = default_ds(sampler.scene, sampler.z_bounds)
     if not ds > 0:
         raise ValueError("ds must be > 0")
     x = x0s.copy()

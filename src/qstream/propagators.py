@@ -10,8 +10,13 @@ kostin             nonlinear friction potential gamma (S - <S>) built from
 
 The models differ only in the kinetic scale, the potential scale and the
 extra potential handed to one symmetric split step (half potential, full
-kinetic in spectral space, half potential), so the gamma = 0 dissipative
-models reproduce the standard model bit for bit.
+kinetic in spectral space, half potential).  Each phase factor is built
+once per run whenever its coefficient is constant: the kinetic factor for
+the standard and Kostin models and the half-potential factor for the
+standard model; at gamma = 0 both dissipative models take the standard
+path, so they reproduce it bit for bit and Kostin builds no friction
+potential.  Caldirola-Kanai with gamma > 0 rebuilds both factors every
+step, because both scales change.  The transforms are scipy.fft.
 
 Closed-form Gaussian solutions for free and harmonic potentials serve as
 the numerical ground truth; the classical Caldirola-Kanai path, with its
@@ -24,6 +29,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+import scipy.fft as sfft
 
 from . import fields as qf
 from .errors import PhaseUndefined, StabilityViolation, UnsupportedPotential
@@ -114,15 +120,21 @@ def rate_factor(config: PropagatorConfig, t: float) -> float:
     return 1.0
 
 
-def _split_step(values: np.ndarray, V_eff: np.ndarray, kin_phase: np.ndarray,
-                dt: float, constants: PhysicalConstants,
-                kinetic_scale: float = 1.0) -> np.ndarray:
-    """Symmetric split step: half potential, full kinetic, half potential."""
-    half_V = np.exp(-0.5j * V_eff * dt / constants.hbar)
-    kin = np.exp(kin_phase * kinetic_scale * dt / constants.mass)
-    out = half_V * values
-    out = np.fft.ifft(kin * np.fft.fft(out))
-    return half_V * out
+def _phase_factor(phase: np.ndarray) -> np.ndarray:
+    """exp(i phase) of a real array."""
+    return np.exp(1j * phase)
+
+
+def _split_step(values: np.ndarray, half_V: np.ndarray,
+                kinetic: np.ndarray) -> np.ndarray:
+    """Symmetric split step with the phase factors half_V = exp(-i V dt/2
+    hbar) and kinetic = exp(-i hbar k^2 dt/2m): half potential, full
+    kinetic, half potential."""
+    out = sfft.fft(half_V * values, overwrite_x=True)
+    out *= kinetic
+    out = sfft.ifft(out, overwrite_x=True)
+    out *= half_V
+    return out
 
 
 def _friction_potential(psi: ComplexField, config: PropagatorConfig) -> np.ndarray:
@@ -143,33 +155,51 @@ def _friction_potential(psi: ComplexField, config: PropagatorConfig) -> np.ndarr
 
 
 def _stepper(grid: GridSpec, config: PropagatorConfig):
-    """The configured model's time step as a psi -> psi function; V and
-    the kinetic phase -0.5j hbar k^2 are built once, here."""
+    """The configured model's time step as a psi -> psi function.  V and
+    every phase factor with a constant coefficient are built once, here."""
     c, dt, gamma = config.constants, config.dt, config.gamma
     V = config.potential.evaluate(grid, c)
-    kin_phase = -0.5j * c.hbar * grid.wavenumbers() ** 2
+    k2 = grid.wavenumbers() ** 2
 
-    def advance(psi: ComplexField) -> ComplexField:
-        t_mid, t_next = psi.time + 0.5 * dt, psi.time + dt
-        V_eff = V
-        if config.model == "caldirola_kanai":
-            if gamma > 0 and t_next > config.t_final + 0.5 * dt:
+    def kinetic(scale):
+        return _phase_factor((-0.5 * c.hbar * scale * dt / c.mass) * k2)
+
+    def half_potential(V_eff):
+        return _phase_factor((-0.5 * dt / c.hbar) * V_eff)
+
+    if config.model == "caldirola_kanai" and gamma > 0:
+        def advance(psi: ComplexField) -> ComplexField:
+            t_mid, t_next = psi.time + 0.5 * dt, psi.time + dt
+            if t_next > config.t_final + 0.5 * dt:
                 raise StabilityViolation("stepping past the declared t_final")
-            V_eff = math.exp(gamma * t_mid) * V
-        elif config.model == "kostin":
+            values = _split_step(psi.values,
+                                 half_potential(math.exp(gamma * t_mid) * V),
+                                 kinetic(math.exp(-gamma * t_mid)))
+            return ComplexField(grid, values, t_next)
+        return advance
+
+    kin = kinetic(1.0)
+    if config.model == "kostin" and gamma > 0:
+        def advance(psi: ComplexField) -> ComplexField:
+            t_next = psi.time + dt
             # predictor-corrector: the friction potential at the step start,
             # then averaged with its value after a trial step
             try:
                 W0 = _friction_potential(psi, config)
             except qf.AllBelowThreshold as exc:
                 raise PhaseUndefined(str(exc)) from exc
-            trial = _split_step(psi.values, V + W0, kin_phase, dt, c)
+            trial = _split_step(psi.values, half_potential(V + W0), kin)
             W1 = _friction_potential(ComplexField(grid, trial, t_next), config)
-            V_eff = V + 0.5 * (W0 + W1)
-        values = _split_step(psi.values, V_eff, kin_phase, dt, c,
-                             rate_factor(config, t_mid))
-        return ComplexField(grid, values, t_next)
+            values = _split_step(psi.values,
+                                 half_potential(V + 0.5 * (W0 + W1)), kin)
+            return ComplexField(grid, values, t_next)
+        return advance
 
+    half_V = half_potential(V)
+
+    def advance(psi: ComplexField) -> ComplexField:
+        return ComplexField(grid, _split_step(psi.values, half_V, kin),
+                            psi.time + dt)
     return advance
 
 
@@ -195,7 +225,8 @@ def physical_energy(psi: ComplexField, config: PropagatorConfig) -> float:
 
 @dataclass
 class PropagationRun:
-    """Snapshots plus the per-step norm / centroid / width / energy series."""
+    """Snapshots plus the per-step norm / centroid / width / energy series,
+    and the number of time steps taken."""
 
     config: PropagatorConfig
     snapshots: list
@@ -204,6 +235,7 @@ class PropagationRun:
     x_means: np.ndarray
     sigmas: np.ndarray
     energies: np.ndarray
+    steps: int = 0
 
     def write_series(self, path) -> None:
         lines = ["# t norm x_mean sigma energy"] + qf.format_rows(
@@ -245,7 +277,8 @@ def propagate(psi0: ComplexField, config: PropagatorConfig, t_final: float,
         if i % snapshot_every == 0 or i == n_steps:
             snapshots.append(psi)
     cols = list(zip(*series))
-    return PropagationRun(config, snapshots, *(np.asarray(c) for c in cols))
+    return PropagationRun(config, snapshots, *(np.asarray(c) for c in cols),
+                          steps=n_steps)
 
 
 def analytic_gaussian_oracle(params: dict, config: PropagatorConfig,

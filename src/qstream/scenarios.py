@@ -15,16 +15,20 @@ run.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
 import os
+import platform
 import re
+import resource
 import time as _time
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
+import scipy
 
 from . import fields as qf
 from . import optics as qo
@@ -51,6 +55,18 @@ MAX_OPTICS_WORK = 1e7
 # and 250x its 40 photon paths.
 MAX_TRAJECTORIES = 10_000
 MAX_PATHS = 10_000
+# Memory bounds, checked at validation too.  Trajectory points are
+# trajectories x mesh times, 83x those of kostin-relaxation (20 x 6001), the
+# catalog maximum.  Path points are paths x (z_last - z_start) / ds, 167x
+# those of the two-slit scenes (40 x 150).  Snapshot points are
+# (grid.n_points + SNAPSHOT_OVERHEAD) x stored snapshots, 60x those of fig2c
+# (32768 points x 101 snapshots).  The overhead stands for the Python objects
+# of each stored snapshot and series row, 0.5-0.8 KiB measured at 8 points,
+# counted as 64 complex values (1 KiB).
+MAX_TRAJECTORY_POINTS = 1e7
+MAX_PATH_POINTS = 1e6
+MAX_SNAPSHOT_POINTS = 2e8
+SNAPSHOT_OVERHEAD = 64
 
 # value converters ---------------------------------------------------------
 
@@ -213,7 +229,7 @@ def _check_work(key, work, bound):
     except (OverflowError, ValueError):
         ok = False
     if not ok:
-        raise ValidationError(key, f"exceeds the work bound {bound:g}")
+        raise ValidationError(key, f"exceeds the bound {bound:g}")
 
 
 @dataclass(frozen=True)
@@ -296,6 +312,11 @@ class MatterScenario(_Scenario):
         _check_work("grid.n_points * time steps",
                     lambda: grid.n_points * max((t_final - t0) / dt, 1),
                     MAX_MATTER_WORK)
+        # propagate stores every snapshot_every-th step, the first and the last
+        _check_work("grid.n_points * stored snapshots",
+                    lambda: (grid.n_points + SNAPSHOT_OVERHEAD) * (math.ceil(
+                        round((t_final - t0) / dt) / snapshot_every) + 1),
+                    MAX_SNAPSHOT_POINTS)
         packets = []
         for section in _numbered_sections(order, "packet"):
             packets.append({
@@ -326,6 +347,11 @@ class MatterScenario(_Scenario):
                                   f"<= {MAX_TRAJECTORIES}")
         if ensemble["dt_traj"] <= 0:
             raise ValidationError("ensemble.dt_traj", "must be > 0")
+        if ensemble["n_trajectories"]:
+            _check_work("ensemble.n_trajectories * mesh times",
+                        lambda: ensemble["n_trajectories"] * (
+                            (t_final - t0) / ensemble["dt_traj"] + 1),
+                        MAX_TRAJECTORY_POINTS)
         checks = {
             "required": r.get(("checks", "required"), ()),
             "norm_tol": r.get(("checks", "norm_tol"), 1e-8),
@@ -343,22 +369,22 @@ class MatterScenario(_Scenario):
                    packets=tuple(packets), ensemble=ensemble)
 
     def _run(self, out_dir, required, manifest, files):
-        st = _stage(manifest, "propagate")
-        psi0 = initial_state(self)
-        run = qp.propagate(psi0, propagator_config(self), self.t_final,
-                           snapshot_every=self.snapshot_every)
-        p = os.path.join(out_dir, "series.txt")
-        run.write_series(p)
-        files.append(p)
-        for tag, snap in (("initial", run.snapshots[0]),
-                          ("final", run.snapshots[-1])):
-            p = os.path.join(out_dir, f"snapshot_{tag}.txt")
-            qf.write_snapshot(p, snap, self.constants, self.model)
+        with _stage(manifest, "propagate") as st:
+            psi0 = initial_state(self)
+            run = qp.propagate(psi0, propagator_config(self), self.t_final,
+                               snapshot_every=self.snapshot_every)
+            st["steps"] = run.steps
+            p = os.path.join(out_dir, "series.txt")
+            run.write_series(p)
             files.append(p)
-        manifest["norm_drift"] = float(np.max(np.abs(run.norms - 1.0)))
-        manifest["energy_initial"] = float(run.energies[0])
-        manifest["energy_final"] = float(run.energies[-1])
-        st["status"] = "ok"
+            for tag, snap in (("initial", run.snapshots[0]),
+                              ("final", run.snapshots[-1])):
+                p = os.path.join(out_dir, f"snapshot_{tag}.txt")
+                qf.write_snapshot(p, snap, self.constants, self.model)
+                files.append(p)
+            manifest["norm_drift"] = float(np.max(np.abs(run.norms - 1.0)))
+            manifest["energy_initial"] = float(run.energies[0])
+            manifest["energy_final"] = float(run.energies[-1])
 
         _record_check(manifest, "norm_drift", manifest["norm_drift"],
                       self.checks["norm_tol"],
@@ -367,29 +393,31 @@ class MatterScenario(_Scenario):
 
         n_traj = self.ensemble["n_trajectories"]
         if n_traj > 0 and self.t_final > self.t0:
-            st = _stage(manifest, "trajectories")
-            rho0 = np.abs(run.snapshots[0].values) ** 2
-            ens = qt.sample_initial_positions(rho0, self.grid, n_traj,
-                                              scheme=self.ensemble["scheme"])
-            bundle = qt.integrate_bundle(ens, run, self.ensemble["dt_traj"])
-            p = os.path.join(out_dir, "bundle.txt")
-            qt.write_bundle(p, bundle, metadata={
-                "scenario": self.name, "model": self.model,
-                "scheme": self.ensemble["scheme"]})
-            files.append(p)
-            report = qt.check_non_crossing(bundle)
-            manifest["non_crossing"] = {
-                "ok": bool(report.ok), "min_gap": float(report.min_gap)}
-            manifest["trajectory_errors"] = [list(e) for e in bundle.errors]
-            _record_check(manifest, "non_crossing", float(report.min_gap),
-                          0.0, bool(report.ok) and not bundle.errors,
-                          required)
-            if not bundle.errors:
-                tubes = qt.tube_probability(bundle, run)
-                dev = float(np.max(np.abs(tubes - tubes[:, :1])))
-                _record_check(manifest, "tube", dev, self.checks["tube_tol"],
-                              dev < self.checks["tube_tol"], required)
-            st["status"] = "ok"
+            with _stage(manifest, "trajectories"):
+                rho0 = np.abs(run.snapshots[0].values) ** 2
+                ens = qt.sample_initial_positions(
+                    rho0, self.grid, n_traj, scheme=self.ensemble["scheme"])
+                bundle = qt.integrate_bundle(ens, run,
+                                             self.ensemble["dt_traj"])
+                p = os.path.join(out_dir, "bundle.txt")
+                qt.write_bundle(p, bundle, metadata={
+                    "scenario": self.name, "model": self.model,
+                    "scheme": self.ensemble["scheme"]})
+                files.append(p)
+                report = qt.check_non_crossing(bundle)
+                manifest["non_crossing"] = {
+                    "ok": bool(report.ok), "min_gap": float(report.min_gap)}
+                manifest["trajectory_errors"] = [list(e)
+                                                 for e in bundle.errors]
+                _record_check(manifest, "non_crossing",
+                              float(report.min_gap), 0.0,
+                              bool(report.ok) and not bundle.errors, required)
+                if not bundle.errors:
+                    tubes = qt.tube_probability(bundle, run)
+                    dev = float(np.max(np.abs(tubes - tubes[:, :1])))
+                    _record_check(manifest, "tube", dev,
+                                  self.checks["tube_tol"],
+                                  dev < self.checks["tube_tol"], required)
 
 
 @dataclass(frozen=True)
@@ -446,6 +474,12 @@ class OpticsScenario(_Scenario):
                 "paths.z_start", "must lie between the first and last z plane")
         if paths["ds"] is not None and paths["ds"] <= 0:
             raise ValidationError("paths.ds", "must be > 0")
+        if paths["n_paths"]:
+            z = scene.z_planes
+            ds = paths["ds"] or qo.default_ds(scene, (z[0], z[-1]))
+            _check_work("paths.n_paths * path steps",
+                        lambda: paths["n_paths"] * (z[-1] - paths["z_start"])
+                        / ds, MAX_PATH_POINTS)
         source_dx = r.get(("quadrature", "source_dx"))
         if source_dx is not None and source_dx <= 0:
             raise ValidationError("quadrature.source_dx", "must be > 0")
@@ -460,32 +494,33 @@ class OpticsScenario(_Scenario):
 
     def _run(self, out_dir, required, manifest, files):
         scene = self.scene
-        st = _stage(manifest, "fresnel")
-        field2d = qo.fresnel_propagate(scene, source_dx=self.source_dx)
-        pf = qo.PoyntingField(field2d)
-        for i, z in enumerate(scene.z_planes):
-            kx = qo.transverse_momentum(pf.Sx[i], pf.Sz[i], pf.U[i])
-            p = os.path.join(out_dir, f"plane_{i:03d}.txt")
-            qo.write_plane_profile(p, scene, z, field2d.psi[i], pf.U[i],
-                                   pf.Sx[i], pf.Sz[i], kx)
-            files.append(p)
-        st["status"] = "ok"
+        with _stage(manifest, "fresnel"):
+            field2d = qo.fresnel_propagate(scene, source_dx=self.source_dx)
+            pf = qo.PoyntingField(field2d)
+            for i, z in enumerate(scene.z_planes):
+                kx = qo.transverse_momentum(pf.Sx[i], pf.Sz[i], pf.U[i])
+                p = os.path.join(out_dir, f"plane_{i:03d}.txt")
+                qo.write_plane_profile(p, scene, z, field2d.psi[i], pf.U[i],
+                                       pf.Sx[i], pf.Sz[i], kx)
+                files.append(p)
 
         n_paths = self.paths["n_paths"]
         if n_paths > 0:
-            st = _stage(manifest, "paths")
-            x0s = _launch_positions(scene, n_paths)
-            z0 = self.paths["z_start"]
-            paths = qo.photon_path_bundle(x0s, z0, pf, ds=self.paths["ds"])
-            p = os.path.join(out_dir, "paths.txt")
-            qo.write_paths(p, paths, metadata={"scenario": self.name,
-                                               "z_start": z0})
-            files.append(p)
-            ok, min_gap = _path_non_crossing(paths, z0, scene.z_planes[-1])
-            manifest["paths_non_crossing"] = {"ok": ok, "min_gap": min_gap}
-            _record_check(manifest, "paths_non_crossing", min_gap, 0.0, ok,
-                          required)
-            st["status"] = "ok"
+            with _stage(manifest, "paths"):
+                x0s = _launch_positions(scene, n_paths)
+                z0 = self.paths["z_start"]
+                paths = qo.photon_path_bundle(x0s, z0, pf,
+                                              ds=self.paths["ds"])
+                p = os.path.join(out_dir, "paths.txt")
+                qo.write_paths(p, paths, metadata={"scenario": self.name,
+                                                   "z_start": z0})
+                files.append(p)
+                ok, min_gap = _path_non_crossing(paths, z0,
+                                                 scene.z_planes[-1])
+                manifest["paths_non_crossing"] = {"ok": ok,
+                                                  "min_gap": min_gap}
+                _record_check(manifest, "paths_non_crossing", min_gap, 0.0,
+                              ok, required)
 
 
 _KINDS = {cls.kind: cls for cls in (MatterScenario, OpticsScenario)}
@@ -741,11 +776,19 @@ def propagator_config(config: MatterScenario) -> PropagatorConfig:
                             dt=config.dt, t_final=t_final)
 
 
+@contextlib.contextmanager
 def _stage(manifest, name):
-    """Append a running stage entry to the manifest and return it."""
-    manifest["stages"].append({"name": name, "status": "running",
-                               "error": None})
-    return manifest["stages"][-1]
+    """Append a running stage entry to the manifest and yield it; it turns
+    "ok" when the block completes, and records its wall time either way."""
+    entry = {"name": name, "status": "running", "error": None,
+             "wall_time_s": None}
+    manifest["stages"].append(entry)
+    start = _time.perf_counter()
+    try:
+        yield entry
+    finally:
+        entry["wall_time_s"] = _time.perf_counter() - start
+    entry["status"] = "ok"
 
 
 def _path_non_crossing(paths, z_lo, z_hi):
@@ -828,6 +871,12 @@ def run_scenario(config: MatterScenario | OpticsScenario, out_dir=None,
             manifest["failure_kind"] = "check"
             manifest["failed_checks"] = failed
     manifest["wall_time_s"] = _time.perf_counter() - start
+    # ru_maxrss is in KiB on Linux
+    manifest["peak_rss_mib"] = (
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
+    manifest["versions"] = {"numpy": np.__version__,
+                            "scipy": scipy.__version__,
+                            "python": platform.python_version()}
     manifest["files"] = [os.path.basename(f) for f in files]
     # write a temporary file and rename it over the manifest, so that an
     # interrupted run never leaves a truncated manifest.json behind

@@ -10,8 +10,9 @@ from qstream import (ComplexField, GridSpec, PhysicalConstants,
                      polar_decompose, probability_current, quantum_potential,
                      velocity_field)
 from qstream.errors import (AllBelowThreshold, NegativeDensity, NotNormalized)
-from qstream.fields import (derivative, format_rows, kinetic_energy,
-                            node_mask, position_spread, write_snapshot)
+from qstream.fields import (_unwrap_phase, derivative, format_rows,
+                            kinetic_energy, node_mask, position_spread,
+                            write_snapshot)
 
 from conftest import max_abs, sym_grid
 
@@ -38,6 +39,22 @@ class TestGridSpec:
         g = GridSpec(0.0, 1.0, 16)
         assert np.allclose(g.wavenumbers(),
                            2 * np.pi * np.fft.fftfreq(16, d=g.dx))
+
+    def test_points_cached_read_only(self):
+        g = GridSpec(-3.0, 5.0, 101)
+        x = g.x
+        assert np.array_equal(x, np.linspace(-3.0, 5.0, 101))
+        assert g.x is x
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 1.0
+
+    def test_cached_points_leave_equality_and_hash(self):
+        a, b = GridSpec(-3.0, 5.0, 101), GridSpec(-3.0, 5.0, 101)
+        a.x  # cache the points on one side only
+        assert a == b and hash(a) == hash(b)
+        assert a != GridSpec(-3.0, 5.0, 102)
+        assert {a: 1}[b] == 1
 
 
 class TestComplexField:
@@ -89,6 +106,36 @@ class TestPolarDecompose:
         g = sym_grid(1, 64)
         with pytest.raises(AllBelowThreshold):
             polar_decompose(ComplexField(g, np.zeros(64, dtype=complex)), C)
+
+
+def _unwrap_phase_oracle(raw, valid, i0):
+    """The complex-exponential form _unwrap_phase replaces, kept as its
+    oracle: each step wrapped with angle(exp(i d))."""
+    diff = np.diff(raw)
+    corr = np.angle(np.exp(1j * diff)) - diff
+    corr[~(valid[:-1] & valid[1:])] = 0.0
+    offset = np.zeros_like(raw)
+    offset[i0 + 1:] = np.cumsum(corr[i0:])
+    offset[:i0] = -np.cumsum(corr[:i0][::-1])[::-1]
+    return raw + offset
+
+
+class TestUnwrapPhase:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_complex_exponential_form(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 2000
+        smooth = np.cumsum(rng.uniform(-3.0, 3.0, n))
+        for raw in (np.angle(np.exp(1j * smooth)),
+                    rng.uniform(-np.pi, np.pi, n)):
+            valid = np.ones(n, dtype=bool)
+            for start in rng.integers(0, n - 40, 8):  # sub-threshold gaps
+                valid[start:start + rng.integers(1, 40)] = False
+            i0 = int(rng.choice(np.flatnonzero(valid)))
+            out = _unwrap_phase(raw, valid, i0)
+            assert out[i0] == raw[i0]
+            assert max_abs(out - _unwrap_phase_oracle(raw, valid, i0)) \
+                <= 1e-12
 
 
 class TestPolarCompose:

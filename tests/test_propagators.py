@@ -12,11 +12,11 @@ from qstream import (ClassicalCKState, ComplexField, PhysicalConstants,
                      step)
 from qstream.errors import (PhaseUndefined, StabilityViolation,
                             UnsupportedPotential)
-from qstream.fields import norm, position_spread
-from qstream.propagators import (_friction_potential, _split_step,
-                                 check_stability, classical_ck_energy,
-                                 damped_oscillator, free_gaussian_width,
-                                 physical_energy)
+from qstream.fields import node_mask, norm, position_spread
+from qstream.propagators import (_friction_potential, _phase_factor,
+                                 _split_step, check_stability,
+                                 classical_ck_energy, damped_oscillator,
+                                 free_gaussian_width, physical_energy)
 
 from conftest import max_abs, sym_grid
 
@@ -88,10 +88,13 @@ class TestStandardStepper:
     def test_single_step_reversible(self):
         g = sym_grid(10, 512)
         psi = gaussian_packet(g, C, 1.0, p0=1.0)
-        V = HARMONIC.evaluate(g, C)
-        kin_phase = -0.5j * C.hbar * g.wavenumbers() ** 2
-        fwd = _split_step(psi.values, V, kin_phase, 1e-3, C)
-        back = _split_step(fwd, V, kin_phase, -1e-3, C)
+        dt = 1e-3
+        half_V = _phase_factor(-0.5 * dt / C.hbar * HARMONIC.evaluate(g, C))
+        kin = _phase_factor(-0.5 * C.hbar * dt / C.mass
+                            * g.wavenumbers() ** 2)
+        fwd = _split_step(psi.values, half_V, kin)
+        # the conjugate factors are the step with -dt
+        back = _split_step(fwd, half_V.conj(), kin.conj())
         assert max_abs(back - psi.values) < 1e-9
 
     def test_norm_drift_per_step(self):
@@ -291,6 +294,83 @@ class TestPropagate:
                 if not ln.startswith("#")]
         assert len(rows) == len(run.times)
         assert len(rows[0].split()) == 5
+
+
+# per-step oracle of the cached plan -----------------------------------------
+
+def _reference_friction(values, grid, config):
+    """Kostin's gamma (S - <S>) with the phase unwrapped through
+    angle(exp(i d)), as before the real-arithmetic unwrap."""
+    rho = np.abs(values) ** 2
+    valid = node_mask(rho)
+    raw = np.angle(values)
+    diff = np.diff(raw)
+    corr = np.angle(np.exp(1j * diff)) - diff
+    corr[~(valid[:-1] & valid[1:])] = 0.0
+    offset = np.zeros_like(raw)
+    i0 = int(np.argmax(rho))
+    offset[i0 + 1:] = np.cumsum(corr[i0:])
+    offset[:i0] = -np.cumsum(corr[:i0][::-1])[::-1]
+    S = config.constants.hbar * (raw + offset)
+    if not valid.all():
+        x = np.linspace(grid.x_min, grid.x_max, grid.n_points)
+        S = np.interp(x, x[valid], S[valid])
+    rho = rho / np.trapezoid(rho, dx=grid.dx)
+    return config.gamma * (S - np.trapezoid(rho * S, dx=grid.dx))
+
+
+def _reference_step(values, t, grid, config):
+    """One step of the configured model as the split step computed it
+    before the cached plan: numpy.fft, and both complex exponentials built
+    from the model's coefficients on every step."""
+    c, dt, gamma = config.constants, config.dt, config.gamma
+    V = config.potential.evaluate(grid, c)
+    kin_phase = -0.5j * c.hbar * (2.0 * np.pi
+                                  * np.fft.fftfreq(grid.n_points, grid.dx)) ** 2
+
+    def split(vals, V_eff, scale=1.0):
+        half_V = np.exp(-0.5j * V_eff * dt / c.hbar)
+        kin = np.exp(kin_phase * scale * dt / c.mass)
+        return half_V * np.fft.ifft(kin * np.fft.fft(half_V * vals))
+
+    t_mid = t + 0.5 * dt
+    if config.model == "caldirola_kanai":
+        return split(values, math.exp(gamma * t_mid) * V,
+                     math.exp(-gamma * t_mid))
+    if config.model == "kostin":
+        W0 = _reference_friction(values, grid, config)
+        W1 = _reference_friction(split(values, V + W0), grid, config)
+        return split(values, V + 0.5 * (W0 + W1))
+    return split(values, V)
+
+
+ORACLE_CASES = {
+    "standard": dict(model="standard"),
+    "ck-gamma0": dict(model="caldirola_kanai"),
+    "ck-gamma0.3": dict(model="caldirola_kanai", gamma=0.3, t_final=1.0),
+    "kostin-gamma0": dict(model="kostin"),
+    "kostin-gamma0.3": dict(model="kostin", gamma=0.3),
+}
+
+
+class TestCachedPlanOracle:
+    """The cached phase factors, scipy.fft and the real-arithmetic unwrap
+    against the per-step formulas they replace: 200 steps at n = 512."""
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_propagate_and_step_match_per_step_formulas(self, case):
+        g = sym_grid(8, 512)
+        cfg = PropagatorConfig(potential=HARMONIC, dt=5e-3,
+                               **ORACLE_CASES[case])
+        psi0 = gaussian_packet(g, C, math.sqrt(0.5), x0=1.0, p0=0.5)
+        run = propagate(psi0, cfg, 1.0, snapshot_every=1)
+        assert len(run.snapshots) == 201
+        ref, psi = psi0.values, psi0
+        for snap in run.snapshots[1:]:
+            ref = _reference_step(ref, psi.time, g, cfg)
+            psi = step(psi, cfg)
+            assert max_abs(snap.values - ref) <= 1e-12
+            assert max_abs(psi.values - ref) <= 1e-12
 
 
 # closed-form oracle --------------------------------------------------------

@@ -5,11 +5,14 @@ import dataclasses
 import json
 import math
 import os
+import platform
+import re
 import sys
 import types
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qstream import cli, scenarios
@@ -107,6 +110,28 @@ BAD_NUMBERS = {
                      "paths.n_paths = 1000000000000"),
     "n_trajectories-huge": (QUICK_MATTER, "ensemble.n_trajectories = 6",
                             "ensemble.n_trajectories = 1000000000000"),
+    # memory bounds: each count passes alone, the product is far too large
+    "path-points-huge": (
+        QUICK_OPTICS.replace("paths.n_paths = 4", "paths.n_paths = 10000"),
+        "paths.ds = 0.1 m", "paths.ds = 1e-12 m"),
+    "path-points-default-ds": (
+        QUICK_OPTICS.replace("paths.n_paths = 4", "paths.n_paths = 10000")
+        .replace("paths.ds = 0.1 m\n", ""),
+        "0.5 : 2.0 : 4", "0.5 : 2.0 : 10000"),
+    "trajectory-points-huge": (QUICK_MATTER, "ensemble.dt_traj = 0.05",
+                               "ensemble.dt_traj = 1e-12"),
+    "snapshot-points-huge": (
+        QUICK_MATTER.replace("grid.n_points = 256", "grid.n_points = 8")
+        .replace("time.snapshot_every = 5", "time.snapshot_every = 1")
+        .replace("ensemble.dt_traj = 0.05", "ensemble.dt_traj = 1e-3"),
+        "time.t_final = 0.5", "time.t_final = 1e6"),
+}
+# the product each memory-bound case exceeds
+MEMORY_BOUND_KEYS = {
+    "path-points-huge": "paths.n_paths * path steps",
+    "path-points-default-ds": "paths.n_paths * path steps",
+    "trajectory-points-huge": "ensemble.n_trajectories * mesh times",
+    "snapshot-points-huge": "grid.n_points * stored snapshots",
 }
 
 # Files that cannot be read as scenario text: each must exit 2, not 1.
@@ -241,6 +266,14 @@ class TestParser:
         with pytest.raises(ValidationError):
             parse_scenario(bad_number_text(case))
 
+    @pytest.mark.parametrize("case", sorted(MEMORY_BOUND_KEYS))
+    def test_memory_bound_names_its_product(self, case):
+        base = BAD_NUMBERS[case][0]
+        parse_scenario(base)  # valid until the last value is replaced
+        with pytest.raises(ValidationError,
+                           match=re.escape(MEMORY_BOUND_KEYS[case])):
+            parse_scenario(bad_number_text(case))
+
     def test_window_sigmas_scales_sigma(self):
         cfg = parse_scenario(QUICK_OPTICS + "slit1.window_sigmas = 1.5\n")
         assert cfg.scene.slits[0].window_halfwidth == pytest.approx(
@@ -283,8 +316,11 @@ def _load_workloads():
 
 @pytest.fixture
 def fiftieth_of_work_bounds(monkeypatch):
-    """Divide both work bounds by 50: what validates then has 50x headroom."""
-    for name in ("MAX_MATTER_WORK", "MAX_OPTICS_WORK"):
+    """Divide the work and memory bounds by 50: what validates then has 50x
+    headroom."""
+    for name in ("MAX_MATTER_WORK", "MAX_OPTICS_WORK",
+                 "MAX_TRAJECTORY_POINTS", "MAX_PATH_POINTS",
+                 "MAX_SNAPSHOT_POINTS"):
         monkeypatch.setattr(scenarios, name, getattr(scenarios, name) / 50)
 
 
@@ -348,6 +384,56 @@ def test_validate_is_total_and_round_trips(tmp_path, text):
     again = parse_scenario(cfg.to_text())
     assert again.entries == cfg.entries
     assert again.sha256() == cfg.sha256()
+
+
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+_WORDS = ("standard", "caldirola_kanai", "kostin", "free", "harmonic",
+          "quantile", "equal_spacing", "norm_drift non_crossing tube",
+          "paths_non_crossing", "matter_wave", "optics")
+_SPECIALS = ("nan", "inf", "-inf", "0", "-1", "1e-300", "1e300", "0 mm",
+             "-2 mm", "0.5 m 0.5 m", "2.0 : 0.5 : 4")
+
+
+def _scaled(value, factor):
+    """value with every number in it multiplied by factor (integers stay
+    integers), so that a drawn run is never much larger than its base."""
+    def scale(m):
+        tok = m.group(0)
+        if re.fullmatch(r"[-+]?\d+", tok):
+            return str(int(round(int(tok) * factor)))
+        return repr(float(tok) * factor)
+    return _NUMBER.sub(scale, value)
+
+
+@st.composite
+def _run_variant(draw):
+    """QUICK_MATTER or QUICK_OPTICS with one value replaced by a scaled
+    copy (factor in [-4, 4]), a special number, a known word or drawn
+    letters; never by a number large enough to make a long run."""
+    text, i = draw(st.sampled_from(_LINES))
+    lines = text.splitlines()
+    key, value = (part.strip() for part in lines[i].split("=", 1))
+    new = draw(st.one_of(
+        st.floats(-4.0, 4.0).map(lambda f: _scaled(value, f)),
+        st.sampled_from(_SPECIALS + _WORDS),
+        st.text(alphabet="abcxyz .:-_", max_size=8)))
+    lines[i] = f"{key} = {new}"
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(text=_run_variant())
+def test_run_exit_code_and_manifest(tmp_path_factory, text):
+    tmp = tmp_path_factory.mktemp("run")
+    path = tmp / "s.cfg"
+    path.write_text(text, encoding="utf-8")
+    out = tmp / "out"
+    code = cli.main(["run", str(path), "--out-dir", str(out)])
+    assert code in (0, 2, 3, 4)
+    if code != 2:
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failure_kind"] == {0: None, 3: "check",
+                                            4: "numeric"}[code]
 
 
 # orchestration -------------------------------------------------------------
@@ -465,6 +551,36 @@ class TestRunScenario:
         assert m["stages"][-1]["status"] == "failed"
         assert m["stages"][-1]["error"] == "MemoryError: cannot allocate"
         assert "MemoryError" in capsys.readouterr().err
+
+    def test_manifest_telemetry(self, tmp_path):
+        runs = ((QUICK_MATTER, ["propagate", "trajectories"]),
+                (QUICK_OPTICS, ["fresnel", "paths"]))
+        for text, stages in runs:
+            out = tmp_path / stages[0]
+            run_scenario(parse_scenario(text), out_dir=str(out))
+            m = json.loads((out / "manifest.json").read_text())
+            assert [s["name"] for s in m["stages"]] == stages
+            times = [s["wall_time_s"] for s in m["stages"]]
+            assert min(times) >= 0.0
+            assert sum(times) <= m["wall_time_s"]
+            assert m["peak_rss_mib"] > 0.0
+            assert m["versions"] == {"numpy": np.__version__,
+                                     "scipy": scipy.__version__,
+                                     "python": platform.python_version()}
+            if stages[0] == "propagate":
+                assert m["stages"][0]["steps"] == 50  # 0.5 / 0.01
+
+    def test_failed_stage_records_wall_time(self, tmp_path):
+        text = QUICK_MATTER.replace("time.dt = 0.01", "time.dt = 5.0") \
+                           .replace("time.t_final = 0.5",
+                                    "time.t_final = 10.0") \
+                           .replace("packet1.sigma0 = 1.0",
+                                    "packet1.sigma0 = 0.05")
+        art = run_scenario(parse_scenario(text),
+                           out_dir=str(tmp_path / "out"))
+        stage = art.manifest["stages"][-1]
+        assert stage["status"] == "failed"
+        assert 0.0 <= stage["wall_time_s"] <= art.manifest["wall_time_s"]
 
     def test_required_checks_override(self, tmp_path):
         cfg = parse_scenario(QUICK_MATTER)
