@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.fft as sfft
 
 from .errors import AllBelowThreshold, NegativeDensity, NotNormalized
 
@@ -51,7 +50,7 @@ class GridSpec:
 
     def wavenumbers(self) -> np.ndarray:
         """FFT wavenumbers matching the grid (treats the box as periodic)."""
-        return 2.0 * np.pi * sfft.fftfreq(self.n_points, d=self.dx)
+        return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.dx)
 
 
 def cubic_weights(f: np.ndarray):
@@ -154,7 +153,7 @@ def derivative(values: np.ndarray, dx: float, order: int = 1) -> np.ndarray:
 def spectral_derivative(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """FFT derivative; only valid for fields negligible at the box edges."""
     k = grid.wavenumbers()
-    return sfft.ifft(1j * k * sfft.fft(values))
+    return np.fft.ifft(1j * k * np.fft.fft(values))
 
 
 def norm(psi: ComplexField) -> float:
@@ -242,7 +241,7 @@ def quantum_potential(psi: ComplexField, constants: PhysicalConstants,
 def kinetic_energy(psi: ComplexField, constants: PhysicalConstants) -> float:
     """<T> via the spectral Laplacian."""
     k = psi.grid.wavenumbers()
-    lap = sfft.ifft(-(k ** 2) * sfft.fft(psi.values))
+    lap = np.fft.ifft(-(k ** 2) * np.fft.fft(psi.values))
     T = -constants.hbar ** 2 / (2.0 * constants.mass)
     integrand = np.conj(psi.values) * T * lap
     return float(np.real(np.trapezoid(integrand, dx=psi.grid.dx)))

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
 
 from .errors import (EmptyScene, LeftDomain, ResolutionViolation,
                      StagnationPoint)
@@ -120,6 +119,18 @@ def source_points(scene: OpticalScene, source_dx: float = None) -> tuple:
     return lo, hi, int(np.ceil((hi - lo) / source_dx))
 
 
+def _fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c 7^d 11^e >= n, pocketfft's fast length for
+    a complex transform (the length SciPy's next_fast_len returns)."""
+    bound = 1 << (n - 1).bit_length()
+    odd = [1]
+    for p in (3, 5, 7, 11):
+        for f in odd[:]:
+            while (f := f * p) < bound:
+                odd.append(f)
+    return min(f << ((n - 1) // f).bit_length() for f in odd)
+
+
 class FresnelEvaluator:
     """Midpoint quadrature of the Fresnel kernel over the aperture support.
 
@@ -185,15 +196,15 @@ class FresnelEvaluator:
         y = grid.x_min - self._centre + m * grid.dx
         u = self.x_src - self._centre
         alpha = k * grid.dx * self._src_dx / z
-        n_fft = next_fast_len(n_x + n_src - 1)
+        n_fft = _fast_len(n_x + n_src - 1)
         chirp = np.zeros(n_fft, dtype=complex)
         chirp[:n_x] = np.exp(0.5j * alpha * m ** 2)
         chirp[n_fft - n_src + 1:] = np.exp(0.5j * alpha * j[:0:-1] ** 2)
         b = self.weights * np.exp(1j * (
             k * (u ** 2 - 2.0 * y[0] * j * self._src_dx) / (2.0 * z)
             - 0.5 * alpha * j ** 2))
-        sums = ifft(fft(np.stack([b, b * u, b * u ** 2]), n_fft)
-                    * fft(chirp))[:, :n_x]
+        spectra = np.fft.fft(np.stack([b, b * u, b * u ** 2]), n_fft)
+        sums = np.fft.ifft(spectra * np.fft.fft(chirp))[:, :n_x]
         s0, s1, s2 = sums * (np.sqrt(k / (2.0 * np.pi * z)) * np.exp(1j * (
             k * y * (y - 2.0 * u[0]) / (2.0 * z) - 0.5 * alpha * m ** 2
             - np.pi / 4.0)))

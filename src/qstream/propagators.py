@@ -16,7 +16,7 @@ the standard and Kostin models and the half-potential factor for the
 standard model; at gamma = 0 both dissipative models take the standard
 path, so they reproduce it bit for bit and Kostin builds no friction
 potential.  Caldirola-Kanai with gamma > 0 rebuilds both factors every
-step, because both scales change.  The transforms are scipy.fft.
+step, because both scales change.  The transforms are numpy.fft.
 
 Closed-form Gaussian solutions for free and harmonic potentials serve as
 the numerical ground truth; the classical Caldirola-Kanai path, with its
@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import scipy.fft as sfft
 
 from . import fields as qf
 from .errors import PhaseUndefined, StabilityViolation, UnsupportedPotential
@@ -129,12 +128,15 @@ def _split_step(values: np.ndarray, half_V: np.ndarray,
                 kinetic: np.ndarray) -> np.ndarray:
     """Symmetric split step with the phase factors half_V = exp(-i V dt/2
     hbar) and kinetic = exp(-i hbar k^2 dt/2m): half potential, full
-    kinetic, half potential."""
-    out = sfft.fft(half_V * values, overwrite_x=True)
-    out *= kinetic
-    out = sfft.ifft(out, overwrite_x=True)
-    out *= half_V
-    return out
+    kinetic, half potential.  Both transforms run in place on the fresh
+    product half_V * values, never on `values`, which stored snapshots
+    share."""
+    buf = half_V * values
+    np.fft.fft(buf, out=buf)
+    buf *= kinetic
+    np.fft.ifft(buf, out=buf)
+    buf *= half_V
+    return buf
 
 
 def _friction_potential(psi: ComplexField, config: PropagatorConfig) -> np.ndarray:

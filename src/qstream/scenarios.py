@@ -67,6 +67,10 @@ MAX_TRAJECTORY_POINTS = 1e7
 MAX_PATH_POINTS = 1e6
 MAX_SNAPSHOT_POINTS = 2e8
 SNAPSHOT_OVERHEAD = 64
+# (t_final - t0) / dt may differ from its whole step count n by at most
+# STEP_TOLERANCE * max(1, n): room for the rounding of the division, none
+# for a t_final between two steps
+STEP_TOLERANCE = 1e-9
 
 # value converters ---------------------------------------------------------
 
@@ -317,6 +321,13 @@ class MatterScenario(_Scenario):
                     lambda: (grid.n_points + SNAPSHOT_OVERHEAD) * (math.ceil(
                         round((t_final - t0) / dt) / snapshot_every) + 1),
                     MAX_SNAPSHOT_POINTS)
+        # propagate takes round(steps) steps: a run must end at t_final, and
+        # a t_final > t0 that rounds to 0 steps would leave no dynamics
+        steps = (t_final - t0) / dt
+        n_steps = round(steps)
+        if abs(steps - n_steps) > STEP_TOLERANCE * max(1, n_steps):
+            raise ValidationError("time", f"(t_final - t0) / dt = {steps!r} "
+                                          "is not a whole number of steps")
         packets = []
         for section in _numbered_sections(order, "packet"):
             packets.append({

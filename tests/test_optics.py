@@ -18,7 +18,7 @@ from qstream import (GridSpec, OpticalScene, SlitSpec, fresnel_propagate,
 from qstream.errors import (EmptyScene, LeftDomain, ResolutionViolation,
                             StagnationPoint)
 from qstream.optics import (ExactPoyntingSampler, FresnelEvaluator,
-                            PoyntingField, _lattice_sample,
+                            PoyntingField, _fast_len, _lattice_sample,
                             assemble_em_fields, energy_density,
                             gaussian_beam_intensity, poynting,
                             write_plane_profile, write_paths)
@@ -175,8 +175,8 @@ class TestFresnelPropagation:
             assert max_abs(fast - dense) <= 1e-9 * max_abs(dense)
 
     def test_propagation_does_not_import_scipy_signal(self):
-        # the runtime needs numpy and scipy.fft only: each of these scipy
-        # subpackages costs a large share of start-up, and no stage uses it
+        # the runtime needs numpy only: each of these scipy subpackages
+        # costs a large share of start-up, and no stage uses it
         src = os.path.dirname(os.path.dirname(os.path.abspath(
             qstream.__file__)))
         code = (
@@ -184,8 +184,9 @@ class TestFresnelPropagation:
             "import qstream.cli\n"
             "from qstream import (ClassicalCKState, GridSpec, OpticalScene, "
             "PotentialSpec, PropagatorConfig, SlitSpec, "
-            "classical_ck_trajectory, fresnel_propagate, "
-            "photon_path_bundle)\n"
+            "classical_ck_trajectory, fresnel_propagate, gaussian_packet, "
+            "photon_path_bundle, propagate)\n"
+            "from qstream.fields import kinetic_energy, spectral_derivative\n"
             "from qstream.optics import PoyntingField\n"
             "scene = OpticalScene((SlitSpec(3e-4),), 943e-9, "
             "GridSpec(-5e-3, 5e-3, 401), (0.5, 1.0))\n"
@@ -195,8 +196,15 @@ class TestFresnelPropagation:
             "omega0=1.0), gamma=0.3)\n"
             "classical_ck_trajectory(ClassicalCKState(1.0, 0.0, 0.0), cfg, "
             "t_final=5.0)\n"
+            "psi = gaussian_packet(GridSpec(-8.0, 8.0, 256), cfg.constants, "
+            "1.0)\n"
+            "run = propagate(psi, PropagatorConfig('caldirola_kanai', "
+            "potential=cfg.potential, gamma=0.3, dt=0.01, t_final=0.05), "
+            "0.05)\n"
+            "kinetic_energy(run.snapshots[-1], cfg.constants)\n"
+            "spectral_derivative(psi.values, psi.grid)\n"
             "for name in ('signal', 'interpolate', 'integrate', "
-            "'constants'):\n"
+            "'constants', 'fft'):\n"
             "    assert 'scipy.' + name not in sys.modules, name\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, (src, os.environ.get("PYTHONPATH")))))
@@ -211,6 +219,15 @@ class TestFresnelPropagation:
         for row in field.psi:
             n = np.trapezoid(np.abs(row) ** 2, dx=dx)
             assert n == pytest.approx(1.0, abs=1e-3)
+
+
+def test_fast_len_equals_scipy_next_fast_len():
+    # the chirp-z length decides every plane's bytes; SciPy is the reference
+    from scipy.fft import next_fast_len
+    from qstream.scenarios import MAX_OPTICS_WORK
+    top = int(MAX_OPTICS_WORK)
+    for n in [*range(1, 20_001), *range(top - 50, top + 51), 2 * top + 1]:
+        assert _fast_len(n) == next_fast_len(n), n
 
 
 # EM assembly and derived fields -------------------------------------------

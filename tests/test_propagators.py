@@ -284,6 +284,34 @@ class TestPropagate:
             assert snap.time == psi.time
             assert np.array_equal(snap.values, psi.values)
 
+    def test_split_step_leaves_its_arguments_unchanged(self):
+        # the transforms run in place, on a buffer of the split step's own
+        g = sym_grid(8, 256)
+        values = coherent(g).values
+        half_V = _phase_factor(-5e-3 * HARMONIC.evaluate(g, C))
+        kin = _phase_factor(-5e-3 * g.wavenumbers() ** 2)
+        before = [a.copy() for a in (values, half_V, kin)]
+        out = _split_step(values, half_V, kin)
+        assert not np.shares_memory(out, values)
+        for arg, copy in zip((values, half_V, kin), before):
+            assert np.array_equal(arg, copy)
+
+    @pytest.mark.parametrize("model",
+                             ["standard", "caldirola_kanai", "kostin"])
+    def test_propagate_leaves_stored_states_unchanged(self, model):
+        # a write into a stored state's values after it was stored would
+        # break the step from it to the next stored state
+        g = sym_grid(8, 256)
+        cfg = PropagatorConfig(model=model, potential=HARMONIC, gamma=0.3,
+                               dt=1e-2, t_final=1.0)
+        psi0 = coherent(g)
+        initial = psi0.values.copy()
+        run = propagate(psi0, cfg, 0.05, snapshot_every=1)
+        assert np.array_equal(psi0.values, initial)
+        for prev, snap in zip(run.snapshots, run.snapshots[1:]):
+            fresh = ComplexField(g, prev.values.copy(), prev.time)
+            assert np.array_equal(step(fresh, cfg).values, snap.values)
+
     def test_series_written(self, tmp_path):
         g = sym_grid(8, 256)
         cfg = PropagatorConfig(potential=HARMONIC, dt=1e-2)
@@ -354,8 +382,9 @@ ORACLE_CASES = {
 
 
 class TestCachedPlanOracle:
-    """The cached phase factors, scipy.fft and the real-arithmetic unwrap
-    against the per-step formulas they replace: 200 steps at n = 512."""
+    """The cached phase factors, the in-place numpy.fft transforms and the
+    real-arithmetic unwrap against the per-step formulas they replace: 200
+    steps at n = 512."""
 
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     def test_propagate_and_step_match_per_step_formulas(self, case):

@@ -70,6 +70,11 @@ BAD_NUMBERS = {
                        "ensemble.n_trajectories = 1"),
     "dt_traj-zero": (QUICK_MATTER, "ensemble.dt_traj = 0.05",
                      "ensemble.dt_traj = 0"),
+    # a run must end at t_final after a whole number of steps of dt
+    "t_final-off-grid": (QUICK_MATTER, "time.t_final = 0.5",
+                         "time.t_final = 0.505"),
+    "t_final-under-one-step": (QUICK_MATTER, "time.t_final = 0.5",
+                               "time.t_final = 0.00390625"),
     "wavelength-overflow": (QUICK_OPTICS, "943 nm", "1e999 nm"),
     "zplane-malformed": (QUICK_OPTICS, "0.5 : 2.0 : 4", "0.5 1.2.3 2"),
     "window_sigmas-inf": (QUICK_OPTICS, "slit1.sigma = 0.3 mm",
