@@ -30,8 +30,9 @@ omega0 = 1.0
 cfg = PropagatorConfig(potential=PotentialSpec("harmonic", omega0=omega0), dt=5e-4)
 grid = GridSpec(-8.0, 8.0, 512)
 sigma = np.sqrt(0.5 / omega0)
-run = propagate(gaussian_packet(grid, const, sigma, x0=1.0), cfg,
-                2 * np.pi / omega0, snapshot_every=500)
+period = round(2 * np.pi / omega0 / cfg.dt) * cfg.dt  # whole steps of dt
+run = propagate(gaussian_packet(grid, const, sigma, x0=1.0), cfg, period,
+                snapshot_every=500)
 snap = run.snapshots[-1]
 oracle = analytic_gaussian_oracle({"sigma0": sigma, "x0": 1.0, "grid": grid},
                                   cfg, snap.time)

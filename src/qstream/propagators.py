@@ -16,7 +16,10 @@ the standard and Kostin models and the half-potential factor for the
 standard model; at gamma = 0 both dissipative models take the standard
 path, so they reproduce it bit for bit and Kostin builds no friction
 potential.  Caldirola-Kanai with gamma > 0 rebuilds both factors every
-step, because both scales change.  The transforms are numpy.fft.
+step, because both scales change.  Every factor is written as cos + i sin
+in real arithmetic, and the kinetic one only on the n//2 + 1 distinct
+values of k^2 (k^2 is mirror-symmetric in FFT order), mirrored onto the
+rest.  The transforms are numpy.fft.
 
 Closed-form Gaussian solutions for free and harmonic potentials serve as
 the numerical ground truth; the classical Caldirola-Kanai path, with its
@@ -35,6 +38,10 @@ from .errors import PhaseUndefined, StabilityViolation, UnsupportedPotential
 from .fields import ComplexField, GridSpec, PhysicalConstants
 
 STABILITY_SAFETY = 0.5
+# (t_final - t0) / dt may differ from its whole step count n by at most
+# STEP_TOLERANCE * max(1, n): room for the rounding of the division, none
+# for a t_final between two steps
+STEP_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -119,9 +126,36 @@ def rate_factor(config: PropagatorConfig, t: float) -> float:
     return 1.0
 
 
+def whole_steps(t0: float, t_final: float, dt: float) -> int:
+    """The number of steps of dt from t0 to t_final.  ValueError when
+    (t_final - t0) / dt is not a whole number within STEP_TOLERANCE: a run
+    must end at t_final, and a t_final > t0 that rounds to 0 steps would
+    leave no dynamics."""
+    steps = (t_final - t0) / dt
+    n_steps = round(steps)
+    if abs(steps - n_steps) > STEP_TOLERANCE * max(1, n_steps):
+        raise ValueError(f"(t_final - t0) / dt = {steps!r} "
+                         "is not a whole number of steps")
+    return n_steps
+
+
 def _phase_factor(phase: np.ndarray) -> np.ndarray:
-    """exp(i phase) of a real array."""
-    return np.exp(1j * phase)
+    """exp(i phase) of a real array, as cos(phase) + i sin(phase) written
+    into the two halves of one fresh complex array."""
+    out = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
+
+
+def _mirrored_phase_factor(half_phase: np.ndarray, n: int) -> np.ndarray:
+    """exp(i phase) on the n FFT frequencies of a phase that is even in k,
+    from its values on the first n//2 + 1: entry n - j repeats entry j."""
+    out = np.empty(n, dtype=complex)
+    h = len(half_phase)
+    out[:h] = _phase_factor(half_phase)
+    out[h:] = out[1:n - h + 1][::-1]
+    return out
 
 
 def _split_step(values: np.ndarray, half_V: np.ndarray,
@@ -147,10 +181,12 @@ def _friction_potential(psi: ComplexField, config: PropagatorConfig) -> np.ndarr
     so the friction potential stays smooth where the density vanishes.
     """
     polar = qf.polar_decompose(psi, config.constants)
-    S = polar.S
-    if not polar.valid.all():
+    S, valid = polar.S, polar.valid
+    if not valid.all():
+        # np.interp returns S itself at the valid points, so only the
+        # others need it
         x = psi.grid.x
-        S = np.interp(x, x[polar.valid], S[polar.valid])
+        S[~valid] = np.interp(x[~valid], x[valid], S[valid])
     rho = polar.rho / np.trapezoid(polar.rho, dx=psi.grid.dx)
     S_mean = np.trapezoid(rho * S, dx=psi.grid.dx)
     return config.gamma * (S - S_mean)
@@ -161,10 +197,12 @@ def _stepper(grid: GridSpec, config: PropagatorConfig):
     every phase factor with a constant coefficient are built once, here."""
     c, dt, gamma = config.constants, config.dt, config.gamma
     V = config.potential.evaluate(grid, c)
-    k2 = grid.wavenumbers() ** 2
+    n = grid.n_points
+    k2_half = grid.wavenumbers()[:n // 2 + 1] ** 2
 
     def kinetic(scale):
-        return _phase_factor((-0.5 * c.hbar * scale * dt / c.mass) * k2)
+        return _mirrored_phase_factor(
+            (-0.5 * c.hbar * scale * dt / c.mass) * k2_half, n)
 
     def half_potential(V_eff):
         return _phase_factor((-0.5 * dt / c.hbar) * V_eff)
@@ -249,7 +287,8 @@ class PropagationRun:
 def propagate(psi0: ComplexField, config: PropagatorConfig, t_final: float,
               snapshot_every: int = 1,
               series_every: int = None) -> PropagationRun:
-    """Run the configured model from psi0.time to t_final.
+    """Run the configured model from psi0.time to t_final, which must lie
+    a whole number of steps of config.dt away (see whole_steps).
 
     Snapshots are stored every `snapshot_every` steps (always including the
     initial and final states); the diagnostic series is sampled every
@@ -257,10 +296,10 @@ def propagate(psi0: ComplexField, config: PropagatorConfig, t_final: float,
     """
     if t_final < psi0.time:
         raise ValueError("t_final must be >= the initial time")
+    n_steps = whole_steps(psi0.time, t_final, config.dt)
     if t_final > psi0.time:
         check_stability(psi0, config)
     advance = _stepper(psi0.grid, config)
-    n_steps = int(round((t_final - psi0.time) / config.dt))
     if series_every is None:
         series_every = snapshot_every
     snapshots = [psi0]

@@ -67,10 +67,6 @@ MAX_TRAJECTORY_POINTS = 1e7
 MAX_PATH_POINTS = 1e6
 MAX_SNAPSHOT_POINTS = 2e8
 SNAPSHOT_OVERHEAD = 64
-# (t_final - t0) / dt may differ from its whole step count n by at most
-# STEP_TOLERANCE * max(1, n): room for the rounding of the division, none
-# for a t_final between two steps
-STEP_TOLERANCE = 1e-9
 
 # value converters ---------------------------------------------------------
 
@@ -321,13 +317,10 @@ class MatterScenario(_Scenario):
                     lambda: (grid.n_points + SNAPSHOT_OVERHEAD) * (math.ceil(
                         round((t_final - t0) / dt) / snapshot_every) + 1),
                     MAX_SNAPSHOT_POINTS)
-        # propagate takes round(steps) steps: a run must end at t_final, and
-        # a t_final > t0 that rounds to 0 steps would leave no dynamics
-        steps = (t_final - t0) / dt
-        n_steps = round(steps)
-        if abs(steps - n_steps) > STEP_TOLERANCE * max(1, n_steps):
-            raise ValidationError("time", f"(t_final - t0) / dt = {steps!r} "
-                                          "is not a whole number of steps")
+        try:
+            qp.whole_steps(t0, t_final, dt)
+        except ValueError as exc:
+            raise ValidationError("time", str(exc))
         packets = []
         for section in _numbered_sections(order, "packet"):
             packets.append({
@@ -404,12 +397,15 @@ class MatterScenario(_Scenario):
 
         n_traj = self.ensemble["n_trajectories"]
         if n_traj > 0 and self.t_final > self.t0:
-            with _stage(manifest, "trajectories"):
+            with _stage(manifest, "trajectories") as st:
                 rho0 = np.abs(run.snapshots[0].values) ** 2
                 ens = qt.sample_initial_positions(
                     rho0, self.grid, n_traj, scheme=self.ensemble["scheme"])
                 bundle = qt.integrate_bundle(ens, run,
                                              self.ensemble["dt_traj"])
+                st["mesh_steps"] = len(bundle.times) - 1
+                st["fallback_rows"] = bundle.fallback_rows
+                st["halvings"] = bundle.halvings
                 p = os.path.join(out_dir, "bundle.txt")
                 qt.write_bundle(p, bundle, metadata={
                     "scenario": self.name, "model": self.model,

@@ -47,6 +47,8 @@ class TrajectoryBundle:
     xs: np.ndarray  # shape (n_trajectories, n_times)
     config: object = None
     errors: tuple = ()
+    fallback_rows: int = 0  # row-steps that took the scalar halving fallback
+    halvings: int = 0       # step halvings made by those that succeeded
 
 
 def _cdf(rho: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -93,22 +95,28 @@ class VelocitySampler:
         self.v = np.asarray(vs)
         self.ok = np.asarray(oks)
 
-    def _space(self, i_snap: int, xq: np.ndarray):
+    def _space(self, i: int, xq: np.ndarray):
+        """v and its ok flag at xq on snapshots i and i + 1, as (2, m)
+        arrays: 4-point Lagrange in x where all four nodes are valid and
+        inside the grid, else linear between the two nodes around xq.  Both
+        rows share one stencil (indices and weights)."""
         g = self.grid
-        v, ok = self.v[i_snap], self.ok[i_snap]
+        last = g.n_points - 1
+        rows = np.array([[i], [i + 1]])
         s = (xq - g.x_min) / g.dx
-        j = np.clip(np.floor(s).astype(int), 0, g.n_points - 2)
+        j = np.minimum(np.maximum(np.floor(s).astype(int), 0), last - 1)
         f = s - j
-        jm = np.clip(j - 1, 0, g.n_points - 1)
-        j2 = np.clip(j + 2, 0, g.n_points - 1)
-        cubic_ok = (ok[jm] & ok[j] & ok[j + 1] & ok[j2]
-                    & (j - 1 >= 0) & (j + 2 <= g.n_points - 1))
+        jm, j1, j2 = np.maximum(j - 1, 0), j + 1, np.minimum(j + 2, last)
+        v, ok = self.v, self.ok
+        linear_ok = ok[rows, j] & ok[rows, j1]
+        cubic_ok = (ok[rows, jm] & linear_ok & ok[rows, j2]
+                    & ((j - 1 >= 0) & (j + 2 <= last)))
         w = qf.cubic_weights(f)
-        cubic = w[0] * v[jm] + w[1] * v[j] + w[2] * v[j + 1] + w[3] * v[j2]
-        linear = (1 - f) * v[j] + f * v[j + 1]
-        linear_ok = ok[j] & ok[j + 1]
-        out = np.where(cubic_ok, cubic, linear)
-        return out, cubic_ok | linear_ok
+        v_j, v_j1 = v[rows, j], v[rows, j1]
+        cubic = (w[0] * v[rows, jm] + w[1] * v_j + w[2] * v_j1
+                 + w[3] * v[rows, j2])
+        linear = (1 - f) * v_j + f * v_j1
+        return np.where(cubic_ok, cubic, linear), cubic_ok | linear_ok
 
     def sample(self, xq: np.ndarray, t: float):
         """Returns (velocity, ok) arrays; rate factor included."""
@@ -118,9 +126,9 @@ class VelocitySampler:
         i = min(max(i, 0), len(times) - 2)
         w = (t - times[i]) / (times[i + 1] - times[i])
         w = min(max(w, 0.0), 1.0)
-        v0, ok0 = self._space(i, xq)
-        v1, ok1 = self._space(i + 1, xq)
-        return rate_factor(self.config, t) * ((1 - w) * v0 + w * v1), ok0 & ok1
+        v, ok = self._space(i, xq)
+        rate = rate_factor(self.config, t)
+        return rate * ((1 - w) * v[0] + w * v[1]), ok[0] & ok[1]
 
 
 def _rk4_step(sampler: VelocitySampler, x: np.ndarray, t: float, dt: float):
@@ -132,37 +140,43 @@ def _rk4_step(sampler: VelocitySampler, x: np.ndarray, t: float, dt: float):
 
 
 def _step_with_halving(sampler, x: float, t: float, dt: float,
-                       max_halvings: int = 8) -> float:
-    """Scalar fallback near quasi-nodes: halve the step up to 8 times."""
+                       max_halvings: int = 8):
+    """Scalar fallback near quasi-nodes: halve the step up to 8 times.
+    Returns the new position and the number of halvings made."""
     xa = np.array([x])
     out, ok = _rk4_step(sampler, xa, t, dt)
     if ok[0]:
-        return float(out[0])
+        return float(out[0]), 0
     if max_halvings == 0:
         raise NodeEncounter(f"invalid velocity region near x = {x:g}, t = {t:g}")
     h = 0.5 * dt
-    x = _step_with_halving(sampler, x, t, h, max_halvings - 1)
-    return _step_with_halving(sampler, x, t + h, h, max_halvings - 1)
+    x, n1 = _step_with_halving(sampler, x, t, h, max_halvings - 1)
+    x, n2 = _step_with_halving(sampler, x, t + h, h, max_halvings - 1)
+    return x, 1 + n1 + n2
 
 
 def _march(sampler: VelocitySampler, x0: np.ndarray, times: np.ndarray):
     """One RK4 call per mesh step over all live rows; rows with an invalid
     velocity take the scalar halving fallback.  A row that meets a node or
     leaves the grid is dropped and NaN at every mesh time.  Returns the
-    positions and the sorted [(row, exception), ...] of dropped rows."""
+    positions, the sorted [(row, exception), ...] of dropped rows, the
+    number of row-steps sent to the fallback and the halvings it made."""
     g = sampler.grid
     xs = np.full((len(x0), len(times)), np.nan)
     xs[:, 0] = x0
     x = np.asarray(x0, dtype=float)
     live = np.arange(len(x0))
     errors = []
+    fallback_rows = halvings = 0
     for k in range(len(times) - 1):
         t, dt = times[k], times[k + 1] - times[k]
         x_new, ok = _rk4_step(sampler, x, t, dt)
         failed = {}
         for r in np.flatnonzero(~ok):
+            fallback_rows += 1
             try:
-                x_new[r] = _step_with_halving(sampler, x[r], t, dt)
+                x_new[r], n = _step_with_halving(sampler, x[r], t, dt)
+                halvings += n
             except NodeEncounter as exc:
                 failed[r] = exc
         for r in np.flatnonzero((x_new < g.x_min) | (x_new > g.x_max)):
@@ -177,7 +191,7 @@ def _march(sampler: VelocitySampler, x0: np.ndarray, times: np.ndarray):
         xs[live, k + 1] = x
     errors.sort(key=lambda e: e[0])
     xs[[row for row, _ in errors]] = np.nan
-    return xs, errors
+    return xs, errors, fallback_rows, halvings
 
 
 def time_mesh(t_span, dt_traj: float) -> np.ndarray:
@@ -193,7 +207,7 @@ def integrate_trajectory(x0: float, sampler: VelocitySampler, t_span,
     if not g.x_min <= x0 <= g.x_max:
         raise LeftDomain(f"x0 = {x0:g} outside the grid")
     times = time_mesh(t_span, dt_traj)
-    xs, errors = _march(sampler, np.array([float(x0)]), times)
+    xs, errors, _, _ = _march(sampler, np.array([float(x0)]), times)
     if errors:
         raise errors[0][1]
     return Trajectory(times, xs[0])
@@ -217,9 +231,11 @@ def integrate_bundle(ensemble: InitialEnsemble, run: PropagationRun,
         raise ValueError("snapshot spacing exceeds 10 * dt_traj; store more "
                          "snapshots or increase dt_traj")
     times = time_mesh(t_span, dt_traj)
-    xs, errors = _march(sampler, ensemble.positions, times)
+    xs, errors, fallback_rows, halvings = _march(sampler, ensemble.positions,
+                                                 times)
     return TrajectoryBundle(times, xs, run.config, tuple(
-        (row, type(exc).__name__, str(exc)) for row, exc in errors))
+        (row, type(exc).__name__, str(exc)) for row, exc in errors),
+        fallback_rows, halvings)
 
 
 @dataclass(frozen=True)
@@ -257,8 +273,8 @@ def tube_probability(bundle: TrajectoryBundle,
     out = np.empty((bundle.xs.shape[0] - 1, len(bundle.times)))
     for k, t in enumerate(bundle.times):
         a = min(max(np.searchsorted(snap_times, t) - 1, 0), len(snap_times) - 2)
-        w = np.clip((t - snap_times[a]) / (snap_times[a + 1] - snap_times[a]),
-                    0.0, 1.0)
+        w = min(max((t - snap_times[a]) / (snap_times[a + 1] - snap_times[a]),
+                    0.0), 1.0)
         rho = (1 - w) * rhos[a] + w * rhos[a + 1]
         out[:, k] = np.diff(np.interp(bundle.xs[:, k], x, _cdf(rho, grid)))
     return out

@@ -11,12 +11,15 @@ from qstream import (ClassicalCKState, ComplexField, PhysicalConstants,
                      classical_ck_trajectory, gaussian_packet, propagate,
                      step)
 from qstream.errors import (PhaseUndefined, StabilityViolation,
-                            UnsupportedPotential)
-from qstream.fields import node_mask, norm, position_spread
-from qstream.propagators import (_friction_potential, _phase_factor,
-                                 _split_step, check_stability,
+                            UnsupportedPotential, ValidationError)
+from qstream.fields import (node_mask, norm, polar_decompose,
+                            position_spread)
+from qstream.propagators import (_friction_potential, _mirrored_phase_factor,
+                                 _phase_factor, _split_step, check_stability,
                                  classical_ck_energy, damped_oscillator,
-                                 free_gaussian_width, physical_energy)
+                                 free_gaussian_width, physical_energy,
+                                 whole_steps)
+from qstream.scenarios import parse_scenario
 
 from conftest import max_abs, sym_grid
 
@@ -77,7 +80,8 @@ class TestStandardStepper:
         g = sym_grid(8, 512)
         psi0 = gaussian_packet(g, C, sigma0=math.sqrt(0.5))
         cfg = PropagatorConfig(potential=HARMONIC, dt=1e-3)
-        T = 2 * math.pi
+        # the whole number of steps nearest one period
+        T = round(2 * math.pi / cfg.dt) * cfg.dt
         run = propagate(psi0, cfg, T, snapshot_every=10 ** 6)
         final = run.snapshots[-1]
         assert max_abs(np.abs(final.values) - np.abs(psi0.values)) < 1e-8
@@ -115,7 +119,7 @@ class TestStandardStepper:
     def test_coherent_state_three_periods(self):
         g = sym_grid(8, 512)
         cfg = PropagatorConfig(potential=HARMONIC, dt=5e-4)
-        t_final = 6 * math.pi
+        t_final = round(6 * math.pi / cfg.dt) * cfg.dt
         run = propagate(coherent(g), cfg, t_final, snapshot_every=2000,
                         series_every=400)
         centers = run.x_means
@@ -257,11 +261,36 @@ class TestPropagate:
         g = sym_grid(8, 256)
         psi = gaussian_packet(g, C, sigma0=math.sqrt(0.5))
         cfg = PropagatorConfig(potential=HARMONIC, dt=2e-3)
-        t_final = 20 * math.pi
-        n_steps = int(round(t_final / cfg.dt))
-        run = propagate(psi, cfg, t_final, snapshot_every=n_steps // 100)
+        n_steps = round(20 * math.pi / cfg.dt)
+        run = propagate(psi, cfg, n_steps * cfg.dt,
+                        snapshot_every=n_steps // 100)
         assert len(run.snapshots) >= 100
         assert max_abs(run.norms - 1.0) < 1e-8
+
+    def test_off_grid_t_final_rejected(self):
+        # 0.505 lies between the 50th and 51st step of 0.01
+        psi = gaussian_packet(sym_grid(8, 256), C, 1.0)
+        with pytest.raises(ValueError, match="not a whole number of steps"):
+            propagate(psi, PropagatorConfig(dt=0.01), 0.505)
+
+    def test_rounded_division_accepted(self):
+        # 0.3 / 0.1 = 2.9999999999999996: only the rounding of the division
+        psi = gaussian_packet(sym_grid(8, 256), C, 1.0)
+        run = propagate(psi, PropagatorConfig(dt=0.1), 0.3)
+        assert run.steps == 3
+        assert len(run.snapshots) == 4
+
+    def test_validation_applies_the_same_rule(self):
+        text = "\n".join([
+            "scenario.name = off-grid", "scenario.kind = matter_wave",
+            "grid.x_min = -8", "grid.x_max = 8", "grid.n_points = 256",
+            "time.dt = 0.01", "time.t_final = 0.505", "packet1.sigma0 = 1.0"])
+        with pytest.raises(ValidationError) as info:
+            parse_scenario(text)
+        with pytest.raises(ValueError) as direct:
+            whole_steps(0.0, 0.505, 0.01)
+        assert info.value.key == "time"
+        assert info.value.constraint == str(direct.value)
 
     def test_stability_checked_on_entry(self):
         g = sym_grid(8, 256)
@@ -350,7 +379,8 @@ def _reference_friction(values, grid, config):
 def _reference_step(values, t, grid, config):
     """One step of the configured model as the split step computed it
     before the cached plan: numpy.fft, and both complex exponentials built
-    from the model's coefficients on every step."""
+    on every step from the model's coefficients, over the full spectrum and
+    with literal np.exp, never through _phase_factor."""
     c, dt, gamma = config.constants, config.dt, config.gamma
     V = config.potential.evaluate(grid, c)
     kin_phase = -0.5j * c.hbar * (2.0 * np.pi
@@ -400,6 +430,47 @@ class TestCachedPlanOracle:
             psi = step(psi, cfg)
             assert max_abs(snap.values - ref) <= 1e-12
             assert max_abs(psi.values - ref) <= 1e-12
+
+
+# the fast forms against the ones they replace ------------------------------
+
+class TestFastFormOracles:
+    @pytest.mark.parametrize("scale", [1.0, 1e2, 1e4, 1e6])
+    def test_phase_factor_is_complex_exp(self, scale):
+        # cos + i sin and np.exp(1j * phase) were bit-equal on x86-64 with
+        # numpy 2.4; the bound leaves room for other builds
+        phase = np.random.default_rng(7).uniform(-scale, scale, 100_000)
+        out = _phase_factor(phase)
+        assert out.dtype == complex
+        assert max_abs(out - np.exp(1j * phase)) <= 4.5e-16
+
+    @pytest.mark.parametrize("n", [8, 9, 2047, 2048, 49152])
+    def test_mirrored_kinetic_factor_is_full_spectrum(self, n):
+        g = sym_grid(8, n)
+        k2 = g.wavenumbers() ** 2
+        c = -0.5 * C.hbar * 0.37 * 2e-3 / C.mass
+        phase = c * k2
+        out = _mirrored_phase_factor(c * k2[:n // 2 + 1], n)
+        # bit for bit against cos + i sin of the full spectrum, and within
+        # the _phase_factor bound of the complex exponential
+        assert np.array_equal(out, np.cos(phase) + 1j * np.sin(phase))
+        assert max_abs(out - np.exp(1j * phase)) <= 4.5e-16
+
+    def test_friction_interpolates_only_below_threshold(self):
+        # wide box: the tails fall below the node threshold; three nodes
+        # inside the support
+        g = sym_grid(30, 1024)
+        values = gaussian_packet(g, C, 1.0, x0=1.0, p0=0.7).values.copy()
+        values[[500, 530, 531]] = 0.0
+        psi = ComplexField(g, values, 0.0)
+        cfg = PropagatorConfig(model="kostin", gamma=0.3)
+        polar = polar_decompose(psi, C)
+        assert 0 < polar.valid.sum() < g.n_points
+        x = g.x
+        S = np.interp(x, x[polar.valid], polar.S[polar.valid])
+        rho = polar.rho / np.trapezoid(polar.rho, dx=g.dx)
+        ref = cfg.gamma * (S - np.trapezoid(rho * S, dx=g.dx))
+        assert np.array_equal(_friction_potential(psi, cfg), ref)
 
 
 # closed-form oracle --------------------------------------------------------

@@ -574,6 +574,10 @@ class TestRunScenario:
                                      "python": platform.python_version()}
             if stages[0] == "propagate":
                 assert m["stages"][0]["steps"] == 50  # 0.5 / 0.01
+                traj = m["stages"][1]
+                assert traj["mesh_steps"] == 10  # 0.5 / 0.05
+                assert traj["fallback_rows"] == 0
+                assert traj["halvings"] == 0
 
     def test_failed_stage_records_wall_time(self, tmp_path):
         text = QUICK_MATTER.replace("time.dt = 0.01", "time.dt = 5.0") \

@@ -12,8 +12,9 @@ from qstream import (ComplexField, GridSpec, InitialEnsemble,
                      integrate_bundle, integrate_trajectory, propagate,
                      sample_initial_positions, tube_probability)
 from qstream.errors import LeftDomain, NodeEncounter, ZeroDensity
-from qstream.propagators import PropagationRun
-from qstream.trajectories import VelocitySampler, time_mesh, write_bundle
+from qstream.propagators import PropagationRun, rate_factor
+from qstream.trajectories import (VelocitySampler, _march, time_mesh,
+                                  write_bundle)
 
 from conftest import max_abs, sym_grid
 
@@ -128,7 +129,7 @@ class TestCoherentBundle:
         cfg = PropagatorConfig(potential=PotentialSpec("harmonic",
                                                        omega0=1.0), dt=5e-4)
         run = propagate(gaussian_packet(g, C, math.sqrt(0.5), x0=1.0), cfg,
-                        2 * math.pi, snapshot_every=4)
+                        round(2 * math.pi / cfg.dt) * cfg.dt, snapshot_every=4)
         rho0 = np.abs(run.snapshots[0].values) ** 2
         ens = sample_initial_positions(rho0, g, 8)
         bundle = integrate_bundle(ens, run, dt_traj=0.01)
@@ -149,6 +150,78 @@ class TestOrderOfAccuracy:
         e_coarse = abs(ends[0.04] - ends[0.0025])
         e_fine = abs(ends[0.01] - ends[0.0025])
         assert e_coarse / e_fine > 50.0
+
+
+# velocity sampling ---------------------------------------------------------
+
+def _reference_space(sampler, i_snap, xq):
+    """v and ok at xq on one snapshot, as the sampler computed them before
+    both snapshots shared one stencil."""
+    g = sampler.grid
+    v, ok = sampler.v[i_snap], sampler.ok[i_snap]
+    s = (xq - g.x_min) / g.dx
+    j = np.clip(np.floor(s).astype(int), 0, g.n_points - 2)
+    f = s - j
+    jm = np.clip(j - 1, 0, g.n_points - 1)
+    j2 = np.clip(j + 2, 0, g.n_points - 1)
+    cubic_ok = (ok[jm] & ok[j] & ok[j + 1] & ok[j2]
+                & (j - 1 >= 0) & (j + 2 <= g.n_points - 1))
+    w = (-f * (f - 1) * (f - 2) / 6.0, (f + 1) * (f - 1) * (f - 2) / 2.0,
+         -(f + 1) * f * (f - 2) / 2.0, (f + 1) * f * (f - 1) / 6.0)
+    cubic = w[0] * v[jm] + w[1] * v[j] + w[2] * v[j + 1] + w[3] * v[j2]
+    linear = (1 - f) * v[j] + f * v[j + 1]
+    return np.where(cubic_ok, cubic, linear), cubic_ok | (ok[j] & ok[j + 1])
+
+
+def _reference_sample(sampler, xq, t):
+    times = sampler.times
+    i = min(max(np.searchsorted(times, t) - 1, 0), len(times) - 2)
+    w = min(max((t - times[i]) / (times[i + 1] - times[i]), 0.0), 1.0)
+    v0, ok0 = _reference_space(sampler, i, xq)
+    v1, ok1 = _reference_space(sampler, i + 1, xq)
+    return rate_factor(sampler.config, t) * ((1 - w) * v0 + w * v1), ok0 & ok1
+
+
+class TestVelocitySampler:
+    @staticmethod
+    def _assert_matches_oracle(sampler, xq):
+        times = sampler.times
+        for t in np.concatenate((times, times[:-1] + 0.3 * np.diff(times),
+                                 [times[0] - 0.1, times[-1] + 0.1])):
+            v, ok = sampler.sample(xq, t)
+            v_ref, ok_ref = _reference_sample(sampler, xq, t)
+            assert np.array_equal(ok, ok_ref)
+            assert np.array_equal(v, v_ref)
+
+    def test_shared_stencil_matches_per_snapshot_oracle_beside_nodes(self):
+        # two colliding packets: interference nodes inside the support
+        g = sym_grid(10, 512)
+        a = gaussian_packet(g, C, 0.7, x0=-2.5, p0=6.0)
+        b = gaussian_packet(g, C, 0.7, x0=2.5, p0=-6.0)
+        psi = ComplexField(g, (a.values + b.values) / math.sqrt(2), 0.0)
+        run = propagate(psi, PropagatorConfig(dt=1e-2), 0.6, snapshot_every=5)
+        sampler = VelocitySampler(run)
+        nodes = []
+        for ok in sampler.ok:
+            valid = np.flatnonzero(ok)
+            nodes += list(valid[0] + np.flatnonzero(~ok[valid[0]:valid[-1]]))
+        assert len(nodes) > 0
+        beside = (g.x[nodes][:, None]
+                  + g.dx * np.array([-1.5, -1.0, -0.3, 0.0, 0.3, 1.0, 1.5]))
+        xq = np.concatenate((
+            [g.x_min, g.x_max], beside.ravel(),
+            np.random.default_rng(3).uniform(-10, 10, 200)))
+        self._assert_matches_oracle(sampler, xq)
+
+    def test_shared_stencil_matches_per_snapshot_oracle_at_the_edges(self):
+        # a plane wave is valid everywhere, so the stencil reaches the ends
+        sampler = VelocitySampler(plane_wave_run(n_snaps=7))
+        g = sampler.grid
+        assert sampler.ok.all()
+        offsets = np.array([0.0, 0.4, 1.0, 1.4, 2.0, 2.6])
+        xq = np.concatenate((g.x_min + offsets * g.dx,
+                             g.x_max - offsets * g.dx))
+        self._assert_matches_oracle(sampler, xq)
 
 
 # bundles -------------------------------------------------------------------
@@ -202,6 +275,33 @@ class TestBundles:
             assert np.array_equal(bundle.xs[row], oracle.x)
         with pytest.raises(NodeEncounter):
             integrate_trajectory(3.0, sampler, (0.0, 1.0), dt_traj=0.01)
+        # only row 1 met the band, once; its halvings all failed
+        assert (bundle.fallback_rows, bundle.halvings) == (1, 0)
+
+    def test_fallback_and_halvings_counted(self):
+        # v = -50 x with dt = 0.1: the RK4 stages of the full step and of
+        # its halves overshoot into x < 0, where v is invalid; quarter steps
+        # do not.  One fallback row-step, 1 + 2 halvings.
+        class Decay:
+            grid = GridSpec(-2.0, 2.0, 101)
+
+            def sample(self, x, t):
+                return -50.0 * x, x > 0
+
+        xs, errors, fallback_rows, halvings = _march(
+            Decay(), np.array([1.0, -1.0]), np.array([0.0, 0.1]))
+        assert [(row, type(exc)) for row, exc in errors] == [
+            (1, NodeEncounter)]
+        assert (fallback_rows, halvings) == (2, 3)
+        x = 1.0
+        for _ in range(4):
+            k1 = -50.0 * x
+            k2 = -50.0 * (x + 0.0125 * k1)
+            k3 = -50.0 * (x + 0.0125 * k2)
+            k4 = -50.0 * (x + 0.025 * k3)
+            x = x + 0.025 / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        assert xs[0, 1] == pytest.approx(x, rel=1e-14)
+        assert np.isnan(xs[1, 1])
 
     def test_bundle_serialization(self, tmp_path):
         run = plane_wave_run()
