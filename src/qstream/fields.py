@@ -20,6 +20,9 @@ import numpy as np
 from .errors import AllBelowThreshold, NegativeDensity, NotNormalized
 
 NODE_THRESHOLD = 1e-12
+# text tables are formatted and written ROW_CHUNK rows at a time, so no
+# writer holds a whole table as text
+ROW_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -83,9 +86,14 @@ class ComplexField:
         values = np.asarray(self.values, dtype=complex)
         if values.shape != (self.grid.n_points,):
             raise ValueError("values length must equal grid.n_points")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("wavefunction contains non-finite values")
+        require_finite(values)
         object.__setattr__(self, "values", values)
+
+
+def require_finite(values: np.ndarray) -> None:
+    """ValueError unless every wavefunction value is finite."""
+    if not np.isfinite(values).all():
+        raise ValueError("wavefunction contains non-finite values")
 
 
 @dataclass(frozen=True)
@@ -179,6 +187,18 @@ def _unwrap_phase(raw: np.ndarray, valid: np.ndarray, i0: int) -> np.ndarray:
     return raw + offset
 
 
+def polar_parts(values: np.ndarray, constants: PhysicalConstants,
+                eps_node: float = NODE_THRESHOLD):
+    """(rho, S, valid) of the wavefunction values, as in polar_decompose."""
+    rho = np.abs(values) ** 2
+    valid = node_mask(rho, eps_node)
+    if not valid.any():
+        raise AllBelowThreshold("density below node threshold everywhere")
+    i0 = int(np.argmax(rho))
+    phase = _unwrap_phase(np.angle(values), valid, i0)
+    return rho, constants.hbar * phase, valid
+
+
 def polar_decompose(psi: ComplexField, constants: PhysicalConstants,
                     eps_node: float = NODE_THRESHOLD) -> PolarFields:
     """Madelung split Psi = rho^{1/2} exp(iS/hbar) with unwrapped S.
@@ -186,13 +206,8 @@ def polar_decompose(psi: ComplexField, constants: PhysicalConstants,
     S is referenced so its value at the maximum-density point lies in
     (-pi*hbar, pi*hbar].
     """
-    rho = np.abs(psi.values) ** 2
-    valid = node_mask(rho, eps_node)
-    if not valid.any():
-        raise AllBelowThreshold("density below node threshold everywhere")
-    i0 = int(np.argmax(rho))
-    phase = _unwrap_phase(np.angle(psi.values), valid, i0)
-    return PolarFields(psi.grid, rho, constants.hbar * phase, psi.time, valid)
+    rho, S, valid = polar_parts(psi.values, constants, eps_node)
+    return PolarFields(psi.grid, rho, S, psi.time, valid)
 
 
 def polar_compose(polar: PolarFields, constants: PhysicalConstants) -> ComplexField:
@@ -290,6 +305,14 @@ def format_rows(*cols) -> list:
     return ["  ".join(map(repr, row)) for row in rows]
 
 
+def write_rows(fh, *cols) -> None:
+    """Write the format_rows table of the columns to the open text file fh,
+    each row ending in a newline, ROW_CHUNK rows at a time."""
+    for lo in range(0, len(cols[0]), ROW_CHUNK):
+        rows = format_rows(*(c[lo:lo + ROW_CHUNK] for c in cols))
+        fh.write("\n".join(rows) + "\n")
+
+
 def write_snapshot(path, psi: ComplexField, constants: PhysicalConstants,
                    model: str = "standard") -> None:
     """Columnar text snapshot: header key = value lines, then one row per
@@ -302,15 +325,12 @@ def write_snapshot(path, psi: ComplexField, constants: PhysicalConstants,
     vel = velocity_field(psi, constants)
     Q = quantum_potential(psi, constants)
     g = psi.grid
-    lines = [
-        f"x_min = {g.x_min!r}",
-        f"x_max = {g.x_max!r}",
-        f"n_points = {g.n_points}",
-        f"time = {psi.time!r}",
-        f"model = {model}",
-        "# x re_psi im_psi rho S v Q",
-    ]
-    lines += format_rows(g.x, psi.values.real, psi.values.imag,
-                         np.abs(psi.values) ** 2, S, vel.v, Q)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"x_min = {g.x_min!r}\n"
+                 f"x_max = {g.x_max!r}\n"
+                 f"n_points = {g.n_points}\n"
+                 f"time = {psi.time!r}\n"
+                 f"model = {model}\n"
+                 "# x re_psi im_psi rho S v Q\n")
+        write_rows(fh, g.x, psi.values.real, psi.values.imag,
+                   np.abs(psi.values) ** 2, S, vel.v, Q)

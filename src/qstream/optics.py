@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (EmptyScene, LeftDomain, ResolutionViolation,
                      StagnationPoint)
-from .fields import GridSpec, cubic_weights, format_rows
+from .fields import GridSpec, cubic_weights, write_rows
 
 # CODATA 2022, SI units: speed of light, vacuum permittivity, permeability
 C_LIGHT, EPS0, MU0 = 299792458.0, 8.8541878188e-12, 1.25663706127e-06
@@ -439,22 +439,21 @@ def write_plane_profile(path, scene: OpticalScene, z: float, psi, U, Sx, Sz,
                         kx_over_k) -> None:
     """Per-plane table: x |psi|^2 U Sx Sz kx/k."""
     x = scene.transverse_grid.x
-    lines = [f"# z = {z!r}", "# x intensity U Sx Sz kx_over_k"]
-    lines += format_rows(x, np.abs(psi) ** 2, U, Sx, Sz, kx_over_k)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# z = {z!r}\n# x intensity U Sx Sz kx_over_k\n")
+        write_rows(fh, x, np.abs(psi) ** 2, U, Sx, Sz, kx_over_k)
 
 
 def write_paths(path, paths, metadata: dict = None) -> None:
     """Path tables `s x z`, one block per path."""
-    lines = []
-    for key, value in (metadata or {}).items():
-        lines.append(f"# {key} = {value}")
-    for i, p in enumerate(paths):
-        lines.append(f"# path = {i}")
-        lines += format_rows(p.s, p.x, p.z)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for key, value in (metadata or {}).items():
+            fh.write(f"# {key} = {value}\n")
+        for i, p in enumerate(paths):
+            fh.write(f"# path = {i}\n")
+            write_rows(fh, p.s, p.x, p.z)
+        if not metadata and not paths:
+            fh.write("\n")  # a table of nothing is one empty line
 
 
 def gaussian_beam_intensity(slit: SlitSpec, x: np.ndarray, z: float,

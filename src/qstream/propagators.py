@@ -173,28 +173,29 @@ def _split_step(values: np.ndarray, half_V: np.ndarray,
     return buf
 
 
-def _friction_potential(psi: ComplexField, config: PropagatorConfig) -> np.ndarray:
+def _friction_potential(values: np.ndarray, grid: GridSpec,
+                        config: PropagatorConfig) -> np.ndarray:
     """gamma (S - int rho S dx) with rho normalized to unit mass.
 
     Below the node threshold the phase is numerical noise; there S is
     continued from the valid region (linearly inside, constant beyond)
     so the friction potential stays smooth where the density vanishes.
     """
-    polar = qf.polar_decompose(psi, config.constants)
-    S, valid = polar.S, polar.valid
+    rho, S, valid = qf.polar_parts(values, config.constants)
     if not valid.all():
         # np.interp returns S itself at the valid points, so only the
         # others need it
-        x = psi.grid.x
+        x = grid.x
         S[~valid] = np.interp(x[~valid], x[valid], S[valid])
-    rho = polar.rho / np.trapezoid(polar.rho, dx=psi.grid.dx)
-    S_mean = np.trapezoid(rho * S, dx=psi.grid.dx)
+    rho = rho / np.trapezoid(rho, dx=grid.dx)
+    S_mean = np.trapezoid(rho * S, dx=grid.dx)
     return config.gamma * (S - S_mean)
 
 
 def _stepper(grid: GridSpec, config: PropagatorConfig):
-    """The configured model's time step as a psi -> psi function.  V and
-    every phase factor with a constant coefficient are built once, here."""
+    """The configured model's time step as a function (values, t) -> the
+    values one step of config.dt later.  V and every phase factor with a
+    constant coefficient are built once, here."""
     c, dt, gamma = config.constants, config.dt, config.gamma
     V = config.potential.evaluate(grid, c)
     n = grid.n_points
@@ -208,44 +209,41 @@ def _stepper(grid: GridSpec, config: PropagatorConfig):
         return _phase_factor((-0.5 * dt / c.hbar) * V_eff)
 
     if config.model == "caldirola_kanai" and gamma > 0:
-        def advance(psi: ComplexField) -> ComplexField:
-            t_mid, t_next = psi.time + 0.5 * dt, psi.time + dt
+        def advance(values: np.ndarray, t: float) -> np.ndarray:
+            t_mid, t_next = t + 0.5 * dt, t + dt
             if t_next > config.t_final + 0.5 * dt:
                 raise StabilityViolation("stepping past the declared t_final")
-            values = _split_step(psi.values,
-                                 half_potential(math.exp(gamma * t_mid) * V),
-                                 kinetic(math.exp(-gamma * t_mid)))
-            return ComplexField(grid, values, t_next)
+            return _split_step(values,
+                               half_potential(math.exp(gamma * t_mid) * V),
+                               kinetic(math.exp(-gamma * t_mid)))
         return advance
 
     kin = kinetic(1.0)
     if config.model == "kostin" and gamma > 0:
-        def advance(psi: ComplexField) -> ComplexField:
-            t_next = psi.time + dt
+        def advance(values: np.ndarray, t: float) -> np.ndarray:
             # predictor-corrector: the friction potential at the step start,
             # then averaged with its value after a trial step
             try:
-                W0 = _friction_potential(psi, config)
+                W0 = _friction_potential(values, grid, config)
             except qf.AllBelowThreshold as exc:
                 raise PhaseUndefined(str(exc)) from exc
-            trial = _split_step(psi.values, half_potential(V + W0), kin)
-            W1 = _friction_potential(ComplexField(grid, trial, t_next), config)
-            values = _split_step(psi.values,
-                                 half_potential(V + 0.5 * (W0 + W1)), kin)
-            return ComplexField(grid, values, t_next)
+            trial = _split_step(values, half_potential(V + W0), kin)
+            W1 = _friction_potential(trial, grid, config)
+            return _split_step(values, half_potential(V + 0.5 * (W0 + W1)),
+                               kin)
         return advance
 
     half_V = half_potential(V)
 
-    def advance(psi: ComplexField) -> ComplexField:
-        return ComplexField(grid, _split_step(psi.values, half_V, kin),
-                            psi.time + dt)
+    def advance(values: np.ndarray, t: float) -> np.ndarray:
+        return _split_step(values, half_V, kin)
     return advance
 
 
 def step(psi: ComplexField, config: PropagatorConfig) -> ComplexField:
     """Advance psi by one time step config.dt of the configured model."""
-    return _stepper(psi.grid, config)(psi)
+    values = _stepper(psi.grid, config)(psi.values, psi.time)
+    return ComplexField(psi.grid, values, psi.time + config.dt)
 
 
 def physical_energy(psi: ComplexField, config: PropagatorConfig) -> float:
@@ -265,8 +263,8 @@ def physical_energy(psi: ComplexField, config: PropagatorConfig) -> float:
 
 @dataclass
 class PropagationRun:
-    """Snapshots plus the per-step norm / centroid / width / energy series,
-    and the number of time steps taken."""
+    """Stored states plus the per-step norm / centroid / width / energy
+    series, and the number of time steps taken."""
 
     config: PropagatorConfig
     snapshots: list
@@ -278,21 +276,34 @@ class PropagationRun:
     steps: int = 0
 
     def write_series(self, path) -> None:
-        lines = ["# t norm x_mean sigma energy"] + qf.format_rows(
-            self.times, self.norms, self.x_means, self.sigmas, self.energies)
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("# t norm x_mean sigma energy\n")
+            qf.write_rows(fh, self.times, self.norms, self.x_means,
+                          self.sigmas, self.energies)
+
+
+def final_time(t0: float, dt: float, n_steps: int) -> float:
+    """The time of the state n_steps steps after t0: dt added to t0 once
+    per step, in turn, as propagate adds it."""
+    t = t0
+    for _ in range(n_steps):
+        t = t + dt
+    return t
 
 
 def propagate(psi0: ComplexField, config: PropagatorConfig, t_final: float,
-              snapshot_every: int = 1,
-              series_every: int = None) -> PropagationRun:
+              snapshot_every: int = 1, series_every: int = None,
+              consumers=None) -> PropagationRun:
     """Run the configured model from psi0.time to t_final, which must lie
     a whole number of steps of config.dt away (see whole_steps).
 
-    Snapshots are stored every `snapshot_every` steps (always including the
+    A state is stored every `snapshot_every` steps (always including the
     initial and final states); the diagnostic series is sampled every
-    `series_every` steps (defaults to snapshot_every).
+    `series_every` steps (defaults to snapshot_every).  With `consumers`
+    None, run.snapshots holds every stored state.  Otherwise each stored
+    state is handed, in time order, to every callable in `consumers`, and
+    run.snapshots holds only the initial and final states, so that memory
+    does not grow with the number of stored states.
     """
     if t_final < psi0.time:
         raise ValueError("t_final must be >= the initial time")
@@ -302,7 +313,8 @@ def propagate(psi0: ComplexField, config: PropagatorConfig, t_final: float,
     advance = _stepper(psi0.grid, config)
     if series_every is None:
         series_every = snapshot_every
-    snapshots = [psi0]
+    snapshots = []
+    hand_out = (snapshots.append,) if consumers is None else tuple(consumers)
     series = []
 
     def record(psi):
@@ -310,13 +322,25 @@ def propagate(psi0: ComplexField, config: PropagatorConfig, t_final: float,
                        qf.position_spread(psi), physical_energy(psi, config)))
 
     record(psi0)
-    psi = psi0
+    for consume in hand_out:
+        consume(psi0)
+    grid, dt = psi0.grid, config.dt
+    values, t, psi = psi0.values, psi0.time, psi0
     for i in range(1, n_steps + 1):
-        psi = advance(psi)
-        if i % series_every == 0 or i == n_steps:
+        values = advance(values, t)
+        t = t + dt
+        qf.require_finite(values)
+        recorded = i % series_every == 0 or i == n_steps
+        stored = i % snapshot_every == 0 or i == n_steps
+        if recorded or stored:
+            psi = ComplexField(grid, values, t)
+        if recorded:
             record(psi)
-        if i % snapshot_every == 0 or i == n_steps:
-            snapshots.append(psi)
+        if stored:
+            for consume in hand_out:
+                consume(psi)
+    if consumers is not None:
+        snapshots = [psi0] if psi is psi0 else [psi0, psi]
     cols = list(zip(*series))
     return PropagationRun(config, snapshots, *(np.asarray(c) for c in cols),
                           steps=n_steps)

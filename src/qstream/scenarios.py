@@ -318,7 +318,7 @@ class MatterScenario(_Scenario):
                         round((t_final - t0) / dt) / snapshot_every) + 1),
                     MAX_SNAPSHOT_POINTS)
         try:
-            qp.whole_steps(t0, t_final, dt)
+            n_steps = qp.whole_steps(t0, t_final, dt)
         except ValueError as exc:
             raise ValidationError("time", str(exc))
         packets = []
@@ -352,10 +352,20 @@ class MatterScenario(_Scenario):
         if ensemble["dt_traj"] <= 0:
             raise ValidationError("ensemble.dt_traj", "must be > 0")
         if ensemble["n_trajectories"]:
+            dt_traj = ensemble["dt_traj"]
             _check_work("ensemble.n_trajectories * mesh times",
                         lambda: ensemble["n_trajectories"] * (
-                            (t_final - t0) / ensemble["dt_traj"] + 1),
+                            (t_final - t0) / dt_traj + 1),
                         MAX_TRAJECTORY_POINTS)
+            try:
+                qp.whole_steps(t0, t_final, dt_traj)
+            except ValueError as exc:
+                raise ValidationError("ensemble.dt_traj", str(exc))
+            try:
+                # the widest gap between the states a run stores
+                qt.check_frame_gap(min(snapshot_every, n_steps) * dt, dt_traj)
+            except ValueError as exc:
+                raise ValidationError("time.snapshot_every", str(exc))
         checks = {
             "required": r.get(("checks", "required"), ()),
             "norm_tol": r.get(("checks", "norm_tol"), 1e-8),
@@ -373,10 +383,24 @@ class MatterScenario(_Scenario):
                    packets=tuple(packets), ensemble=ensemble)
 
     def _run(self, out_dir, required, manifest, files):
+        n_traj = self.ensemble["n_trajectories"]
+        stream = None
         with _stage(manifest, "propagate") as st:
             psi0 = initial_state(self)
-            run = qp.propagate(psi0, propagator_config(self), self.t_final,
-                               snapshot_every=self.snapshot_every)
+            config = propagator_config(self)
+            if n_traj > 0 and self.t_final > self.t0:
+                # the ensemble is marched while the states are produced
+                ens = qt.sample_initial_positions(
+                    np.abs(psi0.values) ** 2, self.grid, n_traj,
+                    scheme=self.ensemble["scheme"])
+                t_end = qp.final_time(self.t0, self.dt, qp.whole_steps(
+                    self.t0, self.t_final, self.dt))
+                stream = qt.BundleStream(ens, self.grid, config,
+                                         self.ensemble["dt_traj"],
+                                         (self.t0, t_end))
+            run = qp.propagate(psi0, config, self.t_final,
+                               snapshot_every=self.snapshot_every,
+                               consumers=() if stream is None else (stream,))
             st["steps"] = run.steps
             p = os.path.join(out_dir, "series.txt")
             run.write_series(p)
@@ -395,14 +419,9 @@ class MatterScenario(_Scenario):
                       manifest["norm_drift"] < self.checks["norm_tol"],
                       required)
 
-        n_traj = self.ensemble["n_trajectories"]
-        if n_traj > 0 and self.t_final > self.t0:
+        if stream is not None:
             with _stage(manifest, "trajectories") as st:
-                rho0 = np.abs(run.snapshots[0].values) ** 2
-                ens = qt.sample_initial_positions(
-                    rho0, self.grid, n_traj, scheme=self.ensemble["scheme"])
-                bundle = qt.integrate_bundle(ens, run,
-                                             self.ensemble["dt_traj"])
+                bundle = stream.finish()
                 st["mesh_steps"] = len(bundle.times) - 1
                 st["fallback_rows"] = bundle.fallback_rows
                 st["halvings"] = bundle.halvings
@@ -420,7 +439,7 @@ class MatterScenario(_Scenario):
                               float(report.min_gap), 0.0,
                               bool(report.ok) and not bundle.errors, required)
                 if not bundle.errors:
-                    tubes = qt.tube_probability(bundle, run)
+                    tubes = bundle.tubes
                     dev = float(np.max(np.abs(tubes - tubes[:, :1])))
                     _record_check(manifest, "tube", dev,
                                   self.checks["tube_tol"],
@@ -786,16 +805,24 @@ def propagator_config(config: MatterScenario) -> PropagatorConfig:
 @contextlib.contextmanager
 def _stage(manifest, name):
     """Append a running stage entry to the manifest and yield it; it turns
-    "ok" when the block completes, and records its wall time either way."""
+    "ok" when the block completes, and records its wall time and the peak
+    memory of the process so far either way."""
     entry = {"name": name, "status": "running", "error": None,
-             "wall_time_s": None}
+             "wall_time_s": None, "peak_rss_mib": None}
     manifest["stages"].append(entry)
     start = _time.perf_counter()
     try:
         yield entry
     finally:
         entry["wall_time_s"] = _time.perf_counter() - start
+        entry["peak_rss_mib"] = _peak_rss_mib()
     entry["status"] = "ok"
+
+
+def _peak_rss_mib() -> float:
+    """Peak resident memory of this process so far (ru_maxrss, in KiB on
+    Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def _path_non_crossing(paths, z_lo, z_hi):
@@ -878,9 +905,7 @@ def run_scenario(config: MatterScenario | OpticsScenario, out_dir=None,
             manifest["failure_kind"] = "check"
             manifest["failed_checks"] = failed
     manifest["wall_time_s"] = _time.perf_counter() - start
-    # ru_maxrss is in KiB on Linux
-    manifest["peak_rss_mib"] = (
-        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
+    manifest["peak_rss_mib"] = _peak_rss_mib()
     manifest["versions"] = {"numpy": np.__version__,
                             "scipy": scipy.__version__,
                             "python": platform.python_version()}

@@ -7,6 +7,11 @@ space, linear in time).  For Caldirola-Kanai runs the guidance law picks
 up the rate factor exp(-gamma t); Kostin trajectories use the plain
 velocity of the evolving nonlinear state.
 
+A BundleStream marches an ensemble while the states are produced, keeping
+only the few frames that the next mesh step needs; integrate_bundle
+replays a run's stored snapshots through it.  A VelocitySampler over every
+snapshot is the random-access path, for single trajectories.
+
 Diagnostics: strict ordering at every mesh time (the non-crossing
 property) and conservation of the probability enclosed between any two
 trajectories (probability tubes).
@@ -21,7 +26,7 @@ import numpy as np
 from . import fields as qf
 from .errors import LeftDomain, NodeEncounter, ZeroDensity
 from .fields import GridSpec
-from .propagators import PropagationRun, rate_factor
+from .propagators import PropagationRun, rate_factor, whole_steps
 
 
 @dataclass(frozen=True)
@@ -49,6 +54,7 @@ class TrajectoryBundle:
     errors: tuple = ()
     fallback_rows: int = 0  # row-steps that took the scalar halving fallback
     halvings: int = 0       # step halvings made by those that succeeded
+    tubes: np.ndarray = None  # tube probabilities, when marched by a stream
 
 
 def _cdf(rho: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -79,6 +85,13 @@ def sample_initial_positions(rho: np.ndarray, grid: GridSpec, n: int,
     raise ValueError(f"unknown sampling scheme {scheme!r}")
 
 
+def _velocity_frame(psi, constants, method: str = "fd4"):
+    """The guidance velocity of one state, 0 at invalid points, and its
+    validity flags."""
+    vf = qf.velocity_field(psi, constants, method=method)
+    return np.where(vf.valid, vf.v, 0.0), vf.valid
+
+
 class VelocitySampler:
     """v(x, t) from a snapshot sequence: cubic in x on valid points
     (shrinking to linear beside invalid nodes), linear in t."""
@@ -87,13 +100,19 @@ class VelocitySampler:
         self.grid = run.snapshots[0].grid
         self.config = run.config
         self.times = np.array([s.time for s in run.snapshots])
-        vs, oks = [], []
-        for snap in run.snapshots:
-            vf = qf.velocity_field(snap, run.config.constants, method=method)
-            vs.append(np.where(vf.valid, vf.v, 0.0))
-            oks.append(vf.valid)
-        self.v = np.asarray(vs)
-        self.ok = np.asarray(oks)
+        frames = [_velocity_frame(s, run.config.constants, method)
+                  for s in run.snapshots]
+        self.v = np.asarray([v for v, _ in frames])
+        self.ok = np.asarray([ok for _, ok in frames])
+
+    @classmethod
+    def over(cls, grid: GridSpec, config, times, v, ok) -> VelocitySampler:
+        """A sampler over given frames: their times, and their velocities
+        and validity flags as (n_frames, n_points) arrays."""
+        sampler = cls.__new__(cls)
+        sampler.grid, sampler.config = grid, config
+        sampler.times, sampler.v, sampler.ok = times, v, ok
+        return sampler
 
     def _space(self, i: int, xq: np.ndarray):
         """v and its ok flag at xq on snapshots i and i + 1, as (2, m)
@@ -155,48 +174,71 @@ def _step_with_halving(sampler, x: float, t: float, dt: float,
     return x, 1 + n1 + n2
 
 
-def _march(sampler: VelocitySampler, x0: np.ndarray, times: np.ndarray):
-    """One RK4 call per mesh step over all live rows; rows with an invalid
-    velocity take the scalar halving fallback.  A row that meets a node or
-    leaves the grid is dropped and NaN at every mesh time.  Returns the
-    positions, the sorted [(row, exception), ...] of dropped rows, the
-    number of row-steps sent to the fallback and the halvings it made."""
-    g = sampler.grid
-    xs = np.full((len(x0), len(times)), np.nan)
-    xs[:, 0] = x0
-    x = np.asarray(x0, dtype=float)
-    live = np.arange(len(x0))
-    errors = []
-    fallback_rows = halvings = 0
-    for k in range(len(times) - 1):
+class _March:
+    """All rows marched over a time mesh, one RK4 call per mesh step over
+    the live rows; rows with an invalid velocity take the scalar halving
+    fallback.  A row that meets a node or leaves the grid is dropped and NaN
+    at every mesh time.  Each step(sampler) advances one mesh step, so the
+    sampler may change between steps."""
+
+    def __init__(self, x0: np.ndarray, times: np.ndarray):
+        self.times = times
+        self.xs = np.full((len(x0), len(times)), np.nan)
+        self.xs[:, 0] = x0
+        self.x = np.asarray(x0, dtype=float)
+        self.live = np.arange(len(x0))
+        self.errors = []
+        self.fallback_rows = self.halvings = 0
+        self.k = 0  # mesh steps taken
+
+    def step(self, sampler) -> None:
+        k, times, x, live = self.k, self.times, self.x, self.live
+        g = sampler.grid
         t, dt = times[k], times[k + 1] - times[k]
         x_new, ok = _rk4_step(sampler, x, t, dt)
         failed = {}
         for r in np.flatnonzero(~ok):
-            fallback_rows += 1
+            self.fallback_rows += 1
             try:
                 x_new[r], n = _step_with_halving(sampler, x[r], t, dt)
-                halvings += n
+                self.halvings += n
             except NodeEncounter as exc:
                 failed[r] = exc
         for r in np.flatnonzero((x_new < g.x_min) | (x_new > g.x_max)):
             failed.setdefault(r, LeftDomain(
                 f"trajectory {live[r]} left the grid at t = {times[k + 1]:g}"))
         if failed:
-            errors += [(int(live[r]), exc) for r, exc in failed.items()]
+            self.errors += [(int(live[r]), exc) for r, exc in failed.items()]
             keep = np.ones(len(live), dtype=bool)
             keep[list(failed)] = False
             live, x_new = live[keep], x_new[keep]
-        x = x_new
-        xs[live, k + 1] = x
-    errors.sort(key=lambda e: e[0])
-    xs[[row for row, _ in errors]] = np.nan
-    return xs, errors, fallback_rows, halvings
+        self.x, self.live = x_new, live
+        self.xs[live, k + 1] = x_new
+        self.k = k + 1
+
+    def result(self):
+        """The positions, the sorted [(row, exception), ...] of dropped
+        rows, the number of row-steps sent to the fallback and the halvings
+        it made."""
+        self.errors.sort(key=lambda e: e[0])
+        self.xs[[row for row, _ in self.errors]] = np.nan
+        return self.xs, self.errors, self.fallback_rows, self.halvings
+
+
+def _march(sampler: VelocitySampler, x0: np.ndarray, times: np.ndarray):
+    """The _March over the whole mesh with one sampler; returns
+    _March.result()."""
+    march = _March(x0, times)
+    for _ in range(len(times) - 1):
+        march.step(sampler)
+    return march.result()
 
 
 def time_mesh(t_span, dt_traj: float) -> np.ndarray:
+    """Whole steps of dt_traj from t_span[0] to t_span[1] (at least one);
+    ValueError when dt_traj does not divide the span (see whole_steps)."""
     t_start, t_end = t_span
-    n = max(1, int(round((t_end - t_start) / dt_traj)))
+    n = max(1, whole_steps(t_start, t_end, dt_traj))
     return t_start + (t_end - t_start) * np.arange(n + 1) / n
 
 
@@ -213,10 +255,120 @@ def integrate_trajectory(x0: float, sampler: VelocitySampler, t_span,
     return Trajectory(times, xs[0])
 
 
+def check_frame_gap(gap: float, dt_traj: float) -> None:
+    """ValueError when two successive stored states lie more than
+    10 dt_traj apart, with 1e-9 slack for rounding: the velocity is linear
+    in time between them."""
+    if gap > 10.0 * dt_traj * (1 + 1e-9):
+        raise ValueError(f"snapshot spacing {gap!r} exceeds 10 * dt_traj; "
+                         "store more snapshots or increase dt_traj")
+
+
+def _enclosed(xk: np.ndarray, t: float, snap_times, rhos,
+              grid: GridSpec) -> np.ndarray:
+    """Probability between neighbouring positions xk at time t, with rho
+    linear in time between the densities rhos at snap_times."""
+    a = min(max(np.searchsorted(snap_times, t) - 1, 0), len(snap_times) - 2)
+    w = min(max((t - snap_times[a]) / (snap_times[a + 1] - snap_times[a]),
+                0.0), 1.0)
+    rho = (1 - w) * rhos[a] + w * rhos[a + 1]
+    return np.diff(np.interp(xk, grid.x, _cdf(rho, grid)))
+
+
+class BundleStream:
+    """A trajectory bundle marched through the states of a run as they are
+    produced: call it on each stored state in time order, then finish().
+
+    It keeps a sliding window of frames (time, v, ok, rho): only those that
+    the next RK4 mesh step and the next tube time need, that is from the
+    last frame before the step's start (at least the last two frames) to
+    one frame past the first frame at or after its end, which covers the
+    rounding of t + dt.  Within that window the sampler picks the same two
+    frames as a VelocitySampler over every frame, so the march and the
+    tube values equal those over every stored snapshot bit for bit.
+    """
+
+    def __init__(self, ensemble: InitialEnsemble, grid: GridSpec, config,
+                 dt_traj: float, t_span, method: str = "fd4"):
+        self.grid, self.config, self.method = grid, config, method
+        self.dt_traj = dt_traj
+        self.times = time_mesh(t_span, dt_traj)
+        n = len(ensemble.positions)
+        self.tubes = np.empty((n - 1, len(self.times))) if n >= 2 else None
+        self._march = _March(ensemble.positions, self.times)
+        self._frames = []      # the window: (time, v, ok, rho), in time order
+        self._sampler = None   # the window's sampler, built on first use
+        self._k = 0            # next mesh time to reach
+        self._last_time = None  # of the latest frame
+        self._finished = False
+
+    def __call__(self, psi) -> None:
+        """Take the next stored state."""
+        v, ok = _velocity_frame(psi, self.config.constants, self.method)
+        self.push(psi.time, v, ok, np.abs(psi.values) ** 2)
+
+    def push(self, time: float, v: np.ndarray, ok: np.ndarray,
+             rho: np.ndarray) -> None:
+        """Take the next frame: its time, velocity (0 where invalid),
+        validity flags and density.  ValueError when it lies too far after
+        the previous frame (see check_frame_gap)."""
+        if self._last_time is not None:
+            check_frame_gap(time - self._last_time, self.dt_traj)
+        self._last_time = time
+        if self._k < len(self.times):  # else the mesh is done
+            self._frames.append((time, v, ok, rho))
+            self._sampler = None
+            self._advance()
+
+    def finish(self) -> TrajectoryBundle:
+        """The bundle after the last state; bundle.tubes holds the tube
+        probabilities, NaN beside a failed row."""
+        self._finished = True
+        self._advance()
+        xs, errors, fallback_rows, halvings = self._march.result()
+        if self.tubes is not None:
+            for row, _ in errors:
+                self.tubes[max(row - 1, 0):row + 1] = np.nan
+        return TrajectoryBundle(self.times, xs, self.config, tuple(
+            (row, type(exc).__name__, str(exc)) for row, exc in errors),
+            fallback_rows, halvings, self.tubes)
+
+    def _ready(self, t: float) -> bool:
+        frames = self._frames
+        return self._finished or (len(frames) >= 2 and frames[-2][0] >= t)
+
+    def _advance(self) -> None:
+        """Reach every mesh time the window covers: its tube values, and
+        the mesh step that leaves it."""
+        last = len(self.times) - 1
+        frames = self._frames
+        while self._k <= last and self._ready(
+                self.times[min(self._k + 1, last)]):
+            t = self.times[self._k]
+            while len(frames) > 2 and frames[1][0] < t:
+                frames.pop(0)
+                self._sampler = None
+            snap_times = np.array([f[0] for f in frames])
+            if self.tubes is not None:
+                self.tubes[:, self._k] = _enclosed(
+                    self._march.xs[:, self._k], t, snap_times,
+                    [f[3] for f in frames], self.grid)
+            if self._k < last:
+                if self._sampler is None:
+                    self._sampler = VelocitySampler.over(
+                        self.grid, self.config, snap_times,
+                        np.asarray([f[1] for f in frames]),
+                        np.asarray([f[2] for f in frames]))
+                self._march.step(self._sampler)
+            self._k += 1
+
+
 def integrate_bundle(ensemble: InitialEnsemble, run: PropagationRun,
                      dt_traj: float, t_span=None,
                      sampler: VelocitySampler = None) -> TrajectoryBundle:
-    """One trajectory per initial position, all on a shared time mesh.
+    """One trajectory per initial position, all on a shared time mesh: the
+    stored snapshots (velocities from `sampler`, by default a
+    VelocitySampler of the run) replayed through a BundleStream.
 
     Per-trajectory failures are recorded in bundle.errors as
     (index, error type, message), sorted by index, and the failing
@@ -226,16 +378,11 @@ def integrate_bundle(ensemble: InitialEnsemble, run: PropagationRun,
         sampler = VelocitySampler(run)
     if t_span is None:
         t_span = (sampler.times[0], sampler.times[-1])
-    gap = np.max(np.diff(sampler.times)) if len(sampler.times) > 1 else 0.0
-    if gap > 10.0 * dt_traj * (1 + 1e-9):
-        raise ValueError("snapshot spacing exceeds 10 * dt_traj; store more "
-                         "snapshots or increase dt_traj")
-    times = time_mesh(t_span, dt_traj)
-    xs, errors, fallback_rows, halvings = _march(sampler, ensemble.positions,
-                                                 times)
-    return TrajectoryBundle(times, xs, run.config, tuple(
-        (row, type(exc).__name__, str(exc)) for row, exc in errors),
-        fallback_rows, halvings)
+    stream = BundleStream(ensemble, sampler.grid, run.config, dt_traj, t_span)
+    for i, snap in enumerate(run.snapshots):
+        stream.push(sampler.times[i], sampler.v[i], sampler.ok[i],
+                    np.abs(snap.values) ** 2)
+    return stream.finish()
 
 
 @dataclass(frozen=True)
@@ -267,26 +414,20 @@ def tube_probability(bundle: TrajectoryBundle,
     if bundle.xs.shape[0] < 2:
         raise ValueError("need at least two trajectories")
     grid = run.snapshots[0].grid
-    x = grid.x
     snap_times = np.array([s.time for s in run.snapshots])
     rhos = np.array([np.abs(s.values) ** 2 for s in run.snapshots])
     out = np.empty((bundle.xs.shape[0] - 1, len(bundle.times)))
     for k, t in enumerate(bundle.times):
-        a = min(max(np.searchsorted(snap_times, t) - 1, 0), len(snap_times) - 2)
-        w = min(max((t - snap_times[a]) / (snap_times[a + 1] - snap_times[a]),
-                    0.0), 1.0)
-        rho = (1 - w) * rhos[a] + w * rhos[a + 1]
-        out[:, k] = np.diff(np.interp(bundle.xs[:, k], x, _cdf(rho, grid)))
+        out[:, k] = _enclosed(bundle.xs[:, k], t, snap_times, rhos, grid)
     return out
 
 
 def write_bundle(path, bundle: TrajectoryBundle, metadata: dict = None) -> None:
     """Text table: one row per mesh time, columns t x_1 ... x_n, with a
     metadata header."""
-    lines = []
-    for key, value in (metadata or {}).items():
-        lines.append(f"# {key} = {value}")
-    lines.append("# t " + " ".join(f"x_{i + 1}" for i in range(bundle.xs.shape[0])))
-    lines += qf.format_rows(bundle.times, bundle.xs.T)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for key, value in (metadata or {}).items():
+            fh.write(f"# {key} = {value}\n")
+        fh.write("# t " + " ".join(f"x_{i + 1}"
+                                   for i in range(bundle.xs.shape[0])) + "\n")
+        qf.write_rows(fh, bundle.times, bundle.xs.T)

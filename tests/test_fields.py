@@ -1,5 +1,6 @@
 """Grid, Madelung decomposition, and hydrodynamic field diagnostics."""
 
+import io
 import math
 
 import numpy as np
@@ -10,9 +11,9 @@ from qstream import (ComplexField, GridSpec, PhysicalConstants,
                      polar_decompose, probability_current, quantum_potential,
                      velocity_field)
 from qstream.errors import (AllBelowThreshold, NegativeDensity, NotNormalized)
-from qstream.fields import (_unwrap_phase, derivative, format_rows,
-                            kinetic_energy, node_mask, position_spread,
-                            write_snapshot)
+from qstream.fields import (ROW_CHUNK, _unwrap_phase, derivative,
+                            format_rows, kinetic_energy, node_mask,
+                            position_spread, write_rows, write_snapshot)
 
 from conftest import max_abs, sym_grid
 
@@ -386,6 +387,17 @@ class TestSnapshotSerialization:
         b = np.arange(8.0).reshape(4, 2) / 3
         assert format_rows(a, b) == [
             "  ".join(repr(float(v)) for v in (a[i], *b[i])) for i in range(4)]
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, ROW_CHUNK - 1, ROW_CHUNK,
+                                    ROW_CHUNK + 1, 2 * ROW_CHUNK + 1])
+def test_chunked_rows_equal_the_whole_table(n_rows):
+    a = np.random.default_rng(n_rows).normal(size=n_rows) * 1e3
+    b = np.arange(3.0 * n_rows).reshape(n_rows, 3) / 7
+    out = io.StringIO()
+    write_rows(out, a, b)
+    whole = "\n".join(format_rows(a, b)) + "\n" if n_rows else ""
+    assert out.getvalue() == whole
 
 
 def test_kinetic_energy_plane_wave_mode():

@@ -17,8 +17,8 @@ from qstream.fields import (node_mask, norm, polar_decompose,
 from qstream.propagators import (_friction_potential, _mirrored_phase_factor,
                                  _phase_factor, _split_step, check_stability,
                                  classical_ck_energy, damped_oscillator,
-                                 free_gaussian_width, physical_energy,
-                                 whole_steps)
+                                 final_time, free_gaussian_width,
+                                 physical_energy, whole_steps)
 from qstream.scenarios import parse_scenario
 
 from conftest import max_abs, sym_grid
@@ -206,7 +206,7 @@ class TestKostin:
         psi = gaussian_packet(g, C, sigma0=math.sqrt(0.5))
         cfg = PropagatorConfig(model="kostin", potential=HARMONIC,
                                gamma=0.3, dt=1e-3)
-        W = _friction_potential(psi, cfg)
+        W = _friction_potential(psi.values, psi.grid, cfg)
         assert max_abs(W) < 1e-12
 
     def test_norm_drift_per_step(self):
@@ -291,6 +291,45 @@ class TestPropagate:
             whole_steps(0.0, 0.505, 0.01)
         assert info.value.key == "time"
         assert info.value.constraint == str(direct.value)
+
+    @pytest.mark.parametrize("model",
+                             ["standard", "caldirola_kanai", "kostin"])
+    def test_consumers_get_every_stored_state(self, model):
+        # the handed-out states are those a run without consumers stores;
+        # the run itself then keeps only the initial and final states
+        g = sym_grid(8, 256)
+        cfg = PropagatorConfig(model=model, potential=HARMONIC, gamma=0.3,
+                               dt=1e-2, t_final=1.0)
+        psi = coherent(g)
+        stored = propagate(psi, cfg, 0.23, snapshot_every=5)
+        handed = []
+        run = propagate(psi, cfg, 0.23, snapshot_every=5,
+                        consumers=(handed.append,))
+        assert len(handed) == len(stored.snapshots) == 6  # 0 5 .. 20 23
+        for a, b in zip(handed, stored.snapshots):
+            assert a.time == b.time
+            assert np.array_equal(a.values, b.values)
+        assert run.snapshots == [handed[0], handed[-1]]
+        for name in ("times", "norms", "x_means", "sigmas", "energies"):
+            assert np.array_equal(getattr(run, name), getattr(stored, name))
+        assert propagate(psi, cfg, psi.time, consumers=()).snapshots == [psi]
+
+    def test_final_time_is_the_last_state_time(self):
+        psi = gaussian_packet(sym_grid(8, 256), C, 1.0, time=0.1)
+        run = propagate(psi, PropagatorConfig(dt=1e-3), 0.6)
+        assert run.snapshots[-1].time != 0.6  # the additions round
+        assert final_time(0.1, 1e-3, run.steps) == run.snapshots[-1].time
+
+    def test_non_finite_state_rejected(self):
+        # on a wide grid exp(gamma t) V overflows the phase of the
+        # Caldirola-Kanai half-potential factor, whose cos and sin are NaN
+        g = sym_grid(2000, 256)
+        cfg = PropagatorConfig(model="caldirola_kanai", potential=HARMONIC,
+                               gamma=5.6e5, dt=2.5e-3, t_final=2.5e-3)
+        psi = gaussian_packet(g, C, sigma0=20.0)
+        with np.errstate(invalid="ignore", over="ignore"), \
+                pytest.raises(ValueError, match="non-finite"):
+            propagate(psi, cfg, 2.5e-3)
 
     def test_stability_checked_on_entry(self):
         g = sym_grid(8, 256)
@@ -470,7 +509,7 @@ class TestFastFormOracles:
         S = np.interp(x, x[polar.valid], polar.S[polar.valid])
         rho = polar.rho / np.trapezoid(polar.rho, dx=g.dx)
         ref = cfg.gamma * (S - np.trapezoid(rho * S, dx=g.dx))
-        assert np.array_equal(_friction_potential(psi, cfg), ref)
+        assert np.array_equal(_friction_potential(psi.values, psi.grid, cfg), ref)
 
 
 # closed-form oracle --------------------------------------------------------

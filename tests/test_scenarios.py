@@ -16,6 +16,7 @@ import scipy
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qstream import cli, scenarios
+from qstream import trajectories as qt
 from qstream.errors import ParseError, ValidationError
 from qstream.scenarios import (OUT_DIR_ENV, MatterScenario, OpticsScenario,
                                builtin_scenario, list_scenarios,
@@ -37,6 +38,13 @@ ensemble.n_trajectories = 6
 ensemble.dt_traj = 0.05
 checks.required = norm_drift non_crossing
 """
+
+# valid, but dt breaks the accuracy bound of the narrow packet: the run
+# fails in its propagate stage
+UNSTABLE_MATTER = (QUICK_MATTER.replace("time.dt = 0.01", "time.dt = 5.0")
+                   .replace("time.t_final = 0.5", "time.t_final = 10.0")
+                   .replace("ensemble.dt_traj = 0.05", "ensemble.dt_traj = 5.0")
+                   .replace("packet1.sigma0 = 1.0", "packet1.sigma0 = 0.05"))
 
 QUICK_OPTICS = """\
 scenario.name = quick-optics
@@ -95,6 +103,13 @@ BAD_NUMBERS = {
                       "time.dt = 0.01\nchecks.norm_tol = 0"),
     "tube_tol-zero": (QUICK_MATTER, "norm_drift non_crossing",
                       "norm_drift non_crossing tube\nchecks.tube_tol = 0"),
+    # the trajectory march needs stored states at most 10 dt_traj apart,
+    # and a mesh of whole steps of dt_traj
+    "snapshot-gap-over-10-dt_traj": (
+        QUICK_MATTER.replace("time.t_final = 0.5", "time.t_final = 2.0"),
+        "time.snapshot_every = 5", "time.snapshot_every = 1000"),
+    "dt_traj-off-grid": (QUICK_MATTER, "ensemble.dt_traj = 0.05",
+                         "ensemble.dt_traj = 0.03"),
     # work bounds: runs too large to finish or to fit in memory
     "dt-tiny": (QUICK_MATTER, "time.dt = 0.01", "time.dt = 1e-12"),
     "n_points-huge-matter": (QUICK_MATTER, "grid.n_points = 256",
@@ -278,6 +293,37 @@ class TestParser:
         with pytest.raises(ValidationError,
                            match=re.escape(MEMORY_BOUND_KEYS[case])):
             parse_scenario(bad_number_text(case))
+
+    def test_stored_state_gap_rejected_before_the_run(self):
+        # ck-ensemble stores every 1000th step of 1e-3: 1.0 apart, against
+        # 10 dt_traj = 0.1
+        text = (_load_workloads().build("ck-ensemble", 1).text
+                .replace("time.snapshot_every = 40",
+                         "time.snapshot_every = 1000")
+                .replace("time.t_final = 4.0", "time.t_final = 2.0"))
+        with pytest.raises(ValidationError) as info:
+            parse_scenario(text)
+        with pytest.raises(ValueError) as direct:
+            qt.check_frame_gap(1.0, 0.01)
+        assert info.value.key == "time.snapshot_every"
+        assert info.value.constraint == str(direct.value)
+        # the gap is that of the states a run stores: here only the initial
+        # and final ones, 0.5 apart, which is 10 dt_traj exactly
+        parse_scenario(QUICK_MATTER.replace("time.snapshot_every = 5",
+                                            "time.snapshot_every = 1000"))
+        cfg = builtin_scenario("kostin-relaxation")
+        assert cfg.snapshot_every * cfg.dt == 10 * cfg.ensemble["dt_traj"]
+
+    def test_dt_traj_off_grid_rejected_as_time_mesh_rejects_it(self):
+        with pytest.raises(ValidationError) as info:
+            parse_scenario(bad_number_text("dt_traj-off-grid"))
+        with pytest.raises(ValueError) as direct:
+            qt.time_mesh((0.0, 0.5), 0.03)
+        assert info.value.key == "ensemble.dt_traj"
+        assert info.value.constraint == str(direct.value)
+        # dt_traj is not read without an ensemble
+        parse_scenario(bad_number_text("dt_traj-off-grid").replace(
+            "ensemble.n_trajectories = 6", "ensemble.n_trajectories = 0"))
 
     def test_window_sigmas_scales_sigma(self):
         cfg = parse_scenario(QUICK_OPTICS + "slit1.window_sigmas = 1.5\n")
@@ -496,12 +542,7 @@ class TestRunScenario:
         assert "non_crossing" in art.manifest["failed_checks"]
 
     def test_numeric_failure_still_writes_manifest(self, tmp_path):
-        text = QUICK_MATTER.replace("time.dt = 0.01", "time.dt = 5.0") \
-                           .replace("time.t_final = 0.5",
-                                    "time.t_final = 10.0") \
-                           .replace("packet1.sigma0 = 1.0",
-                                    "packet1.sigma0 = 0.05")
-        art = run_scenario(parse_scenario(text),
+        art = run_scenario(parse_scenario(UNSTABLE_MATTER),
                            out_dir=str(tmp_path / "out"))
         assert art.failure_kind == "numeric"
         m = json.loads((tmp_path / "out" / "manifest.json").read_text())
@@ -572,6 +613,8 @@ class TestRunScenario:
             assert m["versions"] == {"numpy": np.__version__,
                                      "scipy": scipy.__version__,
                                      "python": platform.python_version()}
+            rss = [s["peak_rss_mib"] for s in m["stages"]]
+            assert 0.0 < rss[0] <= rss[1] <= m["peak_rss_mib"]
             if stages[0] == "propagate":
                 assert m["stages"][0]["steps"] == 50  # 0.5 / 0.01
                 traj = m["stages"][1]
@@ -580,12 +623,7 @@ class TestRunScenario:
                 assert traj["halvings"] == 0
 
     def test_failed_stage_records_wall_time(self, tmp_path):
-        text = QUICK_MATTER.replace("time.dt = 0.01", "time.dt = 5.0") \
-                           .replace("time.t_final = 0.5",
-                                    "time.t_final = 10.0") \
-                           .replace("packet1.sigma0 = 1.0",
-                                    "packet1.sigma0 = 0.05")
-        art = run_scenario(parse_scenario(text),
+        art = run_scenario(parse_scenario(UNSTABLE_MATTER),
                            out_dir=str(tmp_path / "out"))
         stage = art.manifest["stages"][-1]
         assert stage["status"] == "failed"
@@ -655,11 +693,7 @@ class TestCli:
 
     def test_run_numeric_failure_exit_code(self, tmp_path, capsys):
         path = tmp_path / "s.cfg"
-        path.write_text(QUICK_MATTER
-                        .replace("time.dt = 0.01", "time.dt = 5.0")
-                        .replace("time.t_final = 0.5", "time.t_final = 10.0")
-                        .replace("packet1.sigma0 = 1.0",
-                                 "packet1.sigma0 = 0.05"))
+        path.write_text(UNSTABLE_MATTER)
         code = cli.main(["run", str(path), "--out-dir",
                          str(tmp_path / "out")])
         assert code == 4

@@ -2,6 +2,8 @@
 probability-tube diagnostics."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,9 +14,9 @@ from qstream import (ComplexField, GridSpec, InitialEnsemble,
                      integrate_bundle, integrate_trajectory, propagate,
                      sample_initial_positions, tube_probability)
 from qstream.errors import LeftDomain, NodeEncounter, ZeroDensity
-from qstream.propagators import PropagationRun, rate_factor
-from qstream.trajectories import (VelocitySampler, _march, time_mesh,
-                                  write_bundle)
+from qstream.propagators import PropagationRun, final_time, rate_factor
+from qstream.trajectories import (BundleStream, VelocitySampler, _march,
+                                  time_mesh, write_bundle)
 
 from conftest import max_abs, sym_grid
 
@@ -128,8 +130,9 @@ class TestCoherentBundle:
         g = sym_grid(8, 512)
         cfg = PropagatorConfig(potential=PotentialSpec("harmonic",
                                                        omega0=1.0), dt=5e-4)
+        # one period, to the nearest whole step of dt_traj
         run = propagate(gaussian_packet(g, C, math.sqrt(0.5), x0=1.0), cfg,
-                        round(2 * math.pi / cfg.dt) * cfg.dt, snapshot_every=4)
+                        round(2 * math.pi / 0.01) * 0.01, snapshot_every=4)
         rho0 = np.abs(run.snapshots[0].values) ** 2
         ens = sample_initial_positions(rho0, g, 8)
         bundle = integrate_bundle(ens, run, dt_traj=0.01)
@@ -318,6 +321,177 @@ class TestBundles:
         assert len(rows[0].split()) == 4
 
 
+# streamed bundles ----------------------------------------------------------
+
+def streamed_and_stored(psi0, cfg, t_final, snapshot_every, dt_traj,
+                        n_traj=8):
+    """The bundle a BundleStream marches during propagate, and the run of
+    the same propagation with every stored state kept."""
+    rho0 = np.abs(psi0.values) ** 2
+    ens = sample_initial_positions(rho0, psi0.grid, n_traj)
+    n_steps = round((t_final - psi0.time) / cfg.dt)
+    stream = BundleStream(ens, psi0.grid, cfg, dt_traj, (
+        psi0.time, final_time(psi0.time, cfg.dt, n_steps)))
+    streamed_run = propagate(psi0, cfg, t_final, snapshot_every,
+                             consumers=(stream,))
+    assert len(streamed_run.snapshots) == 2
+    run = propagate(psi0, cfg, t_final, snapshot_every)
+    return ens, stream.finish(), run
+
+
+def assert_same_bundle(a, b):
+    assert np.array_equal(a.times, b.times)
+    assert np.array_equal(a.xs, b.xs, equal_nan=True)
+    assert a.errors == b.errors
+    assert (a.fallback_rows, a.halvings) == (b.fallback_rows, b.halvings)
+    assert np.array_equal(a.tubes, b.tubes, equal_nan=True)
+
+
+class TestBundleStream:
+    @pytest.mark.parametrize("t_final, snapshot_every, dt_traj", [
+        (0.4, 2, 0.01),    # states 0.002 apart: denser than the mesh
+        (0.4, 40, 0.01),   # states 0.04 apart: sparser than the mesh
+        (0.5, 30, 0.01),   # the last two states only 0.02 apart
+        (0.5, 7, 0.025),   # states and mesh times never meet
+    ])
+    def test_equals_stored_snapshots_bit_for_bit(self, t_final,
+                                                 snapshot_every, dt_traj):
+        omega0 = 2 * math.pi / 10.0
+        g = sym_grid(8, 512)
+        cfg = PropagatorConfig(model="caldirola_kanai",
+                               potential=PotentialSpec("harmonic",
+                                                       omega0=omega0),
+                               gamma=0.3 * omega0, dt=1e-3, t_final=t_final)
+        psi0 = gaussian_packet(g, C, math.sqrt(0.5 / omega0), x0=2.0)
+        ens, streamed, run = streamed_and_stored(psi0, cfg, t_final,
+                                                 snapshot_every, dt_traj)
+        replayed = integrate_bundle(ens, run, dt_traj)
+        assert_same_bundle(streamed, replayed)
+        # the oracles: one sampler over every stored state, and the tube
+        # values from every stored density
+        sampler = VelocitySampler(run)
+        xs, errors, fallback_rows, halvings = _march(
+            sampler, ens.positions, streamed.times)
+        assert final_time(0.0, cfg.dt, run.steps) == sampler.times[-1]
+        assert np.array_equal(streamed.times, time_mesh(
+            (0.0, sampler.times[-1]), dt_traj))
+        assert np.array_equal(streamed.xs, xs)
+        assert (errors, fallback_rows, halvings) == ([], 0, 0)
+        assert np.array_equal(streamed.tubes,
+                              tube_probability(streamed, run))
+
+    def test_fallback_rows_and_failed_row_match_the_oracle(self):
+        # v = -50 (x - 7), valid only for x > 6: the full steps of rows 1
+        # and 2 overshoot below 6 and take the halving fallback, which
+        # succeeds; row 0 starts in the invalid region and fails
+        run = plane_wave_run(n_snaps=7)
+        sampler = VelocitySampler(run)
+        x = sampler.grid.x
+        sampler.v[:] = -50.0 * (x - 7.0)
+        sampler.ok[:] = x > 6.0
+        ens = InitialEnsemble(np.array([5.0, 8.0, 9.0]))
+        bundle = integrate_bundle(ens, run, dt_traj=0.1, t_span=(0.0, 1.5),
+                                  sampler=sampler)
+        xs, errors, fallback_rows, halvings = _march(sampler, ens.positions,
+                                                     bundle.times)
+        assert np.array_equal(bundle.xs, xs, equal_nan=True)
+        assert bundle.errors == tuple(
+            (row, type(exc).__name__, str(exc)) for row, exc in errors)
+        assert [e[:2] for e in bundle.errors] == [(0, "NodeEncounter")]
+        assert bundle.fallback_rows == fallback_rows > 1
+        assert bundle.halvings == halvings > 0
+        tubes = tube_probability(bundle, run)
+        assert np.isnan(tubes[0]).all() and np.isfinite(tubes[1]).all()
+        assert np.array_equal(bundle.tubes, tubes, equal_nan=True)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_halved_steps_past_a_frame_match_the_oracle(self, stride):
+        # frames exactly at every (stride-th) mesh time, and an equilibrium
+        # 7 +- 0.8 that flips from frame to frame, so rows keep taking the
+        # halving fallback; its halves end at (t + h) + h, which rounds
+        # past t + dt (0.55 + 0.05 > 0.6), where the window must already
+        # hold the frame after the one at t + dt
+        mesh = time_mesh((0.0, 1.6), 0.1)
+        times = mesh[::stride]
+        wave = plane_wave_run(t_final=1.6, n_snaps=len(times))
+        run = make_run([ComplexField(s.grid, s.values, time=t)
+                        for s, t in zip(wave.snapshots, times)], wave.config)
+        sampler = VelocitySampler(run)
+        x = sampler.grid.x
+        for i in range(len(times)):
+            sampler.v[i] = -30.0 * (x - 7.0 - 0.8 * (-1) ** i)
+        sampler.ok[:] = x > 6.0
+        ens = InitialEnsemble(np.array([7.2, 8.0]))
+        bundle = integrate_bundle(ens, run, dt_traj=0.1, sampler=sampler)
+        xs, errors, fallback_rows, halvings = _march(sampler, ens.positions,
+                                                     bundle.times)
+        assert np.array_equal(bundle.times, mesh)
+        assert errors == [] and bundle.errors == ()
+        assert bundle.fallback_rows == fallback_rows > 10
+        assert np.array_equal(bundle.xs, xs)
+
+    def test_mesh_beyond_the_states_matches_the_oracle(self):
+        # a span that starts before the first state and ends after the last
+        # holds v and rho at the nearest state, as one sampler over every
+        # state does
+        run = plane_wave_run(k=0.5, t_final=1.0, n_snaps=11)
+        sampler = VelocitySampler(run, method="spectral")
+        ens = InitialEnsemble(np.array([1.0, 2.0, 3.0]))
+        run.snapshots[:] = [ComplexField(s.grid, s.values * (1 + 0.1 * i),
+                                         s.time + 0.1)
+                            for i, s in enumerate(run.snapshots)]
+        sampler.times = sampler.times + 0.1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no 0/0 between equal times
+            bundle = integrate_bundle(ens, run, dt_traj=0.01,
+                                      t_span=(0.0, 1.3), sampler=sampler)
+        xs, errors, _, _ = _march(sampler, ens.positions, bundle.times)
+        assert np.array_equal(bundle.xs, xs) and errors == []
+        tubes = tube_probability(bundle, run)
+        assert np.isfinite(tubes).all()
+        assert np.array_equal(bundle.tubes, tubes)
+
+    def test_streamed_states_match_the_oracle_when_a_row_leaves(self):
+        run = plane_wave_run()  # v = 2, domain [0, ~12.57], t up to 3
+        ens = InitialEnsemble(np.array([1.0, 2.0, 8.0]))
+        stream = BundleStream(ens, run.snapshots[0].grid, run.config, 0.01,
+                              (0.0, 3.0), method="spectral")
+        for snap in run.snapshots:
+            stream(snap)
+        streamed = stream.finish()
+        sampler = VelocitySampler(run, method="spectral")
+        assert_same_bundle(streamed, integrate_bundle(
+            ens, run, dt_traj=0.01, sampler=sampler))
+        xs, errors, _, _ = _march(sampler, ens.positions, streamed.times)
+        assert np.array_equal(streamed.xs, xs, equal_nan=True)
+        assert [e[:2] for e in streamed.errors] == [(2, "LeftDomain")]
+        assert np.array_equal(streamed.tubes, tube_probability(streamed, run),
+                              equal_nan=True)
+
+    def test_memory_does_not_grow_with_stored_states(self):
+        # 10x the stored states (1001 against 101) may raise the traced
+        # peak by at most 5 % of their 7.4 MB
+        g = sym_grid(12, 512)
+        cfg = PropagatorConfig(dt=1e-3)
+        psi0 = gaussian_packet(g, C, 1.0)
+        peaks = {}
+        for every in (10, 1):
+            tracemalloc.start()
+            try:
+                ens = sample_initial_positions(np.abs(psi0.values) ** 2, g,
+                                               8)
+                stream = BundleStream(ens, g, cfg, 0.01, (0.0, final_time(
+                    0.0, cfg.dt, 1000)))
+                propagate(psi0, cfg, 1.0, every, series_every=10,
+                          consumers=(stream,))
+                stream.finish()
+                peaks[every] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        extra_bytes = 900 * g.n_points * 16
+        assert peaks[1] - peaks[10] < 0.05 * extra_bytes
+
+
 # diagnostics ---------------------------------------------------------------
 
 class TestNonCrossing:
@@ -405,7 +579,12 @@ class TestEnsembleDensityConsistency:
 
 
 def test_time_mesh_hits_endpoints():
-    mesh = time_mesh((0.0, 1.0), 0.3)
+    mesh = time_mesh((0.0, 1.0), 0.25)
     assert mesh[0] == 0.0
     assert mesh[-1] == 1.0
-    assert len(mesh) == 4
+    assert len(mesh) == 5
+
+
+def test_time_mesh_rejects_a_step_that_does_not_divide_the_span():
+    with pytest.raises(ValueError, match="whole number of steps"):
+        time_mesh((0.0, 1.0), 0.3)
