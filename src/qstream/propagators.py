@@ -282,12 +282,20 @@ class PropagationRun:
                           self.sigmas, self.energies)
 
 
-def final_time(t0: float, dt: float, n_steps: int) -> float:
-    """The time of the state n_steps steps after t0: dt added to t0 once
-    per step, in turn, as propagate adds it."""
+def step_times(t0: float, dt: float, n_steps: int):
+    """The times of the n_steps states after t0, in turn: each adds dt to
+    the one before.  propagate times its states by this rule."""
     t = t0
     for _ in range(n_steps):
         t = t + dt
+        yield t
+
+
+def final_time(t0: float, dt: float, n_steps: int) -> float:
+    """The time of the state n_steps steps after t0 (see step_times)."""
+    t = t0
+    for t in step_times(t0, dt, n_steps):
+        pass
     return t
 
 
@@ -324,11 +332,11 @@ def propagate(psi0: ComplexField, config: PropagatorConfig, t_final: float,
     record(psi0)
     for consume in hand_out:
         consume(psi0)
-    grid, dt = psi0.grid, config.dt
+    grid = psi0.grid
     values, t, psi = psi0.values, psi0.time, psi0
-    for i in range(1, n_steps + 1):
+    for i, t_next in enumerate(step_times(t, config.dt, n_steps), start=1):
         values = advance(values, t)
-        t = t + dt
+        t = t_next
         qf.require_finite(values)
         recorded = i % series_every == 0 or i == n_steps
         stored = i % snapshot_every == 0 or i == n_steps

@@ -382,25 +382,32 @@ class MatterScenario(_Scenario):
                    t_final=t_final, snapshot_every=snapshot_every,
                    packets=tuple(packets), ensemble=ensemble)
 
+    def _bundle_stream(self, psi0, config) -> qt.BundleStream:
+        """The ensemble sampled from psi0, ready to march through the
+        states of the run."""
+        ens = qt.sample_initial_positions(
+            np.abs(psi0.values) ** 2, self.grid,
+            self.ensemble["n_trajectories"], scheme=self.ensemble["scheme"])
+        t_end = qp.final_time(self.t0, self.dt, qp.whole_steps(
+            self.t0, self.t_final, self.dt))
+        return qt.BundleStream(ens, self.grid, config,
+                               self.ensemble["dt_traj"], (self.t0, t_end))
+
     def _run(self, out_dir, required, manifest, files):
-        n_traj = self.ensemble["n_trajectories"]
-        stream = None
-        with _stage(manifest, "propagate") as st:
+        feed = None  # hands the states to the trajectory stage
+
+        def fed_s():
+            return 0.0 if feed is None else feed.seconds
+
+        with _stage(manifest, "propagate", lambda: -fed_s()) as st:
             psi0 = initial_state(self)
             config = propagator_config(self)
-            if n_traj > 0 and self.t_final > self.t0:
+            if self.ensemble["n_trajectories"] and self.t_final > self.t0:
                 # the ensemble is marched while the states are produced
-                ens = qt.sample_initial_positions(
-                    np.abs(psi0.values) ** 2, self.grid, n_traj,
-                    scheme=self.ensemble["scheme"])
-                t_end = qp.final_time(self.t0, self.dt, qp.whole_steps(
-                    self.t0, self.t_final, self.dt))
-                stream = qt.BundleStream(ens, self.grid, config,
-                                         self.ensemble["dt_traj"],
-                                         (self.t0, t_end))
+                feed = _Deferred(lambda psi: self._bundle_stream(psi, config))
             run = qp.propagate(psi0, config, self.t_final,
                                snapshot_every=self.snapshot_every,
-                               consumers=() if stream is None else (stream,))
+                               consumers=() if feed is None else (feed,))
             st["steps"] = run.steps
             p = os.path.join(out_dir, "series.txt")
             run.write_series(p)
@@ -419,9 +426,9 @@ class MatterScenario(_Scenario):
                       manifest["norm_drift"] < self.checks["norm_tol"],
                       required)
 
-        if stream is not None:
-            with _stage(manifest, "trajectories") as st:
-                bundle = stream.finish()
+        if feed is not None:
+            with _stage(manifest, "trajectories", fed_s) as st:
+                bundle = feed.finish()
                 st["mesh_steps"] = len(bundle.times) - 1
                 st["fallback_rows"] = bundle.fallback_rows
                 st["halvings"] = bundle.halvings
@@ -802,11 +809,17 @@ def propagator_config(config: MatterScenario) -> PropagatorConfig:
                             dt=config.dt, t_final=t_final)
 
 
+# the errors that fail a run as "numeric", in the stage that meets them
+_RUN_ERRORS = (QStreamError, ValueError, ArithmeticError, MemoryError)
+
+
 @contextlib.contextmanager
-def _stage(manifest, name):
+def _stage(manifest, name, moved_s=lambda: 0.0):
     """Append a running stage entry to the manifest and yield it; it turns
     "ok" when the block completes, and records its wall time and the peak
-    memory of the process so far either way."""
+    memory of the process so far either way.  moved_s() is added to the
+    wall time: the seconds of this stage's work done inside another stage,
+    or minus those of another stage's work done inside this one."""
     entry = {"name": name, "status": "running", "error": None,
              "wall_time_s": None, "peak_rss_mib": None}
     manifest["stages"].append(entry)
@@ -814,9 +827,37 @@ def _stage(manifest, name):
     try:
         yield entry
     finally:
-        entry["wall_time_s"] = _time.perf_counter() - start
+        entry["wall_time_s"] = _time.perf_counter() - start + moved_s()
         entry["peak_rss_mib"] = _peak_rss_mib()
     entry["status"] = "ok"
+
+
+class _Deferred:
+    """A consumer of a run's states that belongs to a later stage: it is
+    built from the first state, its calls are timed (`seconds`), and the
+    first run error stops the feed and is raised again by finish(), in the
+    later stage, after the propagation stage has written its files."""
+
+    def __init__(self, build):
+        self._build, self._consumer, self._error = build, None, None
+        self.seconds = 0.0
+
+    def __call__(self, psi) -> None:
+        if self._error is not None:
+            return
+        start = _time.perf_counter()
+        try:
+            if self._consumer is None:
+                self._consumer = self._build(psi)
+            self._consumer(psi)
+        except _RUN_ERRORS as exc:
+            self._error = exc
+        self.seconds += _time.perf_counter() - start
+
+    def finish(self):
+        if self._error is not None:
+            raise self._error
+        return self._consumer.finish()
 
 
 def _peak_rss_mib() -> float:
@@ -888,7 +929,7 @@ def run_scenario(config: MatterScenario | OpticsScenario, out_dir=None,
     start = _time.perf_counter()
     try:
         config._run(out_dir, required, manifest, files)
-    except (QStreamError, ValueError, ArithmeticError, MemoryError) as exc:
+    except _RUN_ERRORS as exc:
         if manifest["stages"]:
             manifest["stages"][-1]["status"] = "failed"
             manifest["stages"][-1]["error"] = f"{type(exc).__name__}: {exc}"

@@ -96,23 +96,22 @@ class VelocitySampler:
     """v(x, t) from a snapshot sequence: cubic in x on valid points
     (shrinking to linear beside invalid nodes), linear in t."""
 
-    def __init__(self, run: PropagationRun, method: str = "fd4"):
-        self.grid = run.snapshots[0].grid
-        self.config = run.config
-        self.times = np.array([s.time for s in run.snapshots])
-        frames = [_velocity_frame(s, run.config.constants, method)
-                  for s in run.snapshots]
-        self.v = np.asarray([v for v, _ in frames])
-        self.ok = np.asarray([ok for _, ok in frames])
+    def __init__(self, grid: GridSpec, config, times, v, ok):
+        """A sampler over frames: their times, and their velocities (0
+        where invalid) and validity flags as (n_frames, n_points) arrays."""
+        self.grid, self.config = grid, config
+        self.times, self.v, self.ok = times, v, ok
 
     @classmethod
-    def over(cls, grid: GridSpec, config, times, v, ok) -> VelocitySampler:
-        """A sampler over given frames: their times, and their velocities
-        and validity flags as (n_frames, n_points) arrays."""
-        sampler = cls.__new__(cls)
-        sampler.grid, sampler.config = grid, config
-        sampler.times, sampler.v, sampler.ok = times, v, ok
-        return sampler
+    def from_run(cls, run: PropagationRun,
+                 method: str = "fd4") -> VelocitySampler:
+        """A sampler over every stored snapshot of a run."""
+        frames = [_velocity_frame(s, run.config.constants, method)
+                  for s in run.snapshots]
+        return cls(run.snapshots[0].grid, run.config,
+                   np.array([s.time for s in run.snapshots]),
+                   np.asarray([v for v, _ in frames]),
+                   np.asarray([ok for _, ok in frames]))
 
     def _space(self, i: int, xq: np.ndarray):
         """v and its ok flag at xq on snapshots i and i + 1, as (2, m)
@@ -286,11 +285,16 @@ class BundleStream:
     rounding of t + dt.  Within that window the sampler picks the same two
     frames as a VelocitySampler over every frame, so the march and the
     tube values equal those over every stored snapshot bit for bit.
+
+    A step's halving fallback may sample any time inside the step, so the
+    window keeps every frame of it: about dt_traj / (frame spacing) + 3
+    frames, which grows with the number of frames per mesh step but not
+    with the number of mesh steps.
     """
 
     def __init__(self, ensemble: InitialEnsemble, grid: GridSpec, config,
-                 dt_traj: float, t_span, method: str = "fd4"):
-        self.grid, self.config, self.method = grid, config, method
+                 dt_traj: float, t_span):
+        self.grid, self.config = grid, config
         self.dt_traj = dt_traj
         self.times = time_mesh(t_span, dt_traj)
         n = len(ensemble.positions)
@@ -298,13 +302,14 @@ class BundleStream:
         self._march = _March(ensemble.positions, self.times)
         self._frames = []      # the window: (time, v, ok, rho), in time order
         self._sampler = None   # the window's sampler, built on first use
+        self._rhos = None      # and its densities
         self._k = 0            # next mesh time to reach
         self._last_time = None  # of the latest frame
         self._finished = False
 
     def __call__(self, psi) -> None:
         """Take the next stored state."""
-        v, ok = _velocity_frame(psi, self.config.constants, self.method)
+        v, ok = _velocity_frame(psi, self.config.constants)
         self.push(psi.time, v, ok, np.abs(psi.values) ** 2)
 
     def push(self, time: float, v: np.ndarray, ok: np.ndarray,
@@ -337,6 +342,18 @@ class BundleStream:
         frames = self._frames
         return self._finished or (len(frames) >= 2 and frames[-2][0] >= t)
 
+    def _window(self) -> VelocitySampler:
+        """A sampler over the window, rebuilt only when its frames change;
+        self._rhos holds their densities."""
+        if self._sampler is None:
+            frames = self._frames
+            self._sampler = VelocitySampler(
+                self.grid, self.config, np.array([f[0] for f in frames]),
+                np.asarray([f[1] for f in frames]),
+                np.asarray([f[2] for f in frames]))
+            self._rhos = [f[3] for f in frames]
+        return self._sampler
+
     def _advance(self) -> None:
         """Reach every mesh time the window covers: its tube values, and
         the mesh step that leaves it."""
@@ -348,18 +365,13 @@ class BundleStream:
             while len(frames) > 2 and frames[1][0] < t:
                 frames.pop(0)
                 self._sampler = None
-            snap_times = np.array([f[0] for f in frames])
+            sampler = self._window()
             if self.tubes is not None:
                 self.tubes[:, self._k] = _enclosed(
-                    self._march.xs[:, self._k], t, snap_times,
-                    [f[3] for f in frames], self.grid)
+                    self._march.xs[:, self._k], t, sampler.times,
+                    self._rhos, self.grid)
             if self._k < last:
-                if self._sampler is None:
-                    self._sampler = VelocitySampler.over(
-                        self.grid, self.config, snap_times,
-                        np.asarray([f[1] for f in frames]),
-                        np.asarray([f[2] for f in frames]))
-                self._march.step(self._sampler)
+                self._march.step(sampler)
             self._k += 1
 
 
@@ -368,14 +380,14 @@ def integrate_bundle(ensemble: InitialEnsemble, run: PropagationRun,
                      sampler: VelocitySampler = None) -> TrajectoryBundle:
     """One trajectory per initial position, all on a shared time mesh: the
     stored snapshots (velocities from `sampler`, by default a
-    VelocitySampler of the run) replayed through a BundleStream.
+    VelocitySampler.from_run of the run) replayed through a BundleStream.
 
     Per-trajectory failures are recorded in bundle.errors as
     (index, error type, message), sorted by index, and the failing
     trajectory is NaN at every mesh time; the other trajectories run on.
     """
     if sampler is None:
-        sampler = VelocitySampler(run)
+        sampler = VelocitySampler.from_run(run)
     if t_span is None:
         t_span = (sampler.times[0], sampler.times[-1])
     stream = BundleStream(ensemble, sampler.grid, run.config, dt_traj, t_span)

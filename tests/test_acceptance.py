@@ -416,7 +416,7 @@ ensemble.dt_traj = 0.01
     config = parse_scenario(text)
     run = propagate(initial_state(config), propagator_config(config),
                     config.t_final, snapshot_every=config.snapshot_every)
-    sampler = VelocitySampler(run)
+    sampler = VelocitySampler.from_run(run)
     rho0 = np.abs(run.snapshots[0].values) ** 2
     ens = sample_initial_positions(rho0, config.grid, 12)
     t_span = (sampler.times[0], sampler.times[-1])

@@ -18,7 +18,7 @@ from qstream.propagators import (_friction_potential, _mirrored_phase_factor,
                                  _phase_factor, _split_step, check_stability,
                                  classical_ck_energy, damped_oscillator,
                                  final_time, free_gaussian_width,
-                                 physical_energy, whole_steps)
+                                 physical_energy, step_times, whole_steps)
 from qstream.scenarios import parse_scenario
 
 from conftest import max_abs, sym_grid
@@ -314,11 +314,14 @@ class TestPropagate:
             assert np.array_equal(getattr(run, name), getattr(stored, name))
         assert propagate(psi, cfg, psi.time, consumers=()).snapshots == [psi]
 
-    def test_final_time_is_the_last_state_time(self):
+    def test_step_times_are_the_state_times(self):
         psi = gaussian_packet(sym_grid(8, 256), C, 1.0, time=0.1)
         run = propagate(psi, PropagatorConfig(dt=1e-3), 0.6)
         assert run.snapshots[-1].time != 0.6  # the additions round
+        assert [s.time for s in run.snapshots[1:]] == list(
+            step_times(0.1, 1e-3, run.steps))
         assert final_time(0.1, 1e-3, run.steps) == run.snapshots[-1].time
+        assert final_time(0.1, 1e-3, 0) == 0.1
 
     def test_non_finite_state_rejected(self):
         # on a wide grid exp(gamma t) V overflows the phase of the

@@ -8,6 +8,7 @@ import os
 import platform
 import re
 import sys
+import time
 import types
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qstream import cli, scenarios
 from qstream import trajectories as qt
-from qstream.errors import ParseError, ValidationError
+from qstream.errors import NodeEncounter, ParseError, ValidationError
 from qstream.scenarios import (OUT_DIR_ENV, MatterScenario, OpticsScenario,
                                builtin_scenario, list_scenarios,
                                parse_scenario, run_scenario)
@@ -621,6 +622,48 @@ class TestRunScenario:
                 assert traj["mesh_steps"] == 10  # 0.5 / 0.05
                 assert traj["fallback_rows"] == 0
                 assert traj["halvings"] == 0
+
+    def test_streamed_march_time_counts_for_the_trajectory_stage(
+            self, tmp_path, monkeypatch):
+        take = qt.BundleStream.__call__
+
+        def slow(self, psi):
+            time.sleep(0.02)
+            take(self, psi)
+
+        monkeypatch.setattr(qt.BundleStream, "__call__", slow)
+        start = time.perf_counter()
+        art = run_scenario(parse_scenario(QUICK_MATTER),
+                           out_dir=str(tmp_path / "out"))
+        elapsed = time.perf_counter() - start
+        prop, traj = art.manifest["stages"]
+        assert traj["wall_time_s"] >= 11 * 0.02  # 11 stored states
+        assert prop["wall_time_s"] <= elapsed - 11 * 0.02
+
+    def test_trajectory_error_fails_its_own_stage(self, tmp_path,
+                                                  monkeypatch):
+        # the march runs during the propagation, but an error in it fails
+        # the trajectory stage, after the propagation wrote its files
+        calls = []
+        take = qt.BundleStream.__call__
+
+        def failing(self, psi):
+            calls.append(psi.time)
+            if len(calls) == 3:
+                raise NodeEncounter("no velocity")
+            take(self, psi)
+
+        monkeypatch.setattr(qt.BundleStream, "__call__", failing)
+        art = run_scenario(parse_scenario(QUICK_MATTER),
+                           out_dir=str(tmp_path / "out"))
+        m = art.manifest
+        assert [(s["name"], s["status"]) for s in m["stages"]] == [
+            ("propagate", "ok"), ("trajectories", "failed")]
+        assert m["stages"][1]["error"] == "NodeEncounter: no velocity"
+        assert m["failure_kind"] == "numeric"
+        assert m["files"] == ["series.txt", "snapshot_initial.txt",
+                              "snapshot_final.txt"]
+        assert len(calls) == 3  # no state is fed after the error
 
     def test_failed_stage_records_wall_time(self, tmp_path):
         art = run_scenario(parse_scenario(UNSTABLE_MATTER),

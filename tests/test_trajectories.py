@@ -94,7 +94,7 @@ class TestSampling:
 class TestIntegrateTrajectory:
     def test_plane_wave_advection(self):
         run = plane_wave_run()
-        sampler = VelocitySampler(run, method="spectral")
+        sampler = VelocitySampler.from_run(run, method="spectral")
         traj = integrate_trajectory(1.0, sampler, (0.0, 3.0), dt_traj=0.01)
         assert abs(traj.x[-1] - 7.0) < 1e-10
 
@@ -104,7 +104,7 @@ class TestIntegrateTrajectory:
                                                        omega0=1.0), dt=1e-3)
         run = propagate(gaussian_packet(g, C, math.sqrt(0.5)), cfg, 1.0,
                         snapshot_every=100)
-        traj = integrate_trajectory(0.5, VelocitySampler(run), (0.0, 1.0),
+        traj = integrate_trajectory(0.5, VelocitySampler.from_run(run), (0.0, 1.0),
                                     dt_traj=0.01)
         assert max_abs(traj.x - 0.5) < 1e-7
 
@@ -112,7 +112,7 @@ class TestIntegrateTrajectory:
         g = sym_grid(12, 1024)
         run = propagate(gaussian_packet(g, C, 1.0),
                         PropagatorConfig(dt=1e-3), 2.0, snapshot_every=2)
-        traj = integrate_trajectory(1.0, VelocitySampler(run), (0.0, 2.0),
+        traj = integrate_trajectory(1.0, VelocitySampler.from_run(run), (0.0, 2.0),
                                     dt_traj=0.01)
         expect = np.sqrt(1.0 + (traj.t / 2.0) ** 2)
         assert max_abs(traj.x - expect) < 1e-5
@@ -120,7 +120,7 @@ class TestIntegrateTrajectory:
     def test_start_outside_grid_rejected(self):
         run = plane_wave_run()
         with pytest.raises(LeftDomain):
-            integrate_trajectory(-5.0, VelocitySampler(run), (0.0, 1.0),
+            integrate_trajectory(-5.0, VelocitySampler.from_run(run), (0.0, 1.0),
                                  dt_traj=0.01)
 
 
@@ -145,7 +145,7 @@ class TestOrderOfAccuracy:
         g = sym_grid(12, 1024)
         run = propagate(gaussian_packet(g, C, 1.0),
                         PropagatorConfig(dt=1e-3), 2.0, snapshot_every=40)
-        sampler = VelocitySampler(run)
+        sampler = VelocitySampler.from_run(run)
         ends = {}
         for dt_traj in (0.04, 0.01, 0.0025):
             ends[dt_traj] = integrate_trajectory(1.0, sampler, (0.0, 2.0),
@@ -203,7 +203,7 @@ class TestVelocitySampler:
         b = gaussian_packet(g, C, 0.7, x0=2.5, p0=-6.0)
         psi = ComplexField(g, (a.values + b.values) / math.sqrt(2), 0.0)
         run = propagate(psi, PropagatorConfig(dt=1e-2), 0.6, snapshot_every=5)
-        sampler = VelocitySampler(run)
+        sampler = VelocitySampler.from_run(run)
         nodes = []
         for ok in sampler.ok:
             valid = np.flatnonzero(ok)
@@ -218,7 +218,7 @@ class TestVelocitySampler:
 
     def test_shared_stencil_matches_per_snapshot_oracle_at_the_edges(self):
         # a plane wave is valid everywhere, so the stencil reaches the ends
-        sampler = VelocitySampler(plane_wave_run(n_snaps=7))
+        sampler = VelocitySampler.from_run(plane_wave_run(n_snaps=7))
         g = sampler.grid
         assert sampler.ok.all()
         offsets = np.array([0.0, 0.4, 1.0, 1.4, 2.0, 2.6])
@@ -236,7 +236,7 @@ class TestBundles:
                         PropagatorConfig(dt=1e-3), 1.0, snapshot_every=5)
         rho0 = np.abs(run.snapshots[0].values) ** 2
         ens = sample_initial_positions(rho0, g, 12)
-        sampler = VelocitySampler(run)
+        sampler = VelocitySampler.from_run(run)
         bundle = integrate_bundle(ens, run, dt_traj=0.01, sampler=sampler)
         t_span = (sampler.times[0], sampler.times[-1])
         oracle = np.vstack([
@@ -253,7 +253,7 @@ class TestBundles:
 
     def test_escaping_trajectory_recorded_not_fatal(self):
         run = plane_wave_run()  # v = 2, domain [0, ~12.57], t up to 3
-        sampler = VelocitySampler(run, method="spectral")
+        sampler = VelocitySampler.from_run(run, method="spectral")
         ens = InitialEnsemble(np.array([1.0, 8.0]))
         bundle = integrate_bundle(ens, run, dt_traj=0.01, sampler=sampler)
         assert len(bundle.errors) == 1
@@ -265,7 +265,7 @@ class TestBundles:
 
     def test_node_encounter_recorded_not_fatal(self):
         run = plane_wave_run()  # v = 2: over t in [0, 1] only row 1 crosses 4
-        sampler = VelocitySampler(run, method="spectral")
+        sampler = VelocitySampler.from_run(run, method="spectral")
         sampler.ok[:, (sampler.grid.x > 3.9) & (sampler.grid.x < 4.1)] = False
         ens = InitialEnsemble(np.array([0.5, 3.0, 4.5]))
         bundle = integrate_bundle(ens, run, dt_traj=0.01, t_span=(0.0, 1.0),
@@ -308,7 +308,7 @@ class TestBundles:
 
     def test_bundle_serialization(self, tmp_path):
         run = plane_wave_run()
-        sampler = VelocitySampler(run, method="spectral")
+        sampler = VelocitySampler.from_run(run, method="spectral")
         ens = InitialEnsemble(np.array([1.0, 2.0, 3.0]))
         bundle = integrate_bundle(ens, run, dt_traj=0.1, sampler=sampler)
         path = tmp_path / "bundle.txt"
@@ -369,7 +369,7 @@ class TestBundleStream:
         assert_same_bundle(streamed, replayed)
         # the oracles: one sampler over every stored state, and the tube
         # values from every stored density
-        sampler = VelocitySampler(run)
+        sampler = VelocitySampler.from_run(run)
         xs, errors, fallback_rows, halvings = _march(
             sampler, ens.positions, streamed.times)
         assert final_time(0.0, cfg.dt, run.steps) == sampler.times[-1]
@@ -385,7 +385,7 @@ class TestBundleStream:
         # and 2 overshoot below 6 and take the halving fallback, which
         # succeeds; row 0 starts in the invalid region and fails
         run = plane_wave_run(n_snaps=7)
-        sampler = VelocitySampler(run)
+        sampler = VelocitySampler.from_run(run)
         x = sampler.grid.x
         sampler.v[:] = -50.0 * (x - 7.0)
         sampler.ok[:] = x > 6.0
@@ -416,7 +416,7 @@ class TestBundleStream:
         wave = plane_wave_run(t_final=1.6, n_snaps=len(times))
         run = make_run([ComplexField(s.grid, s.values, time=t)
                         for s, t in zip(wave.snapshots, times)], wave.config)
-        sampler = VelocitySampler(run)
+        sampler = VelocitySampler.from_run(run)
         x = sampler.grid.x
         for i in range(len(times)):
             sampler.v[i] = -30.0 * (x - 7.0 - 0.8 * (-1) ** i)
@@ -435,7 +435,7 @@ class TestBundleStream:
         # holds v and rho at the nearest state, as one sampler over every
         # state does
         run = plane_wave_run(k=0.5, t_final=1.0, n_snaps=11)
-        sampler = VelocitySampler(run, method="spectral")
+        sampler = VelocitySampler.from_run(run, method="spectral")
         ens = InitialEnsemble(np.array([1.0, 2.0, 3.0]))
         run.snapshots[:] = [ComplexField(s.grid, s.values * (1 + 0.1 * i),
                                          s.time + 0.1)
@@ -455,11 +455,11 @@ class TestBundleStream:
         run = plane_wave_run()  # v = 2, domain [0, ~12.57], t up to 3
         ens = InitialEnsemble(np.array([1.0, 2.0, 8.0]))
         stream = BundleStream(ens, run.snapshots[0].grid, run.config, 0.01,
-                              (0.0, 3.0), method="spectral")
+                              (0.0, 3.0))
         for snap in run.snapshots:
             stream(snap)
         streamed = stream.finish()
-        sampler = VelocitySampler(run, method="spectral")
+        sampler = VelocitySampler.from_run(run)
         assert_same_bundle(streamed, integrate_bundle(
             ens, run, dt_traj=0.01, sampler=sampler))
         xs, errors, _, _ = _march(sampler, ens.positions, streamed.times)
@@ -490,6 +490,34 @@ class TestBundleStream:
                 tracemalloc.stop()
         extra_bytes = 900 * g.n_points * 16
         assert peaks[1] - peaks[10] < 0.05 * extra_bytes
+
+    def test_memory_holds_one_mesh_interval_of_dense_states(self):
+        # states 50x denser than the mesh: the window holds about 50 + 3
+        # frames, each 17 B a point (v, ok, rho) plus 9 B in the sampler's
+        # stacked v and ok, however many mesh steps the run takes
+        g = sym_grid(12, 512)
+        cfg = PropagatorConfig(dt=1e-3)
+        psi0 = gaussian_packet(g, C, 1.0)
+        peaks = {}
+        for t_final, every in ((0.3, 50), (0.3, 1), (1.2, 1)):
+            n_steps = round(t_final / cfg.dt)
+            tracemalloc.start()
+            try:
+                ens = sample_initial_positions(np.abs(psi0.values) ** 2, g,
+                                               8)
+                stream = BundleStream(ens, g, cfg, 0.05, (0.0, final_time(
+                    0.0, cfg.dt, n_steps)))
+                propagate(psi0, cfg, t_final, every, series_every=10,
+                          consumers=(stream,))
+                stream.finish()
+                peaks[t_final, every] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        window_bytes = (50 + 3) * 26 * g.n_points
+        assert peaks[0.3, 1] - peaks[0.3, 50] < 1.25 * window_bytes
+        # 4x the mesh steps and 900 more stored states (7.4 MB as states)
+        extra_bytes = 900 * g.n_points * 16
+        assert peaks[1.2, 1] - peaks[0.3, 1] < 0.05 * extra_bytes
 
 
 # diagnostics ---------------------------------------------------------------
