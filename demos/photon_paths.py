@@ -8,7 +8,6 @@ matches that fringe's share of the energy density.
 """
 
 import numpy as np
-from scipy.signal import argrelmin
 
 from qstream import (GridSpec, OpticalScene, SlitSpec, fresnel_propagate,
                      photon_path_bundle)
@@ -29,7 +28,9 @@ print(f"40 paths launched at z = 0.5 m; "
 
 xg = scene.transverse_grid.x
 U8 = field.U[-1]
-minima = xg[argrelmin(U8)[0]]
+# strict interior minima of U8
+inner = U8[1:-1]
+minima = xg[np.flatnonzero((inner < U8[:-2]) & (inner < U8[2:])) + 1]
 lo = max(v for v in minima if v < 0)
 hi = min(v for v in minima if v > 0)
 ends = np.array([np.interp(8.0, p.z, p.x) for p in paths])

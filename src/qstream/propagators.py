@@ -139,6 +139,13 @@ def whole_steps(t0: float, t_final: float, dt: float) -> int:
     return n_steps
 
 
+def state_time(t0: float, dt: float, i: int) -> float:
+    """The time t0 + i dt of the state i steps after t0, as a Python float:
+    every state of a run is timed by this rule, so its times never drift
+    with the number of steps taken."""
+    return float(t0 + i * dt)
+
+
 def _phase_factor(phase: np.ndarray) -> np.ndarray:
     """exp(i phase) of a real array, as cos(phase) + i sin(phase) written
     into the two halves of one fresh complex array."""
@@ -243,7 +250,7 @@ def _stepper(grid: GridSpec, config: PropagatorConfig):
 def step(psi: ComplexField, config: PropagatorConfig) -> ComplexField:
     """Advance psi by one time step config.dt of the configured model."""
     values = _stepper(psi.grid, config)(psi.values, psi.time)
-    return ComplexField(psi.grid, values, psi.time + config.dt)
+    return ComplexField(psi.grid, values, state_time(psi.time, config.dt, 1))
 
 
 def physical_energy(psi: ComplexField, config: PropagatorConfig) -> float:
@@ -282,28 +289,12 @@ class PropagationRun:
                           self.sigmas, self.energies)
 
 
-def step_times(t0: float, dt: float, n_steps: int):
-    """The times of the n_steps states after t0, in turn: each adds dt to
-    the one before.  propagate times its states by this rule."""
-    t = t0
-    for _ in range(n_steps):
-        t = t + dt
-        yield t
-
-
-def final_time(t0: float, dt: float, n_steps: int) -> float:
-    """The time of the state n_steps steps after t0 (see step_times)."""
-    t = t0
-    for t in step_times(t0, dt, n_steps):
-        pass
-    return t
-
-
 def propagate(psi0: ComplexField, config: PropagatorConfig, t_final: float,
               snapshot_every: int = 1, series_every: int = None,
               consumers=None) -> PropagationRun:
     """Run the configured model from psi0.time to t_final, which must lie
-    a whole number of steps of config.dt away (see whole_steps).
+    a whole number of steps of config.dt away (see whole_steps).  The state
+    i steps on lies at state_time(psi0.time, config.dt, i).
 
     A state is stored every `snapshot_every` steps (always including the
     initial and final states); the diagnostic series is sampled every
@@ -334,9 +325,9 @@ def propagate(psi0: ComplexField, config: PropagatorConfig, t_final: float,
         consume(psi0)
     grid = psi0.grid
     values, t, psi = psi0.values, psi0.time, psi0
-    for i, t_next in enumerate(step_times(t, config.dt, n_steps), start=1):
+    for i in range(1, n_steps + 1):
         values = advance(values, t)
-        t = t_next
+        t = state_time(psi0.time, config.dt, i)
         qf.require_finite(values)
         recorded = i % series_every == 0 or i == n_steps
         stored = i % snapshot_every == 0 or i == n_steps

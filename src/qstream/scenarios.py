@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-import scipy
 
 from . import fields as qf
 from . import optics as qo
@@ -58,15 +57,16 @@ MAX_PATHS = 10_000
 # Memory bounds, checked at validation too.  Trajectory points are
 # trajectories x mesh times, 83x those of kostin-relaxation (20 x 6001), the
 # catalog maximum.  Path points are paths x (z_last - z_start) / ds, 167x
-# those of the two-slit scenes (40 x 150).  Snapshot points are
-# (grid.n_points + SNAPSHOT_OVERHEAD) x stored snapshots, 60x those of fig2c
-# (32768 points x 101 snapshots).  The overhead stands for the Python objects
-# of each stored snapshot and series row, 0.5-0.8 KiB measured at 8 points,
-# counted as 64 complex values (1 KiB).
+# those of the two-slit scenes (40 x 150).  Series rows are the states a
+# matter run records, 999x those of fig2a and fig3-superposition (1001);
+# the run holds about 0.3 KiB per row (tracemalloc).  Window points are
+# grid.n_points x the frames the trajectory march holds at once, about
+# dt_traj / (state spacing) + 3 frames of 26 B per point, 76x those of fig2c
+# (32768 points x 4 frames).  Either bound stands for about 0.3 GB.
 MAX_TRAJECTORY_POINTS = 1e7
 MAX_PATH_POINTS = 1e6
-MAX_SNAPSHOT_POINTS = 2e8
-SNAPSHOT_OVERHEAD = 64
+MAX_SERIES_ROWS = 1e6
+MAX_WINDOW_POINTS = 1e7
 
 # value converters ---------------------------------------------------------
 
@@ -312,15 +312,15 @@ class MatterScenario(_Scenario):
         _check_work("grid.n_points * time steps",
                     lambda: grid.n_points * max((t_final - t0) / dt, 1),
                     MAX_MATTER_WORK)
-        # propagate stores every snapshot_every-th step, the first and the last
-        _check_work("grid.n_points * stored snapshots",
-                    lambda: (grid.n_points + SNAPSHOT_OVERHEAD) * (math.ceil(
-                        round((t_final - t0) / dt) / snapshot_every) + 1),
-                    MAX_SNAPSHOT_POINTS)
         try:
             n_steps = qp.whole_steps(t0, t_final, dt)
         except ValueError as exc:
             raise ValidationError("time", str(exc))
+        # the series records every snapshot_every-th step, the first and the
+        # last
+        _check_work("time steps / time.snapshot_every",
+                    lambda: -(-n_steps // snapshot_every) + 1,
+                    MAX_SERIES_ROWS)
         packets = []
         for section in _numbered_sections(order, "packet"):
             packets.append({
@@ -361,11 +361,17 @@ class MatterScenario(_Scenario):
                 qp.whole_steps(t0, t_final, dt_traj)
             except ValueError as exc:
                 raise ValidationError("ensemble.dt_traj", str(exc))
+            # the widest gap between the states a run stores
+            spacing = min(snapshot_every, n_steps) * dt
             try:
-                # the widest gap between the states a run stores
-                qt.check_frame_gap(min(snapshot_every, n_steps) * dt, dt_traj)
+                qt.check_frame_gap(spacing, dt_traj)
             except ValueError as exc:
                 raise ValidationError("time.snapshot_every", str(exc))
+            if n_steps:  # else the run stores one state and marches nothing
+                _check_work("grid.n_points * window frames",
+                            lambda: grid.n_points * (
+                                math.ceil(dt_traj / spacing) + 3),
+                            MAX_WINDOW_POINTS)
         checks = {
             "required": r.get(("checks", "required"), ()),
             "norm_tol": r.get(("checks", "norm_tol"), 1e-8),
@@ -388,7 +394,7 @@ class MatterScenario(_Scenario):
         ens = qt.sample_initial_positions(
             np.abs(psi0.values) ** 2, self.grid,
             self.ensemble["n_trajectories"], scheme=self.ensemble["scheme"])
-        t_end = qp.final_time(self.t0, self.dt, qp.whole_steps(
+        t_end = qp.state_time(self.t0, self.dt, qp.whole_steps(
             self.t0, self.t_final, self.dt))
         return qt.BundleStream(ens, self.grid, config,
                                self.ensemble["dt_traj"], (self.t0, t_end))
@@ -948,7 +954,6 @@ def run_scenario(config: MatterScenario | OpticsScenario, out_dir=None,
     manifest["wall_time_s"] = _time.perf_counter() - start
     manifest["peak_rss_mib"] = _peak_rss_mib()
     manifest["versions"] = {"numpy": np.__version__,
-                            "scipy": scipy.__version__,
                             "python": platform.python_version()}
     manifest["files"] = [os.path.basename(f) for f in files]
     # write a temporary file and rename it over the manifest, so that an

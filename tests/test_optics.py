@@ -174,9 +174,10 @@ class TestFresnelPropagation:
         for fast, dense in zip(ev.plane(grid, z), ev.evaluate(grid.x, z)):
             assert max_abs(fast - dense) <= 1e-9 * max_abs(dense)
 
-    def test_propagation_does_not_import_scipy_signal(self):
+    def test_propagation_does_not_import_scipy_signal(self, tmp_path):
         # the runtime needs numpy only: each of these scipy subpackages
-        # costs a large share of start-up, and no stage uses it
+        # costs a large share of start-up, and no stage uses it; a whole
+        # run through the command line imports no scipy at all
         src = os.path.dirname(os.path.dirname(os.path.abspath(
             qstream.__file__)))
         code = (
@@ -205,7 +206,10 @@ class TestFresnelPropagation:
             "spectral_derivative(psi.values, psi.grid)\n"
             "for name in ('signal', 'interpolate', 'integrate', "
             "'constants', 'fft'):\n"
-            "    assert 'scipy.' + name not in sys.modules, name\n")
+            "    assert 'scipy.' + name not in sys.modules, name\n"
+            "assert qstream.cli.main(['run', 'oracle-free-gaussian', "
+            f"'--out-dir', {str(tmp_path)!r}]) == 0\n"
+            "assert 'scipy' not in sys.modules\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, (src, os.environ.get("PYTHONPATH")))))
         result = subprocess.run([sys.executable, "-c", code], env=env,

@@ -17,9 +17,9 @@ from qstream.fields import (node_mask, norm, polar_decompose,
 from qstream.propagators import (_friction_potential, _mirrored_phase_factor,
                                  _phase_factor, _split_step, check_stability,
                                  classical_ck_energy, damped_oscillator,
-                                 final_time, free_gaussian_width,
-                                 physical_energy, step_times, whole_steps)
-from qstream.scenarios import parse_scenario
+                                 free_gaussian_width, physical_energy,
+                                 state_time, whole_steps)
+from qstream.scenarios import parse_scenario, run_scenario
 
 from conftest import max_abs, sym_grid
 
@@ -314,14 +314,28 @@ class TestPropagate:
             assert np.array_equal(getattr(run, name), getattr(stored, name))
         assert propagate(psi, cfg, psi.time, consumers=()).snapshots == [psi]
 
-    def test_step_times_are_the_state_times(self):
+    def test_state_times_are_t0_plus_i_dt(self, tmp_path):
         psi = gaussian_packet(sym_grid(8, 256), C, 1.0, time=0.1)
-        run = propagate(psi, PropagatorConfig(dt=1e-3), 0.6)
-        assert run.snapshots[-1].time != 0.6  # the additions round
-        assert [s.time for s in run.snapshots[1:]] == list(
-            step_times(0.1, 1e-3, run.steps))
-        assert final_time(0.1, 1e-3, run.steps) == run.snapshots[-1].time
-        assert final_time(0.1, 1e-3, 0) == 0.1
+        run = propagate(psi, PropagatorConfig(dt=1e-3), 0.6,
+                        series_every=7)
+        assert run.steps == 500
+        expected = [0.1 + i * 1e-3 for i in range(501)]
+        assert [s.time for s in run.snapshots] == expected
+        assert all(type(s.time) is float for s in run.snapshots)
+        recorded = [i for i in range(501) if i % 7 == 0 or i == 500]
+        assert run.times.tolist() == [expected[i] for i in recorded]
+        assert [state_time(0.1, 1e-3, i) for i in range(501)] == expected
+        assert type(state_time(np.float64(0.1), 1e-3, 3)) is float
+        assert step(psi, PropagatorConfig(dt=1e-3)).time == expected[1]
+        # a 4000-step run ends at t0 + 4000 dt exactly, where 4000 additions
+        # of 1e-3 end at 3.9999999999996705
+        text = ("scenario.name = t\nscenario.kind = matter_wave\n"
+                "grid.x_min = -10\ngrid.x_max = 10\ngrid.n_points = 64\n"
+                "time.dt = 1e-3\ntime.t_final = 4.0\n"
+                "time.snapshot_every = 1000\npacket1.sigma0 = 1.0\n")
+        run_scenario(parse_scenario(text), out_dir=str(tmp_path))
+        header = (tmp_path / "snapshot_final.txt").read_text().splitlines()
+        assert header[3] == "time = 4.0"
 
     def test_non_finite_state_rejected(self):
         # on a wide grid exp(gamma t) V overflows the phase of the

@@ -13,7 +13,6 @@ import types
 
 import numpy as np
 import pytest
-import scipy
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qstream import cli, scenarios
@@ -141,18 +140,31 @@ BAD_NUMBERS = {
         "0.5 : 2.0 : 4", "0.5 : 2.0 : 10000"),
     "trajectory-points-huge": (QUICK_MATTER, "ensemble.dt_traj = 0.05",
                                "ensemble.dt_traj = 1e-12"),
+    # a state stored every step: its series rows trip first
     "snapshot-points-huge": (
         QUICK_MATTER.replace("grid.n_points = 256", "grid.n_points = 8")
         .replace("time.snapshot_every = 5", "time.snapshot_every = 1")
         .replace("ensemble.dt_traj = 0.05", "ensemble.dt_traj = 1e-3"),
         "time.t_final = 0.5", "time.t_final = 1e6"),
+    "series-rows-huge": (
+        QUICK_MATTER.replace("grid.n_points = 256", "grid.n_points = 8")
+        .replace("time.snapshot_every = 5", "time.snapshot_every = 1")
+        .replace("ensemble.n_trajectories = 6", "ensemble.n_trajectories = 0"),
+        "time.t_final = 0.5", "time.t_final = 1e5"),
+    # states 0.01 apart and a mesh step of 0.5: the march holds 53 frames
+    "window-points-huge": (
+        QUICK_MATTER.replace("grid.n_points = 256", "grid.n_points = 1000000")
+        .replace("time.snapshot_every = 5", "time.snapshot_every = 1"),
+        "ensemble.dt_traj = 0.05", "ensemble.dt_traj = 0.5"),
 }
 # the product each memory-bound case exceeds
 MEMORY_BOUND_KEYS = {
     "path-points-huge": "paths.n_paths * path steps",
     "path-points-default-ds": "paths.n_paths * path steps",
     "trajectory-points-huge": "ensemble.n_trajectories * mesh times",
-    "snapshot-points-huge": "grid.n_points * stored snapshots",
+    "snapshot-points-huge": "time steps / time.snapshot_every",
+    "series-rows-huge": "time steps / time.snapshot_every",
+    "window-points-huge": "grid.n_points * window frames",
 }
 
 # Files that cannot be read as scenario text: each must exit 2, not 1.
@@ -315,6 +327,44 @@ class TestParser:
         cfg = builtin_scenario("kostin-relaxation")
         assert cfg.snapshot_every * cfg.dt == 10 * cfg.ensemble["dt_traj"]
 
+    def test_window_holding_every_state_rejected(self):
+        # one mesh step over fig2c's run with every state stored: the march
+        # would hold all 4001 states of 32768 points, about 3.4 GB
+        text = (list_scenarios()["fig2c"][1]
+                .replace("time.snapshot_every = 40", "time.snapshot_every = 1")
+                .replace("ensemble.dt_traj = 0.01", "ensemble.dt_traj = 4.0"))
+        with pytest.raises(ValidationError) as info:
+            parse_scenario(text)
+        assert info.value.key == "grid.n_points * window frames"
+        # a run of no steps marches nothing, so it holds no window
+        parse_scenario(QUICK_MATTER.replace("time.t_final = 0.5",
+                                            "time.t_final = 0.0"))
+
+    def test_window_counts_the_frames_around_a_mesh_step(self):
+        # states 0.01 apart, dt_traj = 0.05: 5 frames per mesh step plus 3
+        base = QUICK_MATTER.replace("time.snapshot_every = 5",
+                                    "time.snapshot_every = 1")
+        n_max = int(scenarios.MAX_WINDOW_POINTS) // 8
+        parse_scenario(base.replace("grid.n_points = 256",
+                                    f"grid.n_points = {n_max}"))
+        with pytest.raises(ValidationError, match="window frames"):
+            parse_scenario(base.replace("grid.n_points = 256",
+                                        f"grid.n_points = {n_max + 1}"))
+
+    def test_run_without_ensemble_bounded_by_its_series_rows(self):
+        # every state of an 8000-step fig2c is recorded, but with no
+        # ensemble the run holds only its 8001 series rows
+        cfg = parse_scenario(
+            list_scenarios()["fig2c"][1]
+            .replace("time.t_final = 4.0", "time.t_final = 8.0")
+            .replace("time.snapshot_every = 40", "time.snapshot_every = 1")
+            .replace("ensemble.n_trajectories = 20",
+                     "ensemble.n_trajectories = 0")
+            .replace("checks.required = norm_drift non_crossing",
+                     "checks.required = norm_drift"))
+        assert cfg.t_final == 8.0 and cfg.snapshot_every == 1
+        assert cfg.ensemble["n_trajectories"] == 0
+
     def test_dt_traj_off_grid_rejected_as_time_mesh_rejects_it(self):
         with pytest.raises(ValidationError) as info:
             parse_scenario(bad_number_text("dt_traj-off-grid"))
@@ -372,7 +422,7 @@ def fiftieth_of_work_bounds(monkeypatch):
     headroom."""
     for name in ("MAX_MATTER_WORK", "MAX_OPTICS_WORK",
                  "MAX_TRAJECTORY_POINTS", "MAX_PATH_POINTS",
-                 "MAX_SNAPSHOT_POINTS"):
+                 "MAX_SERIES_ROWS", "MAX_WINDOW_POINTS"):
         monkeypatch.setattr(scenarios, name, getattr(scenarios, name) / 50)
 
 
@@ -612,7 +662,6 @@ class TestRunScenario:
             assert sum(times) <= m["wall_time_s"]
             assert m["peak_rss_mib"] > 0.0
             assert m["versions"] == {"numpy": np.__version__,
-                                     "scipy": scipy.__version__,
                                      "python": platform.python_version()}
             rss = [s["peak_rss_mib"] for s in m["stages"]]
             assert 0.0 < rss[0] <= rss[1] <= m["peak_rss_mib"]

@@ -14,7 +14,7 @@ from qstream import (ComplexField, GridSpec, InitialEnsemble,
                      integrate_bundle, integrate_trajectory, propagate,
                      sample_initial_positions, tube_probability)
 from qstream.errors import LeftDomain, NodeEncounter, ZeroDensity
-from qstream.propagators import PropagationRun, final_time, rate_factor
+from qstream.propagators import PropagationRun, rate_factor, state_time
 from qstream.trajectories import (BundleStream, VelocitySampler, _march,
                                   time_mesh, write_bundle)
 
@@ -331,7 +331,7 @@ def streamed_and_stored(psi0, cfg, t_final, snapshot_every, dt_traj,
     ens = sample_initial_positions(rho0, psi0.grid, n_traj)
     n_steps = round((t_final - psi0.time) / cfg.dt)
     stream = BundleStream(ens, psi0.grid, cfg, dt_traj, (
-        psi0.time, final_time(psi0.time, cfg.dt, n_steps)))
+        psi0.time, state_time(psi0.time, cfg.dt, n_steps)))
     streamed_run = propagate(psi0, cfg, t_final, snapshot_every,
                              consumers=(stream,))
     assert len(streamed_run.snapshots) == 2
@@ -372,7 +372,7 @@ class TestBundleStream:
         sampler = VelocitySampler.from_run(run)
         xs, errors, fallback_rows, halvings = _march(
             sampler, ens.positions, streamed.times)
-        assert final_time(0.0, cfg.dt, run.steps) == sampler.times[-1]
+        assert state_time(0.0, cfg.dt, run.steps) == sampler.times[-1]
         assert np.array_equal(streamed.times, time_mesh(
             (0.0, sampler.times[-1]), dt_traj))
         assert np.array_equal(streamed.xs, xs)
@@ -480,7 +480,7 @@ class TestBundleStream:
             try:
                 ens = sample_initial_positions(np.abs(psi0.values) ** 2, g,
                                                8)
-                stream = BundleStream(ens, g, cfg, 0.01, (0.0, final_time(
+                stream = BundleStream(ens, g, cfg, 0.01, (0.0, state_time(
                     0.0, cfg.dt, 1000)))
                 propagate(psi0, cfg, 1.0, every, series_every=10,
                           consumers=(stream,))
@@ -505,7 +505,7 @@ class TestBundleStream:
             try:
                 ens = sample_initial_positions(np.abs(psi0.values) ** 2, g,
                                                8)
-                stream = BundleStream(ens, g, cfg, 0.05, (0.0, final_time(
+                stream = BundleStream(ens, g, cfg, 0.05, (0.0, state_time(
                     0.0, cfg.dt, n_steps)))
                 propagate(psi0, cfg, t_final, every, series_every=10,
                           consumers=(stream,))
