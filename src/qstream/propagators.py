@@ -6,7 +6,10 @@ caldirola_kanai    kinetic term scaled by exp(-gamma t), potential by
                    temporal midpoint of each step
 kostin             nonlinear friction potential gamma (S - <S>) built from
                    the unwrapped phase of the evolving state (V_R = 0 case),
-                   added in one predictor-corrector pass per step
+                   taken at the step midpoint as the Adams-Bashforth
+                   extrapolation 1.5 W(t_n) - 0.5 W(t_n-1): one friction
+                   potential and one split step per step, after a
+                   predictor-corrector first step
 
 The models differ only in the kinetic scale, the potential scale and the
 extra potential handed to one symmetric split step (half potential, full
@@ -202,7 +205,9 @@ def _friction_potential(values: np.ndarray, grid: GridSpec,
 def _stepper(grid: GridSpec, config: PropagatorConfig):
     """The configured model's time step as a function (values, t) -> the
     values one step of config.dt later.  V and every phase factor with a
-    constant coefficient are built once, here."""
+    constant coefficient are built once, here.  Kostin's step at gamma > 0
+    is two-step: a call on the values the previous call returned reuses
+    that call's friction potential."""
     c, dt, gamma = config.constants, config.dt, config.gamma
     V = config.potential.evaluate(grid, c)
     n = grid.n_points
@@ -227,17 +232,29 @@ def _stepper(grid: GridSpec, config: PropagatorConfig):
 
     kin = kinetic(1.0)
     if config.model == "kostin" and gamma > 0:
+        # the friction potential of the state the last call started from,
+        # and the values that call returned
+        W_last = out_last = None
+
         def advance(values: np.ndarray, t: float) -> np.ndarray:
-            # predictor-corrector: the friction potential at the step start,
-            # then averaged with its value after a trial step
+            nonlocal W_last, out_last
+            # W at the step midpoint: from a cold start (the first call, or
+            # values other than the last call's result) the predictor-
+            # corrector average of W at the step start and after a trial
+            # step; otherwise the Adams-Bashforth 1.5 W(t_n) - 0.5 W(t_n-1)
             try:
-                W0 = _friction_potential(values, grid, config)
+                W = _friction_potential(values, grid, config)
+                if values is out_last:
+                    W_mid = 1.5 * W - 0.5 * W_last
+                else:
+                    trial = _split_step(values, half_potential(V + W), kin)
+                    W_mid = 0.5 * (W + _friction_potential(trial, grid,
+                                                           config))
             except qf.AllBelowThreshold as exc:
                 raise PhaseUndefined(str(exc)) from exc
-            trial = _split_step(values, half_potential(V + W0), kin)
-            W1 = _friction_potential(trial, grid, config)
-            return _split_step(values, half_potential(V + 0.5 * (W0 + W1)),
-                               kin)
+            out = _split_step(values, half_potential(V + W_mid), kin)
+            W_last, out_last = W, out
+            return out
         return advance
 
     half_V = half_potential(V)
@@ -248,7 +265,9 @@ def _stepper(grid: GridSpec, config: PropagatorConfig):
 
 
 def step(psi: ComplexField, config: PropagatorConfig) -> ComplexField:
-    """Advance psi by one time step config.dt of the configured model."""
+    """Advance psi by one time step config.dt of the configured model, from
+    a cold start: for Kostin at gamma > 0 the predictor-corrector step that
+    begins a run, so repeated calls are that one-step scheme throughout."""
     values = _stepper(psi.grid, config)(psi.values, psi.time)
     return ComplexField(psi.grid, values, state_time(psi.time, config.dt, 1))
 
@@ -314,11 +333,17 @@ def propagate(psi0: ComplexField, config: PropagatorConfig, t_final: float,
         series_every = snapshot_every
     snapshots = []
     hand_out = (snapshots.append,) if consumers is None else tuple(consumers)
-    series = []
+    # one row for psi0, every series_every-th step and the last step
+    series = np.empty((5, -(-n_steps // series_every) + 1))
+    rows = 0
 
     def record(psi):
-        series.append((psi.time, qf.norm(psi), qf.expectation_position(psi),
-                       qf.position_spread(psi), physical_energy(psi, config)))
+        nonlocal rows
+        series[:, rows] = (psi.time, qf.norm(psi),
+                           qf.expectation_position(psi),
+                           qf.position_spread(psi),
+                           physical_energy(psi, config))
+        rows += 1
 
     record(psi0)
     for consume in hand_out:
@@ -340,9 +365,7 @@ def propagate(psi0: ComplexField, config: PropagatorConfig, t_final: float,
                 consume(psi)
     if consumers is not None:
         snapshots = [psi0] if psi is psi0 else [psi0, psi]
-    cols = list(zip(*series))
-    return PropagationRun(config, snapshots, *(np.asarray(c) for c in cols),
-                          steps=n_steps)
+    return PropagationRun(config, snapshots, *series, steps=n_steps)
 
 
 def analytic_gaussian_oracle(params: dict, config: PropagatorConfig,

@@ -59,10 +59,10 @@ MAX_PATHS = 10_000
 # catalog maximum.  Path points are paths x (z_last - z_start) / ds, 167x
 # those of the two-slit scenes (40 x 150).  Series rows are the states a
 # matter run records, 999x those of fig2a and fig3-superposition (1001);
-# the run holds about 0.3 KiB per row (tracemalloc).  Window points are
-# grid.n_points x the frames the trajectory march holds at once, about
-# dt_traj / (state spacing) + 3 frames of 26 B per point, 76x those of fig2c
-# (32768 points x 4 frames).  Either bound stands for about 0.3 GB.
+# the run holds them in five float64 columns, 40 B per row, so 40 MB at the
+# bound.  Window points are grid.n_points x the frames the trajectory march
+# holds at once, about dt_traj / (state spacing) + 3 frames of 26 B per
+# point, 76x those of fig2c (32768 points x 4 frames), so about 0.3 GB.
 MAX_TRAJECTORY_POINTS = 1e7
 MAX_PATH_POINTS = 1e6
 MAX_SERIES_ROWS = 1e6

@@ -2,6 +2,7 @@
 closed-form Gaussian oracle and the classical dissipative trajectory."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from qstream import (ClassicalCKState, ComplexField, PhysicalConstants,
                      PotentialSpec, PropagatorConfig, analytic_gaussian_oracle,
                      classical_ck_trajectory, gaussian_packet, propagate,
                      step)
-from qstream.errors import (PhaseUndefined, StabilityViolation,
-                            UnsupportedPotential, ValidationError)
+from qstream import fields as qf, propagators
+from qstream.errors import (AllBelowThreshold, PhaseUndefined,
+                            StabilityViolation, UnsupportedPotential,
+                            ValidationError)
 from qstream.fields import (node_mask, norm, polar_decompose,
                             position_spread)
 from qstream.propagators import (_friction_potential, _mirrored_phase_factor,
@@ -226,6 +229,55 @@ class TestKostin:
         with pytest.raises(PhaseUndefined):
             step(psi, cfg)
 
+    def test_trial_state_phase_undefined(self, monkeypatch):
+        # the predictor-corrector's second friction potential, of the trial
+        # state, maps AllBelowThreshold to PhaseUndefined like the first
+        calls = []
+
+        def friction(values, grid, config):
+            calls.append(None)
+            if len(calls) == 2:
+                raise AllBelowThreshold("trial state below threshold")
+            return _friction_potential(values, grid, config)
+
+        monkeypatch.setattr(propagators, "_friction_potential", friction)
+        cfg = PropagatorConfig(model="kostin", potential=HARMONIC,
+                               gamma=0.3, dt=1e-3)
+        with pytest.raises(PhaseUndefined):
+            step(coherent(sym_grid(8, 256)), cfg)
+        assert len(calls) == 2
+
+    def test_one_friction_potential_per_step(self, monkeypatch):
+        # two for the predictor-corrector start, then one per step
+        calls = []
+
+        def friction(values, grid, config):
+            calls.append(None)
+            return _friction_potential(values, grid, config)
+
+        monkeypatch.setattr(propagators, "_friction_potential", friction)
+        cfg = PropagatorConfig(model="kostin", potential=HARMONIC,
+                               gamma=0.3, dt=1e-2)
+        run = propagate(coherent(sym_grid(8, 256)), cfg, 0.5,
+                        snapshot_every=7, consumers=())
+        assert run.steps == 50
+        assert len(calls) == 51
+
+    def test_second_order_in_dt(self):
+        # against a dt/8 run on the same grid, so only the time error counts
+        g = sym_grid(8, 512)
+        psi0 = coherent(g)
+
+        def final(dt):
+            cfg = PropagatorConfig(model="kostin", potential=HARMONIC,
+                                   gamma=0.3, dt=dt)
+            return propagate(psi0, cfg, 2.0, snapshot_every=10 ** 6,
+                             consumers=()).snapshots[-1].values
+
+        ref = final(0.04 / 8)
+        errs = [max_abs(final(dt) - ref) for dt in (0.04, 0.02)]
+        assert errs[0] / errs[1] >= 3.0
+
     def test_centroid_follows_damped_oscillator(self):
         # Ehrenfest: <x> solves x'' + gamma x' + omega^2 x = 0
         g = sym_grid(8, 512)
@@ -359,15 +411,21 @@ class TestPropagate:
     @pytest.mark.parametrize("model",
                              ["standard", "caldirola_kanai", "kostin"])
     def test_run_equals_repeated_steps(self, model):
+        # bit for bit, except Kostin at gamma > 0 after its first step: the
+        # run then takes Adams-Bashforth steps, and repeated step() is the
+        # predictor-corrector oracle
         g = sym_grid(8, 256)
         cfg = PropagatorConfig(model=model, potential=HARMONIC, gamma=0.3,
                                dt=1e-2, t_final=1.0)
         psi = coherent(g)
         run = propagate(psi, cfg, 0.05, snapshot_every=1)
-        for snap in run.snapshots[1:]:
+        for i, snap in enumerate(run.snapshots[1:]):
             psi = step(psi, cfg)
             assert snap.time == psi.time
-            assert np.array_equal(snap.values, psi.values)
+            if model == "kostin" and i > 0:
+                assert max_abs(snap.values - psi.values) <= 1e-6
+            else:
+                assert np.array_equal(snap.values, psi.values)
 
     def test_split_step_leaves_its_arguments_unchanged(self):
         # the transforms run in place, on a buffer of the split step's own
@@ -393,9 +451,39 @@ class TestPropagate:
         initial = psi0.values.copy()
         run = propagate(psi0, cfg, 0.05, snapshot_every=1)
         assert np.array_equal(psi0.values, initial)
-        for prev, snap in zip(run.snapshots, run.snapshots[1:]):
+        for i, (prev, snap) in enumerate(zip(run.snapshots,
+                                             run.snapshots[1:])):
             fresh = ComplexField(g, prev.values.copy(), prev.time)
-            assert np.array_equal(step(fresh, cfg).values, snap.values)
+            # a Kostin run's steps after the first are Adams-Bashforth
+            # steps; step() from the same state is the predictor-corrector
+            if model == "kostin" and i > 0:
+                assert max_abs(step(fresh, cfg).values - snap.values) <= 1e-6
+            else:
+                assert np.array_equal(step(fresh, cfg).values, snap.values)
+
+    def test_series_memory_per_row(self, monkeypatch):
+        # the series is five float64 columns of a length known before the
+        # run, 40 B a row.  The step and the four diagnostics are stubbed so
+        # that 40,000 rows trace in about a second; each diagnostic still
+        # returns a fresh numpy scalar, as the real ones do
+        def diagnostic(psi, *args):
+            return np.float64(psi.time)
+
+        for name in ("norm", "expectation_position", "position_spread"):
+            monkeypatch.setattr(qf, name, diagnostic)
+        monkeypatch.setattr(propagators, "physical_energy", diagnostic)
+        monkeypatch.setattr(propagators, "_stepper",
+                            lambda grid, config: lambda values, t: values)
+        psi0 = gaussian_packet(sym_grid(8, 8), C, 1.0)
+        cfg = PropagatorConfig(dt=1e-3)
+        tracemalloc.start()
+        try:
+            run = propagate(psi0, cfg, 40_000 * cfg.dt, consumers=())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(run.times) == 40_001
+        assert peak <= 64 * len(run.times)
 
     def test_series_written(self, tmp_path):
         g = sym_grid(8, 256)
@@ -432,11 +520,16 @@ def _reference_friction(values, grid, config):
     return config.gamma * (S - np.trapezoid(rho * S, dx=grid.dx))
 
 
-def _reference_step(values, t, grid, config):
+def _reference_step(values, t, grid, config, W_last=None):
     """One step of the configured model as the split step computed it
     before the cached plan: numpy.fft, and both complex exponentials built
     on every step from the model's coefficients, over the full spectrum and
-    with literal np.exp, never through _phase_factor."""
+    with literal np.exp, never through _phase_factor.  Returns the new
+    values and Kostin's friction potential of `values` (None for the other
+    models).  Kostin's midpoint friction potential is the predictor-corrector
+    average when W_last is None, and otherwise the Adams-Bashforth
+    1.5 W - 0.5 W_last, W_last being the friction potential that the
+    previous step returned."""
     c, dt, gamma = config.constants, config.dt, config.gamma
     V = config.potential.evaluate(grid, c)
     kin_phase = -0.5j * c.hbar * (2.0 * np.pi
@@ -450,12 +543,16 @@ def _reference_step(values, t, grid, config):
     t_mid = t + 0.5 * dt
     if config.model == "caldirola_kanai":
         return split(values, math.exp(gamma * t_mid) * V,
-                     math.exp(-gamma * t_mid))
+                     math.exp(-gamma * t_mid)), None
     if config.model == "kostin":
-        W0 = _reference_friction(values, grid, config)
-        W1 = _reference_friction(split(values, V + W0), grid, config)
-        return split(values, V + 0.5 * (W0 + W1))
-    return split(values, V)
+        W = _reference_friction(values, grid, config)
+        if W_last is None:
+            W_mid = 0.5 * (W + _reference_friction(split(values, V + W),
+                                                   grid, config))
+        else:
+            W_mid = 1.5 * W - 0.5 * W_last
+        return split(values, V + W_mid), W
+    return split(values, V), None
 
 
 ORACLE_CASES = {
@@ -480,12 +577,18 @@ class TestCachedPlanOracle:
         psi0 = gaussian_packet(g, C, math.sqrt(0.5), x0=1.0, p0=0.5)
         run = propagate(psi0, cfg, 1.0, snapshot_every=1)
         assert len(run.snapshots) == 201
-        ref, psi = psi0.values, psi0
+        # repeated step() is the predictor-corrector throughout, which a
+        # Kostin run at gamma > 0 takes only for its first step
+        two_step = cfg.model == "kostin" and cfg.gamma > 0
+        ref, W, psi = psi0.values, None, psi0
         for snap in run.snapshots[1:]:
-            ref = _reference_step(ref, psi.time, g, cfg)
+            ref, W = _reference_step(ref, psi.time, g, cfg, W)
             psi = step(psi, cfg)
             assert max_abs(snap.values - ref) <= 1e-12
-            assert max_abs(psi.values - ref) <= 1e-12
+            if two_step:
+                assert max_abs(psi.values - snap.values) <= 1e-5
+            else:
+                assert max_abs(psi.values - ref) <= 1e-12
 
 
 # the fast forms against the ones they replace ------------------------------
