@@ -195,6 +195,21 @@ class TestCaldirolaKanai:
         assert run.energies[-1] < run.energies[0]
 
 
+def _counted_friction(monkeypatch, raise_on=None):
+    """Wrap the stepper's _friction_potential to count its calls in the
+    returned list, raising AllBelowThreshold on call number raise_on."""
+    calls = []
+
+    def friction(values, grid, config):
+        calls.append(None)
+        if len(calls) == raise_on:
+            raise AllBelowThreshold("state below threshold")
+        return _friction_potential(values, grid, config)
+
+    monkeypatch.setattr(propagators, "_friction_potential", friction)
+    return calls
+
+
 class TestKostin:
     def test_frictionless_reduction(self):
         g = sym_grid(8, 512)
@@ -232,15 +247,7 @@ class TestKostin:
     def test_trial_state_phase_undefined(self, monkeypatch):
         # the predictor-corrector's second friction potential, of the trial
         # state, maps AllBelowThreshold to PhaseUndefined like the first
-        calls = []
-
-        def friction(values, grid, config):
-            calls.append(None)
-            if len(calls) == 2:
-                raise AllBelowThreshold("trial state below threshold")
-            return _friction_potential(values, grid, config)
-
-        monkeypatch.setattr(propagators, "_friction_potential", friction)
+        calls = _counted_friction(monkeypatch, raise_on=2)
         cfg = PropagatorConfig(model="kostin", potential=HARMONIC,
                                gamma=0.3, dt=1e-3)
         with pytest.raises(PhaseUndefined):
@@ -249,13 +256,7 @@ class TestKostin:
 
     def test_one_friction_potential_per_step(self, monkeypatch):
         # two for the predictor-corrector start, then one per step
-        calls = []
-
-        def friction(values, grid, config):
-            calls.append(None)
-            return _friction_potential(values, grid, config)
-
-        monkeypatch.setattr(propagators, "_friction_potential", friction)
+        calls = _counted_friction(monkeypatch)
         cfg = PropagatorConfig(model="kostin", potential=HARMONIC,
                                gamma=0.3, dt=1e-2)
         run = propagate(coherent(sym_grid(8, 256)), cfg, 0.5,
