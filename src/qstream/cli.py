@@ -48,8 +48,12 @@ def _cmd_run(args) -> int:
     if args.required_checks is not None:
         required = tuple(c for c in args.required_checks.replace(",", " ")
                          .split() if c)
-    artifacts = run_scenario(config, out_dir=args.out_dir,
-                             required_checks=required)
+    try:
+        artifacts = run_scenario(config, out_dir=args.out_dir,
+                                 required_checks=required)
+    except ValidationError as exc:  # an unknown --required-checks name
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     for entry in artifacts.manifest["checks"]:
         status = "pass" if entry["passed"] else "FAIL"
         req = " (required)" if entry["required"] else ""

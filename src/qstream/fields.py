@@ -172,19 +172,22 @@ def norm(psi: ComplexField) -> float:
 def _unwrap_phase(raw: np.ndarray, valid: np.ndarray, i0: int) -> np.ndarray:
     """Sequentially unwrap raw phases outward from index i0.
 
-    Each step d between neighbours is wrapped into [-pi, pi] as
-    d - 2 pi round(d / 2 pi), in real arithmetic; the correction
-    -2 pi round(d / 2 pi) accumulates only across steps joining two valid
-    points, and across sub-threshold gaps the accumulated offset is carried
+    Each step d between neighbours wraps m = rint(d / 2 pi) times, in real
+    arithmetic; the counts of steps joining two valid points are summed
+    in one cumsum C (C[i] counts the wraps before point i, exact in
+    float), and point i is shifted by -2 pi (C[i] - C[i0]).  Across
+    sub-threshold gaps the count is zero, so the offset is carried
     through unchanged.
     """
-    diff = np.diff(raw)
-    corr = (-2.0 * np.pi) * np.round(diff / (2.0 * np.pi))
-    corr[~(valid[:-1] & valid[1:])] = 0.0
-    offset = np.zeros_like(raw)
-    offset[i0 + 1:] = np.cumsum(corr[i0:])
-    offset[:i0] = -np.cumsum(corr[:i0][::-1])[::-1]
-    return raw + offset
+    wraps = np.rint(np.diff(raw) / (2.0 * np.pi))
+    wraps[~(valid[:-1] & valid[1:])] = 0.0
+    count = np.empty_like(raw)
+    count[0] = 0.0
+    np.cumsum(wraps, out=count[1:])
+    count -= count[i0]
+    count *= -2.0 * np.pi
+    count += raw
+    return count
 
 
 def polar_parts(values: np.ndarray, constants: PhysicalConstants,

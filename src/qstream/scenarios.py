@@ -262,6 +262,7 @@ class MatterScenario(_Scenario):
 
     kind: ClassVar[str] = "matter_wave"
     schema: ClassVar[dict] = _MATTER_SCHEMA
+    check_names: ClassVar[tuple] = ("norm_drift", "non_crossing", "tube")
     model: str
     gamma: float
     constants: PhysicalConstants
@@ -380,8 +381,7 @@ class MatterScenario(_Scenario):
         for key in ("norm_tol", "tube_tol"):
             if checks[key] <= 0:
                 raise ValidationError(f"checks.{key}", "must be > 0")
-        _known_check_names(checks["required"],
-                           ("norm_drift", "non_crossing", "tube"))
+        _known_check_names(checks["required"], cls.check_names)
         return cls(name=name, entries=canonical, notes=notes, checks=checks,
                    model=model, gamma=gamma, constants=constants,
                    potential=potential, grid=grid, dt=dt, t0=t0,
@@ -415,6 +415,7 @@ class MatterScenario(_Scenario):
                                snapshot_every=self.snapshot_every,
                                consumers=() if feed is None else (feed,))
             st["steps"] = run.steps
+            st["fft_shape"] = list(qp.fft_shape(self.grid.n_points))
             p = os.path.join(out_dir, "series.txt")
             run.write_series(p)
             files.append(p)
@@ -465,6 +466,7 @@ class OpticsScenario(_Scenario):
 
     kind: ClassVar[str] = "optics"
     schema: ClassVar[dict] = _OPTICS_SCHEMA
+    check_names: ClassVar[tuple] = ("paths_non_crossing",)
     scene: OpticalScene
     paths: dict
     source_dx: float
@@ -527,7 +529,7 @@ class OpticsScenario(_Scenario):
                         grid.n_points + qo.source_points(scene, source_dx)[2]),
                     MAX_OPTICS_WORK)
         checks = {"required": r.get(("checks", "required"), ())}
-        _known_check_names(checks["required"], ("paths_non_crossing",))
+        _known_check_names(checks["required"], cls.check_names)
         return cls(name=name, entries=canonical, notes=notes, checks=checks,
                    scene=scene, paths=paths, source_dx=source_dx)
 
@@ -545,11 +547,18 @@ class OpticsScenario(_Scenario):
 
         n_paths = self.paths["n_paths"]
         if n_paths > 0:
-            with _stage(manifest, "paths"):
+            with _stage(manifest, "paths") as st:
                 x0s = _launch_positions(scene, n_paths)
                 z0 = self.paths["z_start"]
                 paths = qo.photon_path_bundle(x0s, z0, pf,
                                               ds=self.paths["ds"])
+                st["stagnated_paths"] = sum(p.stagnated for p in paths)
+                # ended across the side or the near edge of the field, not
+                # past its last plane
+                (xlo, xhi), zlo = pf.x_bounds, pf.z_bounds[0]
+                st["escaped_paths"] = sum(
+                    not (xlo <= p.x[-1] <= xhi and zlo <= p.z[-1])
+                    for p in paths)
                 p = os.path.join(out_dir, "paths.txt")
                 qo.write_paths(p, paths, metadata={"scenario": self.name,
                                                    "z_start": z0})
@@ -911,7 +920,11 @@ def _record_check(manifest, name, value, threshold, passed, required):
 def run_scenario(config: MatterScenario | OpticsScenario, out_dir=None,
                  required_checks=None) -> RunArtifacts:
     """Run a scenario end to end; the manifest is always written, even on
-    partial failure."""
+    partial failure.  required_checks, when given, replaces the config's
+    checks.required and must name checks of the scenario's kind
+    (ValidationError before anything runs)."""
+    if required_checks is not None:
+        _known_check_names(required_checks, config.check_names)
     out_dir, out_dir_source = _resolve_out_dir(config, out_dir)
     os.makedirs(out_dir, exist_ok=True)
     required = tuple(required_checks if required_checks is not None

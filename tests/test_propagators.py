@@ -17,11 +17,12 @@ from qstream.errors import (AllBelowThreshold, PhaseUndefined,
                             ValidationError)
 from qstream.fields import (node_mask, norm, polar_decompose,
                             position_spread)
-from qstream.propagators import (_friction_potential, _mirrored_phase_factor,
-                                 _phase_factor, _split_step, check_stability,
+from qstream.propagators import (_Transform, _friction_potential,
+                                 _mirrored_phase_factor, _phase_factor,
+                                 _split_step, check_stability,
                                  classical_ck_energy, damped_oscillator,
-                                 free_gaussian_width, physical_energy,
-                                 state_time, whole_steps)
+                                 fft_shape, free_gaussian_width,
+                                 physical_energy, state_time, whole_steps)
 from qstream.scenarios import parse_scenario, run_scenario
 
 from conftest import max_abs, sym_grid
@@ -78,6 +79,22 @@ class TestSpecs:
 
 # standard model ------------------------------------------------------------
 
+def _check_reversible(n):
+    """One split step with dt = 1e-3 on n points, then one with the
+    conjugate factors, which is the step with -dt."""
+    g = sym_grid(10, n)
+    psi = gaussian_packet(g, C, 1.0, p0=1.0)
+    dt = 1e-3
+    transform = _Transform(n)
+    assert transform.blocked == (n >= 8192)
+    half_V = _phase_factor(-0.5 * dt / C.hbar * HARMONIC.evaluate(g, C))
+    kin = transform.spectral(_phase_factor(
+        -0.5 * C.hbar * dt / C.mass * g.wavenumbers() ** 2))
+    fwd = _split_step(psi.values, half_V, kin, transform)
+    back = _split_step(fwd, half_V.conj(), kin.conj(), transform)
+    assert max_abs(back - psi.values) < 1e-9
+
+
 class TestStandardStepper:
     def test_ground_state_one_period(self):
         g = sym_grid(8, 512)
@@ -93,16 +110,12 @@ class TestStandardStepper:
                        - np.exp(-0.5j * final.time) * psi0.values) < 1e-6
 
     def test_single_step_reversible(self):
-        g = sym_grid(10, 512)
-        psi = gaussian_packet(g, C, 1.0, p0=1.0)
-        dt = 1e-3
-        half_V = _phase_factor(-0.5 * dt / C.hbar * HARMONIC.evaluate(g, C))
-        kin = _phase_factor(-0.5 * C.hbar * dt / C.mass
-                            * g.wavenumbers() ** 2)
-        fwd = _split_step(psi.values, half_V, kin)
-        # the conjugate factors are the step with -dt
-        back = _split_step(fwd, half_V.conj(), kin.conj())
-        assert max_abs(back - psi.values) < 1e-9
+        _check_reversible(512)
+
+    def test_single_step_reversible_on_blocked_transforms(self):
+        # the kinetic factor in the order the blocked transforms leave the
+        # spectrum
+        _check_reversible(8192)
 
     def test_norm_drift_per_step(self):
         g = sym_grid(10, 512)
@@ -565,31 +578,81 @@ ORACLE_CASES = {
 }
 
 
+def _check_against_reference(case, n, t_final):
+    """propagate and repeated step() of ORACLE_CASES[case] on n points
+    against _reference_step, state by state, with dt = 5e-3."""
+    g = sym_grid(8, n)
+    cfg = PropagatorConfig(potential=HARMONIC, dt=5e-3, **ORACLE_CASES[case])
+    psi0 = gaussian_packet(g, C, math.sqrt(0.5), x0=1.0, p0=0.5)
+    run = propagate(psi0, cfg, t_final, snapshot_every=1)
+    assert len(run.snapshots) == whole_steps(0.0, t_final, cfg.dt) + 1
+    # repeated step() is the predictor-corrector throughout, which a
+    # Kostin run at gamma > 0 takes only for its first step
+    two_step = cfg.model == "kostin" and cfg.gamma > 0
+    ref, W, psi = psi0.values, None, psi0
+    for snap in run.snapshots[1:]:
+        ref, W = _reference_step(ref, psi.time, g, cfg, W)
+        psi = step(psi, cfg)
+        assert max_abs(snap.values - ref) <= 1e-12
+        if two_step:
+            assert max_abs(psi.values - snap.values) <= 1e-5
+        else:
+            assert max_abs(psi.values - ref) <= 1e-12
+
+
 class TestCachedPlanOracle:
     """The cached phase factors, the in-place numpy.fft transforms and the
     real-arithmetic unwrap against the per-step formulas they replace: 200
-    steps at n = 512."""
+    steps at n = 512, and 20 steps at n = 8192, where the transforms are
+    blocked."""
 
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     def test_propagate_and_step_match_per_step_formulas(self, case):
-        g = sym_grid(8, 512)
-        cfg = PropagatorConfig(potential=HARMONIC, dt=5e-3,
-                               **ORACLE_CASES[case])
-        psi0 = gaussian_packet(g, C, math.sqrt(0.5), x0=1.0, p0=0.5)
-        run = propagate(psi0, cfg, 1.0, snapshot_every=1)
-        assert len(run.snapshots) == 201
-        # repeated step() is the predictor-corrector throughout, which a
-        # Kostin run at gamma > 0 takes only for its first step
-        two_step = cfg.model == "kostin" and cfg.gamma > 0
-        ref, W, psi = psi0.values, None, psi0
-        for snap in run.snapshots[1:]:
-            ref, W = _reference_step(ref, psi.time, g, cfg, W)
-            psi = step(psi, cfg)
-            assert max_abs(snap.values - ref) <= 1e-12
-            if two_step:
-                assert max_abs(psi.values - snap.values) <= 1e-5
-            else:
-                assert max_abs(psi.values - ref) <= 1e-12
+        _check_against_reference(case, 512, 1.0)
+
+    @pytest.mark.parametrize("case",
+                             ["standard", "ck-gamma0.3", "kostin-gamma0.3"])
+    def test_blocked_transforms_match_per_step_formulas(self, case):
+        assert fft_shape(8192) == (128, 64)
+        _check_against_reference(case, 8192, 0.1)
+
+
+class TestBlockedTransform:
+    """The four-step transforms against numpy.fft and scipy.fft."""
+
+    @pytest.mark.parametrize("n", [8192, 12288, 32768, 49152])
+    def test_matches_numpy_and_scipy(self, n):
+        import scipy.fft
+
+        transform = _Transform(n)
+        n1, n2 = transform.shape
+        # n2 is the smallest divisor of n from 64 on
+        assert transform.blocked and n1 * n2 == n and n1 >= 8
+        assert n2 >= 64 and not any(n % d == 0 for d in range(64, n2))
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        for ref in (np.fft.fft(x), scipy.fft.fft(x)):
+            buf = x.copy()
+            transform.forward(buf)
+            assert max_abs(buf - transform.spectral(ref)) \
+                <= 1e-13 * max_abs(ref)
+            buf = transform.spectral(ref)
+            transform.inverse(buf)
+            for inv in (np.fft.ifft(ref), scipy.fft.ifft(ref)):
+                assert max_abs(buf - inv) <= 1e-13 * max_abs(inv)
+
+    @pytest.mark.parametrize("n", [4096, 8191, 2 * 4099])
+    def test_plain_path(self, n):
+        # below the size threshold, prime, and no divisor from 64 that
+        # leaves 8 rows
+        assert fft_shape(n) == (1, n)
+        transform = _Transform(n)
+        assert not transform.blocked
+        x = np.random.default_rng(n).standard_normal(n) + 0j
+        assert transform.spectral(x) is x
+        buf = x.copy()
+        transform.forward(buf)
+        assert np.array_equal(buf, np.fft.fft(x))
 
 
 # the fast forms against the ones they replace ------------------------------
@@ -597,12 +660,34 @@ class TestCachedPlanOracle:
 class TestFastFormOracles:
     @pytest.mark.parametrize("scale", [1.0, 1e2, 1e4, 1e6])
     def test_phase_factor_is_complex_exp(self, scale):
-        # cos + i sin and np.exp(1j * phase) were bit-equal on x86-64 with
-        # numpy 2.4; the bound leaves room for other builds
+        # the one-tangent form differed from np.exp(1j * phase) by at most
+        # 2.7e-16 at these scales on x86-64 with numpy 2.4; the bound
+        # leaves room for other builds
         phase = np.random.default_rng(7).uniform(-scale, scale, 100_000)
         out = _phase_factor(phase)
         assert out.dtype == complex
         assert max_abs(out - np.exp(1j * phase)) <= 4.5e-16
+
+    def test_phase_factor_at_poles_of_the_tangent_and_huge_phases(self):
+        # tan(phase / 2) is largest at odd multiples of pi; it stays finite
+        # because no float is an odd multiple of pi / 2
+        k = np.arange(-10 ** 6, 10 ** 6, 37)
+        rng = np.random.default_rng(3)
+        huge = rng.choice([-1.0, 1.0], 20_000) * 10.0 ** rng.uniform(
+            0.0, 300.0, 20_000)
+        for phase in ((2 * k + 1) * np.pi, np.append(huge, [1e300, -1e300])):
+            out = _phase_factor(phase)
+            assert np.isfinite(out).all()
+            assert max_abs(np.abs(out) - 1.0) <= 1e-15
+        assert max_abs(_phase_factor(np.array([np.pi, -np.pi])) + 1.0) \
+            <= 1e-15
+
+    def test_phase_factor_of_non_finite_phase_is_nan(self):
+        # as cos + i sin gave
+        with np.errstate(invalid="ignore"):
+            out = _phase_factor(np.array([np.nan, np.inf, -np.inf, 0.0]))
+        assert np.isnan(out.real[:3]).all() and np.isnan(out.imag[:3]).all()
+        assert out[3] == 1.0
 
     @pytest.mark.parametrize("n", [8, 9, 2047, 2048, 49152])
     def test_mirrored_kinetic_factor_is_full_spectrum(self, n):
@@ -611,9 +696,9 @@ class TestFastFormOracles:
         c = -0.5 * C.hbar * 0.37 * 2e-3 / C.mass
         phase = c * k2
         out = _mirrored_phase_factor(c * k2[:n // 2 + 1], n)
-        # bit for bit against cos + i sin of the full spectrum, and within
-        # the _phase_factor bound of the complex exponential
-        assert np.array_equal(out, np.cos(phase) + 1j * np.sin(phase))
+        # bit for bit against _phase_factor of the full spectrum, and
+        # within its bound of the complex exponential
+        assert np.array_equal(out, _phase_factor(phase))
         assert max_abs(out - np.exp(1j * phase)) <= 4.5e-16
 
     def test_friction_interpolates_only_below_threshold(self):

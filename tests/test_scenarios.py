@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qstream import cli, scenarios
-from qstream import trajectories as qt
+from qstream import optics as qo, trajectories as qt
 from qstream.errors import NodeEncounter, ParseError, ValidationError
 from qstream.scenarios import (OUT_DIR_ENV, MatterScenario, OpticsScenario,
                                builtin_scenario, list_scenarios,
@@ -667,10 +667,51 @@ class TestRunScenario:
             assert 0.0 < rss[0] <= rss[1] <= m["peak_rss_mib"]
             if stages[0] == "propagate":
                 assert m["stages"][0]["steps"] == 50  # 0.5 / 0.01
+                assert m["stages"][0]["fft_shape"] == [1, 256]  # plain
                 traj = m["stages"][1]
                 assert traj["mesh_steps"] == 10  # 0.5 / 0.05
                 assert traj["fallback_rows"] == 0
                 assert traj["halvings"] == 0
+            else:
+                paths = m["stages"][1]
+                assert paths["stagnated_paths"] == 0
+                assert paths["escaped_paths"] == 0
+
+    def test_manifest_records_blocked_fft_shape(self, tmp_path):
+        text = (QUICK_MATTER.replace("grid.n_points = 256",
+                                     "grid.n_points = 8192")
+                .replace("time.t_final = 0.5", "time.t_final = 0.05")
+                .replace("ensemble.n_trajectories = 6",
+                         "ensemble.n_trajectories = 0")
+                .replace("checks.required = norm_drift non_crossing",
+                         "checks.required = norm_drift"))
+        art = run_scenario(parse_scenario(text), out_dir=str(tmp_path))
+        assert art.ok
+        assert art.manifest["stages"][0]["fft_shape"] == [128, 64]
+
+    def test_manifest_counts_stagnated_and_escaped_paths(self, tmp_path,
+                                                         monkeypatch):
+        # one path past the last plane (z = 2.0 m), one frozen at a
+        # stagnation point, one out across the side, one behind the first
+        # plane
+        def ends(x0s, z0, sampler, ds=None):
+            s = np.arange(2.0)
+            return [qo.PhotonPath(s, np.array([0.0, 1e-3]),
+                                  np.array([z0, 2.05])),
+                    qo.PhotonPath(s, np.array([0.0, 1e-3]),
+                                  np.array([z0, 1.0]), stagnated=True),
+                    qo.PhotonPath(s, np.array([0.0, 6e-3]),
+                                  np.array([z0, 1.0])),
+                    qo.PhotonPath(s, np.array([0.0, 1e-3]),
+                                  np.array([z0, 0.4]))]
+
+        monkeypatch.setattr(qo, "photon_path_bundle", ends)
+        art = run_scenario(parse_scenario(QUICK_OPTICS),
+                           out_dir=str(tmp_path))
+        paths = art.manifest["stages"][1]
+        assert paths["name"] == "paths"
+        assert paths["stagnated_paths"] == 1
+        assert paths["escaped_paths"] == 2
 
     def test_streamed_march_time_counts_for_the_trajectory_stage(
             self, tmp_path, monkeypatch):
@@ -727,6 +768,16 @@ class TestRunScenario:
                            required_checks=("tube",))
         assert art.manifest["required_checks"] == ["tube"]
 
+    @pytest.mark.parametrize("text, name", [(QUICK_MATTER, "bogus"),
+                                            (QUICK_OPTICS, "tube")])
+    def test_unknown_required_checks_override_rejected(self, tmp_path, text,
+                                                       name):
+        # the config file's own rule, before anything runs
+        with pytest.raises(ValidationError, match="unknown check"):
+            run_scenario(parse_scenario(text), out_dir=str(tmp_path / "out"),
+                         required_checks=(name,))
+        assert not (tmp_path / "out").exists()
+
 
 # command line --------------------------------------------------------------
 
@@ -782,6 +833,16 @@ class TestCli:
                          str(tmp_path / "out")])
         assert code == 3
         assert "required checks failed" in capsys.readouterr().err
+
+    def test_run_unknown_required_checks_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "s.cfg"
+        path.write_text(QUICK_MATTER)
+        out = tmp_path / "out"
+        code = cli.main(["run", str(path), "--out-dir", str(out),
+                         "--required-checks", "norm_drift,bogus"])
+        assert code == 2
+        assert "unknown check 'bogus'" in capsys.readouterr().err
+        assert not out.exists()  # no stage ran
 
     def test_run_numeric_failure_exit_code(self, tmp_path, capsys):
         path = tmp_path / "s.cfg"
