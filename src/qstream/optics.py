@@ -18,6 +18,14 @@ Fields carry the propagation factor exp(ikz) implicitly: psi here is the
 envelope, and the carrier is reinstated analytically where it matters
 (the z derivative).  The field is E-polarized: E = psi e_y,
 H = (i/omega mu0)(dpsi/dz e_x - dpsi/dx e_z).
+
+The scene is built one plane at a time.  `fresnel_propagate` hands each
+plane's psi and gradients to its consumers and keeps none of them, and
+`PoyntingField.add_plane` turns them into that plane's row of the
+(Sx, Sz, U) lattice, 24 B per lattice point, the only whole-scene array a
+run holds.  A plane's transform and field arrays live only while it is
+built, so memory grows with the lattice and not with three complex
+fields over the whole scene.
 """
 
 from __future__ import annotations
@@ -265,14 +273,32 @@ class OpticalField2D:
     psi_x: np.ndarray
     psi_z: np.ndarray
 
+    def set_plane(self, i, z, psi, psi_x, psi_z) -> None:
+        """Store plane i: a `fresnel_propagate` consumer."""
+        self.psi[i], self.psi_x[i], self.psi_z[i] = psi, psi_x, psi_z
 
-def fresnel_propagate(scene: OpticalScene,
-                      source_dx: float = None) -> OpticalField2D:
-    """Fresnel quadrature of the aperture field onto every scene plane."""
+
+def fresnel_propagate(scene: OpticalScene, source_dx: float = None,
+                      consumers=None) -> OpticalField2D | None:
+    """Fresnel quadrature of the aperture field onto every scene plane.
+
+    Each plane is handed, in z order, as (i, z, psi, psi_x, psi_z) to every
+    callable in `consumers`, and nothing is stored; None is returned.  With
+    `consumers` None the planes are stacked into the returned
+    OpticalField2D.
+    """
     ev = FresnelEvaluator(scene, source_dx=source_dx)
-    rows = [ev.plane(scene.transverse_grid, z) for z in scene.z_planes]
-    psi, psi_x, psi_z = (np.array([r[i] for r in rows]) for i in range(3))
-    return OpticalField2D(scene, psi, psi_x, psi_z)
+    field = None
+    if consumers is None:
+        shape = (len(scene.z_planes), scene.transverse_grid.n_points)
+        field = OpticalField2D(scene, *(np.empty(shape, dtype=complex)
+                                        for _ in range(3)))
+        consumers = (field.set_plane,)
+    for i, z in enumerate(scene.z_planes):
+        psi, psi_x, psi_z = ev.plane(scene.transverse_grid, z)
+        for consume in consumers:
+            consume(i, z, psi, psi_x, psi_z)
+    return field
 
 
 def _lattice_sample(values: np.ndarray, scene: OpticalScene, x, z):
@@ -298,16 +324,38 @@ def _lattice_sample(values: np.ndarray, scene: OpticalScene, x, z):
 
 
 class PoyntingField:
-    """U, Sx, Sz on the lattice, stacked so that `sample` interpolates all
-    three at once by `_lattice_sample` for path tracing."""
+    """Sx, Sz, U on the lattice, stacked so that `sample` interpolates all
+    three at once by `_lattice_sample` for path tracing.
 
-    def __init__(self, field: OpticalField2D):
-        self.scene = scene = field.scene
-        em = assemble_em_fields(field.psi, field.psi_x, field.psi_z, scene)
-        self._lattice = np.stack((*poynting(em), energy_density(em)))
-        self.Sx, self.Sz, self.U = self._lattice
+    Built from an OpticalField2D, it fills every plane from that field.
+    Built from an OpticalScene, the lattice starts unfilled, and
+    `add_plane`, a `fresnel_propagate` consumer, fills it one plane at a
+    time.
+    """
+
+    def __init__(self, field: OpticalField2D | OpticalScene):
+        whole = isinstance(field, OpticalField2D)
+        self.scene = scene = field.scene if whole else field
         g, z = scene.transverse_grid, scene.z_planes
+        self._lattice = np.empty((3, len(z), g.n_points))
+        self.Sx, self.Sz, self.U = self._lattice
         self.x_bounds, self.z_bounds = (g.x_min, g.x_max), (z[0], z[-1])
+        if whole:
+            for i, zi in enumerate(z):
+                self.add_plane(i, zi, field.psi[i], field.psi_x[i],
+                               field.psi_z[i])
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the lattice."""
+        return self._lattice.nbytes
+
+    def add_plane(self, i, z, psi, psi_x, psi_z) -> None:
+        """Fill lattice plane i from the envelope field and its gradients
+        on that plane."""
+        em = assemble_em_fields(psi, psi_x, psi_z, self.scene)
+        self.Sx[i], self.Sz[i] = poynting(em)
+        self.U[i] = energy_density(em)
 
     def sample(self, x, z):
         return tuple(_lattice_sample(self._lattice, self.scene, x, z))

@@ -62,7 +62,10 @@ MAX_PATHS = 10_000
 # the run holds them in five float64 columns, 40 B per row, so 40 MB at the
 # bound.  Window points are grid.n_points x the frames the trajectory march
 # holds at once, about dt_traj / (state spacing) + 3 frames of 26 B per
-# point, 76x those of fig2c (32768 points x 4 frames), so about 0.3 GB.
+# point, 76x those of fig2c (32768 points x 4 frames), so about 0.3 GB.  An
+# optics run holds the (Sx, Sz, U) lattice, z planes x grid.n_points at
+# 24 B a point, which MAX_OPTICS_WORK bounds to about 240 MB; each plane's
+# transform and fields are freed once that plane is written.
 MAX_TRAJECTORY_POINTS = 1e7
 MAX_PATH_POINTS = 1e6
 MAX_SERIES_ROWS = 1e6
@@ -510,6 +513,13 @@ class OpticsScenario(_Scenario):
         if not 0 <= paths["n_paths"] <= MAX_PATHS:
             raise ValidationError("paths.n_paths",
                                   f"must be >= 0 and <= {MAX_PATHS}")
+        # each slit launches the same number of paths, at least 2
+        n_slits = len(scene.slits)
+        if paths["n_paths"] and (paths["n_paths"] % n_slits
+                                 or paths["n_paths"] < 2 * n_slits):
+            raise ValidationError(
+                "paths.n_paths", f"must be 0 or a multiple of the slit count "
+                                 f"({n_slits}) with at least 2 per slit")
         if not scene.z_planes[0] <= paths["z_start"] <= scene.z_planes[-1]:
             raise ValidationError(
                 "paths.z_start", "must lie between the first and last z plane")
@@ -535,15 +545,21 @@ class OpticsScenario(_Scenario):
 
     def _run(self, out_dir, required, manifest, files):
         scene = self.scene
-        with _stage(manifest, "fresnel"):
-            field2d = qo.fresnel_propagate(scene, source_dx=self.source_dx)
-            pf = qo.PoyntingField(field2d)
-            for i, z in enumerate(scene.z_planes):
+        with _stage(manifest, "fresnel") as st:
+            pf = qo.PoyntingField(scene)
+            st["planes"] = len(scene.z_planes)
+            st["lattice_mib"] = pf.nbytes / 2 ** 20
+
+            def write_plane(i, z, psi, psi_x, psi_z):
                 kx = qo.transverse_momentum(pf.Sx[i], pf.Sz[i], pf.U[i])
                 p = os.path.join(out_dir, f"plane_{i:03d}.txt")
-                qo.write_plane_profile(p, scene, z, field2d.psi[i], pf.U[i],
-                                       pf.Sx[i], pf.Sz[i], kx)
+                qo.write_plane_profile(p, scene, z, psi, pf.U[i], pf.Sx[i],
+                                       pf.Sz[i], kx)
                 files.append(p)
+
+            # add_plane fills row i of the lattice before write_plane reads it
+            qo.fresnel_propagate(scene, source_dx=self.source_dx,
+                                 consumers=(pf.add_plane, write_plane))
 
         n_paths = self.paths["n_paths"]
         if n_paths > 0:
@@ -899,8 +915,9 @@ def _path_non_crossing(paths, z_lo, z_hi):
 
 
 def _launch_positions(scene, n_paths):
-    """Quantile launch positions, n_paths split evenly across slits, each
-    slit sampled from its own (possibly truncated) aperture density."""
+    """Quantile launch positions, n_paths (a multiple of the slit count)
+    split evenly across slits, each slit sampled from its own (possibly
+    truncated) aperture density."""
     per = n_paths // len(scene.slits)
     out = []
     for slit in scene.slits:

@@ -447,6 +447,37 @@ class TestLatticeSample:
         assert max_abs(Sz - pf.Sz[1, ::50]) <= 1e-12 * np.abs(pf.Sz).max()
 
 
+class TestStreamedPlanes:
+    """The planes a consumer is handed, and the lattice built from them one
+    plane at a time, against the stacked field and the whole-array
+    formulas."""
+
+    def test_consumer_planes_equal_stacked_rows(self):
+        scene = symmetric_scene()
+        field = fresnel_propagate(scene, source_dx=8e-6)
+        seen = []
+        assert fresnel_propagate(scene, source_dx=8e-6, consumers=(
+            lambda *plane: seen.append(plane),)) is None
+        assert [p[:2] for p in seen] == list(enumerate(scene.z_planes))
+        for i, _z, *parts in seen:
+            for part, stacked in zip(parts,
+                                     (field.psi, field.psi_x, field.psi_z)):
+                assert np.array_equal(part, stacked[i])
+
+    def test_lattice_equals_whole_array_formulas(self):
+        scene = symmetric_scene()
+        field = fresnel_propagate(scene, source_dx=8e-6)
+        em = assemble_em_fields(field.psi, field.psi_x, field.psi_z, scene)
+        oracle = (*poynting(em), energy_density(em))
+        streamed = PoyntingField(scene)
+        fresnel_propagate(scene, source_dx=8e-6,
+                          consumers=(streamed.add_plane,))
+        for pf in (PoyntingField(field), streamed):
+            for got, want in zip((pf.Sx, pf.Sz, pf.U), oracle):
+                assert np.array_equal(got, want)
+            assert pf.nbytes == 3 * field.psi.size * 8
+
+
 def test_lattice_paths_match_exact_sampler():
     # the lattice is the fast path; the Fresnel quadrature at every path
     # point is the oracle

@@ -9,6 +9,7 @@ import platform
 import re
 import sys
 import time
+import tracemalloc
 import types
 
 import numpy as np
@@ -60,6 +61,13 @@ paths.ds = 0.1 m
 quadrature.source_dx = 8 um
 checks.required = paths_non_crossing
 """
+
+# two slits 3 mm apart; 4 paths launch 2 from each
+TWO_SLIT_OPTICS = (QUICK_OPTICS
+                   .replace("grid.n_points = 401", "grid.n_points = 801")
+                   .replace("slit1.sigma = 0.3 mm",
+                            "slit1.sigma = 0.3 mm\nslit1.center = 1.5 mm\n"
+                            "slit2.sigma = 0.3 mm\nslit2.center = -1.5 mm"))
 
 # Non-finite or out-of-range numbers, each of which must fail validation
 # (exit 2) rather than escape from the run: (base text, old line, new line).
@@ -673,9 +681,34 @@ class TestRunScenario:
                 assert traj["fallback_rows"] == 0
                 assert traj["halvings"] == 0
             else:
-                paths = m["stages"][1]
+                fresnel, paths = m["stages"]
+                assert fresnel["planes"] == 4
+                # the retained (Sx, Sz, U) lattice: 4 planes x 401 points
+                assert fresnel["lattice_mib"] == 3 * 4 * 401 * 8 / 2 ** 20
                 assert paths["stagnated_paths"] == 0
                 assert paths["escaped_paths"] == 0
+
+    def test_optics_memory_grows_only_with_the_lattice(self, tmp_path):
+        # each plane is built, filled into the (Sx, Sz, U) lattice (24 B a
+        # point) and written before the next, so 11x the planes may raise
+        # the traced peak by at most 32 B per added lattice point; holding
+        # psi and its gradients for every plane cost about 127 B
+        text = (QUICK_OPTICS.replace("grid.n_points = 401",
+                                     "grid.n_points = 801")
+                .replace("paths.n_paths = 4", "paths.n_paths = 0")
+                .replace("checks.required = paths_non_crossing\n", ""))
+        peaks = {}
+        for n_planes in (4, 44):
+            cfg = parse_scenario(text.replace("0.5 : 2.0 : 4",
+                                              f"0.5 : 2.0 : {n_planes}"))
+            tracemalloc.start()
+            try:
+                art = run_scenario(cfg, out_dir=str(tmp_path / str(n_planes)))
+                peaks[n_planes] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert art.ok
+        assert peaks[44] - peaks[4] <= 32 * 40 * 801
 
     def test_manifest_records_blocked_fft_shape(self, tmp_path):
         text = (QUICK_MATTER.replace("grid.n_points = 256",
@@ -860,6 +893,24 @@ class TestCli:
         assert cli.main(["run", str(path), "--out-dir",
                          str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("n_slits, n_paths",
+                             [(2, 1), (2, 2), (2, 3), (2, 41), (1, 1)])
+    def test_path_count_the_slits_cannot_share_exit_code(self, tmp_path,
+                                                         n_slits, n_paths):
+        # every slit launches n_paths / n_slits paths, and needs 2
+        text = QUICK_OPTICS if n_slits == 1 else TWO_SLIT_OPTICS
+        path = tmp_path / "s.cfg"
+        path.write_text(text.replace("paths.n_paths = 4",
+                                     f"paths.n_paths = {n_paths}"))
+        assert cli.main(["validate", str(path)]) == 2
+        assert cli.main(["run", str(path), "--out-dir",
+                         str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(ValidationError, match="paths.n_paths"):
+            parse_scenario(path.read_text())
+        # 2 paths per slit is a valid count
+        assert parse_scenario(text).paths["n_paths"] == 4
 
     def test_run_parse_failure_exit_code(self, tmp_path):
         path = tmp_path / "s.cfg"
