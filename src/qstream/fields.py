@@ -91,7 +91,11 @@ class ComplexField:
 
 
 def require_finite(values: np.ndarray) -> None:
-    """ValueError unless every wavefunction value is finite."""
+    """ValueError unless every wavefunction value is finite.  A contiguous
+    complex array is scanned as its float view: a complex value is finite
+    when both its parts are, and the real scan takes half the time."""
+    if values.dtype.kind == "c" and values.flags.c_contiguous:
+        values = values.view(values.real.dtype)
     if not np.isfinite(values).all():
         raise ValueError("wavefunction contains non-finite values")
 

@@ -34,6 +34,14 @@ It leaves the spectrum in transposed order, so the kinetic factor is built
 in that order too, and nothing is ever transposed.  Every other n takes one
 plain transform, which is also the blocked path's test oracle.
 
+Kostin's friction potential takes S from one cumsum of the phase
+increments angle(psi[j+1] conj psi[j]), spread linearly across
+sub-threshold gaps and constant beyond the valid region; the mass and <S>
+are dot products (_friction_potential).  A run's diagnostic series is one
+SeriesRecord, whose grid tables are built once per run, so that a row
+costs one |psi|^2, one matrix-vector product, one forward FFT and three
+dot products.
+
 Closed-form Gaussian solutions for free and harmonic potentials serve as
 the numerical ground truth; the classical Caldirola-Kanai path, with its
 E0 exp(-gamma t) energy law, is the closed-form damped oscillator.
@@ -227,6 +235,17 @@ def fft_shape(n: int) -> tuple:
     return 1, n
 
 
+def largest_prime_factor(n: int) -> int:
+    """The largest prime factor of n >= 2, by trial division."""
+    p, largest = 2, 1
+    while p * p <= n:
+        while n % p == 0:
+            n //= p
+            largest = p
+        p += 1
+    return max(largest, n)
+
+
 class _Transform:
     """The in-place n-point DFT pair of the split step.  On the blocked
     path (fft_shape(n) = (n1, n2) with n1 > 1) the forward transform leaves
@@ -290,6 +309,14 @@ def _split_step(values: np.ndarray, half_V: np.ndarray, kinetic: np.ndarray,
     return buf
 
 
+def _density(values: np.ndarray) -> np.ndarray:
+    """|values|^2 as Re^2 + Im^2: faster than np.abs(values) ** 2, which
+    goes through hypot, and equal to it within an ulp or two."""
+    rho = np.square(values.real)
+    rho += np.square(values.imag)
+    return rho
+
+
 def _friction_potential(values: np.ndarray, grid: GridSpec,
                         config: PropagatorConfig) -> np.ndarray:
     """gamma (S - int rho S dx) with rho normalized to unit mass.
@@ -297,16 +324,51 @@ def _friction_potential(values: np.ndarray, grid: GridSpec,
     Below the node threshold the phase is numerical noise; there S is
     continued from the valid region (linearly inside, constant beyond)
     so the friction potential stays smooth where the density vanishes.
+
+    S / hbar is one cumsum of phase increments from the first valid point
+    on, where it is 0 (W does not depend on where S is anchored).  Between
+    two valid neighbours the increment is angle(psi[j+1] conj psi[j]), the
+    wrapped step of the raw phase; across an interior sub-threshold gap
+    from valid point a to valid point b, the raw-phase jump
+    angle(psi[b]) - angle(psi[a]) spread evenly over its b - a joins, the
+    straight line np.interp draws on the uniform grid; beyond the first
+    and the last valid point, none.  The mass and <S> are trapezoid sums,
+    each a dot product with its end terms.
     """
-    rho, S, valid = qf.polar_parts(values, config.constants)
-    if not valid.all():
-        # np.interp returns S itself at the valid points, so only the
-        # others need it
-        x = grid.x
-        S[~valid] = np.interp(x[~valid], x[valid], S[valid])
-    rho = rho / np.trapezoid(rho, dx=grid.dx)
-    S_mean = np.trapezoid(rho * S, dx=grid.dx)
-    return config.gamma * (S - S_mean)
+    rho = _density(values)
+    valid = rho > qf.NODE_THRESHOLD * rho.max()
+    # edge j lies between points j and j + 1 where validity changes; the
+    # first edge ends a leading sub-threshold run, the last may begin a
+    # trailing one, and the edges between them pair up around the gaps
+    edges = np.flatnonzero(valid[1:] != valid[:-1])
+    lead, trail = int(not valid[0]), int(not valid[-1])
+    if lead and not edges.size:
+        raise qf.AllBelowThreshold("density below node threshold everywhere")
+    first = int(edges[0]) + 1 if lead else 0
+    last = int(edges[-1]) if trail else len(values) - 1
+    edges = edges[lead:len(edges) - trail] - first
+    psi = values[first:last + 1]
+    p = np.conj(psi[:-1])
+    p *= psi[1:]
+    # np.angle(p), a sixth faster with the imaginary parts contiguous
+    inc = np.arctan2(np.ascontiguousarray(p.imag), p.real)
+    del p  # the largest temporary: not alive with S (peak RSS)
+    if edges.size:
+        # gap k runs from valid point a[k] to valid point b[k]
+        a, b = edges[0::2], edges[1::2] + 1
+        inner = valid[first:last + 1]
+        gaps = ~(inner[1:] & inner[:-1])
+        inc[gaps] = np.repeat((np.angle(psi[b]) - np.angle(psi[a])) / (b - a),
+                              b - a)
+    S = np.empty(len(values))
+    S[:first + 1] = 0.0
+    np.cumsum(inc, out=S[first + 1:last + 1])
+    S[last + 1:] = S[last]
+    mass = rho.sum() - 0.5 * (rho[0] + rho[-1])
+    mean = (rho @ S - 0.5 * (rho[0] * S[0] + rho[-1] * S[-1])) / mass
+    S -= mean
+    S *= config.gamma * config.constants.hbar
+    return S
 
 
 def _stepper(grid: GridSpec, config: PropagatorConfig):
@@ -397,6 +459,63 @@ def physical_energy(psi: ComplexField, config: PropagatorConfig) -> float:
     return float(T / n + np.trapezoid(V * rho, dx=psi.grid.dx) / n)
 
 
+class SeriesRecord:
+    """The diagnostic series of a run: time, norm, <x>, sigma and
+    physical_energy of each recorded state, in five columns preallocated
+    for `rows` rows.  fields.norm, expectation_position, position_spread
+    and physical_energy compute the same values one at a time, and are its
+    test oracles.
+
+    The grid tables are built once: the trapezoid weights times 1, x, x^2
+    and V as one (4, n) matrix, with x taken from the grid's midpoint x_c
+    so that <x^2> - <x>^2 does not cancel on a grid placed away from 0;
+    T_k = hbar^2 k^2 / 2m; and row n - 1 of the inverse DFT times T.  By
+    Parseval, sum_j conj(psi_j) ifft(T psi^)_j = sum_k T_k |psi^_k|^2 / n,
+    so the kinetic trapezoid needs one forward FFT, and its end terms only
+    the first and the last entry of ifft(T psi^)."""
+
+    def __init__(self, grid: GridSpec, config: PropagatorConfig, rows: int):
+        c, n, dx = config.constants, grid.n_points, grid.dx
+        self.config, self.dx = config, dx
+        self.x_c = 0.5 * (grid.x_min + grid.x_max)
+        w = np.full(n, dx)
+        w[0] = w[-1] = 0.5 * dx
+        x = grid.x - self.x_c
+        self.weights = np.stack((w, w * x, w * x * x,
+                                 w * config.potential.evaluate(grid, c)))
+        k = grid.wavenumbers()
+        self.kinetic = (0.5 * c.hbar ** 2 / c.mass) * k * k
+        # entry n - 1 of ifft(a) is sum_k a_k exp(2 pi i k (n - 1) / n) / n
+        self.last_row = self.kinetic * (np.exp((-2j * np.pi / n)
+                                               * np.arange(n)) / n)
+        self.columns = np.empty((5, rows))
+        self.rows = 0
+
+    def row(self, psi: ComplexField) -> tuple:
+        """(time, norm, <x>, sigma, energy) of psi."""
+        values, n = psi.values, psi.grid.n_points
+        mass, m1, m2, m_V = self.weights @ _density(values)
+        mean = m1 / mass
+        spectrum = np.fft.fft(values)
+        parts = spectrum.view(float).reshape(n, 2)
+        # sum_k T_k |psi^_k|^2 / n, and the first and last entries of
+        # ifft(T psi^) for the trapezoid's end terms
+        body = (self.kinetic @ np.square(parts)).sum() / n
+        first = complex(*(self.kinetic @ parts)) / n
+        last = self.last_row @ spectrum
+        ends = (values[0].conjugate() * first
+                + values[-1].conjugate() * last).real
+        T = self.dx * (body - 0.5 * ends)
+        if self.config.model == "caldirola_kanai":
+            T *= math.exp(-2.0 * self.config.gamma * psi.time)
+        return (psi.time, mass, self.x_c + mean,
+                np.sqrt(max(m2 / mass - mean * mean, 0.0)), (T + m_V) / mass)
+
+    def __call__(self, psi: ComplexField) -> None:
+        self.columns[:, self.rows] = self.row(psi)
+        self.rows += 1
+
+
 @dataclass
 class PropagationRun:
     """Stored states plus the per-step norm / centroid / width / energy
@@ -426,12 +545,12 @@ def propagate(psi0: ComplexField, config: PropagatorConfig, t_final: float,
     i steps on lies at state_time(psi0.time, config.dt, i).
 
     A state is stored every `snapshot_every` steps (always including the
-    initial and final states); the diagnostic series is sampled every
-    `series_every` steps (defaults to snapshot_every).  With `consumers`
-    None, run.snapshots holds every stored state.  Otherwise each stored
-    state is handed, in time order, to every callable in `consumers`, and
-    run.snapshots holds only the initial and final states, so that memory
-    does not grow with the number of stored states.
+    initial and final states); the diagnostic series (SeriesRecord) is
+    sampled every `series_every` steps (defaults to snapshot_every).  With
+    `consumers` None, run.snapshots holds every stored state.  Otherwise
+    each stored state is handed, in time order, to every callable in
+    `consumers`, and run.snapshots holds only the initial and final states,
+    so that memory does not grow with the number of stored states.
     """
     if t_final < psi0.time:
         raise ValueError("t_final must be >= the initial time")
@@ -444,17 +563,8 @@ def propagate(psi0: ComplexField, config: PropagatorConfig, t_final: float,
     snapshots = []
     hand_out = (snapshots.append,) if consumers is None else tuple(consumers)
     # one row for psi0, every series_every-th step and the last step
-    series = np.empty((5, -(-n_steps // series_every) + 1))
-    rows = 0
-
-    def record(psi):
-        nonlocal rows
-        series[:, rows] = (psi.time, qf.norm(psi),
-                           qf.expectation_position(psi),
-                           qf.position_spread(psi),
-                           physical_energy(psi, config))
-        rows += 1
-
+    record = SeriesRecord(psi0.grid, config,
+                          -(-n_steps // series_every) + 1)
     record(psi0)
     for consume in hand_out:
         consume(psi0)
@@ -475,7 +585,7 @@ def propagate(psi0: ComplexField, config: PropagatorConfig, t_final: float,
                 consume(psi)
     if consumers is not None:
         snapshots = [psi0] if psi is psi0 else [psi0, psi]
-    return PropagationRun(config, snapshots, *series, steps=n_steps)
+    return PropagationRun(config, snapshots, *record.columns, steps=n_steps)
 
 
 def analytic_gaussian_oracle(params: dict, config: PropagatorConfig,

@@ -411,6 +411,20 @@ class MatterScenario(_Scenario):
         with _stage(manifest, "propagate", lambda: -fed_s()) as st:
             psi0 = initial_state(self)
             config = propagator_config(self)
+            n = self.grid.n_points
+            prime = qp.largest_prime_factor(n)
+            if prime > max(n / 8, 11):
+                # pocketfft has dedicated passes for the primes up to 11;
+                # a larger factor above n / 8 puts every transform on its
+                # slow path, which fft_shape cannot block: a split step
+                # took 3.0-4.5 ms at n = 8198 = 2 * 4099 against
+                # 0.24-0.40 ms at 8192 (2-core x86-64 VM, numpy 2.4.6)
+                # (logging is imported here: at start-up it costs ~6 ms)
+                import logging
+                logging.getLogger(__name__).warning(
+                    "grid.n_points = %d has the prime factor %d: each split "
+                    "step runs on numpy.fft's slow path for such lengths",
+                    n, prime)
             if self.ensemble["n_trajectories"] and self.t_final > self.t0:
                 # the ensemble is marched while the states are produced
                 feed = _Deferred(lambda psi: self._bundle_stream(psi, config))
@@ -418,7 +432,8 @@ class MatterScenario(_Scenario):
                                snapshot_every=self.snapshot_every,
                                consumers=() if feed is None else (feed,))
             st["steps"] = run.steps
-            st["fft_shape"] = list(qp.fft_shape(self.grid.n_points))
+            st["fft_shape"] = list(qp.fft_shape(n))
+            st["fft_largest_prime"] = prime
             p = os.path.join(out_dir, "series.txt")
             run.write_series(p)
             files.append(p)

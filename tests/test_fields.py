@@ -13,7 +13,8 @@ from qstream import (ComplexField, GridSpec, PhysicalConstants,
 from qstream.errors import (AllBelowThreshold, NegativeDensity, NotNormalized)
 from qstream.fields import (ROW_CHUNK, _unwrap_phase, derivative,
                             format_rows, kinetic_energy, node_mask,
-                            position_spread, write_rows, write_snapshot)
+                            position_spread, require_finite, write_rows,
+                            write_snapshot)
 
 from conftest import max_abs, sym_grid
 
@@ -68,6 +69,31 @@ class TestComplexField:
         vals[3] = np.nan
         with pytest.raises(ValueError):
             ComplexField(sym_grid(1, 16), vals)
+
+    @pytest.mark.parametrize("bad", [complex(1.0, np.nan),
+                                     complex(-np.inf, 1.0),
+                                     complex(np.inf, -np.inf)])
+    def test_require_finite_sees_either_part(self, bad):
+        # a contiguous complex array is scanned as its float view
+        vals = np.ones(2048, dtype=complex)
+        require_finite(vals)
+        for i in (0, 1023, 2047):
+            vals[i] = bad
+            with pytest.raises(ValueError):
+                require_finite(vals)
+            vals[i] = 1.0
+
+    def test_require_finite_on_strided_view(self):
+        # every other value: the non-finite one lies inside the view, and
+        # a non-finite value outside it is not the view's
+        vals = np.ones(64, dtype=complex)
+        vals[1] = complex(0.0, np.inf)
+        view = vals[::2]
+        assert not view.flags.c_contiguous
+        require_finite(view)
+        vals[10] = complex(0.0, np.nan)
+        with pytest.raises(ValueError):
+            require_finite(view)
 
 
 # polar decomposition -------------------------------------------------------

@@ -15,14 +15,14 @@ from qstream import fields as qf, propagators
 from qstream.errors import (AllBelowThreshold, PhaseUndefined,
                             StabilityViolation, UnsupportedPotential,
                             ValidationError)
-from qstream.fields import (node_mask, norm, polar_decompose,
-                            position_spread)
+from qstream.fields import node_mask, norm, position_spread
 from qstream.propagators import (_Transform, _friction_potential,
                                  _mirrored_phase_factor, _phase_factor,
                                  _split_step, check_stability,
                                  classical_ck_energy, damped_oscillator,
                                  fft_shape, free_gaussian_width,
-                                 physical_energy, state_time, whole_steps)
+                                 largest_prime_factor, physical_energy,
+                                 state_time, whole_steps)
 from qstream.scenarios import parse_scenario, run_scenario
 
 from conftest import max_abs, sym_grid
@@ -477,15 +477,13 @@ class TestPropagate:
 
     def test_series_memory_per_row(self, monkeypatch):
         # the series is five float64 columns of a length known before the
-        # run, 40 B a row.  The step and the four diagnostics are stubbed so
-        # that 40,000 rows trace in about a second; each diagnostic still
-        # returns a fresh numpy scalar, as the real ones do
-        def diagnostic(psi, *args):
-            return np.float64(psi.time)
+        # run, 40 B a row.  The step and the row's four diagnostics are
+        # stubbed so that 40,000 rows trace in about a second; each
+        # diagnostic still returns a fresh numpy scalar, as the real ones do
+        def row(record, psi):
+            return (psi.time,) + tuple(np.float64(psi.time) for _ in range(4))
 
-        for name in ("norm", "expectation_position", "position_spread"):
-            monkeypatch.setattr(qf, name, diagnostic)
-        monkeypatch.setattr(propagators, "physical_energy", diagnostic)
+        monkeypatch.setattr(propagators.SeriesRecord, "row", row)
         monkeypatch.setattr(propagators, "_stepper",
                             lambda grid, config: lambda values, t: values)
         psi0 = gaussian_packet(sym_grid(8, 8), C, 1.0)
@@ -641,6 +639,12 @@ class TestBlockedTransform:
             for inv in (np.fft.ifft(ref), scipy.fft.ifft(ref)):
                 assert max_abs(buf - inv) <= 1e-13 * max_abs(inv)
 
+    @pytest.mark.parametrize("n, prime", [(8, 2), (9, 3), (8191, 8191),
+                                          (2 * 4099, 4099), (8 * 1031, 1031),
+                                          (49152, 3), (2 * 3 * 5 * 7, 7)])
+    def test_largest_prime_factor(self, n, prime):
+        assert largest_prime_factor(n) == prime
+
     @pytest.mark.parametrize("n", [4096, 8191, 2 * 4099])
     def test_plain_path(self, n):
         # below the size threshold, prime, and no divisor from 64 that
@@ -656,6 +660,70 @@ class TestBlockedTransform:
 
 
 # the fast forms against the ones they replace ------------------------------
+
+def _friction_oracle(values, grid, config):
+    """Kostin's friction potential as it was computed before the one-cumsum
+    form: polar_parts, np.interp over the valid S, and two np.trapezoid
+    calls."""
+    rho, S, valid = qf.polar_parts(values, config.constants)
+    if not valid.all():
+        # np.interp returns S itself at the valid points, so only the
+        # others need it
+        x = grid.x
+        S[~valid] = np.interp(x[~valid], x[valid], S[valid])
+    rho = rho / np.trapezoid(rho, dx=grid.dx)
+    S_mean = np.trapezoid(rho * S, dx=grid.dx)
+    return config.gamma * (S - S_mean)
+
+
+def _interior_gaps(values):
+    """The sub-threshold runs between the first and the last valid point,
+    as (start, stop) index pairs."""
+    valid = node_mask(np.abs(values) ** 2)
+    idx = np.flatnonzero(valid)
+    return [(a + 1, b) for a, b in zip(idx[:-1], idx[1:]) if b > a + 1]
+
+
+def _packet_with_nodes(nodes):
+    # wide box: the tails fall below the node threshold
+    g = sym_grid(30, 1024)
+    values = gaussian_packet(g, C, 1.0, x0=1.0, p0=0.7).values.copy()
+    values[nodes] = 0.0
+    return ComplexField(g, values)
+
+
+def _real_sign_flips():
+    # a real state whose sign flips between valid neighbours, where the raw
+    # phase steps by exactly +pi or -pi
+    g = sym_grid(4, 1000)
+    values = np.cos(3.0 * g.x) * np.exp(-0.5 * g.x ** 2) + 0j
+    flips = values.real[1:] * values.real[:-1] < 0
+    assert flips.sum() >= 6 and node_mask(np.abs(values) ** 2).all()
+    return ComplexField(g, values)
+
+
+def _kostin_wide_state():
+    # the kostin-wide benchmark's scenario at n = 1024 after 400 steps:
+    # noise in the tails leaves many sub-threshold fragments
+    cfg = PropagatorConfig(model="kostin", potential=PotentialSpec(
+        "harmonic", omega0=OMEGA0), gamma=0.3 * OMEGA0, dt=5e-3)
+    psi0 = gaussian_packet(sym_grid(8, 1024), C, SIGMA_COH, x0=2.0)
+    psi = propagate(psi0, cfg, 2.0, snapshot_every=10 ** 6,
+                    consumers=()).snapshots[-1]
+    assert len(_interior_gaps(psi.values)) >= 5
+    return psi
+
+
+FRICTION_STATES = {
+    "all-valid": lambda: gaussian_packet(sym_grid(4, 512), C, 1.0, x0=0.5,
+                                         p0=6.0),
+    "tails-only": lambda: _packet_with_nodes([]),
+    "three-interior-nodes": lambda: _packet_with_nodes([500, 530, 531]),
+    "adjacent-one-point-gaps": lambda: _packet_with_nodes([600, 602, 604]),
+    "real-sign-flips": _real_sign_flips,
+    "kostin-wide-fragmented": _kostin_wide_state,
+}
+
 
 class TestFastFormOracles:
     @pytest.mark.parametrize("scale", [1.0, 1e2, 1e4, 1e6])
@@ -702,20 +770,69 @@ class TestFastFormOracles:
         assert max_abs(out - np.exp(1j * phase)) <= 4.5e-16
 
     def test_friction_interpolates_only_below_threshold(self):
-        # wide box: the tails fall below the node threshold; three nodes
-        # inside the support
-        g = sym_grid(30, 1024)
-        values = gaussian_packet(g, C, 1.0, x0=1.0, p0=0.7).values.copy()
-        values[[500, 530, 531]] = 0.0
-        psi = ComplexField(g, values, 0.0)
+        # the one-cumsum friction potential against the formula it
+        # replaced, _friction_oracle, within rounding on every state
         cfg = PropagatorConfig(model="kostin", gamma=0.3)
-        polar = polar_decompose(psi, C)
-        assert 0 < polar.valid.sum() < g.n_points
-        x = g.x
-        S = np.interp(x, x[polar.valid], polar.S[polar.valid])
-        rho = polar.rho / np.trapezoid(polar.rho, dx=g.dx)
-        ref = cfg.gamma * (S - np.trapezoid(rho * S, dx=g.dx))
-        assert np.array_equal(_friction_potential(psi.values, psi.grid, cfg), ref)
+        for name, build in FRICTION_STATES.items():
+            psi = build()
+            gaps = _interior_gaps(psi.values)
+            if name == "adjacent-one-point-gaps":
+                assert gaps[-3:] == [(600, 601), (602, 603), (604, 605)]
+            if name == "three-interior-nodes":
+                assert gaps[-2:] == [(500, 501), (530, 532)]
+            ref = _friction_oracle(psi.values, psi.grid, cfg)
+            W = _friction_potential(psi.values, psi.grid, cfg)
+            assert max_abs(W - ref) <= 1e-13 * max_abs(ref), name
+
+    def test_friction_of_state_below_threshold_raises(self):
+        cfg = PropagatorConfig(model="kostin", gamma=0.3)
+        with pytest.raises(AllBelowThreshold):
+            _friction_potential(np.zeros(64, dtype=complex), sym_grid(1, 64),
+                                cfg)
+
+
+# the series record against the diagnostics it replaces ---------------------
+
+RECORD_CASES = {
+    "standard": dict(model="standard"),
+    "ck": dict(model="caldirola_kanai", gamma=0.3, t_final=5.0),
+    "kostin": dict(model="kostin", gamma=0.3),
+}
+
+
+class TestSeriesRecord:
+    """propagate's series rows against fields.norm, expectation_position,
+    position_spread and physical_energy, which compute them one at a
+    time."""
+
+    @pytest.mark.parametrize("n", [512, 8192])
+    @pytest.mark.parametrize("case", sorted(RECORD_CASES))
+    def test_rows_match_diagnostics(self, case, n):
+        cfg = PropagatorConfig(potential=HARMONIC, dt=1e-2,
+                               **RECORD_CASES[case])
+        # wide enough that |psi|^2 at the box ends is 1e-3 of its peak, so
+        # the trapezoid's end terms count
+        psi0 = gaussian_packet(sym_grid(8, n), C, 2.5, x0=1.0, p0=0.5,
+                               time=1.0)
+        run = propagate(psi0, cfg, 1.1, snapshot_every=2, series_every=2)
+        assert len(run.snapshots) == len(run.times) == 6
+        for i, psi in enumerate(run.snapshots):
+            assert run.times[i] == psi.time
+            for column, oracle in ((run.norms, norm(psi)),
+                                   (run.x_means,
+                                    qf.expectation_position(psi)),
+                                   (run.sigmas, position_spread(psi)),
+                                   (run.energies, physical_energy(psi, cfg))):
+                assert abs(column[i] - oracle) <= 1e-13 * abs(oracle)
+
+    def test_width_on_a_grid_away_from_zero(self):
+        # <x^2> - <x>^2 about x = 0 would cancel to about 1e-11 here
+        g = qf.GridSpec(100.0, 116.0, 1024)
+        psi = gaussian_packet(g, C, 0.5, x0=108.5, p0=0.5)
+        record = propagators.SeriesRecord(g, PropagatorConfig(), 1)
+        _, _, mean, sigma, _ = record.row(psi)
+        assert abs(mean - qf.expectation_position(psi)) <= 1e-13 * 108.5
+        assert abs(sigma - position_spread(psi)) <= 1e-13 * 0.5
 
 
 # closed-form oracle --------------------------------------------------------

@@ -3,6 +3,7 @@ command-line interface."""
 
 import dataclasses
 import json
+import logging
 import math
 import os
 import platform
@@ -721,6 +722,28 @@ class TestRunScenario:
         art = run_scenario(parse_scenario(text), out_dir=str(tmp_path))
         assert art.ok
         assert art.manifest["stages"][0]["fft_shape"] == [128, 64]
+
+    @pytest.mark.parametrize("n, prime, warned",
+                             [(8198, 4099, True), (2048, 2, False)])
+    def test_manifest_records_largest_fft_prime(self, tmp_path, caplog, n,
+                                                prime, warned):
+        # 8198 = 2 * 4099 runs every transform on numpy.fft's slow path
+        text = (QUICK_MATTER.replace("grid.n_points = 256",
+                                     f"grid.n_points = {n}")
+                .replace("time.t_final = 0.5", "time.t_final = 0.05")
+                .replace("ensemble.n_trajectories = 6",
+                         "ensemble.n_trajectories = 0")
+                .replace("checks.required = norm_drift non_crossing",
+                         "checks.required = norm_drift"))
+        with caplog.at_level(logging.WARNING, logger="qstream"):
+            art = run_scenario(parse_scenario(text), out_dir=str(tmp_path))
+        assert art.ok
+        assert art.manifest["stages"][0]["fft_largest_prime"] == prime
+        warnings = [r for r in caplog.records
+                    if r.levelno >= logging.WARNING]
+        assert len(warnings) == warned
+        if warned:
+            assert str(prime) in warnings[0].getMessage()
 
     def test_manifest_counts_stagnated_and_escaped_paths(self, tmp_path,
                                                          monkeypatch):
