@@ -46,8 +46,8 @@ def _cmd_run(args) -> int:
         return EXIT_PARSE
     required = None
     if args.required_checks is not None:
-        required = tuple(c for c in args.required_checks.replace(",", " ")
-                         .split() if c)
+        required = config.keys["checks"]["required"].conv(
+            args.required_checks, "--required-checks")
     try:
         artifacts = run_scenario(config, out_dir=args.out_dir,
                                  required_checks=required)

@@ -77,6 +77,9 @@ MIN_ROWS = 8
 # for a t_final between two steps
 STEP_TOLERANCE = 1e-9
 
+# the models PropagatorConfig accepts
+MODELS = ("standard", "caldirola_kanai", "kostin")
+
 
 @dataclass(frozen=True)
 class PotentialSpec:
@@ -109,7 +112,7 @@ class PropagatorConfig:
     t_final: float = None
 
     def __post_init__(self):
-        if self.model not in ("standard", "caldirola_kanai", "kostin"):
+        if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
         if self.gamma < 0:
             raise ValueError("gamma must be >= 0")

@@ -9,8 +9,9 @@ optics scenarios accept unit suffixes (m, mm, um, nm) and are stored in
 metres; matter-wave scenarios are dimensionless.
 
 `scenario.kind` picks the scenario type, `MatterScenario` (matter_wave) or
-`OpticsScenario` (optics); each type carries its own schema, validation and
-run.
+`OpticsScenario` (optics); each type carries its own key table, validation
+and run.  The table gives each key its converter, its default and the rule
+on its value; a type's `_build` checks only the rules that span keys.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import re
 import resource
 import time as _time
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -153,75 +154,134 @@ def _conv_zplanes(raw, key):
 
 
 def _conv_words(raw, key):
-    return tuple(w for w in raw.replace(",", " ").split() if w)
+    return tuple(raw.replace(",", " ").split())
 
 
-# schema -------------------------------------------------------------------
+# key tables ---------------------------------------------------------------
 
-_MATTER_SCHEMA = {
-    "scenario": {"name": _conv_str, "kind": _conv_str, "notes": _conv_str},
-    "model": {"type": _conv_str, "gamma": _conv_float,
-              "hbar": _conv_float, "mass": _conv_float},
-    "potential": {"kind": _conv_str, "omega0": _conv_float,
-                  "center": _conv_float},
-    "grid": {"x_min": _conv_float, "x_max": _conv_float, "n_points": _conv_int},
-    "time": {"dt": _conv_float, "t0": _conv_float, "t_final": _conv_float,
-             "snapshot_every": _conv_int},
-    "packet*": {"sigma0": _conv_float, "x0": _conv_float, "p0": _conv_float,
-                "weight": _conv_float, "phase": _conv_float},
-    "ensemble": {"n_trajectories": _conv_int, "scheme": _conv_str,
-                 "dt_traj": _conv_float},
-    "checks": {"required": _conv_words, "norm_tol": _conv_float,
-               "tube_tol": _conv_float},
+_REQUIRED = object()  # the default of a key that must be given
+
+
+class _Key(NamedTuple):
+    """One config key: its converter, its default (None where the run does
+    without the key or _build derives it), and an optional rule on the
+    converted value, which returns what is wrong with it or None."""
+
+    conv: Callable
+    default: object = _REQUIRED
+    rule: Callable = None
+
+
+def _must(ok, message):
+    """The rule that rejects, with message, a value for which ok is false."""
+    return lambda value: None if ok(value) else message
+
+
+def _one_of(names):
+    return _must(lambda v: v in names, f"must be one of {names}")
+
+
+def _known_checks(allowed):
+    def rule(names):
+        for n in names:
+            if n not in allowed:
+                return f"unknown check {n!r}; allowed: {allowed}"
+    return rule
+
+
+_POSITIVE = _must(lambda v: v > 0, "must be > 0")
+
+# The name is also the run's output directory, under runs/ or
+# $QSTREAM_OUT_DIR, so it must not reach outside it.
+_SCENARIO_KEYS = {
+    "name": _Key(_conv_str, rule=_must(
+        lambda v: not ("/" in v or "\0" in v or v in (".", "..")),
+        "must be a single path component: no '/' or NUL, not '.' or '..'")),
+    "kind": _Key(_conv_str),
+    "notes": _Key(_conv_str, ""),
 }
 
-_OPTICS_SCHEMA = {
-    "scenario": {"name": _conv_str, "kind": _conv_str, "notes": _conv_str},
-    "optics": {"wavelength": _conv_length, "z_planes": _conv_zplanes},
-    "grid": {"x_min": _conv_length, "x_max": _conv_length,
-             "n_points": _conv_int},
-    "slit*": {"sigma": _conv_length, "center": _conv_length,
-              "window": _conv_length, "window_sigmas": _conv_float},
-    "paths": {"n_paths": _conv_int, "z_start": _conv_length,
-              "ds": _conv_length},
-    "quadrature": {"source_dx": _conv_length},
-    "checks": {"required": _conv_words},
+# A section "packet*" stands for packet1, packet2, ... (numbered sections).
+# Keys without a rule are checked by the object _build makes of them:
+# PhysicalConstants, PotentialSpec, GridSpec, SlitSpec or OpticalScene.
+_MATTER_KEYS = {
+    "scenario": _SCENARIO_KEYS,
+    "model": {"type": _Key(_conv_str, "standard", _one_of(qp.MODELS)),
+              "gamma": _Key(_conv_float, 0.0,
+                            _must(lambda v: v >= 0, "must be >= 0")),
+              "hbar": _Key(_conv_float, 1.0),
+              "mass": _Key(_conv_float, 1.0)},
+    "potential": {"kind": _Key(_conv_str, "free"),
+                  "omega0": _Key(_conv_float, 0.0),
+                  "center": _Key(_conv_float, 0.0)},
+    "grid": {"x_min": _Key(_conv_float), "x_max": _Key(_conv_float),
+             "n_points": _Key(_conv_int)},
+    "time": {"dt": _Key(_conv_float, rule=_POSITIVE),
+             "t0": _Key(_conv_float, 0.0),
+             "t_final": _Key(_conv_float),
+             "snapshot_every": _Key(_conv_int, 1,
+                                    _must(lambda v: v >= 1, "must be >= 1"))},
+    "packet*": {"sigma0": _Key(_conv_float, rule=_POSITIVE),
+                "x0": _Key(_conv_float, 0.0), "p0": _Key(_conv_float, 0.0),
+                "weight": _Key(_conv_float, 1.0),
+                "phase": _Key(_conv_float, 0.0)},
+    "ensemble": {"n_trajectories": _Key(_conv_int, 0, _must(
+                     lambda v: v == 0 or 2 <= v <= MAX_TRAJECTORIES,
+                     f"must be 0 or >= 2 and <= {MAX_TRAJECTORIES}")),
+                 "scheme": _Key(_conv_str, "quantile", _one_of(qt.SCHEMES)),
+                 "dt_traj": _Key(_conv_float, None, _POSITIVE)},
+    "checks": {"required": _Key(_conv_words, (), _known_checks(
+                   ("norm_drift", "non_crossing", "tube"))),
+               "norm_tol": _Key(_conv_float, 1e-8, _POSITIVE),
+               "tube_tol": _Key(_conv_float, 1e-3, _POSITIVE)},
 }
 
-_STAR = re.compile(r"^(packet|slit)(\d+)$")
+_OPTICS_KEYS = {
+    "scenario": _SCENARIO_KEYS,
+    "optics": {"wavelength": _Key(_conv_length),
+               "z_planes": _Key(_conv_zplanes)},
+    "grid": {"x_min": _Key(_conv_length), "x_max": _Key(_conv_length),
+             "n_points": _Key(_conv_int)},
+    "slit*": {"sigma": _Key(_conv_length), "center": _Key(_conv_length, 0.0),
+              "window": _Key(_conv_length, None),
+              "window_sigmas": _Key(_conv_float, None)},
+    "paths": {"n_paths": _Key(_conv_int, 0, _must(
+                  lambda v: 0 <= v <= MAX_PATHS,
+                  f"must be >= 0 and <= {MAX_PATHS}")),
+              "z_start": _Key(_conv_length, None),
+              "ds": _Key(_conv_length, None, _POSITIVE)},
+    "quadrature": {"source_dx": _Key(_conv_length, None, _POSITIVE)},
+    "checks": {"required": _Key(_conv_words, (), _known_checks(
+                   ("paths_non_crossing",)))},
+}
+
+# no leading zeros, so that each number names one section
+_NUMBERED = re.compile(r"^(packet|slit)(0|[1-9]\d*)$")
 
 
-def _schema_keys(schema, section):
-    m = _STAR.match(section)
-    if m and f"{m.group(1)}*" in schema:
-        return schema[f"{m.group(1)}*"]
-    return schema.get(section)
+def _enforce(row, key, value):
+    """value, unless the rule of its row rejects it."""
+    wrong = row.rule and row.rule(value)
+    if wrong:
+        raise ValidationError(key, wrong)
+    return value
 
 
-MODELS = ("standard", "caldirola_kanai", "kostin")
-SCHEMES = ("quantile", "equal_spacing")
+def _filled(section, rows, values):
+    """A section's values in table order, with its defaults filled in."""
+    for key, row in rows.items():
+        if key not in values and row.default is _REQUIRED:
+            raise ValidationError(f"{section}.{key}", "required key missing")
+    return {key: values.get(key, row.default) for key, row in rows.items()}
 
 
-def _require(entries, section, key):
-    if (section, key) not in entries:
-        raise ValidationError(f"{section}.{key}", "required key missing")
-    return entries[(section, key)]
-
-
-def _numbered_sections(order, prefix):
-    seen = []
-    for section, _ in order:
-        m = _STAR.match(section)
-        if m and m.group(1) == prefix and section not in seen:
-            seen.append(section)
-    return sorted(seen, key=lambda s: int(_STAR.match(s).group(2)))
-
-
-def _known_check_names(names, allowed):
-    for n in names:
-        if n not in allowed:
-            raise ValidationError("checks.required",
-                                  f"unknown check {n!r}; allowed: {allowed}")
+def _valid(key, make, *args, **kwargs):
+    """make(*args, **kwargs), with a ValueError raised as a ValidationError
+    of key."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ValidationError(key, str(exc))
 
 
 def _check_work(key, work, bound):
@@ -264,8 +324,7 @@ class MatterScenario(_Scenario):
     """One wavepacket propagation plus an optional trajectory ensemble."""
 
     kind: ClassVar[str] = "matter_wave"
-    schema: ClassVar[dict] = _MATTER_SCHEMA
-    check_names: ClassVar[tuple] = ("norm_drift", "non_crossing", "tube")
+    keys: ClassVar[dict] = _MATTER_KEYS
     model: str
     gamma: float
     constants: PhysicalConstants
@@ -278,118 +337,54 @@ class MatterScenario(_Scenario):
     packets: tuple
     ensemble: dict
 
-    @classmethod
-    def _build(cls, name, notes, canonical, r, order):
-        model = r.get(("model", "type"), "standard")
-        if model not in MODELS:
-            raise ValidationError("model.type", f"must be one of {MODELS}")
-        gamma = r.get(("model", "gamma"), 0.0)
-        if gamma < 0:
-            raise ValidationError("model.gamma", "must be >= 0")
-        try:
-            constants = PhysicalConstants(hbar=r.get(("model", "hbar"), 1.0),
-                                          mass=r.get(("model", "mass"), 1.0))
-        except ValueError as exc:
-            raise ValidationError("model", str(exc))
-        pkind = r.get(("potential", "kind"), "free")
-        if pkind not in ("free", "harmonic"):
-            raise ValidationError("potential.kind", "must be free or harmonic")
-        try:
-            potential = PotentialSpec(
-                pkind, omega0=r.get(("potential", "omega0"), 0.0),
-                center=r.get(("potential", "center"), 0.0))
-        except ValueError as exc:
-            raise ValidationError("potential", str(exc))
-        try:
-            grid = GridSpec(_require(r, "grid", "x_min"),
-                            _require(r, "grid", "x_max"),
-                            _require(r, "grid", "n_points"))
-        except ValueError as exc:
-            raise ValidationError("grid", str(exc))
-        dt = _require(r, "time", "dt")
-        t_final = _require(r, "time", "t_final")
-        t0 = r.get(("time", "t0"), 0.0)
-        snapshot_every = r.get(("time", "snapshot_every"), 1)
-        if dt <= 0 or snapshot_every < 1 or t_final < t0:
-            raise ValidationError("time", "need dt > 0, snapshot_every >= 1, "
-                                          "t_final >= t0")
+    @staticmethod
+    def _build(r):
+        """The fields made from r, the table's values by section, once the
+        rules that span keys hold."""
+        model, time, ensemble = r["model"], r["time"], r["ensemble"]
+        dt, t0, t_final = time["dt"], time["t0"], time["t_final"]
+        snapshot_every = time["snapshot_every"]
+        constants = _valid("model", PhysicalConstants, model["hbar"],
+                           model["mass"])
+        potential = _valid("potential", PotentialSpec, **r["potential"])
+        grid = _valid("grid", GridSpec, **r["grid"])
+        if t_final < t0:
+            raise ValidationError("time.t_final", "must be >= time.t0")
         _check_work("grid.n_points * time steps",
                     lambda: grid.n_points * max((t_final - t0) / dt, 1),
                     MAX_MATTER_WORK)
-        try:
-            n_steps = qp.whole_steps(t0, t_final, dt)
-        except ValueError as exc:
-            raise ValidationError("time", str(exc))
+        n_steps = _valid("time", qp.whole_steps, t0, t_final, dt)
         # the series records every snapshot_every-th step, the first and the
         # last
         _check_work("time steps / time.snapshot_every",
                     lambda: -(-n_steps // snapshot_every) + 1,
                     MAX_SERIES_ROWS)
-        packets = []
-        for section in _numbered_sections(order, "packet"):
-            packets.append({
-                "sigma0": _require(r, section, "sigma0"),
-                "x0": r.get((section, "x0"), 0.0),
-                "p0": r.get((section, "p0"), 0.0),
-                "weight": r.get((section, "weight"), 1.0),
-                "phase": r.get((section, "phase"), 0.0),
-            })
-            if packets[-1]["sigma0"] <= 0:
-                raise ValidationError(f"{section}.sigma0", "must be > 0")
-        if not packets:
+        if not r["packet*"]:
             raise ValidationError("packet1.sigma0",
                                   "at least one packet required")
-        scheme = r.get(("ensemble", "scheme"), "quantile")
-        if scheme not in SCHEMES:
-            raise ValidationError("ensemble.scheme",
-                                  f"must be one of {SCHEMES}")
-        ensemble = {
-            "n_trajectories": r.get(("ensemble", "n_trajectories"), 0),
-            "scheme": scheme,
-            "dt_traj": r.get(("ensemble", "dt_traj"), 10.0 * dt),
-        }
-        if (ensemble["n_trajectories"] < 0 or ensemble["n_trajectories"] == 1
-                or ensemble["n_trajectories"] > MAX_TRAJECTORIES):
-            raise ValidationError("ensemble.n_trajectories",
-                                  f"must be 0 or >= 2 and "
-                                  f"<= {MAX_TRAJECTORIES}")
-        if ensemble["dt_traj"] <= 0:
-            raise ValidationError("ensemble.dt_traj", "must be > 0")
+        if ensemble["dt_traj"] is None:
+            ensemble["dt_traj"] = 10.0 * dt
         if ensemble["n_trajectories"]:
             dt_traj = ensemble["dt_traj"]
             _check_work("ensemble.n_trajectories * mesh times",
                         lambda: ensemble["n_trajectories"] * (
                             (t_final - t0) / dt_traj + 1),
                         MAX_TRAJECTORY_POINTS)
-            try:
-                qp.whole_steps(t0, t_final, dt_traj)
-            except ValueError as exc:
-                raise ValidationError("ensemble.dt_traj", str(exc))
+            _valid("ensemble.dt_traj", qp.whole_steps, t0, t_final, dt_traj)
             # the widest gap between the states a run stores
             spacing = min(snapshot_every, n_steps) * dt
-            try:
-                qt.check_frame_gap(spacing, dt_traj)
-            except ValueError as exc:
-                raise ValidationError("time.snapshot_every", str(exc))
+            _valid("time.snapshot_every", qt.check_frame_gap, spacing,
+                   dt_traj)
             if n_steps:  # else the run stores one state and marches nothing
                 _check_work("grid.n_points * window frames",
                             lambda: grid.n_points * (
                                 math.ceil(dt_traj / spacing) + 3),
                             MAX_WINDOW_POINTS)
-        checks = {
-            "required": r.get(("checks", "required"), ()),
-            "norm_tol": r.get(("checks", "norm_tol"), 1e-8),
-            "tube_tol": r.get(("checks", "tube_tol"), 1e-3),
-        }
-        for key in ("norm_tol", "tube_tol"):
-            if checks[key] <= 0:
-                raise ValidationError(f"checks.{key}", "must be > 0")
-        _known_check_names(checks["required"], cls.check_names)
-        return cls(name=name, entries=canonical, notes=notes, checks=checks,
-                   model=model, gamma=gamma, constants=constants,
-                   potential=potential, grid=grid, dt=dt, t0=t0,
-                   t_final=t_final, snapshot_every=snapshot_every,
-                   packets=tuple(packets), ensemble=ensemble)
+        return dict(model=model["type"], gamma=model["gamma"],
+                    constants=constants, potential=potential, grid=grid,
+                    dt=dt, t0=t0, t_final=t_final,
+                    snapshot_every=snapshot_every,
+                    packets=tuple(r["packet*"].values()), ensemble=ensemble)
 
     def _bundle_stream(self, psi0, config) -> qt.BundleStream:
         """The ensemble sampled from psi0, ready to march through the
@@ -483,80 +478,54 @@ class OpticsScenario(_Scenario):
     """Fresnel planes behind a slit aperture plus optional photon paths."""
 
     kind: ClassVar[str] = "optics"
-    schema: ClassVar[dict] = _OPTICS_SCHEMA
-    check_names: ClassVar[tuple] = ("paths_non_crossing",)
+    keys: ClassVar[dict] = _OPTICS_KEYS
     scene: OpticalScene
     paths: dict
     source_dx: float
 
-    @classmethod
-    def _build(cls, name, notes, canonical, r, order):
-        wavelength = _require(r, "optics", "wavelength")
-        z_planes = _require(r, "optics", "z_planes")
-        try:
-            grid = GridSpec(_require(r, "grid", "x_min"),
-                            _require(r, "grid", "x_max"),
-                            _require(r, "grid", "n_points"))
-        except ValueError as exc:
-            raise ValidationError("grid", str(exc))
+    @staticmethod
+    def _build(r):
+        """The fields made from r, as MatterScenario._build."""
+        optics, paths = r["optics"], r["paths"]
+        grid = _valid("grid", GridSpec, **r["grid"])
         slits = []
-        for section in _numbered_sections(order, "slit"):
-            sigma = _require(r, section, "sigma")
-            window = r.get((section, "window"))
-            wsig = r.get((section, "window_sigmas"))
-            if window is not None and wsig is not None:
-                raise ValidationError(f"{section}.window",
-                                      "give window or window_sigmas, not both")
-            if wsig is not None:
-                window = wsig * sigma
-            try:
-                slits.append(SlitSpec(sigma, r.get((section, "center"), 0.0),
-                                      window))
-            except ValueError as exc:
-                raise ValidationError(section, str(exc))
+        for section, s in r["slit*"].items():
+            window = s["window"]
+            if s["window_sigmas"] is not None:
+                if window is not None:
+                    raise ValidationError(
+                        f"{section}.window",
+                        "give window or window_sigmas, not both")
+                window = s["window_sigmas"] * s["sigma"]
+            slits.append(_valid(section, SlitSpec, s["sigma"], s["center"],
+                                window))
         if not slits:
             raise ValidationError("slit1.sigma", "at least one slit required")
-        try:
-            scene = OpticalScene(tuple(slits), wavelength, grid, z_planes)
-        except ValueError as exc:
-            raise ValidationError("optics", str(exc))
-        paths = {
-            "n_paths": r.get(("paths", "n_paths"), 0),
-            "z_start": r.get(("paths", "z_start"), z_planes[0]),
-            "ds": r.get(("paths", "ds")),
-        }
-        if not 0 <= paths["n_paths"] <= MAX_PATHS:
-            raise ValidationError("paths.n_paths",
-                                  f"must be >= 0 and <= {MAX_PATHS}")
+        scene = _valid("optics", OpticalScene, tuple(slits),
+                       optics["wavelength"], grid, optics["z_planes"])
+        if paths["z_start"] is None:
+            paths["z_start"] = optics["z_planes"][0]
         # each slit launches the same number of paths, at least 2
-        n_slits = len(scene.slits)
-        if paths["n_paths"] and (paths["n_paths"] % n_slits
-                                 or paths["n_paths"] < 2 * n_slits):
+        n_paths, n_slits = paths["n_paths"], len(slits)
+        if n_paths and (n_paths % n_slits or n_paths < 2 * n_slits):
             raise ValidationError(
                 "paths.n_paths", f"must be 0 or a multiple of the slit count "
                                  f"({n_slits}) with at least 2 per slit")
-        if not scene.z_planes[0] <= paths["z_start"] <= scene.z_planes[-1]:
+        z = scene.z_planes
+        if not z[0] <= paths["z_start"] <= z[-1]:
             raise ValidationError(
                 "paths.z_start", "must lie between the first and last z plane")
-        if paths["ds"] is not None and paths["ds"] <= 0:
-            raise ValidationError("paths.ds", "must be > 0")
-        if paths["n_paths"]:
-            z = scene.z_planes
+        if n_paths:
             ds = paths["ds"] or qo.default_ds(scene, (z[0], z[-1]))
             _check_work("paths.n_paths * path steps",
-                        lambda: paths["n_paths"] * (z[-1] - paths["z_start"])
-                        / ds, MAX_PATH_POINTS)
-        source_dx = r.get(("quadrature", "source_dx"))
-        if source_dx is not None and source_dx <= 0:
-            raise ValidationError("quadrature.source_dx", "must be > 0")
+                        lambda: n_paths * (z[-1] - paths["z_start"]) / ds,
+                        MAX_PATH_POINTS)
+        source_dx = r["quadrature"]["source_dx"]
         _check_work("z planes * (grid.n_points + source points)",
-                    lambda: len(scene.z_planes) * (
+                    lambda: len(z) * (
                         grid.n_points + qo.source_points(scene, source_dx)[2]),
                     MAX_OPTICS_WORK)
-        checks = {"required": r.get(("checks", "required"), ())}
-        _known_check_names(checks["required"], cls.check_names)
-        return cls(name=name, entries=canonical, notes=notes, checks=checks,
-                   scene=scene, paths=paths, source_dx=source_dx)
+        return dict(scene=scene, paths=paths, source_dx=source_dx)
 
     def _run(self, out_dir, required, manifest, files):
         scene = self.scene
@@ -608,8 +577,6 @@ _KINDS = {cls.kind: cls for cls in (MatterScenario, OpticsScenario)}
 def parse_scenario(source: str) -> MatterScenario | OpticsScenario:
     """Parse and validate a scenario config from text."""
     entries = {}
-    order = []
-    n_assign = 0
     for lineno, raw_line in enumerate(source.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -626,32 +593,42 @@ def parse_scenario(source: str) -> MatterScenario | OpticsScenario:
         if (section, key) in entries:
             raise ParseError(lineno, f"duplicate key {section}.{key}")
         entries[(section, key)] = rhs
-        order.append((section, key))
-        n_assign += 1
-    if n_assign == 0:
+    if not entries:
         raise ParseError(1, "empty input")
 
-    cls = _KINDS.get(entries.get(("scenario", "kind")))
+    kind = entries.get(("scenario", "kind"))
+    cls = _KINDS.get(kind)
     if cls is None:
-        raise ValidationError("scenario.kind",
-                              f"must be one of {tuple(_KINDS)}")
+        raise ValidationError("scenario.kind", "required key missing"
+                              if kind is None
+                              else f"must be one of {tuple(_KINDS)}")
 
-    resolved = {}
-    for section, key in order:
-        keys = _schema_keys(cls.schema, section)
-        if keys is None:
-            raise ValidationError(f"{section}.{key}",
-                                  f"unknown section {section!r}")
-        if key not in keys:
-            raise ValidationError(f"{section}.{key}",
-                                  f"unknown key in section {section!r}")
-        resolved[(section, key)] = keys[key](entries[(section, key)],
-                                             f"{section}.{key}")
+    given = {}  # table section -> {section: {key: value}}
+    for (section, key), raw in entries.items():
+        m = _NUMBERED.match(section)
+        group = f"{m.group(1)}*" if m else section
+        rows = cls.keys.get(group) if m or "*" not in section else None
+        name = f"{section}.{key}"
+        if rows is None:
+            raise ValidationError(name, f"unknown section {section!r}")
+        if key not in rows:
+            raise ValidationError(name, f"unknown key in section {section!r}")
+        value = _enforce(rows[key], name, rows[key].conv(raw, name))
+        entries[(section, key)] = value
+        given.setdefault(group, {}).setdefault(section, {})[key] = value
 
-    name = _require(resolved, "scenario", "name")
-    notes = resolved.get(("scenario", "notes"), "")
-    canonical = tuple((s, k, resolved[(s, k)]) for s, k in sorted(order))
-    return cls._build(name, notes, canonical, resolved, order)
+    r = {}
+    for group, rows in cls.keys.items():
+        sections = given.get(group, {})
+        if group.endswith("*"):
+            r[group] = {s: _filled(s, rows, sections[s]) for s in sorted(
+                sections, key=lambda s: int(_NUMBERED.match(s).group(2)))}
+        else:
+            r[group] = _filled(group, rows, sections.get(group, {}))
+    canonical = tuple((s, k, v) for (s, k), v in sorted(entries.items()))
+    return cls(name=r["scenario"]["name"], entries=canonical,
+               notes=r["scenario"]["notes"], checks=r["checks"],
+               **cls._build(r))
 
 
 # built-in catalog ---------------------------------------------------------
@@ -956,7 +933,8 @@ def run_scenario(config: MatterScenario | OpticsScenario, out_dir=None,
     checks.required and must name checks of the scenario's kind
     (ValidationError before anything runs)."""
     if required_checks is not None:
-        _known_check_names(required_checks, config.check_names)
+        _enforce(config.keys["checks"]["required"], "checks.required",
+                 required_checks)
     out_dir, out_dir_source = _resolve_out_dir(config, out_dir)
     os.makedirs(out_dir, exist_ok=True)
     required = tuple(required_checks if required_checks is not None

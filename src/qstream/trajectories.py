@@ -62,6 +62,10 @@ def _cdf(rho: np.ndarray, grid: GridSpec) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(inc)))
 
 
+# the schemes sample_initial_positions accepts
+SCHEMES = ("quantile", "equal_spacing")
+
+
 def sample_initial_positions(rho: np.ndarray, grid: GridSpec, n: int,
                              scheme: str = "quantile") -> InitialEnsemble:
     """Deterministic ensemble from a density: quantile midpoints
@@ -69,6 +73,8 @@ def sample_initial_positions(rho: np.ndarray, grid: GridSpec, n: int,
     rho = np.asarray(rho, dtype=float)
     if n < 2:
         raise ValueError("n must be >= 2")
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown sampling scheme {scheme!r}")
     cdf = _cdf(rho, grid)
     total = cdf[-1]
     if total <= 0:
@@ -77,12 +83,10 @@ def sample_initial_positions(rho: np.ndarray, grid: GridSpec, n: int,
         targets = (np.arange(n) + 0.5) / n * total
         positions = np.interp(targets, cdf, grid.x)
         return InitialEnsemble(positions)
-    if scheme == "equal_spacing":
-        valid = qf.node_mask(rho)
-        idx = np.flatnonzero(valid)
-        lo, hi = grid.x[idx[0]], grid.x[idx[-1]]
-        return InitialEnsemble(np.linspace(lo, hi, n))
-    raise ValueError(f"unknown sampling scheme {scheme!r}")
+    valid = qf.node_mask(rho)  # equal_spacing
+    idx = np.flatnonzero(valid)
+    lo, hi = grid.x[idx[0]], grid.x[idx[-1]]
+    return InitialEnsemble(np.linspace(lo, hi, n))
 
 
 def _velocity_frame(psi, constants, method: str = "fd4"):

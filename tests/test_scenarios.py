@@ -81,6 +81,8 @@ BAD_NUMBERS = {
                "packet1.sigma0 = 1.0\npacket1.x0 = nan"),
     "hbar-zero": (QUICK_MATTER, "model.type = standard",
                   "model.type = standard\nmodel.hbar = 0"),
+    "mass-zero": (QUICK_MATTER, "model.type = standard",
+                  "model.type = standard\nmodel.mass = 0"),
     "gamma-negative": (QUICK_MATTER, "model.type = standard",
                        "model.type = standard\nmodel.gamma = -1"),
     "one-trajectory": (QUICK_MATTER, "ensemble.n_trajectories = 6",
@@ -92,6 +94,8 @@ BAD_NUMBERS = {
                          "time.t_final = 0.505"),
     "t_final-under-one-step": (QUICK_MATTER, "time.t_final = 0.5",
                                "time.t_final = 0.00390625"),
+    "t_final-before-t0": (QUICK_MATTER, "time.t_final = 0.5",
+                          "time.t_final = 0.5\ntime.t0 = 1.0"),
     "wavelength-overflow": (QUICK_OPTICS, "943 nm", "1e999 nm"),
     "zplane-malformed": (QUICK_OPTICS, "0.5 : 2.0 : 4", "0.5 1.2.3 2"),
     "window_sigmas-inf": (QUICK_OPTICS, "slit1.sigma = 0.3 mm",
@@ -300,8 +304,9 @@ class TestParser:
 
     def test_window_and_window_sigmas_exclusive(self):
         bad = QUICK_OPTICS + "slit1.window = 1 mm\nslit1.window_sigmas = 2\n"
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as info:
             parse_scenario(bad)
+        assert info.value.key == "slit1.window"
 
     @pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
     def test_bad_number_rejected(self, case):
@@ -389,6 +394,152 @@ class TestParser:
         cfg = parse_scenario(QUICK_OPTICS + "slit1.window_sigmas = 1.5\n")
         assert cfg.scene.slits[0].window_halfwidth == pytest.approx(
             1.5 * 0.3e-3)
+
+
+# key tables ----------------------------------------------------------------
+
+# bases that hold a second key of each numbered section, so that dropping a
+# required key of that section leaves the section in place
+TABLE_BASE = {MatterScenario: QUICK_MATTER + "packet1.x0 = 0.0\n",
+              OpticsScenario: QUICK_OPTICS + "slit1.center = 0.0 mm\n"}
+
+# for every key with a rule, a value the rule rejects
+REJECTED = {
+    MatterScenario: {
+        "scenario.name": "../outside",
+        "model.type": "frictional",
+        "model.gamma": "-1",
+        "time.dt": "0",
+        "time.snapshot_every": "0",
+        "packet1.sigma0": "-0.5",
+        "ensemble.n_trajectories": "1",
+        "ensemble.scheme": "sobol",
+        "ensemble.dt_traj": "0",
+        "checks.required": "norm_drift vibes",
+        "checks.norm_tol": "0",
+        "checks.tube_tol": "-1",
+    },
+    OpticsScenario: {
+        "scenario.name": "a/b",
+        "paths.n_paths": "-3",
+        "paths.ds": "0 m",
+        "quadrature.source_dx": "-20 um",
+        "checks.required": "tube",
+    },
+}
+
+# keys whose default _build derives from other keys: what it derives for the
+# table bases
+DERIVED = {MatterScenario: {"ensemble.dt_traj": "0.1"},  # 10 time.dt
+           OpticsScenario: {"paths.z_start": "0.5 m"}}   # the first plane
+
+
+def _table_rows(cls):
+    """(key, row) for every row of cls's key table; a numbered section's
+    keys are named as in its first section."""
+    return [(f"{group.replace('*', '1')}.{key}", row)
+            for group, rows in cls.keys.items() for key, row in rows.items()]
+
+
+def _rows_where(pick):
+    return [pytest.param(cls, key, row, id=f"{cls.kind}-{key}")
+            for cls in (MatterScenario, OpticsScenario)
+            for key, row in _table_rows(cls) if pick(cls, key, row)]
+
+
+def _without(text, key):
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if line.split("=", 1)[0].strip() != key)
+
+
+def _with(text, key, value):
+    return _without(text, key) + f"{key} = {value}\n"
+
+
+def _built(cfg):
+    """What a config builds, apart from the entries it was written with."""
+    return dataclasses.replace(cfg, entries=())
+
+
+class TestKeyTables:
+    def test_every_rule_has_a_rejected_value(self):
+        for cls in REJECTED:
+            ruled = {key for key, row in _table_rows(cls) if row.rule}
+            assert ruled == set(REJECTED[cls])
+
+    @pytest.mark.parametrize("cls, key, row",
+                             _rows_where(lambda cls, key, row: row.rule))
+    def test_rule_rejects_under_its_key(self, tmp_path, cls, key, row):
+        text = _with(TABLE_BASE[cls], key, REJECTED[cls][key])
+        with pytest.raises(ValidationError) as info:
+            parse_scenario(text)
+        assert info.value.key == key
+        assert info.value.constraint == row.rule(
+            row.conv(REJECTED[cls][key], key))
+        path = tmp_path / "s.cfg"
+        path.write_text(text)
+        assert cli.main(["validate", str(path)]) == 2
+
+    # "" and () have no text that writes them
+    @pytest.mark.parametrize("cls, key, row", _rows_where(
+        lambda cls, key, row: key in DERIVED[cls] or row.default not in (
+            scenarios._REQUIRED, None, "", ())))
+    def test_leaving_out_a_default_writes_it(self, cls, key, row):
+        value = DERIVED[cls].get(key, row.default)
+        if isinstance(value, float):
+            value = repr(value)
+        written = parse_scenario(_with(TABLE_BASE[cls], key, value))
+        omitted = parse_scenario(_without(TABLE_BASE[cls], key))
+        assert _built(omitted) == _built(written)
+
+    @pytest.mark.parametrize("cls, key, row", _rows_where(
+        lambda cls, key, row: row.default is scenarios._REQUIRED))
+    def test_required_key_missing(self, cls, key, row):
+        with pytest.raises(ValidationError) as info:
+            parse_scenario(_without(TABLE_BASE[cls], key))
+        assert (info.value.key, info.value.constraint) == (
+            key, "required key missing")
+
+    @pytest.mark.parametrize("name", ["..", ".", "../up", "a/b", "/abs",
+                                      "nul\0byte"])
+    def test_name_must_be_one_path_component(self, tmp_path, monkeypatch,
+                                             name):
+        # an absolute name would have named this directory
+        if name == "/abs":
+            name = str(tmp_path / "outside")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path / "env" / "runs"))
+        path = tmp_path / "s.cfg"
+        path.write_text(_with(QUICK_MATTER, "scenario.name", name))
+        assert cli.main(["validate", str(path)]) == 2
+        assert cli.main(["run", str(path)]) == 2
+        assert os.listdir(tmp_path) == ["s.cfg"]
+
+    @pytest.mark.parametrize("base, extra", [
+        (QUICK_MATTER, "packet01.sigma0 = 2.0\n"),
+        (QUICK_MATTER, "packet*.sigma0 = 2.0\n"),
+        (QUICK_OPTICS, "slit01.sigma = 0.3 mm\n"),
+        (QUICK_OPTICS, "slit*.sigma = 0.3 mm\n")])
+    def test_section_numbers_name_one_section(self, base, extra):
+        section = extra.split(".", 1)[0]
+        with pytest.raises(ValidationError) as info:
+            parse_scenario(base + extra)
+        assert info.value.key == extra.split(" =", 1)[0]
+        assert info.value.constraint == f"unknown section {section!r}"
+
+    def test_numbered_sections_in_number_order(self):
+        cfg = parse_scenario(QUICK_MATTER + "packet10.sigma0 = 3.0\n"
+                             "packet2.sigma0 = 2.0\npacket0.sigma0 = 0.5\n")
+        assert [p["sigma0"] for p in cfg.packets] == [0.5, 1.0, 2.0, 3.0]
+
+    def test_cross_key_rules_name_their_key(self):
+        for text, key in (
+                (_with(QUICK_MATTER, "time.t0", "1.0"), "time.t_final"),
+                (_with(QUICK_MATTER, "model.mass", "0"), "model"),
+                (_with(QUICK_MATTER, "potential.kind", "well"), "potential")):
+            with pytest.raises(ValidationError) as info:
+                parse_scenario(text)
+            assert info.value.key == key
 
 
 class TestCatalog:
