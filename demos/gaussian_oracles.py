@@ -41,11 +41,17 @@ print(f"coherent state, one period: "
 
 # Gaussian-slit beam vs closed-form intensity
 sc = builtin_scenario("oracle-gaussian-beam")
-field = fresnel_propagate(sc.scene, source_dx=sc.source_dx)
-dev = 0.0
-for row, z in zip(field.psi, sc.scene.z_planes):
+devs = []
+
+
+def beam_deviation(i, z, psi, psi_x, psi_z):
     ref = gaussian_beam_intensity(sc.scene.slits[0], sc.scene.transverse_grid.x,
                                   z, sc.scene.k)
-    dev = max(dev, float(np.max(np.abs(np.abs(row) ** 2 - ref)) / ref.max()))
+    devs.append(float(np.max(np.abs(np.abs(psi) ** 2 - ref)) / ref.max()))
+
+
+fresnel_propagate(sc.scene, source_dx=sc.source_dx,
+                  consumers=(beam_deviation,))
+dev = max(devs)
 print(f"Gaussian slit beam, {len(sc.scene.z_planes)} planes: "
       f"max relative intensity deviation = {dev:.2e}")

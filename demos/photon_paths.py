@@ -19,7 +19,8 @@ scene = OpticalScene((SlitSpec(0.3 * MM, 2.35 * MM),
                       SlitSpec(0.3 * MM, -2.35 * MM)), 943e-9,
                      GridSpec(-10 * MM, 10 * MM, 1601),
                      tuple(np.linspace(0.5, 8.0, 31)))
-field = PoyntingField(fresnel_propagate(scene, source_dx=8e-6))
+field = PoyntingField(scene)
+fresnel_propagate(scene, source_dx=8e-6, consumers=(field.add_plane,))
 
 x0s = _launch_positions(scene, 40)
 paths = photon_path_bundle(x0s, 0.5, field, ds=0.05)

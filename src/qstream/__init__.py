@@ -8,12 +8,11 @@ from .fields import (ComplexField, GridSpec, PhysicalConstants, PolarFields,
 from .propagators import (ClassicalCKState, PotentialSpec, PropagatorConfig,
                           analytic_gaussian_oracle, classical_ck_trajectory,
                           damped_oscillator, propagate, step)
-from .trajectories import (InitialEnsemble, Trajectory, TrajectoryBundle,
+from .trajectories import (InitialEnsemble, TrajectoryBundle,
                            check_non_crossing, integrate_bundle,
-                           integrate_trajectory, sample_initial_positions,
-                           tube_probability)
+                           sample_initial_positions, tube_probability)
 from .optics import (OpticalScene, SlitSpec, fresnel_propagate,
-                     initial_two_slit_field, photon_path, photon_path_bundle,
+                     initial_two_slit_field, photon_path_bundle,
                      transverse_momentum)
 
 __version__ = "0.1.0"

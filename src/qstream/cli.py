@@ -32,8 +32,8 @@ def _read(path: str):
 
 
 def _load(target: str):
-    """A scenario name from the catalog, or a path to a config file."""
-    if os.path.exists(target):
+    """A path to a config file, or else a scenario name from the catalog."""
+    if os.path.isfile(target):
         return _read(target)
     return builtin_scenario(target)
 

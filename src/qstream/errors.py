@@ -49,10 +49,6 @@ class ResolutionViolation(QStreamError):
     """Transverse grid cannot resolve the finest fringe at the nearest plane."""
 
 
-class StagnationPoint(QStreamError):
-    """Energy flow velocity fell below threshold; path undefined."""
-
-
 class ParseError(QStreamError):
     """Scenario text could not be parsed."""
 

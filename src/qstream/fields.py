@@ -6,7 +6,7 @@ continuous, unwrapped action field S, from which the probability current,
 the hydrodynamic velocity v = J/rho and the quantum potential
 Q = -(hbar^2/2m) (sqrt(rho))'' / sqrt(rho) are derived.
 
-Points where rho < eps_node * max(rho) are "nodes": v, S and Q are
+Points where rho <= NODE_THRESHOLD * max(rho) are "nodes": v, S and Q are
 singular or undefined there and get flagged invalid instead of evaluated.
 """
 
@@ -133,11 +133,12 @@ class VelocityField:
     time: float = 0.0
 
 
-def node_mask(rho: np.ndarray, eps_node: float = NODE_THRESHOLD) -> np.ndarray:
-    """True where rho is above the node threshold eps_node * max(rho)."""
+def node_mask(rho: np.ndarray) -> np.ndarray:
+    """True where rho is above the node threshold NODE_THRESHOLD * max(rho)."""
     rho = np.asarray(rho, dtype=float)
     peak = rho.max(initial=0.0)
-    return rho > eps_node * peak if peak > 0 else np.zeros_like(rho, dtype=bool)
+    return (rho > NODE_THRESHOLD * peak if peak > 0
+            else np.zeros_like(rho, dtype=bool))
 
 
 def derivative(values: np.ndarray, dx: float, order: int = 1) -> np.ndarray:
@@ -194,11 +195,10 @@ def _unwrap_phase(raw: np.ndarray, valid: np.ndarray, i0: int) -> np.ndarray:
     return count
 
 
-def polar_parts(values: np.ndarray, constants: PhysicalConstants,
-                eps_node: float = NODE_THRESHOLD):
+def polar_parts(values: np.ndarray, constants: PhysicalConstants):
     """(rho, S, valid) of the wavefunction values, as in polar_decompose."""
     rho = np.abs(values) ** 2
-    valid = node_mask(rho, eps_node)
+    valid = node_mask(rho)
     if not valid.any():
         raise AllBelowThreshold("density below node threshold everywhere")
     i0 = int(np.argmax(rho))
@@ -206,14 +206,14 @@ def polar_parts(values: np.ndarray, constants: PhysicalConstants,
     return rho, constants.hbar * phase, valid
 
 
-def polar_decompose(psi: ComplexField, constants: PhysicalConstants,
-                    eps_node: float = NODE_THRESHOLD) -> PolarFields:
+def polar_decompose(psi: ComplexField,
+                    constants: PhysicalConstants) -> PolarFields:
     """Madelung split Psi = rho^{1/2} exp(iS/hbar) with unwrapped S.
 
     S is referenced so its value at the maximum-density point lies in
     (-pi*hbar, pi*hbar].
     """
-    rho, S, valid = polar_parts(psi.values, constants, eps_node)
+    rho, S, valid = polar_parts(psi.values, constants)
     return PolarFields(psi.grid, rho, S, psi.time, valid)
 
 
@@ -236,22 +236,21 @@ def probability_current(psi: ComplexField, constants: PhysicalConstants,
 
 
 def velocity_field(psi: ComplexField, constants: PhysicalConstants,
-                   eps_node: float = NODE_THRESHOLD,
                    method: str = "fd4") -> VelocityField:
     """v = J/rho above the node threshold; NaN elsewhere."""
     rho = np.abs(psi.values) ** 2
-    valid = node_mask(rho, eps_node)
+    valid = node_mask(rho)
     J = probability_current(psi, constants, method=method)
     v = np.full(psi.grid.n_points, np.nan)
     v[valid] = J[valid] / rho[valid]
     return VelocityField(psi.grid, v, valid, psi.time)
 
 
-def quantum_potential(psi: ComplexField, constants: PhysicalConstants,
-                      eps_node: float = NODE_THRESHOLD) -> np.ndarray:
+def quantum_potential(psi: ComplexField,
+                      constants: PhysicalConstants) -> np.ndarray:
     """Q = -(hbar^2/2m) (sqrt(rho))'' / sqrt(rho); NaN at nodes."""
     rho = np.abs(psi.values) ** 2
-    valid = node_mask(rho, eps_node)
+    valid = node_mask(rho)
     amp = np.sqrt(rho)
     d2 = derivative(amp, psi.grid.dx, order=2)
     Q = np.full(psi.grid.n_points, np.nan)

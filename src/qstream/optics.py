@@ -34,12 +34,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (EmptyScene, LeftDomain, ResolutionViolation,
-                     StagnationPoint)
+from .errors import EmptyScene, LeftDomain, ResolutionViolation
 from .fields import GridSpec, cubic_weights, write_rows
 
 # CODATA 2022, SI units: speed of light, vacuum permittivity, permeability
 C_LIGHT, EPS0, MU0 = 299792458.0, 8.8541878188e-12, 1.25663706127e-06
+# a photon path stops where its flow speed |S|/(cU) falls below
+# STAGNATION_SPEED, and after MAX_PATH_STEPS steps at most
+STAGNATION_SPEED, MAX_PATH_STEPS = 1e-9, 200000
 
 
 @dataclass(frozen=True)
@@ -65,8 +67,8 @@ class SlitSpec:
             a = np.where(np.abs(u) <= self.window_halfwidth, a, 0.0)
         return a
 
-    def support(self, n_sigmas: float = 6.0):
-        half = n_sigmas * self.sigma
+    def support(self):
+        half = 6.0 * self.sigma
         if self.window_halfwidth is not None:
             half = min(half, self.window_halfwidth)
         return self.center - half, self.center + half
@@ -254,51 +256,28 @@ def poynting(em: EMFields) -> tuple:
     return Sx, Sz
 
 
-def transverse_momentum(Sx: np.ndarray, Sz: np.ndarray, U: np.ndarray,
-                        eps: float = 1e-12) -> np.ndarray:
-    """k_x/k = S_x/|S|, NaN where the energy density is negligible."""
+def transverse_momentum(Sx: np.ndarray, Sz: np.ndarray,
+                        U: np.ndarray) -> np.ndarray:
+    """k_x/k = S_x/|S|, NaN where U <= 1e-12 max(U)."""
     mag = np.hypot(Sx, Sz)
     out = np.full_like(mag, np.nan)
-    ok = U > eps * U.max()
+    ok = U > 1e-12 * U.max()
     out[ok] = Sx[ok] / mag[ok]
     return out
 
 
-@dataclass
-class OpticalField2D:
-    """Envelope field and gradients on the z_planes x transverse lattice."""
-
-    scene: OpticalScene
-    psi: np.ndarray    # (n_z, n_x)
-    psi_x: np.ndarray
-    psi_z: np.ndarray
-
-    def set_plane(self, i, z, psi, psi_x, psi_z) -> None:
-        """Store plane i: a `fresnel_propagate` consumer."""
-        self.psi[i], self.psi_x[i], self.psi_z[i] = psi, psi_x, psi_z
-
-
-def fresnel_propagate(scene: OpticalScene, source_dx: float = None,
-                      consumers=None) -> OpticalField2D | None:
+def fresnel_propagate(scene: OpticalScene, source_dx: float = None, *,
+                      consumers) -> None:
     """Fresnel quadrature of the aperture field onto every scene plane.
 
     Each plane is handed, in z order, as (i, z, psi, psi_x, psi_z) to every
-    callable in `consumers`, and nothing is stored; None is returned.  With
-    `consumers` None the planes are stacked into the returned
-    OpticalField2D.
+    callable in `consumers`, and nothing is stored.
     """
     ev = FresnelEvaluator(scene, source_dx=source_dx)
-    field = None
-    if consumers is None:
-        shape = (len(scene.z_planes), scene.transverse_grid.n_points)
-        field = OpticalField2D(scene, *(np.empty(shape, dtype=complex)
-                                        for _ in range(3)))
-        consumers = (field.set_plane,)
     for i, z in enumerate(scene.z_planes):
         psi, psi_x, psi_z = ev.plane(scene.transverse_grid, z)
         for consume in consumers:
             consume(i, z, psi, psi_x, psi_z)
-    return field
 
 
 def _lattice_sample(values: np.ndarray, scene: OpticalScene, x, z):
@@ -327,23 +306,16 @@ class PoyntingField:
     """Sx, Sz, U on the lattice, stacked so that `sample` interpolates all
     three at once by `_lattice_sample` for path tracing.
 
-    Built from an OpticalField2D, it fills every plane from that field.
-    Built from an OpticalScene, the lattice starts unfilled, and
-    `add_plane`, a `fresnel_propagate` consumer, fills it one plane at a
-    time.
+    The lattice starts unfilled; `add_plane`, a `fresnel_propagate`
+    consumer, fills it one plane at a time.
     """
 
-    def __init__(self, field: OpticalField2D | OpticalScene):
-        whole = isinstance(field, OpticalField2D)
-        self.scene = scene = field.scene if whole else field
+    def __init__(self, scene: OpticalScene):
+        self.scene = scene
         g, z = scene.transverse_grid, scene.z_planes
         self._lattice = np.empty((3, len(z), g.n_points))
         self.Sx, self.Sz, self.U = self._lattice
         self.x_bounds, self.z_bounds = (g.x_min, g.x_max), (z[0], z[-1])
-        if whole:
-            for i, zi in enumerate(z):
-                self.add_plane(i, zi, field.psi[i], field.psi_x[i],
-                               field.psi_z[i])
 
     @property
     def nbytes(self) -> int:
@@ -365,13 +337,11 @@ class ExactPoyntingSampler:
     """Poynting/energy sampler backed by the Fresnel quadrature itself
     (no lattice interpolation error)."""
 
-    def __init__(self, scene: OpticalScene, source_dx: float = None,
-                 x_bounds: tuple = None, z_bounds: tuple = None):
+    def __init__(self, scene: OpticalScene, source_dx: float = None):
         self.evaluator = FresnelEvaluator(scene, source_dx=source_dx)
         self.scene = scene
-        g = scene.transverse_grid
-        self.x_bounds = x_bounds or (g.x_min, g.x_max)
-        self.z_bounds = z_bounds or (min(scene.z_planes), max(scene.z_planes))
+        g, z = scene.transverse_grid, scene.z_planes
+        self.x_bounds, self.z_bounds = (g.x_min, g.x_max), (z[0], z[-1])
 
     def sample(self, x, z):
         psi, psi_x, psi_z = self.evaluator.evaluate(x, z)
@@ -392,15 +362,16 @@ class PhotonPath:
         return self.s / C_LIGHT
 
 
-def _flow(sampler, x, z, stag_eps):
+def _flow(sampler, x, z):
     """Unit-speed flow direction S/(cU); entries where the flow is
-    undefined (U <= 0 or speed below threshold) are zeroed and flagged."""
+    undefined (U <= 0 or speed below STAGNATION_SPEED) are zeroed and
+    flagged."""
     Sx, Sz, U = sampler.sample(x, z)
     with np.errstate(divide="ignore", invalid="ignore"):
         vx = Sx / (C_LIGHT * U)
         vz = Sz / (C_LIGHT * U)
         speed = np.hypot(vx, vz)
-    bad = ~np.isfinite(speed) | (U <= 0) | (speed < stag_eps)
+    bad = ~np.isfinite(speed) | (U <= 0) | (speed < STAGNATION_SPEED)
     vx = np.where(bad, 0.0, vx)
     vz = np.where(bad, 0.0, vz)
     return vx, vz, bad
@@ -414,14 +385,14 @@ def default_ds(scene: OpticalScene, z_bounds: tuple) -> float:
                      (zhi - zlo) / max(len(scene.z_planes) - 1, 1))
 
 
-def photon_path_bundle(x0s, z0: float, sampler, ds: float = None,
-                       max_steps: int = 200000, stag_eps: float = 1e-9):
-    """RK4 integration of dr/ds = S/(cU) for an ensemble of start points.
+def photon_path_bundle(x0s, z0: float, sampler, ds: float = None):
+    """RK4 integration of dr/ds = S/(cU) for an ensemble of start points;
+    `photon_path_bundle([x0], z0, sampler)[0]` traces one path.
 
     All paths share the arc-length mesh; each path is truncated at the
-    first sample outside the sampler bounds.  Paths that reach a point
-    where the flow is undefined are frozen there and marked stagnated.
-    Returns a list of PhotonPath.
+    first sample outside the sampler bounds, or after MAX_PATH_STEPS steps.
+    Paths that reach a point where the flow is undefined are frozen there
+    and marked stagnated.  Returns a list of PhotonPath.
     """
     x0s = np.atleast_1d(np.asarray(x0s, dtype=float))
     xlo, xhi = sampler.x_bounds
@@ -438,17 +409,15 @@ def photon_path_bundle(x0s, z0: float, sampler, ds: float = None,
     stagnated = np.zeros(len(x), dtype=bool)
     n_alive = np.full(len(x), 1)
     xs, zs = [x.copy()], [z.copy()]
-    for step in range(max_steps):
+    for _ in range(MAX_PATH_STEPS):
         idx = np.flatnonzero(alive)
         if idx.size == 0:
             break
         xa, za = x[idx], z[idx]
-        k1x, k1z, b1 = _flow(sampler, xa, za, stag_eps)
-        k2x, k2z, b2 = _flow(sampler, xa + 0.5 * ds * k1x,
-                             za + 0.5 * ds * k1z, stag_eps)
-        k3x, k3z, b3 = _flow(sampler, xa + 0.5 * ds * k2x,
-                             za + 0.5 * ds * k2z, stag_eps)
-        k4x, k4z, b4 = _flow(sampler, xa + ds * k3x, za + ds * k3z, stag_eps)
+        k1x, k1z, b1 = _flow(sampler, xa, za)
+        k2x, k2z, b2 = _flow(sampler, xa + 0.5 * ds * k1x, za + 0.5 * ds * k1z)
+        k3x, k3z, b3 = _flow(sampler, xa + 0.5 * ds * k2x, za + 0.5 * ds * k2z)
+        k4x, k4z, b4 = _flow(sampler, xa + ds * k3x, za + ds * k3z)
         bad = b1 | b2 | b3 | b4
         # freeze stagnated paths at their current sample
         stagnated[idx[bad]] = True
@@ -471,16 +440,6 @@ def photon_path_bundle(x0s, z0: float, sampler, ds: float = None,
         paths.append(PhotonPath(ds * np.arange(n), xs[:n, i], zs[:n, i],
                                 bool(stagnated[i])))
     return paths
-
-
-def photon_path(x0: float, z0: float, sampler, ds: float = None,
-                **kwargs) -> PhotonPath:
-    """Single energy streamline from (x0, z0)."""
-    path = photon_path_bundle([x0], z0, sampler, ds=ds, **kwargs)[0]
-    if path.stagnated:
-        raise StagnationPoint(
-            f"flow undefined at (x, z) = ({path.x[-1]:g}, {path.z[-1]:g})")
-    return path
 
 
 def write_plane_profile(path, scene: OpticalScene, z: float, psi, U, Sx, Sz,

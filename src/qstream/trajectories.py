@@ -10,7 +10,8 @@ velocity of the evolving nonlinear state.
 A BundleStream marches an ensemble while the states are produced, keeping
 only the few frames that the next mesh step needs; integrate_bundle
 replays a run's stored snapshots through it.  A VelocitySampler over every
-snapshot is the random-access path, for single trajectories.
+snapshot is the random-access path, and `_march` steps any rows, one
+trajectory included, through it.
 
 Diagnostics: strict ordering at every mesh time (the non-crossing
 property) and conservation of the probability enclosed between any two
@@ -41,16 +42,9 @@ class InitialEnsemble:
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    t: np.ndarray
-    x: np.ndarray
-
-
-@dataclass(frozen=True)
 class TrajectoryBundle:
     times: np.ndarray
     xs: np.ndarray  # shape (n_trajectories, n_times)
-    config: object = None
     errors: tuple = ()
     fallback_rows: int = 0  # row-steps that took the scalar halving fallback
     halvings: int = 0       # step halvings made by those that succeeded
@@ -245,19 +239,6 @@ def time_mesh(t_span, dt_traj: float) -> np.ndarray:
     return t_start + (t_end - t_start) * np.arange(n + 1) / n
 
 
-def integrate_trajectory(x0: float, sampler: VelocitySampler, t_span,
-                         dt_traj: float) -> Trajectory:
-    """RK4 on dx/dt = rate(t) v(x, t) for a single starting point."""
-    g = sampler.grid
-    if not g.x_min <= x0 <= g.x_max:
-        raise LeftDomain(f"x0 = {x0:g} outside the grid")
-    times = time_mesh(t_span, dt_traj)
-    xs, errors, _, _ = _march(sampler, np.array([float(x0)]), times)
-    if errors:
-        raise errors[0][1]
-    return Trajectory(times, xs[0])
-
-
 def check_frame_gap(gap: float, dt_traj: float) -> None:
     """ValueError when two successive stored states lie more than
     10 dt_traj apart, with 1e-9 slack for rounding: the velocity is linear
@@ -338,7 +319,7 @@ class BundleStream:
         if self.tubes is not None:
             for row, _ in errors:
                 self.tubes[max(row - 1, 0):row + 1] = np.nan
-        return TrajectoryBundle(self.times, xs, self.config, tuple(
+        return TrajectoryBundle(self.times, xs, tuple(
             (row, type(exc).__name__, str(exc)) for row, exc in errors),
             fallback_rows, halvings, self.tubes)
 

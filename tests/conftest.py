@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from qstream import GridSpec, PhysicalConstants, gaussian_packet
+from qstream import (GridSpec, PhysicalConstants, fresnel_propagate,
+                     gaussian_packet)
+from qstream.optics import PoyntingField
 
 
 @pytest.fixture(scope="session")
@@ -19,4 +21,21 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(a)))
 
 
-__all__ = ["sym_grid", "max_abs", "gaussian_packet"]
+def fresnel_planes(scene, source_dx=None) -> list:
+    """The (i, z, psi, psi_x, psi_z) that fresnel_propagate hands a
+    consumer, in the order handed."""
+    planes = []
+    fresnel_propagate(scene, source_dx, consumers=(
+        lambda *plane: planes.append(plane),))
+    return planes
+
+
+def poynting_lattice(scene, source_dx=None) -> PoyntingField:
+    """The PoyntingField of a scene, filled plane by plane as a run does."""
+    pf = PoyntingField(scene)
+    fresnel_propagate(scene, source_dx, consumers=(pf.add_plane,))
+    return pf
+
+
+__all__ = ["sym_grid", "max_abs", "gaussian_packet", "fresnel_planes",
+           "poynting_lattice"]

@@ -11,19 +11,21 @@ from scipy.signal import argrelmax, argrelmin
 from qstream import (ClassicalCKState, GridSpec, OpticalScene,
                      PhysicalConstants, PotentialSpec, PropagatorConfig,
                      SlitSpec, analytic_gaussian_oracle, check_non_crossing,
-                     classical_ck_trajectory, fresnel_propagate,
-                     gaussian_packet, integrate_bundle, photon_path_bundle,
-                     propagate, sample_initial_positions, tube_probability)
+                     classical_ck_trajectory, gaussian_packet,
+                     integrate_bundle, photon_path_bundle, propagate,
+                     sample_initial_positions, tube_probability)
 from qstream import cli
 from qstream.fields import derivative, polar_decompose, quantum_potential
-from qstream.optics import (FresnelEvaluator, PoyntingField,
-                            assemble_em_fields, energy_density,
-                            gaussian_beam_intensity, poynting)
+from qstream.optics import (FresnelEvaluator, assemble_em_fields,
+                            energy_density, gaussian_beam_intensity,
+                            poynting)
 from qstream.propagators import classical_ck_energy, physical_energy, step
 from qstream.scenarios import (_launch_positions, _path_non_crossing,
                                builtin_scenario, initial_state,
                                parse_scenario, propagator_config)
-from qstream.trajectories import VelocitySampler, integrate_trajectory
+from qstream.trajectories import VelocitySampler, _march, time_mesh
+
+from conftest import fresnel_planes, poynting_lattice
 
 C = PhysicalConstants()
 OMEGA0 = 2 * math.pi / 10.0
@@ -80,7 +82,7 @@ def symmetric_two_slit():
                           SlitSpec(0.3 * MM, -2.35 * MM)), LAMBDA,
                          GridSpec(-10 * MM, 10 * MM, 1601),
                          tuple(np.linspace(0.5, 8.0, 31)))
-    return scene, PoyntingField(fresnel_propagate(scene, source_dx=8e-6))
+    return scene, poynting_lattice(scene, source_dx=8e-6)
 
 
 # criteria ------------------------------------------------------------------
@@ -269,9 +271,8 @@ def test_criterion_08_friction_model_bohm_consistency():
 def test_criterion_09_fresnel_oracle():
     scene = OpticalScene((SlitSpec(0.3 * MM),), LAMBDA,
                          GridSpec(-12 * MM, 12 * MM, 1601), (0.5, 3.0, 8.0))
-    field = fresnel_propagate(scene, source_dx=2e-6)
     dev = 0.0
-    for row, z in zip(field.psi, scene.z_planes):
+    for _, z, row, _, _ in fresnel_planes(scene, source_dx=2e-6):
         ref = gaussian_beam_intensity(scene.slits[0],
                                       scene.transverse_grid.x, z, scene.k)
         dev = max(dev, float(np.max(np.abs(np.abs(row) ** 2 - ref))
@@ -419,8 +420,8 @@ ensemble.dt_traj = 0.01
     sampler = VelocitySampler.from_run(run)
     rho0 = np.abs(run.snapshots[0].values) ** 2
     ens = sample_initial_positions(rho0, config.grid, 12)
-    t_span = (sampler.times[0], sampler.times[-1])
-    oracle = np.vstack([integrate_trajectory(x0, sampler, t_span, 0.01).x
+    times = time_mesh((sampler.times[0], sampler.times[-1]), 0.01)
+    oracle = np.vstack([_march(sampler, np.array([x0]), times)[0]
                         for x0 in ens.positions])
     written = np.loadtxt(outs["first"] / "bundle.txt")[:, 1:].T
     ok = dev < 1e-12 and identical and np.array_equal(written, oracle)

@@ -13,18 +13,16 @@ from scipy.constants import c as C_LIGHT, epsilon_0 as EPS0, mu_0 as MU0
 
 import qstream
 from qstream import (GridSpec, OpticalScene, SlitSpec, fresnel_propagate,
-                     initial_two_slit_field, photon_path, photon_path_bundle,
+                     initial_two_slit_field, photon_path_bundle,
                      transverse_momentum)
-from qstream.errors import (EmptyScene, LeftDomain, ResolutionViolation,
-                            StagnationPoint)
+from qstream.errors import EmptyScene, LeftDomain, ResolutionViolation
 from qstream.optics import (ExactPoyntingSampler, FresnelEvaluator,
-                            PoyntingField, _fast_len, _lattice_sample,
-                            assemble_em_fields, energy_density,
-                            gaussian_beam_intensity, poynting,
-                            write_plane_profile, write_paths)
+                            _fast_len, _lattice_sample, assemble_em_fields,
+                            energy_density, gaussian_beam_intensity,
+                            poynting, write_plane_profile, write_paths)
 from qstream.scenarios import _launch_positions, builtin_scenario
 
-from conftest import max_abs
+from conftest import fresnel_planes, max_abs, poynting_lattice
 
 LAMBDA = 943e-9
 MM = 1e-3
@@ -152,19 +150,19 @@ class TestFresnelPropagation:
     def test_resolution_guard(self):
         scene = symmetric_scene(n_points=65)
         with pytest.raises(ResolutionViolation):
-            fresnel_propagate(scene)
+            fresnel_propagate(scene, consumers=())
 
     def test_gaussian_beam_oracle_one_plane(self):
         scene = single_slit_scene(planes=(1.0,))
-        field = fresnel_propagate(scene, source_dx=4e-6)
-        inten = np.abs(field.psi[0]) ** 2
+        [(_, _, psi, _, _)] = fresnel_planes(scene, source_dx=4e-6)
+        inten = np.abs(psi) ** 2
         ref = gaussian_beam_intensity(scene.slits[0],
                                       scene.transverse_grid.x, 1.0, scene.k)
         assert max_abs(inten - ref) / ref.max() < 1e-4
 
     def test_symmetric_input_symmetric_output(self):
-        field = fresnel_propagate(symmetric_scene(), source_dx=8e-6)
-        for row in field.psi:
+        for _, _, row, _, _ in fresnel_planes(symmetric_scene(),
+                                              source_dx=8e-6):
             assert max_abs(row - row[::-1]) < 1e-10 * np.abs(row).max()
 
     @pytest.mark.parametrize("case", list(PLANE_CASES))
@@ -191,7 +189,8 @@ class TestFresnelPropagation:
             "from qstream.optics import PoyntingField\n"
             "scene = OpticalScene((SlitSpec(3e-4),), 943e-9, "
             "GridSpec(-5e-3, 5e-3, 401), (0.5, 1.0))\n"
-            "pf = PoyntingField(fresnel_propagate(scene, source_dx=2e-5))\n"
+            "pf = PoyntingField(scene)\n"
+            "fresnel_propagate(scene, 2e-5, consumers=(pf.add_plane,))\n"
             "photon_path_bundle([-1e-4, 1e-4], 0.5, pf, ds=0.1)\n"
             "cfg = PropagatorConfig(potential=PotentialSpec('harmonic', "
             "omega0=1.0), gamma=0.3)\n"
@@ -218,9 +217,8 @@ class TestFresnelPropagation:
 
     def test_transverse_norm_conserved_per_plane(self):
         scene = single_slit_scene()
-        field = fresnel_propagate(scene, source_dx=4e-6)
         dx = scene.transverse_grid.dx
-        for row in field.psi:
+        for _, _, row, _, _ in fresnel_planes(scene, source_dx=4e-6):
             n = np.trapezoid(np.abs(row) ** 2, dx=dx)
             assert n == pytest.approx(1.0, abs=1e-3)
 
@@ -314,23 +312,18 @@ class TestEMFields:
 class TestPhotonPaths:
     def test_plane_wave_path_straight(self):
         sampler = ConstantFlowSampler()
-        path = photon_path(0.3, 0.0, sampler, ds=0.5)
+        [path] = photon_path_bundle([0.3], 0.0, sampler, ds=0.5)
         assert max_abs(path.x - 0.3) == 0.0
         assert np.allclose(np.diff(path.z), 0.5)
         assert path.z[-1] >= sampler.z_bounds[1]
 
     def test_proper_time_convention(self):
-        path = photon_path(0.0, 0.0, ConstantFlowSampler(), ds=1.0)
+        [path] = photon_path_bundle([0.0], 0.0, ConstantFlowSampler(), ds=1.0)
         assert np.allclose(path.proper_time, path.s / C_LIGHT)
 
     def test_start_outside_domain_rejected(self):
         with pytest.raises(LeftDomain):
-            photon_path(5.0, 0.0, ConstantFlowSampler(), ds=0.5)
-
-    def test_stagnation_raises_for_single_path(self):
-        sampler = ConstantFlowSampler(sz=0.0)
-        with pytest.raises(StagnationPoint):
-            photon_path(0.0, 0.0, sampler, ds=0.5)
+            photon_path_bundle([5.0], 0.0, ConstantFlowSampler(), ds=0.5)
 
     def test_stagnation_flagged_in_bundle(self):
         sampler = ConstantFlowSampler(sz=0.0)
@@ -340,15 +333,15 @@ class TestPhotonPaths:
     def test_symmetric_scene_axis_path_stays_on_axis(self):
         scene = symmetric_scene(planes=(0.5, 8.0))
         sampler = ExactPoyntingSampler(scene, source_dx=5e-6)
-        path = photon_path(0.0, 0.5, sampler, ds=0.25)
+        [path] = photon_path_bundle([0.0], 0.5, sampler, ds=0.25)
         assert max_abs(path.x) < 1e-9
         assert path.z[-1] >= 8.0
 
     def test_mirror_starts_give_mirror_paths(self):
         scene = symmetric_scene(planes=(0.5, 4.0))
         sampler = ExactPoyntingSampler(scene, source_dx=8e-6)
-        left = photon_path(-2.0 * MM, 0.5, sampler, ds=0.25)
-        right = photon_path(2.0 * MM, 0.5, sampler, ds=0.25)
+        [left] = photon_path_bundle([-2.0 * MM], 0.5, sampler, ds=0.25)
+        [right] = photon_path_bundle([2.0 * MM], 0.5, sampler, ds=0.25)
         span = scene.transverse_grid.x_max - scene.transverse_grid.x_min
         assert max_abs(left.x + right.x) < 1e-8 * span
 
@@ -356,7 +349,7 @@ class TestPhotonPaths:
 @pytest.fixture(scope="module")
 def lattice():
     scene = single_slit_scene(planes=tuple(np.linspace(0.5, 4.0, 8)))
-    return scene, PoyntingField(fresnel_propagate(scene, source_dx=8e-6))
+    return scene, poynting_lattice(scene, source_dx=8e-6)
 
 
 class TestPoyntingFieldLattice:
@@ -440,7 +433,7 @@ class TestLatticeSample:
 
     def test_two_plane_scene_samples_its_nodes(self):
         scene = symmetric_scene(planes=(0.5, 3.0))
-        pf = PoyntingField(fresnel_propagate(scene, source_dx=8e-6))
+        pf = poynting_lattice(scene, source_dx=8e-6)
         x = scene.transverse_grid.x[::50]
         _, Sz, U = pf.sample(x, 3.0)
         assert max_abs(U - pf.U[1, ::50]) <= 1e-12 * pf.U.max()
@@ -448,34 +441,33 @@ class TestLatticeSample:
 
 
 class TestStreamedPlanes:
-    """The planes a consumer is handed, and the lattice built from them one
-    plane at a time, against the stacked field and the whole-array
-    formulas."""
+    """The planes a consumer is handed, against the evaluator's planes, and
+    the lattice built from them one plane at a time, against the
+    whole-array formulas."""
 
-    def test_consumer_planes_equal_stacked_rows(self):
+    def test_consumers_required(self):
+        with pytest.raises(TypeError):
+            fresnel_propagate(symmetric_scene(), source_dx=8e-6)
+
+    def test_consumer_planes_equal_evaluator_planes(self):
         scene = symmetric_scene()
-        field = fresnel_propagate(scene, source_dx=8e-6)
-        seen = []
-        assert fresnel_propagate(scene, source_dx=8e-6, consumers=(
-            lambda *plane: seen.append(plane),)) is None
+        ev = FresnelEvaluator(scene, source_dx=8e-6)
+        seen = fresnel_planes(scene, source_dx=8e-6)
         assert [p[:2] for p in seen] == list(enumerate(scene.z_planes))
-        for i, _z, *parts in seen:
-            for part, stacked in zip(parts,
-                                     (field.psi, field.psi_x, field.psi_z)):
-                assert np.array_equal(part, stacked[i])
+        for _, z, *parts in seen:
+            for part, want in zip(parts, ev.plane(scene.transverse_grid, z)):
+                assert np.array_equal(part, want)
 
     def test_lattice_equals_whole_array_formulas(self):
         scene = symmetric_scene()
-        field = fresnel_propagate(scene, source_dx=8e-6)
-        em = assemble_em_fields(field.psi, field.psi_x, field.psi_z, scene)
+        psi, psi_x, psi_z = (np.array(a) for a in zip(
+            *(p[2:] for p in fresnel_planes(scene, source_dx=8e-6))))
+        em = assemble_em_fields(psi, psi_x, psi_z, scene)
         oracle = (*poynting(em), energy_density(em))
-        streamed = PoyntingField(scene)
-        fresnel_propagate(scene, source_dx=8e-6,
-                          consumers=(streamed.add_plane,))
-        for pf in (PoyntingField(field), streamed):
-            for got, want in zip((pf.Sx, pf.Sz, pf.U), oracle):
-                assert np.array_equal(got, want)
-            assert pf.nbytes == 3 * field.psi.size * 8
+        pf = poynting_lattice(scene, source_dx=8e-6)
+        for got, want in zip((pf.Sx, pf.Sz, pf.U), oracle):
+            assert np.array_equal(got, want)
+        assert pf.nbytes == 3 * psi.size * 8
 
 
 def test_lattice_paths_match_exact_sampler():
@@ -485,8 +477,8 @@ def test_lattice_paths_match_exact_sampler():
     scene = cfg.scene
     assert len(scene.z_planes) == 31
     x0s = _launch_positions(scene, 8)
-    field = fresnel_propagate(scene, source_dx=cfg.source_dx)
-    lattice = photon_path_bundle(x0s, 0.5, PoyntingField(field), ds=0.05)
+    lattice = photon_path_bundle(
+        x0s, 0.5, poynting_lattice(scene, source_dx=cfg.source_dx), ds=0.05)
     exact = photon_path_bundle(
         x0s, 0.5, ExactPoyntingSampler(scene, source_dx=cfg.source_dx),
         ds=0.05)

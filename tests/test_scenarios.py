@@ -1021,6 +1021,14 @@ class TestCli:
     def test_run_unknown_scenario(self):
         assert cli.main(["run", "fig99"]) == 2
 
+    def test_directory_does_not_hide_catalog_entry(self, tmp_path,
+                                                   monkeypatch):
+        # a run's output directory may bear its scenario's name
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "oracle-gaussian-beam").mkdir()
+        assert cli.main(["run", "oracle-gaussian-beam", "--out-dir",
+                         str(tmp_path / "out")]) == 0
+
     def test_run_reports_checks(self, tmp_path, capsys):
         path = tmp_path / "s.cfg"
         path.write_text(QUICK_MATTER)

@@ -11,9 +11,9 @@ import pytest
 from qstream import (ComplexField, GridSpec, InitialEnsemble,
                      PhysicalConstants, PotentialSpec, PropagatorConfig,
                      TrajectoryBundle, check_non_crossing, gaussian_packet,
-                     integrate_bundle, integrate_trajectory, propagate,
-                     sample_initial_positions, tube_probability)
-from qstream.errors import LeftDomain, NodeEncounter, ZeroDensity
+                     integrate_bundle, propagate, sample_initial_positions,
+                     tube_probability)
+from qstream.errors import NodeEncounter, ZeroDensity
 from qstream.propagators import PropagationRun, rate_factor, state_time
 from qstream.trajectories import (BundleStream, VelocitySampler, _march,
                                   time_mesh, write_bundle)
@@ -40,6 +40,14 @@ def plane_wave_run(k=2.0, t_final=3.0, n_snaps=31):
                           time=t)
              for t in np.linspace(0.0, t_final, n_snaps)]
     return make_run(snaps, cfg)
+
+
+def march_one(x0, sampler, t_span, dt_traj):
+    """(times, x, errors) of one trajectory from x0: the march a bundle
+    runs, over a single row."""
+    times = time_mesh(t_span, dt_traj)
+    xs, errors, _, _ = _march(sampler, np.array([float(x0)]), times)
+    return times, xs[0], errors
 
 
 # initial ensembles ---------------------------------------------------------
@@ -92,11 +100,13 @@ class TestSampling:
 # single trajectories -------------------------------------------------------
 
 class TestIntegrateTrajectory:
+    """Single trajectories, each marched as a one-row bundle."""
+
     def test_plane_wave_advection(self):
         run = plane_wave_run()
         sampler = VelocitySampler.from_run(run, method="spectral")
-        traj = integrate_trajectory(1.0, sampler, (0.0, 3.0), dt_traj=0.01)
-        assert abs(traj.x[-1] - 7.0) < 1e-10
+        _, x, errors = march_one(1.0, sampler, (0.0, 3.0), dt_traj=0.01)
+        assert errors == [] and abs(x[-1] - 7.0) < 1e-10
 
     def test_stationary_state_static_trajectory(self):
         g = sym_grid(8, 512)
@@ -104,24 +114,18 @@ class TestIntegrateTrajectory:
                                                        omega0=1.0), dt=1e-3)
         run = propagate(gaussian_packet(g, C, math.sqrt(0.5)), cfg, 1.0,
                         snapshot_every=100)
-        traj = integrate_trajectory(0.5, VelocitySampler.from_run(run), (0.0, 1.0),
-                                    dt_traj=0.01)
-        assert max_abs(traj.x - 0.5) < 1e-7
+        _, x, errors = march_one(0.5, VelocitySampler.from_run(run),
+                                 (0.0, 1.0), dt_traj=0.01)
+        assert errors == [] and max_abs(x - 0.5) < 1e-7
 
     def test_free_gaussian_scaling_law(self):
         g = sym_grid(12, 1024)
         run = propagate(gaussian_packet(g, C, 1.0),
                         PropagatorConfig(dt=1e-3), 2.0, snapshot_every=2)
-        traj = integrate_trajectory(1.0, VelocitySampler.from_run(run), (0.0, 2.0),
-                                    dt_traj=0.01)
-        expect = np.sqrt(1.0 + (traj.t / 2.0) ** 2)
-        assert max_abs(traj.x - expect) < 1e-5
-
-    def test_start_outside_grid_rejected(self):
-        run = plane_wave_run()
-        with pytest.raises(LeftDomain):
-            integrate_trajectory(-5.0, VelocitySampler.from_run(run), (0.0, 1.0),
-                                 dt_traj=0.01)
+        t, x, errors = march_one(1.0, VelocitySampler.from_run(run),
+                                 (0.0, 2.0), dt_traj=0.01)
+        expect = np.sqrt(1.0 + (t / 2.0) ** 2)
+        assert errors == [] and max_abs(x - expect) < 1e-5
 
 
 class TestCoherentBundle:
@@ -148,8 +152,8 @@ class TestOrderOfAccuracy:
         sampler = VelocitySampler.from_run(run)
         ends = {}
         for dt_traj in (0.04, 0.01, 0.0025):
-            ends[dt_traj] = integrate_trajectory(1.0, sampler, (0.0, 2.0),
-                                                 dt_traj).x[-1]
+            ends[dt_traj] = march_one(1.0, sampler, (0.0, 2.0),
+                                      dt_traj)[1][-1]
         e_coarse = abs(ends[0.04] - ends[0.0025])
         e_fine = abs(ends[0.01] - ends[0.0025])
         assert e_coarse / e_fine > 50.0
@@ -239,9 +243,8 @@ class TestBundles:
         sampler = VelocitySampler.from_run(run)
         bundle = integrate_bundle(ens, run, dt_traj=0.01, sampler=sampler)
         t_span = (sampler.times[0], sampler.times[-1])
-        oracle = np.vstack([
-            integrate_trajectory(x0, sampler, t_span, dt_traj=0.01).x
-            for x0 in ens.positions])
+        oracle = np.vstack([march_one(x0, sampler, t_span, dt_traj=0.01)[1]
+                            for x0 in ens.positions])
         assert np.array_equal(bundle.xs, oracle)
         assert bundle.errors == ()
 
@@ -273,11 +276,11 @@ class TestBundles:
         assert [e[:2] for e in bundle.errors] == [(1, "NodeEncounter")]
         assert np.all(np.isnan(bundle.xs[1]))
         for row in (0, 2):
-            oracle = integrate_trajectory(ens.positions[row], sampler,
+            _, oracle, errors = march_one(ens.positions[row], sampler,
                                           (0.0, 1.0), dt_traj=0.01)
-            assert np.array_equal(bundle.xs[row], oracle.x)
-        with pytest.raises(NodeEncounter):
-            integrate_trajectory(3.0, sampler, (0.0, 1.0), dt_traj=0.01)
+            assert errors == [] and np.array_equal(bundle.xs[row], oracle)
+        _, _, errors = march_one(3.0, sampler, (0.0, 1.0), dt_traj=0.01)
+        assert [type(exc) for _, exc in errors] == [NodeEncounter]
         # only row 1 met the band, once; its halvings all failed
         assert (bundle.fallback_rows, bundle.halvings) == (1, 0)
 
