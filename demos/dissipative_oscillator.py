@@ -13,7 +13,7 @@ from qstream.scenarios import builtin_scenario, initial_state, propagator_config
 for name in ("fig2a", "fig2b", "fig2c"):
     sc = builtin_scenario(name)
     run = propagate(initial_state(sc), propagator_config(sc), sc.t_final,
-                    snapshot_every=10 ** 9, series_every=50)
+                    snapshot_every=50, consumers=())
     omega0 = 2 * np.pi / 10.0
     zero_point = 0.5 * omega0
     below = run.times[np.argmax(run.energies < zero_point)]

@@ -13,7 +13,7 @@ from qstream.scenarios import builtin_scenario, initial_state, propagator_config
 
 sc = builtin_scenario("kostin-relaxation")
 run = propagate(initial_state(sc), propagator_config(sc), sc.t_final,
-                snapshot_every=10 ** 9, series_every=100)
+                snapshot_every=100, consumers=())
 
 omega0 = 2 * np.pi / 10.0
 gamma = sc.gamma

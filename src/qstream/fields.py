@@ -115,9 +115,7 @@ class PolarFields:
         S = np.asarray(self.S, dtype=float)
         if rho.shape != (self.grid.n_points,) or S.shape != (self.grid.n_points,):
             raise ValueError("rho and S must match grid.n_points")
-        valid = self.valid
-        if valid is None:
-            valid = rho > NODE_THRESHOLD * rho.max() if rho.size else rho > 0
+        valid = node_mask(rho) if self.valid is None else self.valid
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "valid", np.asarray(valid, dtype=bool))
@@ -195,17 +193,6 @@ def _unwrap_phase(raw: np.ndarray, valid: np.ndarray, i0: int) -> np.ndarray:
     return count
 
 
-def polar_parts(values: np.ndarray, constants: PhysicalConstants):
-    """(rho, S, valid) of the wavefunction values, as in polar_decompose."""
-    rho = np.abs(values) ** 2
-    valid = node_mask(rho)
-    if not valid.any():
-        raise AllBelowThreshold("density below node threshold everywhere")
-    i0 = int(np.argmax(rho))
-    phase = _unwrap_phase(np.angle(values), valid, i0)
-    return rho, constants.hbar * phase, valid
-
-
 def polar_decompose(psi: ComplexField,
                     constants: PhysicalConstants) -> PolarFields:
     """Madelung split Psi = rho^{1/2} exp(iS/hbar) with unwrapped S.
@@ -213,8 +200,13 @@ def polar_decompose(psi: ComplexField,
     S is referenced so its value at the maximum-density point lies in
     (-pi*hbar, pi*hbar].
     """
-    rho, S, valid = polar_parts(psi.values, constants)
-    return PolarFields(psi.grid, rho, S, psi.time, valid)
+    rho = np.abs(psi.values) ** 2
+    valid = node_mask(rho)
+    if not valid.any():
+        raise AllBelowThreshold("density below node threshold everywhere")
+    i0 = int(np.argmax(rho))
+    phase = _unwrap_phase(np.angle(psi.values), valid, i0)
+    return PolarFields(psi.grid, rho, constants.hbar * phase, psi.time, valid)
 
 
 def polar_compose(polar: PolarFields, constants: PhysicalConstants) -> ComplexField:

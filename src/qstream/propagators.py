@@ -339,7 +339,7 @@ def _friction_potential(values: np.ndarray, grid: GridSpec,
     each a dot product with its end terms.
     """
     rho = _density(values)
-    valid = rho > qf.NODE_THRESHOLD * rho.max()
+    valid = qf.node_mask(rho)
     # edge j lies between points j and j + 1 where validity changes; the
     # first edge ends a leading sub-threshold run, the last may begin a
     # trailing one, and the edges between them pair up around the gaps
@@ -521,8 +521,8 @@ class SeriesRecord:
 
 @dataclass
 class PropagationRun:
-    """Stored states plus the per-step norm / centroid / width / energy
-    series, and the number of time steps taken."""
+    """Kept states plus the norm / centroid / width / energy series of
+    every handed-out state, and the number of time steps taken."""
 
     config: PropagatorConfig
     snapshots: list
@@ -541,19 +541,17 @@ class PropagationRun:
 
 
 def propagate(psi0: ComplexField, config: PropagatorConfig, t_final: float,
-              snapshot_every: int = 1, series_every: int = None,
-              consumers=None) -> PropagationRun:
+              snapshot_every: int = 1, consumers=None) -> PropagationRun:
     """Run the configured model from psi0.time to t_final, which must lie
     a whole number of steps of config.dt away (see whole_steps).  The state
     i steps on lies at state_time(psi0.time, config.dt, i).
 
-    A state is stored every `snapshot_every` steps (always including the
-    initial and final states); the diagnostic series (SeriesRecord) is
-    sampled every `series_every` steps (defaults to snapshot_every).  With
-    `consumers` None, run.snapshots holds every stored state.  Otherwise
-    each stored state is handed, in time order, to every callable in
-    `consumers`, and run.snapshots holds only the initial and final states,
-    so that memory does not grow with the number of stored states.
+    The initial state, every `snapshot_every`-th state and the final state
+    are handed out, in time order: first to the run's SeriesRecord, then to
+    every callable in `consumers`.  With `consumers` None, run.snapshots
+    holds every handed-out state; otherwise it holds only the initial and
+    final states, so that memory does not grow with the number of states
+    handed out, and `consumers=()` records the series alone.
     """
     if t_final < psi0.time:
         raise ValueError("t_final must be >= the initial time")
@@ -561,14 +559,12 @@ def propagate(psi0: ComplexField, config: PropagatorConfig, t_final: float,
     if t_final > psi0.time:
         check_stability(psi0, config)
     advance = _stepper(psi0.grid, config)
-    if series_every is None:
-        series_every = snapshot_every
     snapshots = []
-    hand_out = (snapshots.append,) if consumers is None else tuple(consumers)
-    # one row for psi0, every series_every-th step and the last step
+    # one row for psi0, every snapshot_every-th step and the last step
     record = SeriesRecord(psi0.grid, config,
-                          -(-n_steps // series_every) + 1)
-    record(psi0)
+                          -(-n_steps // snapshot_every) + 1)
+    hand_out = (record, *((snapshots.append,) if consumers is None
+                          else consumers))
     for consume in hand_out:
         consume(psi0)
     grid = psi0.grid
@@ -577,13 +573,8 @@ def propagate(psi0: ComplexField, config: PropagatorConfig, t_final: float,
         values = advance(values, t)
         t = state_time(psi0.time, config.dt, i)
         qf.require_finite(values)
-        recorded = i % series_every == 0 or i == n_steps
-        stored = i % snapshot_every == 0 or i == n_steps
-        if recorded or stored:
+        if i % snapshot_every == 0 or i == n_steps:
             psi = ComplexField(grid, values, t)
-        if recorded:
-            record(psi)
-        if stored:
             for consume in hand_out:
                 consume(psi)
     if consumers is not None:

@@ -920,6 +920,18 @@ def _launch_positions(scene, n_paths):
     return np.sort(np.concatenate(out))
 
 
+def _finite_or_null(obj):
+    """obj with every non-finite float, at any depth of its dicts and
+    lists, replaced by None: JSON (RFC 8259) has no NaN or Infinity."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def _record_check(manifest, name, value, threshold, passed, required):
     manifest["checks"].append({
         "name": name, "value": value, "threshold": threshold,
@@ -931,7 +943,8 @@ def run_scenario(config: MatterScenario | OpticsScenario, out_dir=None,
     """Run a scenario end to end; the manifest is always written, even on
     partial failure.  required_checks, when given, replaces the config's
     checks.required and must name checks of the scenario's kind
-    (ValidationError before anything runs)."""
+    (ValidationError before anything runs).  manifest.json holds null
+    where the returned manifest holds a nan or inf."""
     if required_checks is not None:
         _enforce(config.keys["checks"]["required"], "checks.required",
                  required_checks)
@@ -985,7 +998,8 @@ def run_scenario(config: MatterScenario | OpticsScenario, out_dir=None,
     tmp_path = f"{manifest_path}.{os.getpid()}.tmp"
     try:
         with open(tmp_path, "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
+            json.dump(_finite_or_null(manifest), fh, indent=2,
+                      sort_keys=True, allow_nan=False)
             fh.write("\n")
         os.replace(tmp_path, manifest_path)
     finally:

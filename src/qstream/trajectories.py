@@ -287,7 +287,6 @@ class BundleStream:
         self._march = _March(ensemble.positions, self.times)
         self._frames = []      # the window: (time, v, ok, rho), in time order
         self._sampler = None   # the window's sampler, built on first use
-        self._rhos = None      # and its densities
         self._k = 0            # next mesh time to reach
         self._last_time = None  # of the latest frame
         self._finished = False
@@ -328,15 +327,13 @@ class BundleStream:
         return self._finished or (len(frames) >= 2 and frames[-2][0] >= t)
 
     def _window(self) -> VelocitySampler:
-        """A sampler over the window, rebuilt only when its frames change;
-        self._rhos holds their densities."""
+        """A sampler over the window, rebuilt only when its frames change."""
         if self._sampler is None:
             frames = self._frames
             self._sampler = VelocitySampler(
                 self.grid, self.config, np.array([f[0] for f in frames]),
                 np.asarray([f[1] for f in frames]),
                 np.asarray([f[2] for f in frames]))
-            self._rhos = [f[3] for f in frames]
         return self._sampler
 
     def _advance(self) -> None:
@@ -344,17 +341,20 @@ class BundleStream:
         the mesh step that leaves it."""
         last = len(self.times) - 1
         frames = self._frames
-        while self._k <= last and self._ready(
-                self.times[min(self._k + 1, last)]):
+        while self._k <= last:
             t = self.times[self._k]
+            # on every push, not only when a mesh step is ready, so that the
+            # window never holds more than one mesh step of frames
             while len(frames) > 2 and frames[1][0] < t:
                 frames.pop(0)
                 self._sampler = None
+            if not self._ready(self.times[min(self._k + 1, last)]):
+                break
             sampler = self._window()
             if self.tubes is not None:
                 self.tubes[:, self._k] = _enclosed(
                     self._march.xs[:, self._k], t, sampler.times,
-                    self._rhos, self.grid)
+                    [f[3] for f in frames], self.grid)
             if self._k < last:
                 self._march.step(sampler)
             self._k += 1

@@ -1,5 +1,7 @@
 """Shared fixtures and helpers for the test suite."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,26 @@ from qstream.optics import PoyntingField
 @pytest.fixture(scope="session")
 def const():
     return PhysicalConstants()
+
+
+def strict_json(text: str):
+    """json.loads that rejects NaN, Infinity and -Infinity, which RFC 8259
+    does not allow."""
+    def reject(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.fixture(autouse=True)
+def _manifests_are_strict_json(request):
+    """Every manifest.json a test leaves under its tmp_path parses as
+    strict JSON."""
+    tmp = (request.getfixturevalue("tmp_path")
+           if "tmp_path" in request.fixturenames else None)
+    yield
+    if tmp is not None:
+        for path in tmp.rglob("manifest.json"):
+            strict_json(path.read_text())
 
 
 def sym_grid(half: float, n: int) -> GridSpec:
@@ -38,4 +60,4 @@ def poynting_lattice(scene, source_dx=None) -> PoyntingField:
 
 
 __all__ = ["sym_grid", "max_abs", "gaussian_packet", "fresnel_planes",
-           "poynting_lattice"]
+           "poynting_lattice", "strict_json"]

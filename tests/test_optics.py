@@ -175,12 +175,15 @@ class TestFresnelPropagation:
     def test_propagation_does_not_import_scipy_signal(self, tmp_path):
         # the runtime needs numpy only: each of these scipy subpackages
         # costs a large share of start-up, and no stage uses it; a whole
-        # run through the command line imports no scipy at all
+        # run through the command line imports no scipy at all; nor does
+        # importing the command line load logging, which only the slow-FFT
+        # warning needs
         src = os.path.dirname(os.path.dirname(os.path.abspath(
             qstream.__file__)))
         code = (
             "import sys\n"
             "import qstream.cli\n"
+            "assert 'logging' not in sys.modules\n"
             "from qstream import (ClassicalCKState, GridSpec, OpticalScene, "
             "PotentialSpec, PropagatorConfig, SlitSpec, "
             "classical_ck_trajectory, fresnel_propagate, gaussian_packet, "

@@ -23,7 +23,9 @@ from qstream.propagators import (_Transform, _friction_potential,
                                  fft_shape, free_gaussian_width,
                                  largest_prime_factor, physical_energy,
                                  state_time, whole_steps)
-from qstream.scenarios import parse_scenario, run_scenario
+from qstream.scenarios import (builtin_scenario, initial_state,
+                               parse_scenario, propagator_config,
+                               run_scenario)
 
 from conftest import max_abs, sym_grid
 
@@ -136,8 +138,8 @@ class TestStandardStepper:
         g = sym_grid(8, 512)
         cfg = PropagatorConfig(potential=HARMONIC, dt=5e-4)
         t_final = round(6 * math.pi / cfg.dt) * cfg.dt
-        run = propagate(coherent(g), cfg, t_final, snapshot_every=2000,
-                        series_every=400)
+        run = propagate(coherent(g), cfg, t_final, snapshot_every=400,
+                        consumers=())
         centers = run.x_means
         widths = run.sigmas
         expect = np.cos(run.times)
@@ -203,9 +205,31 @@ class TestCaldirolaKanai:
                                potential=PotentialSpec("harmonic",
                                                        omega0=OMEGA0),
                                gamma=0.3 * OMEGA0, dt=1e-3, t_final=10.0)
-        run = propagate(psi, cfg, 10.0, snapshot_every=10 ** 6,
-                        series_every=1000)
+        run = propagate(psi, cfg, 10.0, snapshot_every=1000, consumers=())
         assert run.energies[-1] < run.energies[0]
+
+    def test_gaussian_follows_closed_form(self):
+        # the CK Hamiltonian of a harmonic V is quadratic, so a Gaussian
+        # stays Gaussian: its centroid follows the damped classical path,
+        # its width is sigma0 |s| for the damped path s(t) from s = 1,
+        # s' = i hbar / (2 m sigma0^2), and its physical energy is the
+        # classical energy of both (hbar = m = 1)
+        sc = builtin_scenario("fig2a")
+        assert sc.constants == C and sc.potential.center == 0.0
+        run = propagate(initial_state(sc), propagator_config(sc), 4.0,
+                        snapshot_every=10, consumers=())
+        (packet,) = sc.packets
+        sigma0, x0 = packet["sigma0"], packet["x0"]
+        w0, gamma, t = sc.potential.omega0, sc.gamma, run.times
+        assert len(t) == 401
+        x_c, v_c = damped_oscillator(x0, 0.0, w0, gamma, t)
+        s, s_dot = damped_oscillator(1.0, 0.5j / sigma0 ** 2, w0, gamma, t)
+        sigma = sigma0 * np.abs(s)
+        energy = (0.5 * (v_c ** 2 + sigma0 ** 2 * np.abs(s_dot) ** 2)
+                  + 0.5 * w0 ** 2 * (x_c ** 2 + sigma ** 2))
+        assert max_abs(run.x_means - x_c) / x0 < 1e-6
+        assert max_abs(run.sigmas / sigma - 1.0) < 1e-6
+        assert max_abs(run.energies / energy - 1.0) < 1e-6
 
 
 def _counted_friction(monkeypatch, raise_on=None):
@@ -298,8 +322,8 @@ class TestKostin:
         gamma = 0.3
         cfg = PropagatorConfig(model="kostin", potential=HARMONIC,
                                gamma=gamma, dt=2e-3)
-        run = propagate(coherent(g), cfg, 10.0, snapshot_every=10 ** 6,
-                        series_every=100)
+        run = propagate(coherent(g), cfg, 10.0, snapshot_every=100,
+                        consumers=())
         wt = math.sqrt(1.0 - gamma ** 2 / 4.0)
         t = run.times
         expect = np.exp(-0.5 * gamma * t) * (
@@ -382,14 +406,24 @@ class TestPropagate:
 
     def test_state_times_are_t0_plus_i_dt(self, tmp_path):
         psi = gaussian_packet(sym_grid(8, 256), C, 1.0, time=0.1)
-        run = propagate(psi, PropagatorConfig(dt=1e-3), 0.6,
-                        series_every=7)
+        run = propagate(psi, PropagatorConfig(dt=1e-3), 0.6)
         assert run.steps == 500
         expected = [0.1 + i * 1e-3 for i in range(501)]
         assert [s.time for s in run.snapshots] == expected
+        assert run.times.tolist() == expected
         assert all(type(s.time) is float for s in run.snapshots)
-        recorded = [i for i in range(501) if i % 7 == 0 or i == 500]
-        assert run.times.tolist() == [expected[i] for i in recorded]
+        # one cadence: the series has a row for each handed-out state (the
+        # first, every 7th and the last) and for no other
+        handed = []
+        sparse = propagate(psi, PropagatorConfig(dt=1e-3), 0.6,
+                           snapshot_every=7, consumers=(handed.append,))
+        kept = [i for i in range(501) if i % 7 == 0 or i == 500]
+        assert [s.time for s in handed] == [expected[i] for i in kept]
+        assert sparse.times.tolist() == [expected[i] for i in kept]
+        assert sparse.snapshots == [handed[0], handed[-1]]
+        for name in ("norms", "x_means", "sigmas", "energies"):
+            assert np.array_equal(getattr(sparse, name),
+                                  getattr(run, name)[kept])
         assert [state_time(0.1, 1e-3, i) for i in range(501)] == expected
         assert type(state_time(np.float64(0.1), 1e-3, 3)) is float
         assert step(psi, PropagatorConfig(dt=1e-3)).time == expected[1]
@@ -663,9 +697,10 @@ class TestBlockedTransform:
 
 def _friction_oracle(values, grid, config):
     """Kostin's friction potential as it was computed before the one-cumsum
-    form: polar_parts, np.interp over the valid S, and two np.trapezoid
+    form: polar_decompose, np.interp over the valid S, and two np.trapezoid
     calls."""
-    rho, S, valid = qf.polar_parts(values, config.constants)
+    polar = qf.polar_decompose(ComplexField(grid, values), config.constants)
+    rho, S, valid = polar.rho, polar.S, polar.valid
     if not valid.all():
         # np.interp returns S itself at the valid points, so only the
         # others need it
@@ -814,7 +849,7 @@ class TestSeriesRecord:
         # the trapezoid's end terms count
         psi0 = gaussian_packet(sym_grid(8, n), C, 2.5, x0=1.0, p0=0.5,
                                time=1.0)
-        run = propagate(psi0, cfg, 1.1, snapshot_every=2, series_every=2)
+        run = propagate(psi0, cfg, 1.1, snapshot_every=2)
         assert len(run.snapshots) == len(run.times) == 6
         for i, psi in enumerate(run.snapshots):
             assert run.times[i] == psi.time

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import strict_json
 from qstream import cli, scenarios
 from qstream import optics as qo, trajectories as qt
 from qstream.errors import NodeEncounter, ParseError, ValidationError
@@ -693,7 +694,7 @@ def test_run_exit_code_and_manifest(tmp_path_factory, text):
     code = cli.main(["run", str(path), "--out-dir", str(out)])
     assert code in (0, 2, 3, 4)
     if code != 2:
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = strict_json((out / "manifest.json").read_text())
         assert manifest["failure_kind"] == {0: None, 3: "check",
                                             4: "numeric"}[code]
 
@@ -751,6 +752,26 @@ class TestRunScenario:
                            out_dir=str(tmp_path / "out"))
         assert art.failure_kind == "check"
         assert "non_crossing" in art.manifest["failed_checks"]
+
+    def test_missing_required_check_is_null_in_strict_json(self, tmp_path,
+                                                           capsys):
+        # no ensemble, so the required tube check never runs: its value and
+        # threshold are nan in memory and on the check line, null on disk
+        text = (QUICK_MATTER.replace("ensemble.n_trajectories = 6",
+                                     "ensemble.n_trajectories = 0")
+                .replace("checks.required = norm_drift non_crossing",
+                         "checks.required = norm_drift tube"))
+        path = tmp_path / "s.cfg"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out-dir", str(out)]) == 3
+        assert "check tube: FAIL  value=nan (required)" in (
+            capsys.readouterr().out.splitlines())
+        m = strict_json((out / "manifest.json").read_text())
+        assert m["failed_checks"] == ["tube"]
+        tube = {c["name"]: c for c in m["checks"]}["tube"]
+        assert tube == {"name": "tube", "value": None, "threshold": None,
+                        "passed": False, "required": True}
 
     def test_numeric_failure_still_writes_manifest(self, tmp_path):
         art = run_scenario(parse_scenario(UNSTABLE_MATTER),

@@ -485,8 +485,7 @@ class TestBundleStream:
                                                8)
                 stream = BundleStream(ens, g, cfg, 0.01, (0.0, state_time(
                     0.0, cfg.dt, 1000)))
-                propagate(psi0, cfg, 1.0, every, series_every=10,
-                          consumers=(stream,))
+                propagate(psi0, cfg, 1.0, every, consumers=(stream,))
                 stream.finish()
                 peaks[every] = tracemalloc.get_traced_memory()[1]
             finally:
@@ -510,8 +509,7 @@ class TestBundleStream:
                                                8)
                 stream = BundleStream(ens, g, cfg, 0.05, (0.0, state_time(
                     0.0, cfg.dt, n_steps)))
-                propagate(psi0, cfg, t_final, every, series_every=10,
-                          consumers=(stream,))
+                propagate(psi0, cfg, t_final, every, consumers=(stream,))
                 stream.finish()
                 peaks[t_final, every] = tracemalloc.get_traced_memory()[1]
             finally:
