@@ -64,6 +64,17 @@ def cubic_weights(f: np.ndarray):
             (f + 1) * f * (f - 1) / 6.0)
 
 
+def lagrange_weights(z, nodes: np.ndarray) -> np.ndarray:
+    """Lagrange weights w_m = prod_{l != m} (z - z_l) / (z_m - z_l) at z of
+    the possibly uneven nodes (..., n), one row of n per point of z (...)."""
+    n = nodes.shape[-1]
+    off = ~np.eye(n, dtype=bool)
+    z = np.asarray(z)
+    return np.prod(np.where(off, z[..., None, None] - nodes[..., None, :], 1.0)
+                   / np.where(off, nodes[..., :, None] - nodes[..., None, :],
+                              1.0), axis=-1)
+
+
 @dataclass(frozen=True)
 class PhysicalConstants:
     hbar: float = 1.0

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyScene, LeftDomain, ResolutionViolation
-from .fields import GridSpec, cubic_weights, write_rows
+from .fields import GridSpec, cubic_weights, lagrange_weights, write_rows
 
 # CODATA 2022, SI units: speed of light, vacuum permittivity, permeability
 C_LIGHT, EPS0, MU0 = 299792458.0, 8.8541878188e-12, 1.25663706127e-06
@@ -292,11 +292,7 @@ def _lattice_sample(values: np.ndarray, scene: OpticalScene, x, z):
     n = min(6, planes.size)
     iz = np.clip(np.searchsorted(planes, z, side="right") - 1 - (n - 1) // 2,
                  0, planes.size - n)[..., None] + np.arange(n)
-    # w_m = prod_{l != m} (z - z_l) / (z_m - z_l) over the stencil planes
-    zs, off = planes[iz], ~np.eye(n, dtype=bool)
-    wz = np.prod(np.where(off, z[..., None, None] - zs[..., None, :], 1.0)
-                 / np.where(off, zs[..., :, None] - zs[..., None, :], 1.0),
-                 axis=-1)
+    wz = lagrange_weights(z, planes[iz])
     near = values[..., iz[..., :, None], j[..., None, None] + np.arange(-1, 3)]
     return np.einsum("...ab,...a,...b->...", near, wz,
                      np.stack(cubic_weights(s - j), axis=-1))

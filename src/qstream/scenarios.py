@@ -56,21 +56,22 @@ MAX_OPTICS_WORK = 1e7
 MAX_TRAJECTORIES = 10_000
 MAX_PATHS = 10_000
 # Memory bounds, checked at validation too.  Trajectory points are
-# trajectories x mesh times, 83x those of kostin-relaxation (20 x 6001), the
-# catalog maximum.  Path points are paths x (z_last - z_start) / ds, 167x
-# those of the two-slit scenes (40 x 150).  Series rows are the states a
-# matter run records, 999x those of fig2a and fig3-superposition (1001);
-# the run holds them in five float64 columns, 40 B per row, so 40 MB at the
-# bound.  Window points are grid.n_points x the frames the trajectory march
-# holds at once, about dt_traj / (state spacing) + 3 frames of 26 B per
-# point, 76x those of fig2c (32768 points x 4 frames), so about 0.3 GB.  An
-# optics run holds the (Sx, Sz, U) lattice, z planes x grid.n_points at
-# 24 B a point, which MAX_OPTICS_WORK bounds to about 240 MB; each plane's
-# transform and fields are freed once that plane is written.
+# trajectories x (RK4 steps + 1), which bounds both the march's work and the
+# trajectories x stored states the bundle holds (positions and tube values,
+# in arrays that double as states arrive, so up to 3x that while one
+# grows); 833x those of kostin-relaxation (20 x 601), the catalog maximum.  Path points are
+# paths x (z_last - z_start) / ds, 167x those of the two-slit scenes
+# (40 x 150).  Series rows are the states a matter run records, 999x those
+# of fig2a and fig3-superposition (1001); the run holds them in five
+# float64 columns, 40 B per row, so 40 MB at the bound.  The trajectory
+# march holds four frames of the grid, 17 B a point each, whatever the
+# states.  An optics run holds the (Sx, Sz, U) lattice, z planes x
+# grid.n_points at 24 B a point, which MAX_OPTICS_WORK bounds to about
+# 240 MB; each plane's transform and fields are freed once that plane is
+# written.
 MAX_TRAJECTORY_POINTS = 1e7
 MAX_PATH_POINTS = 1e6
 MAX_SERIES_ROWS = 1e6
-MAX_WINDOW_POINTS = 1e7
 
 # value converters ---------------------------------------------------------
 
@@ -362,24 +363,16 @@ class MatterScenario(_Scenario):
         if not r["packet*"]:
             raise ValidationError("packet1.sigma0",
                                   "at least one packet required")
-        if ensemble["dt_traj"] is None:
-            ensemble["dt_traj"] = 10.0 * dt
+        if ensemble["dt_traj"] is None:  # one RK4 step per interval
+            ensemble["dt_traj"] = snapshot_every * dt
         if ensemble["n_trajectories"]:
-            dt_traj = ensemble["dt_traj"]
-            _check_work("ensemble.n_trajectories * mesh times",
-                        lambda: ensemble["n_trajectories"] * (
-                            (t_final - t0) / dt_traj + 1),
-                        MAX_TRAJECTORY_POINTS)
-            _valid("ensemble.dt_traj", qp.whole_steps, t0, t_final, dt_traj)
-            # the widest gap between the states a run stores
+            # no interval between stored states is wider than spacing
             spacing = min(snapshot_every, n_steps) * dt
-            _valid("time.snapshot_every", qt.check_frame_gap, spacing,
-                   dt_traj)
-            if n_steps:  # else the run stores one state and marches nothing
-                _check_work("grid.n_points * window frames",
-                            lambda: grid.n_points * (
-                                math.ceil(dt_traj / spacing) + 3),
-                            MAX_WINDOW_POINTS)
+            _check_work("ensemble.n_trajectories * RK4 steps",
+                        lambda: ensemble["n_trajectories"] * (
+                            -(-n_steps // snapshot_every) * qt.rk4_steps(
+                                spacing, ensemble["dt_traj"]) + 1),
+                        MAX_TRAJECTORY_POINTS)
         return dict(model=model["type"], gamma=model["gamma"],
                     constants=constants, potential=potential, grid=grid,
                     dt=dt, t0=t0, t_final=t_final,
@@ -392,10 +385,8 @@ class MatterScenario(_Scenario):
         ens = qt.sample_initial_positions(
             np.abs(psi0.values) ** 2, self.grid,
             self.ensemble["n_trajectories"], scheme=self.ensemble["scheme"])
-        t_end = qp.state_time(self.t0, self.dt, qp.whole_steps(
-            self.t0, self.t_final, self.dt))
         return qt.BundleStream(ens, self.grid, config,
-                               self.ensemble["dt_traj"], (self.t0, t_end))
+                               self.ensemble["dt_traj"])
 
     def _run(self, out_dir, required, manifest, files):
         feed = None  # hands the states to the trajectory stage
@@ -638,7 +629,7 @@ _SIGMA_COH = math.sqrt(1.0 / (2.0 * _OMEGA0))
 
 
 def _matter_text(name, model, gamma, grid, n_points, dt, t_final,
-                 snapshot_every, packets, dt_traj, n_traj=20,
+                 snapshot_every, packets, n_traj=20,
                  norm_tol=None, tube_tol=None, notes=None,
                  potential="harmonic"):
     lines = [
@@ -668,7 +659,6 @@ def _matter_text(name, model, gamma, grid, n_points, dt, t_final,
     lines += [
         f"ensemble.n_trajectories = {n_traj}",
         "ensemble.scheme = quantile",
-        f"ensemble.dt_traj = {dt_traj!r}",
         "checks.required = norm_drift non_crossing",
     ]
     if norm_tol is not None:
@@ -716,39 +706,39 @@ def list_scenarios() -> dict:
     cat["fig2a"] = (
         "damped harmonic oscillator, gamma = 0.3 omega0 (underdamped)",
         _matter_text("fig2a", "caldirola_kanai", 0.3 * _OMEGA0, 8.0, 2048,
-                     1e-3, 40.0, 40, [{"sigma0": coh, "x0": 2.0}], 0.01,
+                     1e-3, 40.0, 40, [{"sigma0": coh, "x0": 2.0}],
                      tube_tol=0.01))
     cat["fig2b"] = (
         "damped harmonic oscillator, gamma = 2 omega0 (critical regime)",
         _matter_text("fig2b", "caldirola_kanai", 2.0 * _OMEGA0, 8.0, 8192,
-                     1e-3, 7.0, 20, [{"sigma0": coh, "x0": 2.0}], 0.005,
+                     1e-3, 7.0, 20, [{"sigma0": coh, "x0": 2.0}],
                      tube_tol=0.01))
     cat["fig2c"] = (
         "damped harmonic oscillator, gamma = 4 omega0 (overdamped)",
         _matter_text("fig2c", "caldirola_kanai", 4.0 * _OMEGA0, 6.0, 32768,
-                     1e-3, 4.0, 40, [{"sigma0": coh, "x0": 2.0}], 0.01,
+                     1e-3, 4.0, 40, [{"sigma0": coh, "x0": 2.0}],
                      norm_tol=1e-5, tube_tol=0.01))
     cat["fig3-superposition"] = (
         "two-packet superposition in the damped oscillator",
         _matter_text("fig3-superposition", "caldirola_kanai", 0.3 * _OMEGA0,
                      8.0, 2048, 1e-3, 40.0, 40,
                      [{"sigma0": coh, "x0": 2.0},
-                      {"sigma0": coh, "x0": -2.0}], 0.01, tube_tol=0.05,
+                      {"sigma0": coh, "x0": -2.0}], tube_tol=0.05,
                      notes="initial centers +/-2 and zero relative phase are "
                            "defaults chosen here, not published values"))
     cat["kostin-relaxation"] = (
         "nonlinear friction model relaxing a displaced coherent state",
         _matter_text("kostin-relaxation", "kostin", 0.3 * _OMEGA0, 8.0, 1024,
-                     5e-3, 60.0, 20, [{"sigma0": coh, "x0": 1.0}], 0.01))
+                     5e-3, 60.0, 20, [{"sigma0": coh, "x0": 1.0}]))
     cat["oracle-free-gaussian"] = (
         "free Gaussian spreading against the closed-form solution",
         _matter_text("oracle-free-gaussian", "standard", 0.0, 20.0, 2048,
-                     1e-3, 4.0, 40, [{"sigma0": 1.0}], 0.01, n_traj=16,
+                     1e-3, 4.0, 40, [{"sigma0": 1.0}], n_traj=16,
                      potential="free"))
     cat["oracle-harmonic-coherent"] = (
         "coherent state over three periods against the closed form",
         _matter_text("oracle-harmonic-coherent", "standard", 0.0, 8.0, 1024,
-                     1e-3, 30.0, 40, [{"sigma0": coh, "x0": 1.0}], 0.01))
+                     1e-3, 30.0, 40, [{"sigma0": coh, "x0": 1.0}]))
     cat["fig4-symmetric"] = (
         "two identical Gaussian slits, 943 nm, centers +/-2.35 mm",
         _optics_text("fig4-symmetric",

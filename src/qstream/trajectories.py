@@ -2,24 +2,28 @@
 
 Initial positions are drawn deterministically from the quantiles of the
 initial density, then advanced with classic RK4 through the velocity
-field v = J/rho reconstructed from stored propagation snapshots (cubic in
-space, linear in time).  For Caldirola-Kanai runs the guidance law picks
-up the rate factor exp(-gamma t); Kostin trajectories use the plain
-velocity of the evolving nonlinear state.
+field v = J/rho reconstructed from stored propagation snapshots: cubic in
+space, and cubic in time over the four snapshots around each interval
+between stored states.  The march goes from stored state to stored state,
+each interval in the fewest equal RK4 steps no longer than dt_traj.  For
+Caldirola-Kanai runs the guidance law picks up the rate factor
+exp(-gamma t); Kostin trajectories use the plain velocity of the evolving
+nonlinear state.
 
-A BundleStream marches an ensemble while the states are produced, keeping
-only the few frames that the next mesh step needs; integrate_bundle
-replays a run's stored snapshots through it.  A VelocitySampler over every
-snapshot is the random-access path, and `_march` steps any rows, one
-trajectory included, through it.
+A BundleStream marches an ensemble while the states are produced, holding
+only the four frames that an interval reads; integrate_bundle replays a
+run's stored snapshots through it.  A VelocitySampler over every snapshot
+is the random-access path, and `_march` steps any rows, one trajectory
+included, through it.
 
-Diagnostics: strict ordering at every mesh time (the non-crossing
+Diagnostics, at every stored state: strict ordering (the non-crossing
 property) and conservation of the probability enclosed between any two
-trajectories (probability tubes).
+trajectories (probability tubes), from that state's own density.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +31,7 @@ import numpy as np
 from . import fields as qf
 from .errors import LeftDomain, NodeEncounter, ZeroDensity
 from .fields import GridSpec
-from .propagators import PropagationRun, rate_factor, whole_steps
+from .propagators import STEP_TOLERANCE, PropagationRun, rate_factor
 
 
 @dataclass(frozen=True)
@@ -63,7 +67,8 @@ SCHEMES = ("quantile", "equal_spacing")
 def sample_initial_positions(rho: np.ndarray, grid: GridSpec, n: int,
                              scheme: str = "quantile") -> InitialEnsemble:
     """Deterministic ensemble from a density: quantile midpoints
-    (i - 1/2)/n, or equal spacing over the above-threshold support."""
+    (i - 1/2)/n, or equal spacing between the first and last of them (the
+    edges of the support, where v is undefined, are never used)."""
     rho = np.asarray(rho, dtype=float)
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -73,14 +78,10 @@ def sample_initial_positions(rho: np.ndarray, grid: GridSpec, n: int,
     total = cdf[-1]
     if total <= 0:
         raise ZeroDensity("density integrates to zero")
-    if scheme == "quantile":
-        targets = (np.arange(n) + 0.5) / n * total
-        positions = np.interp(targets, cdf, grid.x)
-        return InitialEnsemble(positions)
-    valid = qf.node_mask(rho)  # equal_spacing
-    idx = np.flatnonzero(valid)
-    lo, hi = grid.x[idx[0]], grid.x[idx[-1]]
-    return InitialEnsemble(np.linspace(lo, hi, n))
+    positions = np.interp((np.arange(n) + 0.5) / n * total, cdf, grid.x)
+    if scheme == "equal_spacing":
+        positions = np.linspace(positions[0], positions[-1], n)
+    return InitialEnsemble(positions)
 
 
 def _velocity_frame(psi, constants, method: str = "fd4"):
@@ -90,9 +91,19 @@ def _velocity_frame(psi, constants, method: str = "fd4"):
     return np.where(vf.valid, vf.v, 0.0), vf.valid
 
 
+def rk4_steps(gap: float, dt_traj: float) -> int:
+    """The fewest equal RK4 steps no longer than dt_traj across a gap
+    between stored states, with whole_steps' relative slack STEP_TOLERANCE
+    for the rounding of the division: at least one."""
+    return max(1, math.ceil(gap / dt_traj * (1 - STEP_TOLERANCE)))
+
+
 class VelocitySampler:
     """v(x, t) from a snapshot sequence: cubic in x on valid points
-    (shrinking to linear beside invalid nodes), linear in t."""
+    (shrinking to linear beside invalid nodes), and in t the Lagrange
+    polynomial through the snapshots i - 1 .. i + 2 around interval i,
+    shifted inside the sequence at its two ends (all of them when there
+    are fewer than four)."""
 
     def __init__(self, grid: GridSpec, config, times, v, ok):
         """A sampler over frames: their times, and their velocities (0
@@ -111,151 +122,146 @@ class VelocitySampler:
                    np.asarray([v for v, _ in frames]),
                    np.asarray([ok for _, ok in frames]))
 
-    def _space(self, i: int, xq: np.ndarray):
-        """v and its ok flag at xq on snapshots i and i + 1, as (2, m)
-        arrays: 4-point Lagrange in x where all four nodes are valid and
-        inside the grid, else linear between the two nodes around xq.  Both
-        rows share one stencil (indices and weights)."""
+    def _stencil(self, i: int) -> slice:
+        """The snapshots of interval i's time stencil."""
+        n = min(4, len(self.times))
+        s = min(max(i - 1, 0), len(self.times) - n)
+        return slice(s, s + n)
+
+    def _space(self, rows: slice, xq: np.ndarray):
+        """v and its ok flag at xq on the snapshots `rows`, as
+        (n_rows, len(xq)) arrays: 4-point Lagrange in x where all four nodes
+        are valid and inside the grid, else linear between the two nodes
+        around xq, which must be valid.  All rows share one stencil (indices
+        and weights) and one gather."""
         g = self.grid
         last = g.n_points - 1
-        rows = np.array([[i], [i + 1]])
         s = (xq - g.x_min) / g.dx
         j = np.minimum(np.maximum(np.floor(s).astype(int), 0), last - 1)
         f = s - j
-        jm, j1, j2 = np.maximum(j - 1, 0), j + 1, np.minimum(j + 2, last)
-        v, ok = self.v, self.ok
-        linear_ok = ok[rows, j] & ok[rows, j1]
-        cubic_ok = (ok[rows, jm] & linear_ok & ok[rows, j2]
-                    & ((j - 1 >= 0) & (j + 2 <= last)))
-        w = qf.cubic_weights(f)
-        v_j, v_j1 = v[rows, j], v[rows, j1]
-        cubic = (w[0] * v[rows, jm] + w[1] * v_j + w[2] * v_j1
-                 + w[3] * v[rows, j2])
-        linear = (1 - f) * v_j + f * v_j1
-        return np.where(cubic_ok, cubic, linear), cubic_ok | linear_ok
+        nodes = np.stack((np.maximum(j - 1, 0), j, j + 1,
+                          np.minimum(j + 2, last)))
+        v, ok = self.v[rows, nodes], self.ok[rows, nodes]  # (rows, 4, xq)
+        linear_ok = ok[:, 1] & ok[:, 2]
+        cubic_ok = ok.all(axis=1) & ((j - 1 >= 0) & (j + 2 <= last))
+        cubic = (np.array(qf.cubic_weights(f)) * v).sum(axis=1)
+        linear = (1 - f) * v[:, 1] + f * v[:, 2]
+        return np.where(cubic_ok, cubic, linear), linear_ok
 
-    def sample(self, xq: np.ndarray, t: float):
-        """Returns (velocity, ok) arrays; rate factor included."""
-        xq = np.asarray(xq, dtype=float)
-        times = self.times
-        i = np.searchsorted(times, t) - 1
-        i = min(max(i, 0), len(times) - 2)
-        w = (t - times[i]) / (times[i + 1] - times[i])
-        w = min(max(w, 0.0), 1.0)
-        v, ok = self._space(i, xq)
+    def sample(self, xq: np.ndarray, t: float, i: int):
+        """(velocity, ok) arrays at xq and time t, on interval i (from
+        snapshot i to i + 1); rate factor included."""
+        rows = self._stencil(i)
+        v, ok = self._space(rows, np.asarray(xq, dtype=float))
+        w = qf.lagrange_weights(t, self.times[rows])
         rate = rate_factor(self.config, t)
-        return rate * ((1 - w) * v[0] + w * v[1]), ok[0] & ok[1]
+        return rate * (w[:, None] * v).sum(axis=0), ok.all(axis=0)
 
 
-def _rk4_step(sampler: VelocitySampler, x: np.ndarray, t: float, dt: float):
-    k1, o1 = sampler.sample(x, t)
-    k2, o2 = sampler.sample(x + 0.5 * dt * k1, t + 0.5 * dt)
-    k3, o3 = sampler.sample(x + 0.5 * dt * k2, t + 0.5 * dt)
-    k4, o4 = sampler.sample(x + dt * k3, t + dt)
+def _rk4_step(sampler: VelocitySampler, x: np.ndarray, t: float, dt: float,
+              i: int):
+    k1, o1 = sampler.sample(x, t, i)
+    k2, o2 = sampler.sample(x + 0.5 * dt * k1, t + 0.5 * dt, i)
+    k3, o3 = sampler.sample(x + 0.5 * dt * k2, t + 0.5 * dt, i)
+    k4, o4 = sampler.sample(x + dt * k3, t + dt, i)
     return x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), o1 & o2 & o3 & o4
 
 
-def _step_with_halving(sampler, x: float, t: float, dt: float,
+def _step_with_halving(sampler, x: float, t: float, dt: float, i: int,
                        max_halvings: int = 8):
     """Scalar fallback near quasi-nodes: halve the step up to 8 times.
     Returns the new position and the number of halvings made."""
     xa = np.array([x])
-    out, ok = _rk4_step(sampler, xa, t, dt)
+    out, ok = _rk4_step(sampler, xa, t, dt, i)
     if ok[0]:
         return float(out[0]), 0
     if max_halvings == 0:
         raise NodeEncounter(f"invalid velocity region near x = {x:g}, t = {t:g}")
     h = 0.5 * dt
-    x, n1 = _step_with_halving(sampler, x, t, h, max_halvings - 1)
-    x, n2 = _step_with_halving(sampler, x, t + h, h, max_halvings - 1)
+    x, n1 = _step_with_halving(sampler, x, t, h, i, max_halvings - 1)
+    x, n2 = _step_with_halving(sampler, x, t + h, h, i, max_halvings - 1)
     return x, 1 + n1 + n2
 
 
-class _March:
-    """All rows marched over a time mesh, one RK4 call per mesh step over
-    the live rows; rows with an invalid velocity take the scalar halving
-    fallback.  A row that meets a node or leaves the grid is dropped and NaN
-    at every mesh time.  Each step(sampler) advances one mesh step, so the
-    sampler may change between steps."""
+def _put_column(a: np.ndarray, k: int, column: np.ndarray) -> np.ndarray:
+    """a with column k set, its columns doubled first when k is past them:
+    a stream learns the number of states only at its end."""
+    if k == a.shape[1]:
+        a = np.concatenate((a, np.empty_like(a)), axis=1)
+    a[:, k] = column
+    return a
 
-    def __init__(self, x0: np.ndarray, times: np.ndarray):
-        self.times = times
-        self.xs = np.full((len(x0), len(times)), np.nan)
-        self.xs[:, 0] = x0
-        self.x = np.asarray(x0, dtype=float)
-        self.live = np.arange(len(x0))
+
+class _March:
+    """All rows marched from stored state to stored state, one RK4 call per
+    step over the live rows; rows with an invalid velocity take the scalar
+    halving fallback.  A row that meets a node or leaves the grid is dropped
+    and NaN at every state.  Each interval(sampler, i, dt_traj) crosses the
+    sampler's interval i, so the sampler may change between intervals."""
+
+    def __init__(self, x0: np.ndarray):
+        self.x = np.array(x0, dtype=float)
+        self.live = np.arange(len(self.x))
+        self.xs = _put_column(np.empty((len(self.x), 1)), 0, self.x)
+        self.k = 1  # states reached
         self.errors = []
         self.fallback_rows = self.halvings = 0
-        self.k = 0  # mesh steps taken
 
-    def step(self, sampler) -> None:
-        k, times, x, live = self.k, self.times, self.x, self.live
+    def interval(self, sampler, i: int, dt_traj: float) -> None:
+        t0, t1 = sampler.times[i], sampler.times[i + 1]
+        n_steps = rk4_steps(t1 - t0, dt_traj)
+        dt = (t1 - t0) / n_steps
+        for k in range(n_steps):
+            self._step(sampler, i, t0 + k * dt, dt)
+        column = np.full(len(self.xs), np.nan)
+        column[self.live] = self.x
+        self.xs = _put_column(self.xs, self.k, column)
+        self.k += 1
+
+    def _step(self, sampler, i: int, t: float, dt: float) -> None:
+        x, live = self.x, self.live
         g = sampler.grid
-        t, dt = times[k], times[k + 1] - times[k]
-        x_new, ok = _rk4_step(sampler, x, t, dt)
+        x_new, ok = _rk4_step(sampler, x, t, dt, i)
         failed = {}
         for r in np.flatnonzero(~ok):
             self.fallback_rows += 1
             try:
-                x_new[r], n = _step_with_halving(sampler, x[r], t, dt)
+                x_new[r], n = _step_with_halving(sampler, x[r], t, dt, i)
                 self.halvings += n
             except NodeEncounter as exc:
                 failed[r] = exc
         for r in np.flatnonzero((x_new < g.x_min) | (x_new > g.x_max)):
             failed.setdefault(r, LeftDomain(
-                f"trajectory {live[r]} left the grid at t = {times[k + 1]:g}"))
+                f"trajectory {live[r]} left the grid at t = {t + dt:g}"))
         if failed:
             self.errors += [(int(live[r]), exc) for r, exc in failed.items()]
             keep = np.ones(len(live), dtype=bool)
             keep[list(failed)] = False
             live, x_new = live[keep], x_new[keep]
         self.x, self.live = x_new, live
-        self.xs[live, k + 1] = x_new
-        self.k = k + 1
 
     def result(self):
-        """The positions, the sorted [(row, exception), ...] of dropped
-        rows, the number of row-steps sent to the fallback and the halvings
-        it made."""
+        """The positions at each state reached, the sorted
+        [(row, exception), ...] of dropped rows, the number of row-steps
+        sent to the fallback and the halvings it made."""
         self.errors.sort(key=lambda e: e[0])
-        self.xs[[row for row, _ in self.errors]] = np.nan
-        return self.xs, self.errors, self.fallback_rows, self.halvings
+        xs = self.xs[:, :self.k]
+        xs[[row for row, _ in self.errors]] = np.nan
+        return xs, self.errors, self.fallback_rows, self.halvings
 
 
-def _march(sampler: VelocitySampler, x0: np.ndarray, times: np.ndarray):
-    """The _March over the whole mesh with one sampler; returns
+def _march(sampler: VelocitySampler, x0: np.ndarray, dt_traj: float):
+    """The _March over every interval of one sampler; returns
     _March.result()."""
-    march = _March(x0, times)
-    for _ in range(len(times) - 1):
-        march.step(sampler)
+    march = _March(x0)
+    for i in range(len(sampler.times) - 1):
+        march.interval(sampler, i, dt_traj)
     return march.result()
 
 
-def time_mesh(t_span, dt_traj: float) -> np.ndarray:
-    """Whole steps of dt_traj from t_span[0] to t_span[1] (at least one);
-    ValueError when dt_traj does not divide the span (see whole_steps)."""
-    t_start, t_end = t_span
-    n = max(1, whole_steps(t_start, t_end, dt_traj))
-    return t_start + (t_end - t_start) * np.arange(n + 1) / n
-
-
-def check_frame_gap(gap: float, dt_traj: float) -> None:
-    """ValueError when two successive stored states lie more than
-    10 dt_traj apart, with 1e-9 slack for rounding: the velocity is linear
-    in time between them."""
-    if gap > 10.0 * dt_traj * (1 + 1e-9):
-        raise ValueError(f"snapshot spacing {gap!r} exceeds 10 * dt_traj; "
-                         "store more snapshots or increase dt_traj")
-
-
-def _enclosed(xk: np.ndarray, t: float, snap_times, rhos,
-              grid: GridSpec) -> np.ndarray:
-    """Probability between neighbouring positions xk at time t, with rho
-    linear in time between the densities rhos at snap_times."""
-    a = min(max(np.searchsorted(snap_times, t) - 1, 0), len(snap_times) - 2)
-    w = min(max((t - snap_times[a]) / (snap_times[a + 1] - snap_times[a]),
-                0.0), 1.0)
-    rho = (1 - w) * rhos[a] + w * rhos[a + 1]
+def _enclosed(xk: np.ndarray, rho: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Probability between neighbouring positions xk under the density
+    rho."""
     return np.diff(np.interp(xk, grid.x, _cdf(rho, grid)))
 
 
@@ -263,33 +269,26 @@ class BundleStream:
     """A trajectory bundle marched through the states of a run as they are
     produced: call it on each stored state in time order, then finish().
 
-    It keeps a sliding window of frames (time, v, ok, rho): only those that
-    the next RK4 mesh step and the next tube time need, that is from the
-    last frame before the step's start (at least the last two frames) to
-    one frame past the first frame at or after its end, which covers the
-    rounding of t + dt.  Within that window the sampler picks the same two
-    frames as a VelocitySampler over every frame, so the march and the
-    tube values equal those over every stored snapshot bit for bit.
-
-    A step's halving fallback may sample any time inside the step, so the
-    window keeps every frame of it: about dt_traj / (frame spacing) + 3
-    frames, which grows with the number of frames per mesh step but not
-    with the number of mesh steps.
+    It holds the frames (v, ok, rho) of the last four states in
+    (4, n_points) arrays, which its samplers view.  Those four are the time
+    stencil of the interval that the latest state completes: interval i
+    once state i + 2 arrives (interval 0 too when state 3 arrives), and the
+    last interval at finish().  A VelocitySampler over every state picks
+    the same four, so the march and the tube values equal those over every
+    stored snapshot bit for bit, and the memory grows with neither the
+    number nor the density of the states.
     """
 
     def __init__(self, ensemble: InitialEnsemble, grid: GridSpec, config,
-                 dt_traj: float, t_span):
-        self.grid, self.config = grid, config
-        self.dt_traj = dt_traj
-        self.times = time_mesh(t_span, dt_traj)
-        n = len(ensemble.positions)
-        self.tubes = np.empty((n - 1, len(self.times))) if n >= 2 else None
-        self._march = _March(ensemble.positions, self.times)
-        self._frames = []      # the window: (time, v, ok, rho), in time order
-        self._sampler = None   # the window's sampler, built on first use
-        self._k = 0            # next mesh time to reach
-        self._last_time = None  # of the latest frame
-        self._finished = False
+                 dt_traj: float):
+        self.grid, self.config, self.dt_traj = grid, config, dt_traj
+        n = grid.n_points
+        self._v, self._rho = np.empty((4, n)), np.empty((4, n))
+        self._ok = np.empty((4, n), dtype=bool)
+        self._times = []  # of every state taken
+        n_tubes = len(ensemble.positions) - 1
+        self._tubes = np.empty((n_tubes, 1)) if n_tubes else None
+        self._march = _March(ensemble.positions)
 
     def __call__(self, psi) -> None:
         """Take the next stored state."""
@@ -299,83 +298,74 @@ class BundleStream:
     def push(self, time: float, v: np.ndarray, ok: np.ndarray,
              rho: np.ndarray) -> None:
         """Take the next frame: its time, velocity (0 where invalid),
-        validity flags and density.  ValueError when it lies too far after
-        the previous frame (see check_frame_gap)."""
-        if self._last_time is not None:
-            check_frame_gap(time - self._last_time, self.dt_traj)
-        self._last_time = time
-        if self._k < len(self.times):  # else the mesh is done
-            self._frames.append((time, v, ok, rho))
-            self._sampler = None
-            self._advance()
+        validity flags and density."""
+        k = len(self._times)
+        frames = (self._v, self._ok, self._rho)
+        if k >= 4:
+            for a in frames:
+                a[:3] = a[1:]
+        for a, row in zip(frames, (v, ok, rho)):
+            a[min(k, 3)] = row
+        self._times.append(time)
+        if k == 0:
+            self._tube(0)
+        elif k == 3:  # the first window: intervals 0 and 1
+            self._interval(0)
+            self._interval(1)
+        elif k > 3:  # interval k - 2, row 1 of the window
+            self._interval(1)
 
     def finish(self) -> TrajectoryBundle:
         """The bundle after the last state; bundle.tubes holds the tube
         probabilities, NaN beside a failed row."""
-        self._finished = True
-        self._advance()
+        n_states = len(self._times)
+        # the last interval, row 2 of the window, or every interval of a
+        # run of fewer than four states
+        for i in range(n_states - 1) if n_states < 4 else (2,):
+            self._interval(i)
         xs, errors, fallback_rows, halvings = self._march.result()
-        if self.tubes is not None:
+        tubes = self._tubes
+        if tubes is not None:
+            tubes = tubes[:, :len(self._times)]
             for row, _ in errors:
-                self.tubes[max(row - 1, 0):row + 1] = np.nan
-        return TrajectoryBundle(self.times, xs, tuple(
+                tubes[max(row - 1, 0):row + 1] = np.nan
+        return TrajectoryBundle(np.array(self._times), xs, tuple(
             (row, type(exc).__name__, str(exc)) for row, exc in errors),
-            fallback_rows, halvings, self.tubes)
+            fallback_rows, halvings, tubes)
 
-    def _ready(self, t: float) -> bool:
-        frames = self._frames
-        return self._finished or (len(frames) >= 2 and frames[-2][0] >= t)
+    def _interval(self, i: int) -> None:
+        """March interval i of the window, then take the tube values at
+        the state that ends it."""
+        m = min(len(self._times), 4)
+        sampler = VelocitySampler(self.grid, self.config,
+                                  np.array(self._times[-m:]),
+                                  self._v[:m], self._ok[:m])
+        self._march.interval(sampler, i, self.dt_traj)
+        self._tube(i + 1)
 
-    def _window(self) -> VelocitySampler:
-        """A sampler over the window, rebuilt only when its frames change."""
-        if self._sampler is None:
-            frames = self._frames
-            self._sampler = VelocitySampler(
-                self.grid, self.config, np.array([f[0] for f in frames]),
-                np.asarray([f[1] for f in frames]),
-                np.asarray([f[2] for f in frames]))
-        return self._sampler
-
-    def _advance(self) -> None:
-        """Reach every mesh time the window covers: its tube values, and
-        the mesh step that leaves it."""
-        last = len(self.times) - 1
-        frames = self._frames
-        while self._k <= last:
-            t = self.times[self._k]
-            # on every push, not only when a mesh step is ready, so that the
-            # window never holds more than one mesh step of frames
-            while len(frames) > 2 and frames[1][0] < t:
-                frames.pop(0)
-                self._sampler = None
-            if not self._ready(self.times[min(self._k + 1, last)]):
-                break
-            sampler = self._window()
-            if self.tubes is not None:
-                self.tubes[:, self._k] = _enclosed(
-                    self._march.xs[:, self._k], t, sampler.times,
-                    [f[3] for f in frames], self.grid)
-            if self._k < last:
-                self._march.step(sampler)
-            self._k += 1
+    def _tube(self, row: int) -> None:
+        """The tube values at the state that window row `row` holds, the
+        latest the march reached."""
+        if self._tubes is not None:
+            march = self._march
+            self._tubes = _put_column(self._tubes, march.k - 1, _enclosed(
+                march.xs[:, march.k - 1], self._rho[row], self.grid))
 
 
 def integrate_bundle(ensemble: InitialEnsemble, run: PropagationRun,
-                     dt_traj: float, t_span=None,
+                     dt_traj: float,
                      sampler: VelocitySampler = None) -> TrajectoryBundle:
-    """One trajectory per initial position, all on a shared time mesh: the
-    stored snapshots (velocities from `sampler`, by default a
+    """One trajectory per initial position, each reported at every stored
+    state: the stored snapshots (velocities from `sampler`, by default a
     VelocitySampler.from_run of the run) replayed through a BundleStream.
 
     Per-trajectory failures are recorded in bundle.errors as
     (index, error type, message), sorted by index, and the failing
-    trajectory is NaN at every mesh time; the other trajectories run on.
+    trajectory is NaN at every state; the other trajectories run on.
     """
     if sampler is None:
         sampler = VelocitySampler.from_run(run)
-    if t_span is None:
-        t_span = (sampler.times[0], sampler.times[-1])
-    stream = BundleStream(ensemble, sampler.grid, run.config, dt_traj, t_span)
+    stream = BundleStream(ensemble, sampler.grid, run.config, dt_traj)
     for i, snap in enumerate(run.snapshots):
         stream.push(sampler.times[i], sampler.v[i], sampler.ok[i],
                     np.abs(snap.values) ** 2)
@@ -390,11 +380,14 @@ class NonCrossingReport:
 
 
 def check_non_crossing(bundle: TrajectoryBundle) -> NonCrossingReport:
-    """Verify x_i(t) < x_{i+1}(t) at every mesh time."""
+    """Verify x_i(t) < x_{i+1}(t) at every stored time; not ok, with a NaN
+    min_gap, when no two neighbours are left to compare."""
     xs = bundle.xs
     if xs.shape[0] < 2:
         return NonCrossingReport(ok=True)
     gaps = np.diff(xs, axis=0)
+    if np.isnan(gaps).all():
+        return NonCrossingReport(False, math.nan)
     min_gap = float(np.nanmin(gaps))
     if min_gap > 0:
         return NonCrossingReport(True, min_gap)
@@ -406,21 +399,21 @@ def check_non_crossing(bundle: TrajectoryBundle) -> NonCrossingReport:
 def tube_probability(bundle: TrajectoryBundle,
                      run: PropagationRun) -> np.ndarray:
     """Probability enclosed between each pair of neighbouring trajectories
-    at each mesh time, shape (n_trajectories - 1, n_times); rho is
-    interpolated linearly between snapshots."""
+    at each stored state of the run, under that state's density, shape
+    (n_trajectories - 1, n_states)."""
     if bundle.xs.shape[0] < 2:
         raise ValueError("need at least two trajectories")
+    if len(bundle.times) != len(run.snapshots):
+        raise ValueError("the bundle must hold one time per stored state")
     grid = run.snapshots[0].grid
-    snap_times = np.array([s.time for s in run.snapshots])
-    rhos = np.array([np.abs(s.values) ** 2 for s in run.snapshots])
     out = np.empty((bundle.xs.shape[0] - 1, len(bundle.times)))
-    for k, t in enumerate(bundle.times):
-        out[:, k] = _enclosed(bundle.xs[:, k], t, snap_times, rhos, grid)
+    for k, snap in enumerate(run.snapshots):
+        out[:, k] = _enclosed(bundle.xs[:, k], np.abs(snap.values) ** 2, grid)
     return out
 
 
 def write_bundle(path, bundle: TrajectoryBundle, metadata: dict = None) -> None:
-    """Text table: one row per mesh time, columns t x_1 ... x_n, with a
+    """Text table: one row per stored state, columns t x_1 ... x_n, with a
     metadata header."""
     with open(path, "w") as fh:
         for key, value in (metadata or {}).items():

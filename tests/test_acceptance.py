@@ -23,7 +23,7 @@ from qstream.propagators import classical_ck_energy, physical_energy, step
 from qstream.scenarios import (_launch_positions, _path_non_crossing,
                                builtin_scenario, initial_state,
                                parse_scenario, propagator_config)
-from qstream.trajectories import VelocitySampler, _march, time_mesh
+from qstream.trajectories import VelocitySampler, _march
 
 from conftest import fresnel_planes, poynting_lattice
 
@@ -420,8 +420,7 @@ ensemble.dt_traj = 0.01
     sampler = VelocitySampler.from_run(run)
     rho0 = np.abs(run.snapshots[0].values) ** 2
     ens = sample_initial_positions(rho0, config.grid, 12)
-    times = time_mesh((sampler.times[0], sampler.times[-1]), 0.01)
-    oracle = np.vstack([_march(sampler, np.array([x0]), times)[0]
+    oracle = np.vstack([_march(sampler, np.array([x0]), 0.01)[0]
                         for x0 in ens.positions])
     written = np.loadtxt(outs["first"] / "bundle.txt")[:, 1:].T
     ok = dev < 1e-12 and identical and np.array_equal(written, oracle)

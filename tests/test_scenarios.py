@@ -117,13 +117,6 @@ BAD_NUMBERS = {
                       "time.dt = 0.01\nchecks.norm_tol = 0"),
     "tube_tol-zero": (QUICK_MATTER, "norm_drift non_crossing",
                       "norm_drift non_crossing tube\nchecks.tube_tol = 0"),
-    # the trajectory march needs stored states at most 10 dt_traj apart,
-    # and a mesh of whole steps of dt_traj
-    "snapshot-gap-over-10-dt_traj": (
-        QUICK_MATTER.replace("time.t_final = 0.5", "time.t_final = 2.0"),
-        "time.snapshot_every = 5", "time.snapshot_every = 1000"),
-    "dt_traj-off-grid": (QUICK_MATTER, "ensemble.dt_traj = 0.05",
-                         "ensemble.dt_traj = 0.03"),
     # work bounds: runs too large to finish or to fit in memory
     "dt-tiny": (QUICK_MATTER, "time.dt = 0.01", "time.dt = 1e-12"),
     "n_points-huge-matter": (QUICK_MATTER, "grid.n_points = 256",
@@ -165,20 +158,14 @@ BAD_NUMBERS = {
         .replace("time.snapshot_every = 5", "time.snapshot_every = 1")
         .replace("ensemble.n_trajectories = 6", "ensemble.n_trajectories = 0"),
         "time.t_final = 0.5", "time.t_final = 1e5"),
-    # states 0.01 apart and a mesh step of 0.5: the march holds 53 frames
-    "window-points-huge": (
-        QUICK_MATTER.replace("grid.n_points = 256", "grid.n_points = 1000000")
-        .replace("time.snapshot_every = 5", "time.snapshot_every = 1"),
-        "ensemble.dt_traj = 0.05", "ensemble.dt_traj = 0.5"),
 }
 # the product each memory-bound case exceeds
 MEMORY_BOUND_KEYS = {
     "path-points-huge": "paths.n_paths * path steps",
     "path-points-default-ds": "paths.n_paths * path steps",
-    "trajectory-points-huge": "ensemble.n_trajectories * mesh times",
+    "trajectory-points-huge": "ensemble.n_trajectories * RK4 steps",
     "snapshot-points-huge": "time steps / time.snapshot_every",
     "series-rows-huge": "time steps / time.snapshot_every",
-    "window-points-huge": "grid.n_points * window frames",
 }
 
 # Files that cannot be read as scenario text: each must exit 2, not 1.
@@ -322,49 +309,37 @@ class TestParser:
                            match=re.escape(MEMORY_BOUND_KEYS[case])):
             parse_scenario(bad_number_text(case))
 
-    def test_stored_state_gap_rejected_before_the_run(self):
-        # ck-ensemble stores every 1000th step of 1e-3: 1.0 apart, against
-        # 10 dt_traj = 0.1
-        text = (_load_workloads().build("ck-ensemble", 1).text
-                .replace("time.snapshot_every = 40",
-                         "time.snapshot_every = 1000")
-                .replace("time.t_final = 4.0", "time.t_final = 2.0"))
-        with pytest.raises(ValidationError) as info:
-            parse_scenario(text)
-        with pytest.raises(ValueError) as direct:
-            qt.check_frame_gap(1.0, 0.01)
-        assert info.value.key == "time.snapshot_every"
-        assert info.value.constraint == str(direct.value)
-        # the gap is that of the states a run stores: here only the initial
-        # and final ones, 0.5 apart, which is 10 dt_traj exactly
-        parse_scenario(QUICK_MATTER.replace("time.snapshot_every = 5",
-                                            "time.snapshot_every = 1000"))
-        cfg = builtin_scenario("kostin-relaxation")
-        assert cfg.snapshot_every * cfg.dt == 10 * cfg.ensemble["dt_traj"]
+    @pytest.mark.parametrize("dt_traj, every, steps", [
+        ("0.03", 5, 2),    # does not divide the 0.05 between states
+        ("0.01", 1000, 50),  # states 0.5 apart, 50 dt_traj
+        ("0.5", 1, 1),     # far above the 0.01 between states
+    ])
+    def test_any_dt_traj_validates_and_runs(self, tmp_path, dt_traj, every,
+                                            steps):
+        # each interval between stored states takes the fewest equal RK4
+        # steps no longer than dt_traj
+        text = (QUICK_MATTER
+                .replace("ensemble.dt_traj = 0.05",
+                         f"ensemble.dt_traj = {dt_traj}")
+                .replace("time.snapshot_every = 5",
+                         f"time.snapshot_every = {every}"))
+        cfg = parse_scenario(text)
+        spacing = min(every, 50) * cfg.dt
+        assert qt.rk4_steps(spacing, cfg.ensemble["dt_traj"]) == steps
+        art = run_scenario(cfg, out_dir=str(tmp_path / "out"))
+        assert art.manifest["failure_kind"] is None
+        assert art.manifest["stages"][1]["mesh_steps"] == -(-50 // every)
 
-    def test_window_holding_every_state_rejected(self):
-        # one mesh step over fig2c's run with every state stored: the march
-        # would hold all 4001 states of 32768 points, about 3.4 GB
-        text = (list_scenarios()["fig2c"][1]
-                .replace("time.snapshot_every = 40", "time.snapshot_every = 1")
-                .replace("ensemble.dt_traj = 0.01", "ensemble.dt_traj = 4.0"))
-        with pytest.raises(ValidationError) as info:
+    def test_trajectory_steps_bound_counts_the_rk4_steps(self, monkeypatch):
+        # QUICK_MATTER: 10 intervals of 0.05; at dt_traj = 1e-4 each takes
+        # 500 RK4 steps, so 6 x (5000 + 1) trajectory points
+        text = QUICK_MATTER.replace("ensemble.dt_traj = 0.05",
+                                    "ensemble.dt_traj = 1e-4")
+        monkeypatch.setattr(scenarios, "MAX_TRAJECTORY_POINTS", 6 * 5001)
+        parse_scenario(text)
+        monkeypatch.setattr(scenarios, "MAX_TRAJECTORY_POINTS", 6 * 5001 - 1)
+        with pytest.raises(ValidationError, match="RK4 steps"):
             parse_scenario(text)
-        assert info.value.key == "grid.n_points * window frames"
-        # a run of no steps marches nothing, so it holds no window
-        parse_scenario(QUICK_MATTER.replace("time.t_final = 0.5",
-                                            "time.t_final = 0.0"))
-
-    def test_window_counts_the_frames_around_a_mesh_step(self):
-        # states 0.01 apart, dt_traj = 0.05: 5 frames per mesh step plus 3
-        base = QUICK_MATTER.replace("time.snapshot_every = 5",
-                                    "time.snapshot_every = 1")
-        n_max = int(scenarios.MAX_WINDOW_POINTS) // 8
-        parse_scenario(base.replace("grid.n_points = 256",
-                                    f"grid.n_points = {n_max}"))
-        with pytest.raises(ValidationError, match="window frames"):
-            parse_scenario(base.replace("grid.n_points = 256",
-                                        f"grid.n_points = {n_max + 1}"))
 
     def test_run_without_ensemble_bounded_by_its_series_rows(self):
         # every state of an 8000-step fig2c is recorded, but with no
@@ -379,17 +354,6 @@ class TestParser:
                      "checks.required = norm_drift"))
         assert cfg.t_final == 8.0 and cfg.snapshot_every == 1
         assert cfg.ensemble["n_trajectories"] == 0
-
-    def test_dt_traj_off_grid_rejected_as_time_mesh_rejects_it(self):
-        with pytest.raises(ValidationError) as info:
-            parse_scenario(bad_number_text("dt_traj-off-grid"))
-        with pytest.raises(ValueError) as direct:
-            qt.time_mesh((0.0, 0.5), 0.03)
-        assert info.value.key == "ensemble.dt_traj"
-        assert info.value.constraint == str(direct.value)
-        # dt_traj is not read without an ensemble
-        parse_scenario(bad_number_text("dt_traj-off-grid").replace(
-            "ensemble.n_trajectories = 6", "ensemble.n_trajectories = 0"))
 
     def test_window_sigmas_scales_sigma(self):
         cfg = parse_scenario(QUICK_OPTICS + "slit1.window_sigmas = 1.5\n")
@@ -431,7 +395,7 @@ REJECTED = {
 
 # keys whose default _build derives from other keys: what it derives for the
 # table bases
-DERIVED = {MatterScenario: {"ensemble.dt_traj": "0.1"},  # 10 time.dt
+DERIVED = {MatterScenario: {"ensemble.dt_traj": "0.05"},  # the state spacing
            OpticsScenario: {"paths.z_start": "0.5 m"}}   # the first plane
 
 
@@ -583,7 +547,7 @@ def fiftieth_of_work_bounds(monkeypatch):
     headroom."""
     for name in ("MAX_MATTER_WORK", "MAX_OPTICS_WORK",
                  "MAX_TRAJECTORY_POINTS", "MAX_PATH_POINTS",
-                 "MAX_SERIES_ROWS", "MAX_WINDOW_POINTS"):
+                 "MAX_SERIES_ROWS"):
         monkeypatch.setattr(scenarios, name, getattr(scenarios, name) / 50)
 
 

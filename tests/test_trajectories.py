@@ -15,8 +15,9 @@ from qstream import (ComplexField, GridSpec, InitialEnsemble,
                      tube_probability)
 from qstream.errors import NodeEncounter, ZeroDensity
 from qstream.propagators import PropagationRun, rate_factor, state_time
+from qstream.fields import lagrange_weights
 from qstream.trajectories import (BundleStream, VelocitySampler, _march,
-                                  time_mesh, write_bundle)
+                                  write_bundle)
 
 from conftest import max_abs, sym_grid
 
@@ -42,12 +43,11 @@ def plane_wave_run(k=2.0, t_final=3.0, n_snaps=31):
     return make_run(snaps, cfg)
 
 
-def march_one(x0, sampler, t_span, dt_traj):
+def march_one(x0, sampler, dt_traj):
     """(times, x, errors) of one trajectory from x0: the march a bundle
     runs, over a single row."""
-    times = time_mesh(t_span, dt_traj)
-    xs, errors, _, _ = _march(sampler, np.array([float(x0)]), times)
-    return times, xs[0], errors
+    xs, errors, _, _ = _march(sampler, np.array([float(x0)]), dt_traj)
+    return sampler.times, xs[0], errors
 
 
 # initial ensembles ---------------------------------------------------------
@@ -72,10 +72,31 @@ class TestSampling:
         assert max_abs(ens.positions + ens.positions[::-1]) < 1e-10
 
     def test_equal_spacing_scheme(self):
+        # the end positions are the quantile scheme's first and last: the
+        # 0.1 and 0.9 quantiles of a box on [-2, 2] whose trapezoid cdf
+        # gains 0.005 over each edge cell (total mass 4.01)
         g = sym_grid(10, 2001)
         rho = np.where(np.abs(g.x) <= 2, 1.0, 0.0)
         ens = sample_initial_positions(rho, g, 5, scheme="equal_spacing")
-        assert np.allclose(ens.positions, np.linspace(-2, 2, 5))
+        quantile = sample_initial_positions(rho, g, 5)
+        assert ens.positions[[0, -1]] == pytest.approx(
+            quantile.positions[[0, -1]], abs=1e-12)
+        assert np.allclose(ens.positions, np.linspace(-1.604, 1.604, 5),
+                           rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("sigma0", [1.0, 0.3])
+    @pytest.mark.parametrize("n", [2, 20, 100, 1000])
+    def test_equal_spacing_rows_start_where_v_is_defined(self, n, sigma0):
+        # the edges of the node mask, where rho is about 1e-12 of its peak,
+        # lost the end rows to NodeEncounter
+        g = sym_grid(10, 512)
+        run = propagate(gaussian_packet(g, C, sigma0),
+                        PropagatorConfig(dt=1e-2), 0.5, snapshot_every=5)
+        ens = sample_initial_positions(np.abs(run.snapshots[0].values) ** 2,
+                                       g, n, scheme="equal_spacing")
+        bundle = integrate_bundle(ens, run, dt_traj=0.05)
+        assert bundle.errors == ()
+        assert check_non_crossing(bundle).ok
 
     def test_zero_density_rejected(self):
         g = sym_grid(1, 64)
@@ -105,7 +126,7 @@ class TestIntegrateTrajectory:
     def test_plane_wave_advection(self):
         run = plane_wave_run()
         sampler = VelocitySampler.from_run(run, method="spectral")
-        _, x, errors = march_one(1.0, sampler, (0.0, 3.0), dt_traj=0.01)
+        _, x, errors = march_one(1.0, sampler, dt_traj=0.01)
         assert errors == [] and abs(x[-1] - 7.0) < 1e-10
 
     def test_stationary_state_static_trajectory(self):
@@ -115,7 +136,7 @@ class TestIntegrateTrajectory:
         run = propagate(gaussian_packet(g, C, math.sqrt(0.5)), cfg, 1.0,
                         snapshot_every=100)
         _, x, errors = march_one(0.5, VelocitySampler.from_run(run),
-                                 (0.0, 1.0), dt_traj=0.01)
+                                 dt_traj=0.01)
         assert errors == [] and max_abs(x - 0.5) < 1e-7
 
     def test_free_gaussian_scaling_law(self):
@@ -123,7 +144,7 @@ class TestIntegrateTrajectory:
         run = propagate(gaussian_packet(g, C, 1.0),
                         PropagatorConfig(dt=1e-3), 2.0, snapshot_every=2)
         t, x, errors = march_one(1.0, VelocitySampler.from_run(run),
-                                 (0.0, 2.0), dt_traj=0.01)
+                                 dt_traj=0.01)
         expect = np.sqrt(1.0 + (t / 2.0) ** 2)
         assert errors == [] and max_abs(x - expect) < 1e-5
 
@@ -152,8 +173,7 @@ class TestOrderOfAccuracy:
         sampler = VelocitySampler.from_run(run)
         ends = {}
         for dt_traj in (0.04, 0.01, 0.0025):
-            ends[dt_traj] = march_one(1.0, sampler, (0.0, 2.0),
-                                      dt_traj)[1][-1]
+            ends[dt_traj] = march_one(1.0, sampler, dt_traj)[1][-1]
         e_coarse = abs(ends[0.04] - ends[0.0025])
         e_fine = abs(ends[0.01] - ends[0.0025])
         assert e_coarse / e_fine > 50.0
@@ -180,25 +200,62 @@ def _reference_space(sampler, i_snap, xq):
     return np.where(cubic_ok, cubic, linear), cubic_ok | (ok[j] & ok[j + 1])
 
 
-def _reference_sample(sampler, xq, t):
+def _reference_sample(sampler, xq, t, i):
+    """The Lagrange sum in t, term by term, of the per-snapshot values over
+    snapshots i - 1 .. i + 2, shifted inside the run."""
     times = sampler.times
-    i = min(max(np.searchsorted(times, t) - 1, 0), len(times) - 2)
-    w = min(max((t - times[i]) / (times[i + 1] - times[i]), 0.0), 1.0)
-    v0, ok0 = _reference_space(sampler, i, xq)
-    v1, ok1 = _reference_space(sampler, i + 1, xq)
-    return rate_factor(sampler.config, t) * ((1 - w) * v0 + w * v1), ok0 & ok1
+    s = min(max(i - 1, 0), len(times) - 4)
+    w = lagrange_weights(t, times[s:s + 4])
+    v, ok = 0.0, True
+    for a in range(4):
+        v_a, ok_a = _reference_space(sampler, s + a, xq)
+        v, ok = v + w[a] * v_a, ok & ok_a
+    return rate_factor(sampler.config, t) * v, ok
 
 
 class TestVelocitySampler:
     @staticmethod
     def _assert_matches_oracle(sampler, xq):
         times = sampler.times
-        for t in np.concatenate((times, times[:-1] + 0.3 * np.diff(times),
-                                 [times[0] - 0.1, times[-1] + 0.1])):
-            v, ok = sampler.sample(xq, t)
-            v_ref, ok_ref = _reference_sample(sampler, xq, t)
-            assert np.array_equal(ok, ok_ref)
-            assert np.array_equal(v, v_ref)
+        for i in range(len(times) - 1):
+            for t in times[i] + np.array([0.0, 0.3, 1.0]) * (times[i + 1]
+                                                            - times[i]):
+                v, ok = sampler.sample(xq, t, i)
+                v_ref, ok_ref = _reference_sample(sampler, xq, t, i)
+                assert np.array_equal(ok, ok_ref)
+                assert np.array_equal(v, v_ref)
+
+    @pytest.mark.parametrize("times, intervals", [
+        ([0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6], (0, 2, 5)),  # first, interior, last
+        ([0.0, 0.1, 0.2, 0.3, 0.4, 0.45], (0, 3, 4)),     # a short last one
+        ([0.0, 0.1, 0.15], (0, 1)),                       # 3 states: quadratic
+        ([0.0, 0.1], (0,)),                               # 2 states: linear
+    ])
+    def test_reproduces_a_field_cubic_in_x_and_t(self, times, intervals):
+        # the product of a cubic in x and a polynomial in t of the degree
+        # the states can carry (cubic from four on), which the tensor
+        # Lagrange stencil reproduces to rounding wherever the four x nodes
+        # lie inside the grid
+        degree = min(3, len(times) - 1)
+        coeffs = np.array([1.0, -1.0, 2.0, -3.0])[:degree + 1]
+
+        def field(x, t):
+            return ((1 + x - 0.5 * x ** 2 + 0.3 * x ** 3)
+                    * np.polyval(coeffs[::-1], t))
+
+        g = GridSpec(-2.0, 2.0, 41)
+        times = np.array(times)
+        v = np.array([field(g.x, t) for t in times])
+        sampler = VelocitySampler(g, PropagatorConfig(), times, v,
+                                  np.ones_like(v, dtype=bool))
+        xq = np.random.default_rng(5).uniform(g.x_min + g.dx,
+                                              g.x_max - 2 * g.dx, 50)
+        for i in intervals:
+            for t in times[i] + np.array([0.0, 0.25, 0.6, 1.0]) * (
+                    times[i + 1] - times[i]):
+                got, ok = sampler.sample(xq, t, i)
+                assert ok.all()
+                assert max_abs(got - field(xq, t)) < 1e-13
 
     def test_shared_stencil_matches_per_snapshot_oracle_beside_nodes(self):
         # two colliding packets: interference nodes inside the support
@@ -242,17 +299,10 @@ class TestBundles:
         ens = sample_initial_positions(rho0, g, 12)
         sampler = VelocitySampler.from_run(run)
         bundle = integrate_bundle(ens, run, dt_traj=0.01, sampler=sampler)
-        t_span = (sampler.times[0], sampler.times[-1])
-        oracle = np.vstack([march_one(x0, sampler, t_span, dt_traj=0.01)[1]
+        oracle = np.vstack([march_one(x0, sampler, dt_traj=0.01)[1]
                             for x0 in ens.positions])
         assert np.array_equal(bundle.xs, oracle)
         assert bundle.errors == ()
-
-    def test_snapshot_gap_guard(self):
-        run = plane_wave_run(n_snaps=4)  # gap = 1.0
-        ens = InitialEnsemble(np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            integrate_bundle(ens, run, dt_traj=0.01)
 
     def test_escaping_trajectory_recorded_not_fatal(self):
         run = plane_wave_run()  # v = 2, domain [0, ~12.57], t up to 3
@@ -267,19 +317,19 @@ class TestBundles:
         assert abs(bundle.xs[0, -1] - 7.0) < 1e-10
 
     def test_node_encounter_recorded_not_fatal(self):
-        run = plane_wave_run()  # v = 2: over t in [0, 1] only row 1 crosses 4
+        # v = 2: over t in [0, 1] only row 1 crosses 4
+        run = plane_wave_run(t_final=1.0, n_snaps=11)
         sampler = VelocitySampler.from_run(run, method="spectral")
         sampler.ok[:, (sampler.grid.x > 3.9) & (sampler.grid.x < 4.1)] = False
         ens = InitialEnsemble(np.array([0.5, 3.0, 4.5]))
-        bundle = integrate_bundle(ens, run, dt_traj=0.01, t_span=(0.0, 1.0),
-                                  sampler=sampler)
+        bundle = integrate_bundle(ens, run, dt_traj=0.01, sampler=sampler)
         assert [e[:2] for e in bundle.errors] == [(1, "NodeEncounter")]
         assert np.all(np.isnan(bundle.xs[1]))
         for row in (0, 2):
             _, oracle, errors = march_one(ens.positions[row], sampler,
-                                          (0.0, 1.0), dt_traj=0.01)
+                                          dt_traj=0.01)
             assert errors == [] and np.array_equal(bundle.xs[row], oracle)
-        _, _, errors = march_one(3.0, sampler, (0.0, 1.0), dt_traj=0.01)
+        _, _, errors = march_one(3.0, sampler, dt_traj=0.01)
         assert [type(exc) for _, exc in errors] == [NodeEncounter]
         # only row 1 met the band, once; its halvings all failed
         assert (bundle.fallback_rows, bundle.halvings) == (1, 0)
@@ -290,12 +340,13 @@ class TestBundles:
         # do not.  One fallback row-step, 1 + 2 halvings.
         class Decay:
             grid = GridSpec(-2.0, 2.0, 101)
+            times = np.array([0.0, 0.1])
 
-            def sample(self, x, t):
+            def sample(self, x, t, i):
                 return -50.0 * x, x > 0
 
         xs, errors, fallback_rows, halvings = _march(
-            Decay(), np.array([1.0, -1.0]), np.array([0.0, 0.1]))
+            Decay(), np.array([1.0, -1.0]), 0.1)
         assert [(row, type(exc)) for row, exc in errors] == [
             (1, NodeEncounter)]
         assert (fallback_rows, halvings) == (2, 3)
@@ -332,9 +383,7 @@ def streamed_and_stored(psi0, cfg, t_final, snapshot_every, dt_traj,
     the same propagation with every stored state kept."""
     rho0 = np.abs(psi0.values) ** 2
     ens = sample_initial_positions(rho0, psi0.grid, n_traj)
-    n_steps = round((t_final - psi0.time) / cfg.dt)
-    stream = BundleStream(ens, psi0.grid, cfg, dt_traj, (
-        psi0.time, state_time(psi0.time, cfg.dt, n_steps)))
+    stream = BundleStream(ens, psi0.grid, cfg, dt_traj)
     streamed_run = propagate(psi0, cfg, t_final, snapshot_every,
                              consumers=(stream,))
     assert len(streamed_run.snapshots) == 2
@@ -352,10 +401,12 @@ def assert_same_bundle(a, b):
 
 class TestBundleStream:
     @pytest.mark.parametrize("t_final, snapshot_every, dt_traj", [
-        (0.4, 2, 0.01),    # states 0.002 apart: denser than the mesh
-        (0.4, 40, 0.01),   # states 0.04 apart: sparser than the mesh
+        (0.4, 2, 0.01),    # states 0.002 apart: one RK4 step each
+        (0.4, 40, 0.01),   # states 0.04 apart: four RK4 steps each
         (0.5, 30, 0.01),   # the last two states only 0.02 apart
-        (0.5, 7, 0.025),   # states and mesh times never meet
+        (0.5, 7, 0.025),   # a last interval of 0.003 after 0.007 ones
+        (0.4, 40, 0.015),  # dt_traj does not divide 0.04: three steps
+        (0.5, 30, 0.07),   # dt_traj above the state spacing
     ])
     def test_equals_stored_snapshots_bit_for_bit(self, t_final,
                                                  snapshot_every, dt_traj):
@@ -374,10 +425,9 @@ class TestBundleStream:
         # values from every stored density
         sampler = VelocitySampler.from_run(run)
         xs, errors, fallback_rows, halvings = _march(
-            sampler, ens.positions, streamed.times)
+            sampler, ens.positions, dt_traj)
         assert state_time(0.0, cfg.dt, run.steps) == sampler.times[-1]
-        assert np.array_equal(streamed.times, time_mesh(
-            (0.0, sampler.times[-1]), dt_traj))
+        assert np.array_equal(streamed.times, sampler.times)
         assert np.array_equal(streamed.xs, xs)
         assert (errors, fallback_rows, halvings) == ([], 0, 0)
         assert np.array_equal(streamed.tubes,
@@ -393,10 +443,9 @@ class TestBundleStream:
         sampler.v[:] = -50.0 * (x - 7.0)
         sampler.ok[:] = x > 6.0
         ens = InitialEnsemble(np.array([5.0, 8.0, 9.0]))
-        bundle = integrate_bundle(ens, run, dt_traj=0.1, t_span=(0.0, 1.5),
-                                  sampler=sampler)
+        bundle = integrate_bundle(ens, run, dt_traj=0.1, sampler=sampler)
         xs, errors, fallback_rows, halvings = _march(sampler, ens.positions,
-                                                     bundle.times)
+                                                     0.1)
         assert np.array_equal(bundle.xs, xs, equal_nan=True)
         assert bundle.errors == tuple(
             (row, type(exc).__name__, str(exc)) for row, exc in errors)
@@ -409,12 +458,12 @@ class TestBundleStream:
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_halved_steps_past_a_frame_match_the_oracle(self, stride):
-        # frames exactly at every (stride-th) mesh time, and an equilibrium
+        # frames 0.1 (one RK4 step) or 0.2 (two) apart, and an equilibrium
         # 7 +- 0.8 that flips from frame to frame, so rows keep taking the
-        # halving fallback; its halves end at (t + h) + h, which rounds
-        # past t + dt (0.55 + 0.05 > 0.6), where the window must already
-        # hold the frame after the one at t + dt
-        mesh = time_mesh((0.0, 1.6), 0.1)
+        # halving fallback; its halves end at (t + h) + h, which may round
+        # past the interval's end (0.55 + 0.05 > 0.6), and must still read
+        # that interval's four frames
+        mesh = np.linspace(0.0, 1.6, 17)
         times = mesh[::stride]
         wave = plane_wave_run(t_final=1.6, n_snaps=len(times))
         run = make_run([ComplexField(s.grid, s.values, time=t)
@@ -424,99 +473,79 @@ class TestBundleStream:
         for i in range(len(times)):
             sampler.v[i] = -30.0 * (x - 7.0 - 0.8 * (-1) ** i)
         sampler.ok[:] = x > 6.0
-        ens = InitialEnsemble(np.array([7.2, 8.0]))
+        ens = InitialEnsemble(np.array([7.2, 7.6]))
         bundle = integrate_bundle(ens, run, dt_traj=0.1, sampler=sampler)
         xs, errors, fallback_rows, halvings = _march(sampler, ens.positions,
-                                                     bundle.times)
-        assert np.array_equal(bundle.times, mesh)
+                                                     0.1)
+        assert np.array_equal(bundle.times, times)
         assert errors == [] and bundle.errors == ()
         assert bundle.fallback_rows == fallback_rows > 10
         assert np.array_equal(bundle.xs, xs)
 
-    def test_mesh_beyond_the_states_matches_the_oracle(self):
-        # a span that starts before the first state and ends after the last
-        # holds v and rho at the nearest state, as one sampler over every
-        # state does
-        run = plane_wave_run(k=0.5, t_final=1.0, n_snaps=11)
-        sampler = VelocitySampler.from_run(run, method="spectral")
-        ens = InitialEnsemble(np.array([1.0, 2.0, 3.0]))
-        run.snapshots[:] = [ComplexField(s.grid, s.values * (1 + 0.1 * i),
-                                         s.time + 0.1)
-                            for i, s in enumerate(run.snapshots)]
-        sampler.times = sampler.times + 0.1
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no 0/0 between equal times
-            bundle = integrate_bundle(ens, run, dt_traj=0.01,
-                                      t_span=(0.0, 1.3), sampler=sampler)
-        xs, errors, _, _ = _march(sampler, ens.positions, bundle.times)
-        assert np.array_equal(bundle.xs, xs) and errors == []
-        tubes = tube_probability(bundle, run)
-        assert np.isfinite(tubes).all()
-        assert np.array_equal(bundle.tubes, tubes)
-
     def test_streamed_states_match_the_oracle_when_a_row_leaves(self):
         run = plane_wave_run()  # v = 2, domain [0, ~12.57], t up to 3
         ens = InitialEnsemble(np.array([1.0, 2.0, 8.0]))
-        stream = BundleStream(ens, run.snapshots[0].grid, run.config, 0.01,
-                              (0.0, 3.0))
+        stream = BundleStream(ens, run.snapshots[0].grid, run.config, 0.01)
         for snap in run.snapshots:
             stream(snap)
         streamed = stream.finish()
         sampler = VelocitySampler.from_run(run)
         assert_same_bundle(streamed, integrate_bundle(
             ens, run, dt_traj=0.01, sampler=sampler))
-        xs, errors, _, _ = _march(sampler, ens.positions, streamed.times)
+        xs, errors, _, _ = _march(sampler, ens.positions, 0.01)
         assert np.array_equal(streamed.xs, xs, equal_nan=True)
         assert [e[:2] for e in streamed.errors] == [(2, "LeftDomain")]
         assert np.array_equal(streamed.tubes, tube_probability(streamed, run),
                               equal_nan=True)
+
+    @staticmethod
+    def _streamed_peaks(g, cfg, psi0, runs, dt_traj):
+        """The traced peak of a streamed march for each (t_final, every) of
+        runs, after one untraced warm-up run, so that no peak holds what
+        the first run of the process allocates once."""
+        peaks = {}
+        for (t_final, every), traced in [(runs[0], False)] + [
+                (r, True) for r in runs]:
+            if traced:
+                tracemalloc.start()
+            try:
+                ens = sample_initial_positions(np.abs(psi0.values) ** 2, g,
+                                               8)
+                stream = BundleStream(ens, g, cfg, dt_traj)
+                propagate(psi0, cfg, t_final, every, consumers=(stream,))
+                stream.finish()
+                if traced:
+                    peaks[t_final, every] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        return peaks
 
     def test_memory_does_not_grow_with_stored_states(self):
         # 10x the stored states (1001 against 101) may raise the traced
         # peak by at most 5 % of their 7.4 MB
         g = sym_grid(12, 512)
         cfg = PropagatorConfig(dt=1e-3)
-        psi0 = gaussian_packet(g, C, 1.0)
-        peaks = {}
-        for every in (10, 1):
-            tracemalloc.start()
-            try:
-                ens = sample_initial_positions(np.abs(psi0.values) ** 2, g,
-                                               8)
-                stream = BundleStream(ens, g, cfg, 0.01, (0.0, state_time(
-                    0.0, cfg.dt, 1000)))
-                propagate(psi0, cfg, 1.0, every, consumers=(stream,))
-                stream.finish()
-                peaks[every] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        peaks = self._streamed_peaks(g, cfg, gaussian_packet(g, C, 1.0),
+                                     [(1.0, 10), (1.0, 1)], 0.01)
         extra_bytes = 900 * g.n_points * 16
-        assert peaks[1] - peaks[10] < 0.05 * extra_bytes
+        assert peaks[1.0, 1] - peaks[1.0, 10] < 0.05 * extra_bytes
 
     def test_memory_holds_one_mesh_interval_of_dense_states(self):
-        # states 50x denser than the mesh: the window holds about 50 + 3
-        # frames, each 17 B a point (v, ok, rho) plus 9 B in the sampler's
-        # stacked v and ok, however many mesh steps the run takes
+        # states 50x denser: the window still holds the four frames of one
+        # interval's stencil, 17 B a point each (v, ok, rho), however dense
+        # the states and however many intervals the run takes
         g = sym_grid(12, 512)
         cfg = PropagatorConfig(dt=1e-3)
-        psi0 = gaussian_packet(g, C, 1.0)
-        peaks = {}
-        for t_final, every in ((0.3, 50), (0.3, 1), (1.2, 1)):
-            n_steps = round(t_final / cfg.dt)
-            tracemalloc.start()
-            try:
-                ens = sample_initial_positions(np.abs(psi0.values) ** 2, g,
-                                               8)
-                stream = BundleStream(ens, g, cfg, 0.05, (0.0, state_time(
-                    0.0, cfg.dt, n_steps)))
-                propagate(psi0, cfg, t_final, every, consumers=(stream,))
-                stream.finish()
-                peaks[t_final, every] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        window_bytes = (50 + 3) * 26 * g.n_points
-        assert peaks[0.3, 1] - peaks[0.3, 50] < 1.25 * window_bytes
-        # 4x the mesh steps and 900 more stored states (7.4 MB as states)
+        peaks = self._streamed_peaks(g, cfg, gaussian_packet(g, C, 1.0),
+                                     [(0.3, 50), (0.3, 1), (1.2, 1)], 0.05)
+        window_bytes = 4 * 17 * g.n_points
+        # 294 more stored states: each adds its series row (40 B) and the
+        # bundle's time, 8 positions and 7 tube values, up to twice over
+        # while their arrays double
+        rows_bytes = 294 * 2 * (40 + 16 * 8)
+        assert (peaks[0.3, 1] - peaks[0.3, 50]
+                < 1.25 * (window_bytes + rows_bytes))
+        # 4x the intervals and 900 more stored states (7.4 MB as states)
         extra_bytes = 900 * g.n_points * 16
         assert peaks[1.2, 1] - peaks[0.3, 1] < 0.05 * extra_bytes
 
@@ -539,6 +568,14 @@ class TestNonCrossing:
         t_bad, pair = report.first_violation
         assert t_bad == pytest.approx(0.5)
         assert pair == 0
+
+    def test_every_row_failed_is_not_ok_without_a_warning(self):
+        times = np.linspace(0, 1, 11)
+        xs = np.full((2, 11), np.nan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = check_non_crossing(TrajectoryBundle(times, xs))
+        assert not report.ok and math.isnan(report.min_gap)
 
     def test_single_trajectory_trivially_passes(self):
         times = np.linspace(0, 1, 11)
@@ -605,15 +642,3 @@ class TestEnsembleDensityConsistency:
                         for x in final])
         empirical = (np.arange(256) + 0.5) / 256
         assert max_abs(cdf - empirical) < 0.05
-
-
-def test_time_mesh_hits_endpoints():
-    mesh = time_mesh((0.0, 1.0), 0.25)
-    assert mesh[0] == 0.0
-    assert mesh[-1] == 1.0
-    assert len(mesh) == 5
-
-
-def test_time_mesh_rejects_a_step_that_does_not_divide_the_span():
-    with pytest.raises(ValueError, match="whole number of steps"):
-        time_mesh((0.0, 1.0), 0.3)
