@@ -2,17 +2,15 @@
 ensembles, and electromagnetic energy streamlines."""
 
 from .fields import (ComplexField, GridSpec, PhysicalConstants, PolarFields,
-                     VelocityField, expectation_energy, gaussian_packet, norm,
-                     polar_compose, polar_decompose, probability_current,
-                     quantum_potential, velocity_field)
-from .propagators import (ClassicalCKState, PotentialSpec, PropagatorConfig,
-                          analytic_gaussian_oracle, classical_ck_trajectory,
-                          damped_oscillator, propagate, step)
+                     VelocityField, gaussian_packet, norm, polar_decompose,
+                     probability_current, quantum_potential, velocity_field)
+from .propagators import (PotentialSpec, PropagatorConfig,
+                          analytic_gaussian_oracle, damped_oscillator,
+                          propagate, step)
 from .trajectories import (InitialEnsemble, TrajectoryBundle,
                            check_non_crossing, integrate_bundle,
                            sample_initial_positions, tube_probability)
 from .optics import (OpticalScene, SlitSpec, fresnel_propagate,
-                     initial_two_slit_field, photon_path_bundle,
-                     transverse_momentum)
+                     photon_path_bundle, transverse_momentum)
 
 __version__ = "0.1.0"

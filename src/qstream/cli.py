@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: run <scenario-file|name>, list, validate <file>,
-emit-defaults <name>.  Exit codes: 0 success, 2 parse/validation failure,
-3 required-check failure, 4 runtime numeric failure.
+emit-defaults <name>.  Exit codes: 0 success, 2 parse/validation failure
+or an output directory that cannot be made, 3 required-check failure,
+4 numeric or file failure in a stage of the run.
 """
 
 from __future__ import annotations
@@ -51,7 +52,9 @@ def _cmd_run(args) -> int:
     try:
         artifacts = run_scenario(config, out_dir=args.out_dir,
                                  required_checks=required)
-    except ValidationError as exc:  # an unknown --required-checks name
+    except (ValidationError, OSError) as exc:
+        # an unknown --required-checks name, or an --out-dir that cannot be
+        # made or take the manifest
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     for entry in artifacts.manifest["checks"]:
@@ -60,7 +63,7 @@ def _cmd_run(args) -> int:
         print(f"check {entry['name']}: {status}  value={entry['value']:g}"
               f"{req}")
     print(f"wrote {len(artifacts.files)} files to {artifacts.out_dir}")
-    if artifacts.failure_kind == "numeric":
+    if artifacts.failure_kind in ("numeric", "io"):
         stage = artifacts.manifest["stages"][-1]
         print(f"error: stage {stage['name']} failed: {stage['error']}",
               file=sys.stderr)

@@ -9,24 +9,12 @@ class AllBelowThreshold(QStreamError):
     """Density is below the node threshold everywhere; phase is undefined."""
 
 
-class NegativeDensity(QStreamError):
-    """A density field contains negative values."""
-
-
-class NotNormalized(QStreamError):
-    """Operation requires a unit-norm wavefunction."""
-
-
 class StabilityViolation(QStreamError):
     """Time step violates the configured stability/accuracy bound."""
 
 
 class PhaseUndefined(QStreamError):
     """Phase-dependent stepper got a state with no above-threshold support."""
-
-
-class UnsupportedPotential(QStreamError):
-    """The classical Caldirola-Kanai integrator needs a harmonic potential."""
 
 
 class LeftDomain(QStreamError):

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AllBelowThreshold, NegativeDensity, NotNormalized
+from .errors import AllBelowThreshold
 
 NODE_THRESHOLD = 1e-12
 # text tables are formatted and written ROW_CHUNK rows at a time, so no
@@ -118,7 +118,6 @@ class PolarFields:
     grid: GridSpec
     rho: np.ndarray
     S: np.ndarray
-    time: float = 0.0
     valid: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -139,7 +138,6 @@ class VelocityField:
     grid: GridSpec
     v: np.ndarray
     valid: np.ndarray
-    time: float = 0.0
 
 
 def node_mask(rho: np.ndarray) -> np.ndarray:
@@ -217,15 +215,7 @@ def polar_decompose(psi: ComplexField,
         raise AllBelowThreshold("density below node threshold everywhere")
     i0 = int(np.argmax(rho))
     phase = _unwrap_phase(np.angle(psi.values), valid, i0)
-    return PolarFields(psi.grid, rho, constants.hbar * phase, psi.time, valid)
-
-
-def polar_compose(polar: PolarFields, constants: PhysicalConstants) -> ComplexField:
-    """Inverse Madelung map: values = rho^{1/2} exp(iS/hbar)."""
-    if np.any(polar.rho < 0):
-        raise NegativeDensity("rho must be nonnegative")
-    values = np.sqrt(polar.rho) * np.exp(1j * polar.S / constants.hbar)
-    return ComplexField(polar.grid, values, polar.time)
+    return PolarFields(psi.grid, rho, constants.hbar * phase, valid)
 
 
 def probability_current(psi: ComplexField, constants: PhysicalConstants,
@@ -246,7 +236,7 @@ def velocity_field(psi: ComplexField, constants: PhysicalConstants,
     J = probability_current(psi, constants, method=method)
     v = np.full(psi.grid.n_points, np.nan)
     v[valid] = J[valid] / rho[valid]
-    return VelocityField(psi.grid, v, valid, psi.time)
+    return VelocityField(psi.grid, v, valid)
 
 
 def quantum_potential(psi: ComplexField,
@@ -269,15 +259,6 @@ def kinetic_energy(psi: ComplexField, constants: PhysicalConstants) -> float:
     T = -constants.hbar ** 2 / (2.0 * constants.mass)
     integrand = np.conj(psi.values) * T * lap
     return float(np.real(np.trapezoid(integrand, dx=psi.grid.dx)))
-
-
-def expectation_energy(psi: ComplexField, potential: np.ndarray,
-                       constants: PhysicalConstants) -> float:
-    """<T> + <V> for a unit-norm state."""
-    if abs(norm(psi) - 1.0) > 1e-6:
-        raise NotNormalized("expectation_energy requires a unit-norm state")
-    V = np.trapezoid(potential * np.abs(psi.values) ** 2, dx=psi.grid.dx)
-    return kinetic_energy(psi, constants) + float(V)
 
 
 def expectation_position(psi: ComplexField) -> float:

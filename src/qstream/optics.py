@@ -1,5 +1,6 @@
-"""Scalar two-slit optics: Fresnel propagation, EM field assembly, energy
-density / Poynting vector, and electromagnetic energy streamlines.
+"""Scalar two-slit optics: Fresnel propagation, the Poynting vector and
+energy density of the field (`poynting_field`), and electromagnetic energy
+streamlines.
 
 The aperture is a sum of (optionally window-truncated) Gaussian slits.
 The field behind the plate is the paraxial Fresnel integral
@@ -21,11 +22,11 @@ H = (i/omega mu0)(dpsi/dz e_x - dpsi/dx e_z).
 
 The scene is built one plane at a time.  `fresnel_propagate` hands each
 plane's psi and gradients to its consumers and keeps none of them, and
-`PoyntingField.add_plane` turns them into that plane's row of the
-(Sx, Sz, U) lattice, 24 B per lattice point, the only whole-scene array a
-run holds.  A plane's transform and field arrays live only while it is
-built, so memory grows with the lattice and not with three complex
-fields over the whole scene.
+`PoyntingField.add_plane` turns them, by `poynting_field`, into that
+plane's row of the (Sx, Sz, U) lattice, 24 B per lattice point, the only
+whole-scene array a run holds.  A plane's transform and field arrays live
+only while it is built, so memory grows with the lattice and not with
+three complex fields over the whole scene.
 """
 
 from __future__ import annotations
@@ -102,17 +103,6 @@ class OpticalScene:
         if not self.slits:
             raise EmptyScene("scene has no slits")
         return sum(s.amplitude(x) for s in self.slits)
-
-
-def initial_two_slit_field(scene: OpticalScene) -> np.ndarray:
-    """Aperture field on the transverse grid, renormalized to unit norm
-    after any window truncation."""
-    x = scene.transverse_grid.x
-    psi = scene.aperture_amplitude(x).astype(complex)
-    n = np.trapezoid(np.abs(psi) ** 2, dx=scene.transverse_grid.dx)
-    if n <= 0:
-        raise EmptyScene("aperture transmits no amplitude")
-    return psi / np.sqrt(n)
 
 
 def source_points(scene: OpticalScene, source_dx: float = None) -> tuple:
@@ -224,36 +214,21 @@ class FresnelEvaluator:
         return s0, psi_x, psi_z
 
 
-@dataclass(frozen=True)
-class EMFields:
-    """Spatial parts of the E-polarized field components (envelope gauge)."""
-
-    E_y: np.ndarray
-    H_x: np.ndarray
-    H_z: np.ndarray
-
-
-def assemble_em_fields(psi: np.ndarray, psi_x: np.ndarray, psi_z: np.ndarray,
-                       scene: OpticalScene) -> EMFields:
-    """E = psi e_y, H = (i/omega mu0)(dpsi/dz e_x - dpsi/dx e_z), with the
-    carrier exp(ikz) reinstated in the z derivative."""
+def poynting_field(psi: np.ndarray, psi_x: np.ndarray, psi_z: np.ndarray,
+                   scene: OpticalScene) -> tuple:
+    """(Sx, Sz, U) from the envelope field and its gradients: the fields
+    E = psi e_y and H = (i/omega mu0)(dpsi/dz e_x - dpsi/dx e_z), with the
+    carrier exp(ikz) reinstated in the z derivative, give the time-averaged
+    S = (1/2) Re(E x H*) and U = (1/4)(eps0 E.E* + mu0 H.H*)."""
     pref = 1j / (scene.omega * MU0)
-    return EMFields(E_y=np.asarray(psi),
-                    H_x=pref * (psi_z + 1j * scene.k * psi),
-                    H_z=-pref * psi_x)
-
-
-def energy_density(em: EMFields) -> np.ndarray:
-    """U = (1/4)(eps0 E.E* + mu0 H.H*)."""
-    return 0.25 * (EPS0 * np.abs(em.E_y) ** 2
-                   + MU0 * (np.abs(em.H_x) ** 2 + np.abs(em.H_z) ** 2))
-
-
-def poynting(em: EMFields) -> tuple:
-    """Time-averaged S = (1/2) Re(E x H*); returns (Sx, Sz)."""
-    Sx = 0.5 * np.real(em.E_y * np.conj(em.H_z))
-    Sz = -0.5 * np.real(em.E_y * np.conj(em.H_x))
-    return Sx, Sz
+    E_y = np.asarray(psi)
+    H_x = pref * (psi_z + 1j * scene.k * psi)
+    H_z = -pref * psi_x
+    Sx = 0.5 * np.real(E_y * np.conj(H_z))
+    Sz = -0.5 * np.real(E_y * np.conj(H_x))
+    U = 0.25 * (EPS0 * np.abs(E_y) ** 2
+                + MU0 * (np.abs(H_x) ** 2 + np.abs(H_z) ** 2))
+    return Sx, Sz, U
 
 
 def transverse_momentum(Sx: np.ndarray, Sz: np.ndarray,
@@ -321,9 +296,8 @@ class PoyntingField:
     def add_plane(self, i, z, psi, psi_x, psi_z) -> None:
         """Fill lattice plane i from the envelope field and its gradients
         on that plane."""
-        em = assemble_em_fields(psi, psi_x, psi_z, self.scene)
-        self.Sx[i], self.Sz[i] = poynting(em)
-        self.U[i] = energy_density(em)
+        self.Sx[i], self.Sz[i], self.U[i] = poynting_field(
+            psi, psi_x, psi_z, self.scene)
 
     def sample(self, x, z):
         return tuple(_lattice_sample(self._lattice, self.scene, x, z))
@@ -340,10 +314,7 @@ class ExactPoyntingSampler:
         self.x_bounds, self.z_bounds = (g.x_min, g.x_max), (z[0], z[-1])
 
     def sample(self, x, z):
-        psi, psi_x, psi_z = self.evaluator.evaluate(x, z)
-        em = assemble_em_fields(psi, psi_x, psi_z, self.scene)
-        Sx, Sz = poynting(em)
-        return Sx, Sz, energy_density(em)
+        return poynting_field(*self.evaluator.evaluate(x, z), self.scene)
 
 
 @dataclass(frozen=True)
@@ -352,10 +323,6 @@ class PhotonPath:
     x: np.ndarray
     z: np.ndarray
     stagnated: bool = False
-
-    @property
-    def proper_time(self):
-        return self.s / C_LIGHT
 
 
 def _flow(sampler, x, z):

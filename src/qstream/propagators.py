@@ -55,7 +55,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import fields as qf
-from .errors import PhaseUndefined, StabilityViolation, UnsupportedPotential
+from .errors import PhaseUndefined, StabilityViolation
 from .fields import ComplexField, GridSpec, PhysicalConstants
 
 STABILITY_SAFETY = 0.5
@@ -123,13 +123,6 @@ class PropagatorConfig:
             # the exp(gamma t) potential coefficient grows without bound,
             # so dissipative CK runs must declare their horizon up front
             raise ValueError("caldirola_kanai with gamma > 0 requires t_final")
-
-
-@dataclass(frozen=True)
-class ClassicalCKState:
-    x: float
-    p: float
-    t: float
 
 
 def check_stability(psi: ComplexField, config: PropagatorConfig) -> None:
@@ -657,28 +650,3 @@ def damped_oscillator(x0, v0, omega0: float, gamma: float, t):
     S = t * lead.real if lam == 0 else (-lead * rest / (2.0 * lam)).real
     return (x0 * C + (v0 + 0.5 * gamma * x0) * S,
             v0 * C - (omega0 ** 2 * x0 + 0.5 * gamma * v0) * S)
-
-
-def classical_ck_trajectory(state0: ClassicalCKState, config: PropagatorConfig,
-                            t_final: float = None, n_samples: int = 400):
-    """Physical (x, p) along x'' + gamma x' + omega0^2 (x - center) = 0, to
-    which Hamilton's equations in (X, P = p e^{gamma t}) reduce; the
-    physical energy then decays as E0 exp(-gamma t)."""
-    if config.potential.kind != "harmonic":
-        raise UnsupportedPotential("classical CK needs a harmonic V")
-    t_final = config.t_final if t_final is None else t_final
-    if t_final is None:
-        raise ValueError("t_final required (argument or config.t_final)")
-    m, pot = config.constants.mass, config.potential
-    t = np.linspace(state0.t, t_final, n_samples)
-    x, v = damped_oscillator(state0.x - pot.center, state0.p / m, pot.omega0,
-                             config.gamma, t - state0.t)
-    return [ClassicalCKState(float(xi + pot.center), float(m * vi), float(ti))
-            for xi, vi, ti in zip(x, v, t)]
-
-
-def classical_ck_energy(states, config: PropagatorConfig) -> np.ndarray:
-    """Physical energy p^2/2m + V(x) along a classical CK trajectory."""
-    m, pot = config.constants.mass, config.potential
-    x, p = np.array([(s.x, s.p) for s in states]).T
-    return p ** 2 / (2.0 * m) + 0.5 * m * pot.omega0 ** 2 * (x - pot.center) ** 2

@@ -930,11 +930,12 @@ def _record_check(manifest, name, value, threshold, passed, required):
 
 def run_scenario(config: MatterScenario | OpticsScenario, out_dir=None,
                  required_checks=None) -> RunArtifacts:
-    """Run a scenario end to end; the manifest is always written, even on
-    partial failure.  required_checks, when given, replaces the config's
-    checks.required and must name checks of the scenario's kind
-    (ValidationError before anything runs).  manifest.json holds null
-    where the returned manifest holds a nan or inf."""
+    """Run a scenario end to end; once out_dir is made (OSError if it
+    cannot be), the manifest is always written, even on partial failure.
+    required_checks, when given, replaces the config's checks.required and
+    must name checks of the scenario's kind (ValidationError before
+    anything runs).  manifest.json holds null where the returned manifest
+    holds a nan or inf."""
     if required_checks is not None:
         _enforce(config.keys["checks"]["required"], "checks.required",
                  required_checks)
@@ -961,11 +962,12 @@ def run_scenario(config: MatterScenario | OpticsScenario, out_dir=None,
     start = _time.perf_counter()
     try:
         config._run(out_dir, required, manifest, files)
-    except _RUN_ERRORS as exc:
+    except (*_RUN_ERRORS, OSError) as exc:
         if manifest["stages"]:
             manifest["stages"][-1]["status"] = "failed"
             manifest["stages"][-1]["error"] = f"{type(exc).__name__}: {exc}"
-        manifest["failure_kind"] = "numeric"
+        manifest["failure_kind"] = ("io" if isinstance(exc, OSError)
+                                    else "numeric")
     if manifest["failure_kind"] is None:
         recorded = {c["name"] for c in manifest["checks"]}
         for name in required:

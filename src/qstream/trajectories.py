@@ -52,7 +52,7 @@ class TrajectoryBundle:
     errors: tuple = ()
     fallback_rows: int = 0  # row-steps that took the scalar halving fallback
     halvings: int = 0       # step halvings made by those that succeeded
-    tubes: np.ndarray = None  # tube probabilities, when marched by a stream
+    tubes: np.ndarray = None  # tube probabilities, for two or more rows
 
 
 def _cdf(rho: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -391,8 +391,9 @@ def check_non_crossing(bundle: TrajectoryBundle) -> NonCrossingReport:
     min_gap = float(np.nanmin(gaps))
     if min_gap > 0:
         return NonCrossingReport(True, min_gap)
-    bad = np.argwhere(~(gaps > 0))
-    i, k = bad[np.argmin(bad[:, 1])] if bad.size else (0, 0)
+    # NaN gaps beside a failed row are no violation
+    bad = np.argwhere(gaps <= 0)
+    i, k = bad[np.argmin(bad[:, 1])]
     return NonCrossingReport(False, min_gap, (float(bundle.times[k]), int(i)))
 
 

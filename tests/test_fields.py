@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 
 from qstream import (ComplexField, GridSpec, PhysicalConstants,
-                     expectation_energy, gaussian_packet, norm, polar_compose,
+                     PotentialSpec, PropagatorConfig, gaussian_packet, norm,
                      polar_decompose, probability_current, quantum_potential,
                      velocity_field)
-from qstream.errors import (AllBelowThreshold, NegativeDensity, NotNormalized)
+from qstream.errors import AllBelowThreshold
 from qstream.fields import (ROW_CHUNK, _unwrap_phase, derivative,
                             format_rows, kinetic_energy, node_mask,
                             position_spread, require_finite, write_rows,
                             write_snapshot)
+from qstream.propagators import physical_energy
 
 from conftest import max_abs, sym_grid
 
@@ -165,26 +166,25 @@ class TestUnwrapPhase:
                 <= 1e-12
 
 
+def compose(rho, S):
+    """The inverse Madelung map rho^{1/2} exp(iS/hbar)."""
+    return np.sqrt(rho) * np.exp(1j * S / C.hbar)
+
+
 class TestPolarCompose:
+    """polar_decompose undoes the inverse Madelung map."""
+
     def test_unit_density_zero_action(self):
         g = sym_grid(1, 64)
-        from qstream.fields import PolarFields
-        out = polar_compose(PolarFields(g, np.ones(64), np.zeros(64)), C)
-        assert np.allclose(out.values, 1.0)
+        p = polar_decompose(ComplexField(g, compose(np.ones(64),
+                                                    np.zeros(64))), C)
+        assert np.all(p.rho == 1.0) and np.all(p.S == 0.0)
 
     def test_plane_wave_from_linear_action(self):
         g = sym_grid(1, 64)
-        from qstream.fields import PolarFields
-        out = polar_compose(PolarFields(g, np.ones(64), C.hbar * 2 * g.x), C)
-        assert max_abs(out.values - np.exp(2j * g.x)) < 1e-12
-
-    def test_negative_density_rejected(self):
-        g = sym_grid(1, 64)
-        from qstream.fields import PolarFields
-        rho = np.ones(64)
-        rho[5] = -1e-3
-        with pytest.raises(NegativeDensity):
-            polar_compose(PolarFields(g, rho, np.zeros(64)), C)
+        S = C.hbar * 2 * g.x
+        p = polar_decompose(ComplexField(g, compose(np.ones(64), S)), C)
+        assert max_abs(p.S - S) < 1e-12
 
     def test_round_trip_two_gaussian_superposition(self):
         g = sym_grid(12, 2048)
@@ -194,11 +194,11 @@ class TestPolarCompose:
         psi = ComplexField(g, vals / math.sqrt(
             np.trapezoid(np.abs(vals) ** 2, dx=g.dx)))
         p = polar_decompose(psi, C)
-        out = polar_compose(p, C)
+        out = compose(p.rho, p.S)
         # identity up to a global phase on above-threshold points
         i0 = int(np.argmax(p.rho))
-        phase = psi.values[i0] / out.values[i0]
-        err = (out.values * phase - psi.values)[p.valid]
+        phase = psi.values[i0] / out[i0]
+        err = (out * phase - psi.values)[p.valid]
         assert max_abs(err) < 1e-10
 
 
@@ -346,30 +346,29 @@ class TestNorm:
 
 
 class TestExpectationEnergy:
+    """<T> + <V> of Gaussian states by propagators.physical_energy."""
+
+    HARMONIC = PropagatorConfig(potential=PotentialSpec("harmonic",
+                                                        omega0=1.0))
+
     def test_oscillator_ground_state(self):
         g = sym_grid(8, 1024)
         psi = gaussian_packet(g, C, sigma0=math.sqrt(0.5))
-        V = 0.5 * g.x ** 2
-        assert expectation_energy(psi, V, C) == pytest.approx(0.5, abs=1e-4)
+        assert physical_energy(psi, self.HARMONIC) == pytest.approx(0.5,
+                                                                     abs=1e-4)
 
     def test_boosted_broad_gaussian(self):
         g = sym_grid(30, 4096)
         sigma = 2.0
         psi = gaussian_packet(g, C, sigma0=sigma, p0=2.0)
-        E = expectation_energy(psi, np.zeros(g.n_points), C)
+        E = physical_energy(psi, PropagatorConfig())
         assert E == pytest.approx(2.0 + 1.0 / (8 * sigma ** 2), rel=1e-8)
 
     def test_displaced_coherent_state(self):
         g = sym_grid(8, 1024)
         psi = gaussian_packet(g, C, sigma0=math.sqrt(0.5), x0=1.0)
-        V = 0.5 * g.x ** 2
-        assert expectation_energy(psi, V, C) == pytest.approx(1.0, abs=1e-4)
-
-    def test_requires_normalized_state(self):
-        g = sym_grid(8, 1024)
-        psi = ComplexField(g, 2.0 * gaussian_packet(g, C, 1.0).values)
-        with pytest.raises(NotNormalized):
-            expectation_energy(psi, np.zeros(g.n_points), C)
+        assert physical_energy(psi, self.HARMONIC) == pytest.approx(1.0,
+                                                                     abs=1e-4)
 
 
 class TestNodeMask:

@@ -1,5 +1,5 @@
-"""Fresnel two-slit propagation, EM assembly, Poynting fields, and
-energy-streamline tracing."""
+"""Fresnel two-slit propagation, the Poynting vector and energy density,
+and energy-streamline tracing."""
 
 import functools
 import math
@@ -13,13 +13,12 @@ from scipy.constants import c as C_LIGHT, epsilon_0 as EPS0, mu_0 as MU0
 
 import qstream
 from qstream import (GridSpec, OpticalScene, SlitSpec, fresnel_propagate,
-                     initial_two_slit_field, photon_path_bundle,
-                     transverse_momentum)
+                     photon_path_bundle, transverse_momentum)
 from qstream.errors import EmptyScene, LeftDomain, ResolutionViolation
 from qstream.optics import (ExactPoyntingSampler, FresnelEvaluator,
-                            _fast_len, _lattice_sample, assemble_em_fields,
-                            energy_density, gaussian_beam_intensity,
-                            poynting, write_plane_profile, write_paths)
+                            _fast_len, _lattice_sample,
+                            gaussian_beam_intensity, poynting_field,
+                            source_points, write_plane_profile, write_paths)
 from qstream.scenarios import _launch_positions, builtin_scenario
 
 from conftest import fresnel_planes, max_abs, poynting_lattice
@@ -115,33 +114,48 @@ class TestSceneTypes:
 
 
 class TestInitialField:
+    """The aperture field as a run samples it: the scene's aperture
+    amplitude, normalized by the Fresnel source weights."""
+
+    @staticmethod
+    def unit_norm(ev):
+        dxs = ev.x_src[1] - ev.x_src[0]
+        return np.sum(np.abs(ev.weights) ** 2) / dxs
+
     def test_single_untruncated_slit_is_normalized_gaussian(self):
         scene = single_slit_scene()
-        psi = initial_two_slit_field(scene)
         x = scene.transverse_grid.x
         ref = (2 * np.pi * (0.3 * MM) ** 2) ** -0.25 \
             * np.exp(-x ** 2 / (4 * (0.3 * MM) ** 2))
-        ref /= math.sqrt(np.trapezoid(ref ** 2, dx=scene.transverse_grid.dx))
-        assert max_abs(psi - ref) < 1e-9 * ref.max()
+        assert max_abs(scene.aperture_amplitude(x) - ref) < 1e-12 * ref.max()
+        ev = FresnelEvaluator(scene, source_dx=4e-6)
+        assert self.unit_norm(ev) == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric_scene_field_even(self):
-        psi = initial_two_slit_field(symmetric_scene())
-        assert max_abs(psi - psi[::-1]) < 1e-12 * np.abs(psi).max()
+        scene = symmetric_scene()
+        a = scene.aperture_amplitude(scene.transverse_grid.x)
+        assert max_abs(a - a[::-1]) < 1e-12 * np.abs(a).max()
 
     def test_truncated_field_zero_outside_windows(self):
         scene = symmetric_scene(window=1.5 * 0.3 * MM)
-        psi = initial_two_slit_field(scene)
+
+        def outside(x):
+            return (np.abs(x - 2.35 * MM) > 1.5 * 0.3 * MM) \
+                & (np.abs(x + 2.35 * MM) > 1.5 * 0.3 * MM)
+
         x = scene.transverse_grid.x
-        outside = (np.abs(x - 2.35 * MM) > 1.5 * 0.3 * MM) \
-            & (np.abs(x + 2.35 * MM) > 1.5 * 0.3 * MM)
-        assert np.all(psi[outside] == 0.0)
-        n = np.trapezoid(np.abs(psi) ** 2, dx=scene.transverse_grid.dx)
-        assert n == pytest.approx(1.0, abs=1e-9)
+        assert np.all(scene.aperture_amplitude(x)[outside(x)] == 0.0)
+        ev = FresnelEvaluator(scene, source_dx=4e-6)
+        assert np.any(outside(ev.x_src))
+        assert np.all(ev.weights[outside(ev.x_src)] == 0.0)
+        assert self.unit_norm(ev) == pytest.approx(1.0, abs=1e-9)
 
     def test_empty_scene_rejected(self):
         scene = OpticalScene((), LAMBDA, GridSpec(-1, 1, 64), (1.0,))
         with pytest.raises(EmptyScene):
-            initial_two_slit_field(scene)
+            source_points(scene)
+        with pytest.raises(EmptyScene):
+            scene.aperture_amplitude(scene.transverse_grid.x)
 
 
 # propagation ---------------------------------------------------------------
@@ -184,10 +198,10 @@ class TestFresnelPropagation:
             "import sys\n"
             "import qstream.cli\n"
             "assert 'logging' not in sys.modules\n"
-            "from qstream import (ClassicalCKState, GridSpec, OpticalScene, "
-            "PotentialSpec, PropagatorConfig, SlitSpec, "
-            "classical_ck_trajectory, fresnel_propagate, gaussian_packet, "
-            "photon_path_bundle, propagate)\n"
+            "from qstream import (GridSpec, OpticalScene, PotentialSpec, "
+            "PropagatorConfig, SlitSpec, damped_oscillator, "
+            "fresnel_propagate, gaussian_packet, photon_path_bundle, "
+            "propagate)\n"
             "from qstream.fields import kinetic_energy, spectral_derivative\n"
             "from qstream.optics import PoyntingField\n"
             "scene = OpticalScene((SlitSpec(3e-4),), 943e-9, "
@@ -197,8 +211,7 @@ class TestFresnelPropagation:
             "photon_path_bundle([-1e-4, 1e-4], 0.5, pf, ds=0.1)\n"
             "cfg = PropagatorConfig(potential=PotentialSpec('harmonic', "
             "omega0=1.0), gamma=0.3)\n"
-            "classical_ck_trajectory(ClassicalCKState(1.0, 0.0, 0.0), cfg, "
-            "t_final=5.0)\n"
+            "damped_oscillator(1.0, 0.0, 1.0, 0.3, [0.0, 2.5, 5.0])\n"
             "psi = gaussian_packet(GridSpec(-8.0, 8.0, 256), cfg.constants, "
             "1.0)\n"
             "run = propagate(psi, PropagatorConfig('caldirola_kanai', "
@@ -235,7 +248,7 @@ def test_fast_len_equals_scipy_next_fast_len():
         assert _fast_len(n) == next_fast_len(n), n
 
 
-# EM assembly and derived fields -------------------------------------------
+# Poynting vector, energy density and derived fields -----------------------
 
 class TestEMFields:
     def test_constants_equal_scipy(self):
@@ -244,17 +257,18 @@ class TestEMFields:
         assert qstream.optics.MU0 == MU0
 
     @staticmethod
-    def plane_wave_em(scene, n=64):
-        psi = np.ones(n, dtype=complex)
+    def plane_wave(scene, n=64):
+        """(Sx, Sz, U) of the unit plane wave along z: E = 1, no gradient
+        of the envelope."""
         zeros = np.zeros(n, dtype=complex)
-        return assemble_em_fields(psi, zeros, zeros, scene)
+        return poynting_field(np.ones(n, dtype=complex), zeros, zeros, scene)
 
     def test_plane_wave_impedance(self):
-        scene = single_slit_scene()
-        em = self.plane_wave_em(scene)
-        ratio = np.abs(em.E_y) / np.abs(em.H_x)
-        assert max_abs(ratio - math.sqrt(MU0 / EPS0)) < 1e-8 * ratio.max()
-        assert max_abs(em.H_z) == 0.0
+        # |H| = |E| / Z0 with Z0 = sqrt(mu0 / eps0): Sz = |E|^2 / (2 Z0)
+        Sx, Sz, _ = self.plane_wave(single_slit_scene())
+        z0 = math.sqrt(MU0 / EPS0)
+        assert max_abs(Sz - 0.5 / z0) < 1e-8 * Sz.max()
+        assert max_abs(Sx) == 0.0
 
     def test_standing_wave_no_transverse_flow(self):
         scene = single_slit_scene()
@@ -262,31 +276,26 @@ class TestEMFields:
         x = np.linspace(-1 * MM, 1 * MM, 501)
         psi = np.cos(kx * x).astype(complex)
         psi_x = -kx * np.sin(kx * x).astype(complex)
-        em = assemble_em_fields(psi, psi_x, np.zeros_like(psi), scene)
-        Sx, _ = poynting(em)
+        Sx, _, _ = poynting_field(psi, psi_x, np.zeros_like(psi), scene)
         assert max_abs(Sx) < 1e-30
 
     def test_plane_wave_energy_density_halves(self):
-        scene = single_slit_scene()
-        em = self.plane_wave_em(scene)
-        U = energy_density(em)
-        assert np.allclose(U, 0.5 * EPS0, rtol=1e-12)
-        electric = 0.25 * EPS0 * np.abs(em.E_y) ** 2
+        # U = eps0/2 for |E| = 1, half of it electric and half magnetic
+        _, _, U = self.plane_wave(single_slit_scene())
+        assert np.allclose(U, 0.5 * EPS0, rtol=1e-9, atol=0.0)
+        electric = 0.25 * EPS0
         magnetic = U - electric
-        assert np.allclose(electric, magnetic, rtol=1e-12)
+        assert np.allclose(magnetic, electric, rtol=1e-9, atol=0.0)
 
     def test_null_field_zero_energy(self):
         scene = single_slit_scene()
-        em = assemble_em_fields(np.zeros(8), np.zeros(8), np.zeros(8), scene)
-        assert np.all(energy_density(em) == 0.0)
+        _, _, U = poynting_field(np.zeros(8), np.zeros(8), np.zeros(8), scene)
+        assert np.all(U == 0.0)
 
     def test_plane_wave_poynting_transport(self):
-        scene = single_slit_scene()
-        em = self.plane_wave_em(scene)
-        Sx, Sz = poynting(em)
-        U = energy_density(em)
+        Sx, Sz, U = self.plane_wave(single_slit_scene())
         assert max_abs(Sx) == 0.0
-        assert np.allclose(Sz, C_LIGHT * U, rtol=1e-8)
+        assert np.allclose(Sz, C_LIGHT * U, rtol=1e-8, atol=0.0)
 
     def test_tilted_plane_wave_transverse_momentum(self):
         scene = single_slit_scene()
@@ -296,9 +305,7 @@ class TestEMFields:
         psi = np.exp(1j * k * math.sin(theta) * x)
         psi_x = 1j * k * math.sin(theta) * psi
         psi_z = 1j * k * (math.cos(theta) - 1.0) * psi
-        em = assemble_em_fields(psi, psi_x, psi_z, scene)
-        Sx, Sz = poynting(em)
-        kx = transverse_momentum(Sx, Sz, energy_density(em))
+        kx = transverse_momentum(*poynting_field(psi, psi_x, psi_z, scene))
         assert max_abs(kx - math.sin(theta)) < 1e-6
 
     def test_transverse_momentum_invalid_where_dark(self):
@@ -319,10 +326,6 @@ class TestPhotonPaths:
         assert max_abs(path.x - 0.3) == 0.0
         assert np.allclose(np.diff(path.z), 0.5)
         assert path.z[-1] >= sampler.z_bounds[1]
-
-    def test_proper_time_convention(self):
-        [path] = photon_path_bundle([0.0], 0.0, ConstantFlowSampler(), ds=1.0)
-        assert np.allclose(path.proper_time, path.s / C_LIGHT)
 
     def test_start_outside_domain_rejected(self):
         with pytest.raises(LeftDomain):
@@ -465,8 +468,7 @@ class TestStreamedPlanes:
         scene = symmetric_scene()
         psi, psi_x, psi_z = (np.array(a) for a in zip(
             *(p[2:] for p in fresnel_planes(scene, source_dx=8e-6))))
-        em = assemble_em_fields(psi, psi_x, psi_z, scene)
-        oracle = (*poynting(em), energy_density(em))
+        oracle = poynting_field(psi, psi_x, psi_z, scene)
         pf = poynting_lattice(scene, source_dx=8e-6)
         for got, want in zip((pf.Sx, pf.Sz, pf.U), oracle):
             assert np.array_equal(got, want)

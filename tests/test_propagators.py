@@ -7,19 +7,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qstream import (ClassicalCKState, ComplexField, PhysicalConstants,
-                     PotentialSpec, PropagatorConfig, analytic_gaussian_oracle,
-                     classical_ck_trajectory, gaussian_packet, propagate,
-                     step)
+from qstream import (ComplexField, PhysicalConstants, PotentialSpec,
+                     PropagatorConfig, analytic_gaussian_oracle,
+                     gaussian_packet, propagate, step)
 from qstream import fields as qf, propagators
 from qstream.errors import (AllBelowThreshold, PhaseUndefined,
-                            StabilityViolation, UnsupportedPotential,
-                            ValidationError)
+                            StabilityViolation, ValidationError)
 from qstream.fields import node_mask, norm, position_spread
 from qstream.propagators import (_Transform, _friction_potential,
                                  _mirrored_phase_factor, _phase_factor,
                                  _split_step, check_stability,
-                                 classical_ck_energy, damped_oscillator,
+                                 damped_oscillator,
                                  fft_shape, free_gaussian_width,
                                  largest_prime_factor, physical_energy,
                                  state_time, whole_steps)
@@ -957,23 +955,26 @@ class TestDampedOscillator:
 # classical dissipative trajectory -----------------------------------------
 
 class TestClassicalTrajectory:
+    """x'' + gamma x' + omega0^2 x = 0, to which Hamilton's equations of
+    the classical Caldirola-Kanai Hamiltonian reduce; at m = 1 the physical
+    energy is v^2/2 + omega0^2 x^2/2, and it decays as E0 exp(-gamma t)."""
+
+    @staticmethod
+    def energy(x, v, omega0=OMEGA0):
+        return v ** 2 / 2.0 + 0.5 * omega0 ** 2 * x ** 2
+
     def test_frictionless_energy_conserved(self):
-        cfg = PropagatorConfig(model="standard", potential=HARMONIC, dt=1e-3)
-        states = classical_ck_trajectory(ClassicalCKState(1.0, 0.0, 0.0),
-                                         cfg, t_final=20.0)
-        E = classical_ck_energy(states, cfg)
+        w = HARMONIC.omega0
+        x, v = damped_oscillator(1.0, 0.0, w, 0.0,
+                                 np.linspace(0.0, 20.0, 400))
+        E = self.energy(x, v, w)
         assert max_abs(E - E[0]) < 1e-8
 
     def test_stroboscopic_exponential_decay(self):
         gamma = 0.3 * OMEGA0
-        pot = PotentialSpec("harmonic", omega0=OMEGA0)
-        cfg = PropagatorConfig(model="caldirola_kanai", potential=pot,
-                               gamma=gamma, dt=1e-3, t_final=40.0)
         wt = math.sqrt(OMEGA0 ** 2 - gamma ** 2 / 4.0)
-        state0 = ClassicalCKState(2.0, 0.0, 0.0)
-        states = classical_ck_trajectory(state0, cfg, t_final=3.0 / gamma)
-        E = classical_ck_energy(states, cfg)
-        t = np.array([s.t for s in states])
+        t = np.linspace(0.0, 3.0 / gamma, 400)
+        E = self.energy(*damped_oscillator(2.0, 0.0, OMEGA0, gamma, t))
         # sampled once per half pseudo-period the decay law is exact
         for n in range(1, int(3.0 / gamma / (math.pi / wt)) + 1):
             tn = n * math.pi / wt
@@ -982,26 +983,11 @@ class TestClassicalTrajectory:
                                        rel=1e-4)
 
     def test_overdamped_position_monotone_after_one_extremum(self):
-        pot = PotentialSpec("harmonic", omega0=OMEGA0)
-        cfg = PropagatorConfig(model="caldirola_kanai", potential=pot,
-                               gamma=4.0 * OMEGA0, dt=1e-3, t_final=20.0)
-        states = classical_ck_trajectory(ClassicalCKState(2.0, 1.0, 0.0),
-                                         cfg, t_final=20.0, n_samples=2000)
-        x = np.array([s.x for s in states])
+        x, _ = damped_oscillator(2.0, 1.0, OMEGA0, 4.0 * OMEGA0,
+                                 np.linspace(0.0, 20.0, 2000))
         dx = np.diff(x)
         sign_changes = np.count_nonzero(np.diff(np.sign(dx[dx != 0])) != 0)
         assert sign_changes <= 1
-
-    def test_requires_horizon(self):
-        cfg = PropagatorConfig(model="standard", potential=HARMONIC, dt=1e-3)
-        with pytest.raises(ValueError):
-            classical_ck_trajectory(ClassicalCKState(1.0, 0.0, 0.0), cfg)
-
-    def test_unsupported_potential(self):
-        cfg = PropagatorConfig(model="standard", dt=1e-3)
-        with pytest.raises(UnsupportedPotential):
-            classical_ck_trajectory(ClassicalCKState(1.0, 0.0, 0.0), cfg,
-                                    t_final=1.0)
 
 
 def test_physical_energy_ck_uses_damped_kinetic_term():

@@ -1052,6 +1052,31 @@ class TestCli:
         assert code == 4
         assert "failed" in capsys.readouterr().err
 
+    def test_out_dir_that_cannot_be_made_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("a file\n")
+        assert cli.main(["run", "oracle-gaussian-beam", "--out-dir",
+                         str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert out.read_text() == "a file\n"
+        assert os.listdir(tmp_path) == ["out"]
+
+    def test_file_error_in_a_stage_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "plane_000.txt").mkdir(parents=True)
+        assert cli.main(["run", "oracle-gaussian-beam", "--out-dir",
+                         str(out)]) == 4
+        assert "stage fresnel failed" in capsys.readouterr().err
+        m = strict_json((out / "manifest.json").read_text())
+        assert m["failure_kind"] == "io"
+        [stage] = m["stages"]
+        assert stage["name"] == "fresnel" and stage["status"] == "failed"
+        assert stage["error"].startswith("IsADirectoryError: ")
+        assert "plane_000.txt" in stage["error"]
+        assert m["files"] == []
+        assert sorted(os.listdir(out)) == ["manifest.json", "plane_000.txt"]
+
     @pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
     def test_bad_number_exit_code(self, tmp_path, case):
         path = tmp_path / "s.cfg"

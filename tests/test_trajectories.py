@@ -569,6 +569,16 @@ class TestNonCrossing:
         assert t_bad == pytest.approx(0.5)
         assert pair == 0
 
+    def test_failed_row_is_not_the_first_violation(self):
+        # the NaN gaps beside the failed row 1 are no crossing; the only
+        # one is pair 2 at t = 2
+        times = np.array([0.0, 1.0, 2.0])
+        xs = np.array([[0.0, 0.0, 0.0], [np.nan] * 3, [2.0, 2.0, 2.0],
+                       [3.0, 3.0, 1.5]])
+        report = check_non_crossing(TrajectoryBundle(times, xs))
+        assert not report.ok and report.min_gap == -0.5
+        assert report.first_violation == (2.0, 2)
+
     def test_every_row_failed_is_not_ok_without_a_warning(self):
         times = np.linspace(0, 1, 11)
         xs = np.full((2, 11), np.nan)
