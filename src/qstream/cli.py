@@ -3,7 +3,7 @@
 Subcommands: run <scenario-file|name>, list, validate <file>,
 emit-defaults <name>.  Exit codes: 0 success, 2 parse/validation failure
 or an output directory that cannot be made, 3 required-check failure,
-4 numeric or file failure in a stage of the run.
+4 numeric or file failure in a stage of the run or in writing its manifest.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def _cmd_run(args) -> int:
                                  required_checks=required)
     except (ValidationError, OSError) as exc:
         # an unknown --required-checks name, or an --out-dir that cannot be
-        # made or take the manifest
+        # made
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     for entry in artifacts.manifest["checks"]:

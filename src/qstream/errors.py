@@ -37,6 +37,10 @@ class ResolutionViolation(QStreamError):
     """Transverse grid cannot resolve the finest fringe at the nearest plane."""
 
 
+class ManifestWriteError(QStreamError):
+    """A run's manifest.json could not be written after its stages ran."""
+
+
 class ParseError(QStreamError):
     """Scenario text could not be parsed."""
 

@@ -109,7 +109,6 @@ class PropagatorConfig:
     potential: PotentialSpec = dc_field(default_factory=PotentialSpec)
     gamma: float = 0.0
     dt: float = 1e-3
-    t_final: float = None
 
     def __post_init__(self):
         if self.model not in MODELS:
@@ -118,11 +117,6 @@ class PropagatorConfig:
             raise ValueError("gamma must be >= 0")
         if self.dt <= 0:
             raise ValueError("dt must be > 0")
-        if (self.model == "caldirola_kanai" and self.gamma > 0
-                and self.t_final is None):
-            # the exp(gamma t) potential coefficient grows without bound,
-            # so dissipative CK runs must declare their horizon up front
-            raise ValueError("caldirola_kanai with gamma > 0 requires t_final")
 
 
 def check_stability(psi: ComplexField, config: PropagatorConfig) -> None:
@@ -167,6 +161,12 @@ def whole_steps(t0: float, t_final: float, dt: float) -> int:
         raise ValueError(f"(t_final - t0) / dt = {steps!r} "
                          "is not a whole number of steps")
     return n_steps
+
+
+def state_count(n_steps: int, every: int) -> int:
+    """The number of states a run of n_steps hands out: the first, every
+    `every`-th and the last."""
+    return -(-n_steps // every) + 1
 
 
 def state_time(t0: float, dt: float, i: int) -> float:
@@ -388,9 +388,7 @@ def _stepper(grid: GridSpec, config: PropagatorConfig):
 
     if config.model == "caldirola_kanai" and gamma > 0:
         def advance(values: np.ndarray, t: float) -> np.ndarray:
-            t_mid, t_next = t + 0.5 * dt, t + dt
-            if t_next > config.t_final + 0.5 * dt:
-                raise StabilityViolation("stepping past the declared t_final")
+            t_mid = t + 0.5 * dt
             return _split_step(values,
                                half_potential(math.exp(gamma * t_mid) * V),
                                kinetic(math.exp(-gamma * t_mid)), transform)
@@ -553,9 +551,8 @@ def propagate(psi0: ComplexField, config: PropagatorConfig, t_final: float,
         check_stability(psi0, config)
     advance = _stepper(psi0.grid, config)
     snapshots = []
-    # one row for psi0, every snapshot_every-th step and the last step
     record = SeriesRecord(psi0.grid, config,
-                          -(-n_steps // snapshot_every) + 1)
+                          state_count(n_steps, snapshot_every))
     hand_out = (record, *((snapshots.append,) if consumers is None
                           else consumers))
     for consume in hand_out:

@@ -34,7 +34,8 @@ from . import fields as qf
 from . import optics as qo
 from . import propagators as qp
 from . import trajectories as qt
-from .errors import ParseError, QStreamError, ValidationError
+from .errors import (ManifestWriteError, ParseError, QStreamError,
+                     ValidationError)
 from .fields import ComplexField, GridSpec, PhysicalConstants
 from .optics import OpticalScene, SlitSpec
 from .propagators import PotentialSpec, PropagatorConfig
@@ -51,24 +52,25 @@ _UNITS = {"m": 1.0, "mm": 1e-3, "um": 1e-6, "nm": 1e-9}
 # two-slit scenes (31 planes x about 2640 points).
 MAX_MATTER_WORK = 1e10
 MAX_OPTICS_WORK = 1e7
-# Count bounds, checked at validation too: 500x the catalog's 20 trajectories
-# and 250x its 40 photon paths.
+# Count bounds, checked at validation too: 500x the catalog's 20 trajectories,
+# 250x its 40 photon paths, and 64x the 32768 points of fig2c's grid, the
+# largest matter grid (a state is 16 B a point).
 MAX_TRAJECTORIES = 10_000
 MAX_PATHS = 10_000
+MAX_GRID_POINTS = 2 ** 21
 # Memory bounds, checked at validation too.  Trajectory points are
 # trajectories x (RK4 steps + 1), which bounds both the march's work and the
 # trajectories x stored states the bundle holds (positions and tube values,
-# in arrays that double as states arrive, so up to 3x that while one
-# grows); 833x those of kostin-relaxation (20 x 601), the catalog maximum.  Path points are
-# paths x (z_last - z_start) / ds, 167x those of the two-slit scenes
-# (40 x 150).  Series rows are the states a matter run records, 999x those
-# of fig2a and fig3-superposition (1001); the run holds them in five
-# float64 columns, 40 B per row, so 40 MB at the bound.  The trajectory
-# march holds four frames of the grid, 17 B a point each, whatever the
-# states.  An optics run holds the (Sx, Sz, U) lattice, z planes x
-# grid.n_points at 24 B a point, which MAX_OPTICS_WORK bounds to about
-# 240 MB; each plane's transform and fields are freed once that plane is
-# written.
+# allocated up front); 833x those of kostin-relaxation (20 x 601), the
+# catalog maximum.  Path points are paths x (z_last - z_start) / ds, 167x
+# those of the two-slit scenes (40 x 150).  Series rows are the states a
+# matter run records, 999x those of fig2a and fig3-superposition (1001); the
+# run holds them in five float64 columns, 40 B per row, so 40 MB at the
+# bound.  The trajectory march holds four frames of the grid, 17 B a point
+# each, whatever the states.  An optics run holds the (Sx, Sz, U) lattice,
+# z planes x grid.n_points at 24 B a point, which MAX_OPTICS_WORK bounds to
+# about 240 MB; each plane's transform and fields are freed once that plane
+# is written.
 MAX_TRAJECTORY_POINTS = 1e7
 MAX_PATH_POINTS = 1e6
 MAX_SERIES_ROWS = 1e6
@@ -216,7 +218,9 @@ _MATTER_KEYS = {
                   "omega0": _Key(_conv_float, 0.0),
                   "center": _Key(_conv_float, 0.0)},
     "grid": {"x_min": _Key(_conv_float), "x_max": _Key(_conv_float),
-             "n_points": _Key(_conv_int)},
+             "n_points": _Key(_conv_int, rule=_must(
+                 lambda v: v <= MAX_GRID_POINTS,
+                 f"must be <= {MAX_GRID_POINTS}"))},
     "time": {"dt": _Key(_conv_float, rule=_POSITIVE),
              "t0": _Key(_conv_float, 0.0),
              "t_final": _Key(_conv_float),
@@ -355,10 +359,8 @@ class MatterScenario(_Scenario):
                     lambda: grid.n_points * max((t_final - t0) / dt, 1),
                     MAX_MATTER_WORK)
         n_steps = _valid("time", qp.whole_steps, t0, t_final, dt)
-        # the series records every snapshot_every-th step, the first and the
-        # last
-        _check_work("time steps / time.snapshot_every",
-                    lambda: -(-n_steps // snapshot_every) + 1,
+        n_states = qp.state_count(n_steps, snapshot_every)
+        _check_work("time steps / time.snapshot_every", lambda: n_states,
                     MAX_SERIES_ROWS)
         if not r["packet*"]:
             raise ValidationError("packet1.sigma0",
@@ -370,7 +372,7 @@ class MatterScenario(_Scenario):
             spacing = min(snapshot_every, n_steps) * dt
             _check_work("ensemble.n_trajectories * RK4 steps",
                         lambda: ensemble["n_trajectories"] * (
-                            -(-n_steps // snapshot_every) * qt.rk4_steps(
+                            (n_states - 1) * qt.rk4_steps(
                                 spacing, ensemble["dt_traj"]) + 1),
                         MAX_TRAJECTORY_POINTS)
         return dict(model=model["type"], gamma=model["gamma"],
@@ -385,8 +387,10 @@ class MatterScenario(_Scenario):
         ens = qt.sample_initial_positions(
             np.abs(psi0.values) ** 2, self.grid,
             self.ensemble["n_trajectories"], scheme=self.ensemble["scheme"])
+        n_steps = qp.whole_steps(self.t0, self.t_final, self.dt)
         return qt.BundleStream(ens, self.grid, config,
-                               self.ensemble["dt_traj"])
+                               self.ensemble["dt_traj"],
+                               qp.state_count(n_steps, self.snapshot_every))
 
     def _run(self, out_dir, required, manifest, files):
         feed = None  # hands the states to the trajectory stage
@@ -816,10 +820,9 @@ def initial_state(config: MatterScenario) -> ComplexField:
 
 
 def propagator_config(config: MatterScenario) -> PropagatorConfig:
-    t_final = config.t_final if config.model == "caldirola_kanai" else None
     return PropagatorConfig(model=config.model, constants=config.constants,
                             potential=config.potential, gamma=config.gamma,
-                            dt=config.dt, t_final=t_final)
+                            dt=config.dt)
 
 
 # the errors that fail a run as "numeric", in the stage that meets them
@@ -931,11 +934,11 @@ def _record_check(manifest, name, value, threshold, passed, required):
 def run_scenario(config: MatterScenario | OpticsScenario, out_dir=None,
                  required_checks=None) -> RunArtifacts:
     """Run a scenario end to end; once out_dir is made (OSError if it
-    cannot be), the manifest is always written, even on partial failure.
-    required_checks, when given, replaces the config's checks.required and
-    must name checks of the scenario's kind (ValidationError before
-    anything runs).  manifest.json holds null where the returned manifest
-    holds a nan or inf."""
+    cannot be), the manifest is always written, even on partial failure
+    (ManifestWriteError if it cannot be).  required_checks, when given,
+    replaces the config's checks.required and must name checks of the
+    scenario's kind (ValidationError before anything runs).  manifest.json
+    holds null where the returned manifest holds a nan or inf."""
     if required_checks is not None:
         _enforce(config.keys["checks"]["required"], "checks.required",
                  required_checks)
@@ -994,6 +997,8 @@ def run_scenario(config: MatterScenario | OpticsScenario, out_dir=None,
                       sort_keys=True, allow_nan=False)
             fh.write("\n")
         os.replace(tmp_path, manifest_path)
+    except OSError as exc:
+        raise ManifestWriteError(f"cannot write {manifest_path}: {exc}")
     finally:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)

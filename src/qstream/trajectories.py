@@ -11,9 +11,10 @@ exp(-gamma t); Kostin trajectories use the plain velocity of the evolving
 nonlinear state.
 
 A BundleStream marches an ensemble while the states are produced, holding
-only the four frames that an interval reads; integrate_bundle replays a
-run's stored snapshots through it.  A VelocitySampler over every snapshot
-is the random-access path, and `_march` steps any rows, one trajectory
+only the four frames that an interval reads, and marches each interval as
+soon as the last state of its time stencil (_stencil) arrives;
+integrate_bundle replays a run's stored snapshots through it.  A
+VelocitySampler over every snapshot is the random-access path, and `_march` steps any rows, one trajectory
 included, through it.
 
 Diagnostics, at every stored state: strict ordering (the non-crossing
@@ -98,12 +99,19 @@ def rk4_steps(gap: float, dt_traj: float) -> int:
     return max(1, math.ceil(gap / dt_traj * (1 - STEP_TOLERANCE)))
 
 
+def _stencil(i: int, n: int) -> slice:
+    """The states of interval i's time stencil among n states: i - 1 ..
+    i + 2, shifted inside the sequence at its two ends (all of them when
+    there are fewer than four)."""
+    m = min(4, n)
+    s = min(max(i - 1, 0), n - m)
+    return slice(s, s + m)
+
+
 class VelocitySampler:
     """v(x, t) from a snapshot sequence: cubic in x on valid points
     (shrinking to linear beside invalid nodes), and in t the Lagrange
-    polynomial through the snapshots i - 1 .. i + 2 around interval i,
-    shifted inside the sequence at its two ends (all of them when there
-    are fewer than four)."""
+    polynomial through the snapshots of interval i's _stencil."""
 
     def __init__(self, grid: GridSpec, config, times, v, ok):
         """A sampler over frames: their times, and their velocities (0
@@ -121,12 +129,6 @@ class VelocitySampler:
                    np.array([s.time for s in run.snapshots]),
                    np.asarray([v for v, _ in frames]),
                    np.asarray([ok for _, ok in frames]))
-
-    def _stencil(self, i: int) -> slice:
-        """The snapshots of interval i's time stencil."""
-        n = min(4, len(self.times))
-        s = min(max(i - 1, 0), len(self.times) - n)
-        return slice(s, s + n)
 
     def _space(self, rows: slice, xq: np.ndarray):
         """v and its ok flag at xq on the snapshots `rows`, as
@@ -151,7 +153,7 @@ class VelocitySampler:
     def sample(self, xq: np.ndarray, t: float, i: int):
         """(velocity, ok) arrays at xq and time t, on interval i (from
         snapshot i to i + 1); rate factor included."""
-        rows = self._stencil(i)
+        rows = _stencil(i, len(self.times))
         v, ok = self._space(rows, np.asarray(xq, dtype=float))
         w = qf.lagrange_weights(t, self.times[rows])
         rate = rate_factor(self.config, t)
@@ -183,26 +185,19 @@ def _step_with_halving(sampler, x: float, t: float, dt: float, i: int,
     return x, 1 + n1 + n2
 
 
-def _put_column(a: np.ndarray, k: int, column: np.ndarray) -> np.ndarray:
-    """a with column k set, its columns doubled first when k is past them:
-    a stream learns the number of states only at its end."""
-    if k == a.shape[1]:
-        a = np.concatenate((a, np.empty_like(a)), axis=1)
-    a[:, k] = column
-    return a
-
-
 class _March:
     """All rows marched from stored state to stored state, one RK4 call per
     step over the live rows; rows with an invalid velocity take the scalar
     halving fallback.  A row that meets a node or leaves the grid is dropped
     and NaN at every state.  Each interval(sampler, i, dt_traj) crosses the
-    sampler's interval i, so the sampler may change between intervals."""
+    sampler's interval i, so the sampler may change between intervals.  The
+    positions at all n_states states are allocated up front."""
 
-    def __init__(self, x0: np.ndarray):
+    def __init__(self, x0: np.ndarray, n_states: int):
         self.x = np.array(x0, dtype=float)
         self.live = np.arange(len(self.x))
-        self.xs = _put_column(np.empty((len(self.x), 1)), 0, self.x)
+        self.xs = np.empty((len(self.x), n_states))
+        self.xs[:, 0] = self.x
         self.k = 1  # states reached
         self.errors = []
         self.fallback_rows = self.halvings = 0
@@ -213,9 +208,8 @@ class _March:
         dt = (t1 - t0) / n_steps
         for k in range(n_steps):
             self._step(sampler, i, t0 + k * dt, dt)
-        column = np.full(len(self.xs), np.nan)
-        column[self.live] = self.x
-        self.xs = _put_column(self.xs, self.k, column)
+        self.xs[:, self.k] = np.nan
+        self.xs[self.live, self.k] = self.x
         self.k += 1
 
     def _step(self, sampler, i: int, t: float, dt: float) -> None:
@@ -245,15 +239,14 @@ class _March:
         [(row, exception), ...] of dropped rows, the number of row-steps
         sent to the fallback and the halvings it made."""
         self.errors.sort(key=lambda e: e[0])
-        xs = self.xs[:, :self.k]
-        xs[[row for row, _ in self.errors]] = np.nan
-        return xs, self.errors, self.fallback_rows, self.halvings
+        self.xs[[row for row, _ in self.errors]] = np.nan
+        return self.xs, self.errors, self.fallback_rows, self.halvings
 
 
 def _march(sampler: VelocitySampler, x0: np.ndarray, dt_traj: float):
     """The _March over every interval of one sampler; returns
     _March.result()."""
-    march = _March(x0)
+    march = _March(x0, len(sampler.times))
     for i in range(len(sampler.times) - 1):
         march.interval(sampler, i, dt_traj)
     return march.result()
@@ -266,29 +259,30 @@ def _enclosed(xk: np.ndarray, rho: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 class BundleStream:
-    """A trajectory bundle marched through the states of a run as they are
-    produced: call it on each stored state in time order, then finish().
+    """A trajectory bundle marched through the n_states stored states of a
+    run as they are produced: call it on each in time order, then finish().
 
     It holds the frames (v, ok, rho) of the last four states in
-    (4, n_points) arrays, which its samplers view.  Those four are the time
-    stencil of the interval that the latest state completes: interval i
-    once state i + 2 arrives (interval 0 too when state 3 arrives), and the
-    last interval at finish().  A VelocitySampler over every state picks
-    the same four, so the march and the tube values equal those over every
-    stored snapshot bit for bit, and the memory grows with neither the
-    number nor the density of the states.
+    (4, n_points) arrays, which its samplers view, and marches each
+    interval once the last state of its _stencil arrives: the frames held
+    are then that stencil, which a VelocitySampler over every state picks
+    too, so the march and the tube values equal those over every stored
+    snapshot bit for bit.  The positions and tube values are allocated up
+    front; the frames grow with neither the number nor the density of the
+    states.
     """
 
     def __init__(self, ensemble: InitialEnsemble, grid: GridSpec, config,
-                 dt_traj: float):
+                 dt_traj: float, n_states: int):
         self.grid, self.config, self.dt_traj = grid, config, dt_traj
         n = grid.n_points
         self._v, self._rho = np.empty((4, n)), np.empty((4, n))
         self._ok = np.empty((4, n), dtype=bool)
-        self._times = []  # of every state taken
+        self._times = np.empty(n_states)
+        self._taken = 0
         n_tubes = len(ensemble.positions) - 1
-        self._tubes = np.empty((n_tubes, 1)) if n_tubes else None
-        self._march = _March(ensemble.positions)
+        self._tubes = np.empty((n_tubes, n_states)) if n_tubes else None
+        self._march = _March(ensemble.positions, n_states)
 
     def __call__(self, psi) -> None:
         """Take the next stored state."""
@@ -299,57 +293,53 @@ class BundleStream:
              rho: np.ndarray) -> None:
         """Take the next frame: its time, velocity (0 where invalid),
         validity flags and density."""
-        k = len(self._times)
+        k, n = self._taken, len(self._times)
+        self._times[k] = time  # IndexError past the n_states-th state
         frames = (self._v, self._ok, self._rho)
         if k >= 4:
             for a in frames:
                 a[:3] = a[1:]
         for a, row in zip(frames, (v, ok, rho)):
             a[min(k, 3)] = row
-        self._times.append(time)
+        self._taken = k + 1
         if k == 0:
             self._tube(0)
-        elif k == 3:  # the first window: intervals 0 and 1
-            self._interval(0)
-            self._interval(1)
-        elif k > 3:  # interval k - 2, row 1 of the window
-            self._interval(1)
+        # the m frames held, states first .. k, are the stencil of every
+        # interval i whose stencil ends at state k
+        m = min(k + 1, 4)
+        first = k + 1 - m
+        i = self._march.k - 1
+        while i < n - 1 and _stencil(i, n).stop == k + 1:
+            sampler = VelocitySampler(self.grid, self.config,
+                                      self._times[first:k + 1],
+                                      self._v[:m], self._ok[:m])
+            self._march.interval(sampler, i - first, self.dt_traj)
+            self._tube(i + 1 - first)
+            i += 1
 
     def finish(self) -> TrajectoryBundle:
         """The bundle after the last state; bundle.tubes holds the tube
-        probabilities, NaN beside a failed row."""
-        n_states = len(self._times)
-        # the last interval, row 2 of the window, or every interval of a
-        # run of fewer than four states
-        for i in range(n_states - 1) if n_states < 4 else (2,):
-            self._interval(i)
+        probabilities, NaN beside a failed row.  ValueError unless the
+        stream took n_states states."""
+        if self._taken != len(self._times):
+            raise ValueError(f"the stream took {self._taken} states, "
+                             f"not {len(self._times)}")
         xs, errors, fallback_rows, halvings = self._march.result()
         tubes = self._tubes
         if tubes is not None:
-            tubes = tubes[:, :len(self._times)]
             for row, _ in errors:
                 tubes[max(row - 1, 0):row + 1] = np.nan
-        return TrajectoryBundle(np.array(self._times), xs, tuple(
+        return TrajectoryBundle(self._times, xs, tuple(
             (row, type(exc).__name__, str(exc)) for row, exc in errors),
             fallback_rows, halvings, tubes)
 
-    def _interval(self, i: int) -> None:
-        """March interval i of the window, then take the tube values at
-        the state that ends it."""
-        m = min(len(self._times), 4)
-        sampler = VelocitySampler(self.grid, self.config,
-                                  np.array(self._times[-m:]),
-                                  self._v[:m], self._ok[:m])
-        self._march.interval(sampler, i, self.dt_traj)
-        self._tube(i + 1)
-
     def _tube(self, row: int) -> None:
-        """The tube values at the state that window row `row` holds, the
+        """The tube values at the state that frame row `row` holds, the
         latest the march reached."""
         if self._tubes is not None:
-            march = self._march
-            self._tubes = _put_column(self._tubes, march.k - 1, _enclosed(
-                march.xs[:, march.k - 1], self._rho[row], self.grid))
+            k = self._march.k - 1
+            self._tubes[:, k] = _enclosed(self._march.xs[:, k],
+                                          self._rho[row], self.grid)
 
 
 def integrate_bundle(ensemble: InitialEnsemble, run: PropagationRun,
@@ -365,7 +355,8 @@ def integrate_bundle(ensemble: InitialEnsemble, run: PropagationRun,
     """
     if sampler is None:
         sampler = VelocitySampler.from_run(run)
-    stream = BundleStream(ensemble, sampler.grid, run.config, dt_traj)
+    stream = BundleStream(ensemble, sampler.grid, run.config, dt_traj,
+                          len(run.snapshots))
     for i, snap in enumerate(run.snapshots):
         stream.push(sampler.times[i], sampler.v[i], sampler.ok[i],
                     np.abs(snap.values) ** 2)

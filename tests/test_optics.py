@@ -215,7 +215,7 @@ class TestFresnelPropagation:
             "psi = gaussian_packet(GridSpec(-8.0, 8.0, 256), cfg.constants, "
             "1.0)\n"
             "run = propagate(psi, PropagatorConfig('caldirola_kanai', "
-            "potential=cfg.potential, gamma=0.3, dt=0.01, t_final=0.05), "
+            "potential=cfg.potential, gamma=0.3, dt=0.01), "
             "0.05)\n"
             "kinetic_energy(run.snapshots[-1], cfg.constants)\n"
             "spectral_derivative(psi.values, psi.grid)\n"

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qstream import (ComplexField, PhysicalConstants, PotentialSpec,
                      PropagatorConfig, analytic_gaussian_oracle,
@@ -20,7 +21,7 @@ from qstream.propagators import (_Transform, _friction_potential,
                                  damped_oscillator,
                                  fft_shape, free_gaussian_width,
                                  largest_prime_factor, physical_energy,
-                                 state_time, whole_steps)
+                                 state_count, state_time, whole_steps)
 from qstream.scenarios import (builtin_scenario, initial_state,
                                parse_scenario, propagator_config,
                                run_scenario)
@@ -64,10 +65,6 @@ class TestSpecs:
     def test_nonpositive_dt(self):
         with pytest.raises(ValueError):
             PropagatorConfig(dt=0.0)
-
-    def test_dissipative_ck_requires_horizon(self):
-        with pytest.raises(ValueError):
-            PropagatorConfig(model="caldirola_kanai", gamma=0.1)
 
     def test_stability_bound_rejects_huge_step(self):
         g = sym_grid(8, 256)
@@ -177,24 +174,12 @@ class TestCaldirolaKanai:
         cfg = PropagatorConfig(model="caldirola_kanai",
                                potential=PotentialSpec("harmonic",
                                                        omega0=OMEGA0),
-                               gamma=0.3 * OMEGA0, dt=1e-3, t_final=1.0)
+                               gamma=0.3 * OMEGA0, dt=1e-3)
         out = psi
         for _ in range(20):
             prev = norm(out)
             out = step(out, cfg)
             assert abs(norm(out) - prev) < 1e-10
-
-    def test_stepping_past_horizon_rejected(self):
-        g = sym_grid(8, 256)
-        psi = ComplexField(g, gaussian_packet(g, C, SIGMA_COH).values,
-                           time=0.9995)
-        cfg = PropagatorConfig(model="caldirola_kanai",
-                               potential=PotentialSpec("harmonic",
-                                                       omega0=OMEGA0),
-                               gamma=OMEGA0, dt=1e-3, t_final=1.0)
-        ok = step(psi, cfg)  # lands exactly on t_final
-        with pytest.raises(StabilityViolation):
-            step(ok, cfg)
 
     def test_physical_energy_decreases(self):
         g = sym_grid(8, 1024)
@@ -202,7 +187,7 @@ class TestCaldirolaKanai:
         cfg = PropagatorConfig(model="caldirola_kanai",
                                potential=PotentialSpec("harmonic",
                                                        omega0=OMEGA0),
-                               gamma=0.3 * OMEGA0, dt=1e-3, t_final=10.0)
+                               gamma=0.3 * OMEGA0, dt=1e-3)
         run = propagate(psi, cfg, 10.0, snapshot_every=1000, consumers=())
         assert run.energies[-1] < run.energies[0]
 
@@ -387,7 +372,7 @@ class TestPropagate:
         # the run itself then keeps only the initial and final states
         g = sym_grid(8, 256)
         cfg = PropagatorConfig(model=model, potential=HARMONIC, gamma=0.3,
-                               dt=1e-2, t_final=1.0)
+                               dt=1e-2)
         psi = coherent(g)
         stored = propagate(psi, cfg, 0.23, snapshot_every=5)
         handed = []
@@ -401,6 +386,16 @@ class TestPropagate:
         for name in ("times", "norms", "x_means", "sigmas", "energies"):
             assert np.array_equal(getattr(run, name), getattr(stored, name))
         assert propagate(psi, cfg, psi.time, consumers=()).snapshots == [psi]
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(n_steps=st.integers(0, 30), every=st.integers(1, 12))
+    def test_consumers_called_state_count_times(self, n_steps, every):
+        psi = gaussian_packet(sym_grid(8, 32), C, 1.0)
+        handed = []
+        run = propagate(psi, PropagatorConfig(dt=1e-2), n_steps * 1e-2,
+                        snapshot_every=every, consumers=(handed.append,))
+        assert len(handed) == len(run.times) == state_count(n_steps, every)
+        assert handed[-1].time == state_time(0.0, 1e-2, n_steps)
 
     def test_state_times_are_t0_plus_i_dt(self, tmp_path):
         psi = gaussian_packet(sym_grid(8, 256), C, 1.0, time=0.1)
@@ -440,7 +435,7 @@ class TestPropagate:
         # Caldirola-Kanai half-potential factor, whose cos and sin are NaN
         g = sym_grid(2000, 256)
         cfg = PropagatorConfig(model="caldirola_kanai", potential=HARMONIC,
-                               gamma=5.6e5, dt=2.5e-3, t_final=2.5e-3)
+                               gamma=5.6e5, dt=2.5e-3)
         psi = gaussian_packet(g, C, sigma0=20.0)
         with np.errstate(invalid="ignore", over="ignore"), \
                 pytest.raises(ValueError, match="non-finite"):
@@ -462,7 +457,7 @@ class TestPropagate:
         # predictor-corrector oracle
         g = sym_grid(8, 256)
         cfg = PropagatorConfig(model=model, potential=HARMONIC, gamma=0.3,
-                               dt=1e-2, t_final=1.0)
+                               dt=1e-2)
         psi = coherent(g)
         run = propagate(psi, cfg, 0.05, snapshot_every=1)
         for i, snap in enumerate(run.snapshots[1:]):
@@ -492,7 +487,7 @@ class TestPropagate:
         # break the step from it to the next stored state
         g = sym_grid(8, 256)
         cfg = PropagatorConfig(model=model, potential=HARMONIC, gamma=0.3,
-                               dt=1e-2, t_final=1.0)
+                               dt=1e-2)
         psi0 = coherent(g)
         initial = psi0.values.copy()
         run = propagate(psi0, cfg, 0.05, snapshot_every=1)
@@ -602,7 +597,7 @@ def _reference_step(values, t, grid, config, W_last=None):
 ORACLE_CASES = {
     "standard": dict(model="standard"),
     "ck-gamma0": dict(model="caldirola_kanai"),
-    "ck-gamma0.3": dict(model="caldirola_kanai", gamma=0.3, t_final=1.0),
+    "ck-gamma0.3": dict(model="caldirola_kanai", gamma=0.3),
     "kostin-gamma0": dict(model="kostin"),
     "kostin-gamma0.3": dict(model="kostin", gamma=0.3),
 }
@@ -828,7 +823,7 @@ class TestFastFormOracles:
 
 RECORD_CASES = {
     "standard": dict(model="standard"),
-    "ck": dict(model="caldirola_kanai", gamma=0.3, t_final=5.0),
+    "ck": dict(model="caldirola_kanai", gamma=0.3),
     "kostin": dict(model="kostin", gamma=0.3),
 }
 
@@ -997,8 +992,7 @@ def test_physical_energy_ck_uses_damped_kinetic_term():
     gamma = 0.5
     std = physical_energy(psi, PropagatorConfig(potential=pot, dt=1e-3))
     ck = physical_energy(psi, PropagatorConfig(
-        model="caldirola_kanai", potential=pot, gamma=gamma, dt=1e-3,
-        t_final=10.0))
+        model="caldirola_kanai", potential=pot, gamma=gamma, dt=1e-3))
     from qstream.fields import kinetic_energy
     T = kinetic_energy(psi, C)
     assert ck == pytest.approx(std - T * (1 - math.exp(-2 * gamma * 2.0)),

@@ -374,6 +374,7 @@ REJECTED = {
         "scenario.name": "../outside",
         "model.type": "frictional",
         "model.gamma": "-1",
+        "grid.n_points": "5000000000",
         "time.dt": "0",
         "time.snapshot_every": "0",
         "packet1.sigma0": "-0.5",
@@ -543,12 +544,12 @@ def _load_workloads():
 
 @pytest.fixture
 def fiftieth_of_work_bounds(monkeypatch):
-    """Divide the work and memory bounds by 50: what validates then has 50x
-    headroom."""
-    for name in ("MAX_MATTER_WORK", "MAX_OPTICS_WORK",
-                 "MAX_TRAJECTORY_POINTS", "MAX_PATH_POINTS",
-                 "MAX_SERIES_ROWS"):
-        monkeypatch.setattr(scenarios, name, getattr(scenarios, name) / 50)
+    """Divide every work, count and memory bound (each scenarios.MAX_*) by
+    50: what validates then has 50x headroom."""
+    for name in dir(scenarios):
+        if name.startswith("MAX_"):
+            monkeypatch.setattr(scenarios, name,
+                                getattr(scenarios, name) / 50)
 
 
 class TestWorkBound:
@@ -1061,6 +1062,35 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert out.read_text() == "a file\n"
         assert os.listdir(tmp_path) == ["out"]
+
+    def test_manifest_that_cannot_be_written_exit_code(self, tmp_path,
+                                                       capsys):
+        out = tmp_path / "out"
+        (out / "manifest.json").mkdir(parents=True)
+        assert cli.main(["run", "oracle-gaussian-beam", "--out-dir",
+                         str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "manifest.json" in err
+        assert sorted(os.listdir(out)) == [
+            "manifest.json", "plane_000.txt", "plane_001.txt",
+            "plane_002.txt"]
+        (out / "manifest.json").rmdir()  # no manifest left to parse
+
+    def test_matter_grid_points_bounded(self, tmp_path, capsys):
+        # 5e9 points x 2 steps is within MAX_MATTER_WORK, but one state
+        # would take 80 GB
+        path = tmp_path / "s.cfg"
+        for n_points, code in ((scenarios.MAX_GRID_POINTS, 0),
+                               (5_000_000_000, 2)):
+            path.write_text(QUICK_MATTER
+                            .replace("grid.n_points = 256",
+                                     f"grid.n_points = {n_points}")
+                            .replace("time.dt = 0.01", "time.dt = 0.001")
+                            .replace("time.t_final = 0.5",
+                                     "time.t_final = 0.002"))
+            assert cli.main(["validate", str(path)]) == code
+        assert "grid.n_points" in capsys.readouterr().err
 
     def test_file_error_in_a_stage_exit_code(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -14,7 +14,8 @@ from qstream import (ComplexField, GridSpec, InitialEnsemble,
                      integrate_bundle, propagate, sample_initial_positions,
                      tube_probability)
 from qstream.errors import NodeEncounter, ZeroDensity
-from qstream.propagators import PropagationRun, rate_factor, state_time
+from qstream.propagators import (PropagationRun, rate_factor, state_count,
+                                  state_time, whole_steps)
 from qstream.fields import lagrange_weights
 from qstream.trajectories import (BundleStream, VelocitySampler, _march,
                                   write_bundle)
@@ -383,7 +384,8 @@ def streamed_and_stored(psi0, cfg, t_final, snapshot_every, dt_traj,
     the same propagation with every stored state kept."""
     rho0 = np.abs(psi0.values) ** 2
     ens = sample_initial_positions(rho0, psi0.grid, n_traj)
-    stream = BundleStream(ens, psi0.grid, cfg, dt_traj)
+    stream = BundleStream(ens, psi0.grid, cfg, dt_traj, state_count(
+        whole_steps(psi0.time, t_final, cfg.dt), snapshot_every))
     streamed_run = propagate(psi0, cfg, t_final, snapshot_every,
                              consumers=(stream,))
     assert len(streamed_run.snapshots) == 2
@@ -407,6 +409,10 @@ class TestBundleStream:
         (0.5, 7, 0.025),   # a last interval of 0.003 after 0.007 ones
         (0.4, 40, 0.015),  # dt_traj does not divide 0.04: three steps
         (0.5, 30, 0.07),   # dt_traj above the state spacing
+        (0.01, 10, 0.004),  # 2 states: one linear stencil
+        (0.02, 10, 0.004),  # 3 states: one stencil of all three
+        (0.025, 10, 0.004),  # 4 states, the last two only 0.005 apart
+        (0.04, 10, 0.004),  # 5 states: stencils shifted at both ends
     ])
     def test_equals_stored_snapshots_bit_for_bit(self, t_final,
                                                  snapshot_every, dt_traj):
@@ -415,7 +421,7 @@ class TestBundleStream:
         cfg = PropagatorConfig(model="caldirola_kanai",
                                potential=PotentialSpec("harmonic",
                                                        omega0=omega0),
-                               gamma=0.3 * omega0, dt=1e-3, t_final=t_final)
+                               gamma=0.3 * omega0, dt=1e-3)
         psi0 = gaussian_packet(g, C, math.sqrt(0.5 / omega0), x0=2.0)
         ens, streamed, run = streamed_and_stored(psi0, cfg, t_final,
                                                  snapshot_every, dt_traj)
@@ -485,7 +491,8 @@ class TestBundleStream:
     def test_streamed_states_match_the_oracle_when_a_row_leaves(self):
         run = plane_wave_run()  # v = 2, domain [0, ~12.57], t up to 3
         ens = InitialEnsemble(np.array([1.0, 2.0, 8.0]))
-        stream = BundleStream(ens, run.snapshots[0].grid, run.config, 0.01)
+        stream = BundleStream(ens, run.snapshots[0].grid, run.config, 0.01,
+                              len(run.snapshots))
         for snap in run.snapshots:
             stream(snap)
         streamed = stream.finish()
@@ -497,6 +504,19 @@ class TestBundleStream:
         assert [e[:2] for e in streamed.errors] == [(2, "LeftDomain")]
         assert np.array_equal(streamed.tubes, tube_probability(streamed, run),
                               equal_nan=True)
+
+    def test_finish_rejects_a_stream_one_state_short(self):
+        run = plane_wave_run(n_snaps=7)
+        stream = BundleStream(InitialEnsemble(np.array([1.0, 2.0])),
+                              run.snapshots[0].grid, run.config, 0.01, 7)
+        for snap in run.snapshots[:-1]:
+            stream(snap)
+        with pytest.raises(ValueError, match="took 6 states, not 7"):
+            stream.finish()
+        stream(run.snapshots[-1])
+        with pytest.raises(IndexError):
+            stream(run.snapshots[-1])
+        assert stream.finish().xs.shape == (2, 7)
 
     @staticmethod
     def _streamed_peaks(g, cfg, psi0, runs, dt_traj):
@@ -511,7 +531,8 @@ class TestBundleStream:
             try:
                 ens = sample_initial_positions(np.abs(psi0.values) ** 2, g,
                                                8)
-                stream = BundleStream(ens, g, cfg, dt_traj)
+                stream = BundleStream(ens, g, cfg, dt_traj, state_count(
+                    whole_steps(0.0, t_final, cfg.dt), every))
                 propagate(psi0, cfg, t_final, every, consumers=(stream,))
                 stream.finish()
                 if traced:
@@ -540,9 +561,8 @@ class TestBundleStream:
                                      [(0.3, 50), (0.3, 1), (1.2, 1)], 0.05)
         window_bytes = 4 * 17 * g.n_points
         # 294 more stored states: each adds its series row (40 B) and the
-        # bundle's time, 8 positions and 7 tube values, up to twice over
-        # while their arrays double
-        rows_bytes = 294 * 2 * (40 + 16 * 8)
+        # bundle's time, 8 positions and 7 tube values, allocated once
+        rows_bytes = 294 * (40 + 16 * 8)
         assert (peaks[0.3, 1] - peaks[0.3, 50]
                 < 1.25 * (window_bytes + rows_bytes))
         # 4x the intervals and 900 more stored states (7.4 MB as states)
@@ -626,7 +646,7 @@ class TestTubeProbability:
         cfg = PropagatorConfig(model="caldirola_kanai",
                                potential=PotentialSpec("harmonic",
                                                        omega0=omega0),
-                               gamma=0.3 * omega0, dt=1e-3, t_final=2.0)
+                               gamma=0.3 * omega0, dt=1e-3)
         psi0 = gaussian_packet(g, C, math.sqrt(0.5 / omega0), x0=2.0)
         run = propagate(psi0, cfg, 2.0, snapshot_every=2)
         rho0 = np.abs(run.snapshots[0].values) ** 2
