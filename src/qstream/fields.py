@@ -20,6 +20,8 @@ import numpy as np
 from .errors import AllBelowThreshold
 
 NODE_THRESHOLD = 1e-12
+# what require_finite raises with
+NON_FINITE = "wavefunction contains non-finite values"
 # text tables are formatted and written ROW_CHUNK rows at a time, so no
 # writer holds a whole table as text
 ROW_CHUNK = 1024
@@ -56,12 +58,26 @@ class GridSpec:
         return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.dx)
 
 
-def cubic_weights(f: np.ndarray):
-    """4-point Lagrange weights of nodes j-1 .. j+2 at f = (x - x_j) / dx."""
-    return (-f * (f - 1) * (f - 2) / 6.0,
-            (f + 1) * (f - 1) * (f - 2) / 2.0,
-            -(f + 1) * f * (f - 2) / 2.0,
-            (f + 1) * f * (f - 1) / 6.0)
+# the nodes j - 1 .. j + 2 at f = -1 .. 2: weight a is
+# ((f - b1)(f - b2))(f - b3) / d with (b1, b2, b3) the other three nodes
+# (column a) and d the product of a's differences from them
+_CUBIC_NODES = np.array([[0.0, -1.0, -1.0, -1.0],
+                         [1.0, 1.0, 0.0, 0.0],
+                         [2.0, 2.0, 2.0, 1.0]])
+_CUBIC_DENOMINATORS = np.array([-6.0, 2.0, -2.0, 6.0])
+
+
+def cubic_weights(f: np.ndarray) -> np.ndarray:
+    """4-point Lagrange weights of nodes j-1 .. j+2 at f = (x - x_j) / dx,
+    as one (4, *f.shape) array."""
+    f = np.asarray(f)
+    shape = (4,) + (1,) * f.ndim
+    b1, b2, b3 = (b.reshape(shape) for b in _CUBIC_NODES)
+    w = f - b1
+    w *= f - b2
+    w *= f - b3
+    w /= _CUBIC_DENOMINATORS.reshape(shape)
+    return w
 
 
 def lagrange_weights(z, nodes: np.ndarray) -> np.ndarray:
@@ -108,7 +124,7 @@ def require_finite(values: np.ndarray) -> None:
     if values.dtype.kind == "c" and values.flags.c_contiguous:
         values = values.view(values.real.dtype)
     if not np.isfinite(values).all():
-        raise ValueError("wavefunction contains non-finite values")
+        raise ValueError(NON_FINITE)
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,8 @@ MAX_GRID_POINTS = 2 ** 21
 # matter run records, 999x those of fig2a and fig3-superposition (1001); the
 # run holds them in five float64 columns, 40 B per row, so 40 MB at the
 # bound.  The trajectory march holds four frames of the grid, 17 B a point
-# each, whatever the states.  An optics run holds the (Sx, Sz, U) lattice,
+# each, whatever the states, and the stencil flags of the interval it
+# marches, 3 B a point.  An optics run holds the (Sx, Sz, U) lattice,
 # z planes x grid.n_points at 24 B a point, which MAX_OPTICS_WORK bounds to
 # about 240 MB; each plane's transform and fields are freed once that plane
 # is written.

@@ -14,8 +14,11 @@ A BundleStream marches an ensemble while the states are produced, holding
 only the four frames that an interval reads, and marches each interval as
 soon as the last state of its time stencil (_stencil) arrives;
 integrate_bundle replays a run's stored snapshots through it.  A
-VelocitySampler over every snapshot is the random-access path, and `_march` steps any rows, one trajectory
-included, through it.
+VelocitySampler over every snapshot is the random-access path, and `_march`
+steps any rows, one trajectory included, through it.  A sampler builds an
+interval's x-stencil validity once, when it first samples the interval,
+and the time weights once per stage time; per query point there remain one
+gather, the cubic weights and the two Lagrange sums.
 
 Diagnostics, at every stored state: strict ordering (the non-crossing
 property) and conservation of the probability enclosed between any two
@@ -108,16 +111,27 @@ def _stencil(i: int, n: int) -> slice:
     return slice(s, s + m)
 
 
+# the x stencil of left node j: nodes j - 1 .. j + 2, as a column
+_OFFSETS = np.arange(-1, 3)[:, None]
+
+
 class VelocitySampler:
     """v(x, t) from a snapshot sequence: cubic in x on valid points
     (shrinking to linear beside invalid nodes), and in t the Lagrange
-    polynomial through the snapshots of interval i's _stencil."""
+    polynomial through the snapshots of interval i's _stencil.
+
+    The work that does not depend on the query points is done once: each
+    interval's stencil validity when the interval is first sampled, and the
+    time weights and rate factor of each time for as long as it is sampled
+    again (the k2 and k3 stages of an RK4 step share theirs).  So the frames
+    must not change while the sampler is in use."""
 
     def __init__(self, grid: GridSpec, config, times, v, ok):
         """A sampler over frames: their times, and their velocities (0
         where invalid) and validity flags as (n_frames, n_points) arrays."""
         self.grid, self.config = grid, config
         self.times, self.v, self.ok = times, v, ok
+        self._interval = self._time = None
 
     @classmethod
     def from_run(cls, run: PropagationRun,
@@ -130,34 +144,60 @@ class VelocitySampler:
                    np.asarray([v for v, _ in frames]),
                    np.asarray([ok for _, ok in frames]))
 
-    def _space(self, rows: slice, xq: np.ndarray):
-        """v and its ok flag at xq on the snapshots `rows`, as
-        (n_rows, len(xq)) arrays: 4-point Lagrange in x where all four nodes
-        are valid and inside the grid, else linear between the two nodes
-        around xq, which must be valid.  All rows share one stencil (indices
-        and weights) and one gather."""
-        g = self.grid
-        last = g.n_points - 1
-        s = (xq - g.x_min) / g.dx
-        j = np.minimum(np.maximum(np.floor(s).astype(int), 0), last - 1)
-        f = s - j
-        nodes = np.stack((np.maximum(j - 1, 0), j, j + 1,
-                          np.minimum(j + 2, last)))
-        v, ok = self.v[rows, nodes], self.ok[rows, nodes]  # (rows, 4, xq)
-        linear_ok = ok[:, 1] & ok[:, 2]
+    def _stencils(self, i: int):
+        """Interval i's frames, and for each left node j of a query point
+        whether its 4-point (cubic) and its 2-point (linear) x stencil is
+        valid on every one of them: (rows, cubic, linear), the last two of
+        n_points - 1 flags."""
+        if self._interval is None or self._interval[0] != i:
+            rows = _stencil(i, len(self.times))
+            ok = self.ok[rows].all(axis=0)
+            linear = ok[:-1] & ok[1:]
+            # nodes j - 1 .. j + 2, all inside the grid
+            cubic = np.zeros_like(linear)
+            cubic[1:-1] = linear[:-2] & linear[2:]
+            self._interval, self._time = (i, (rows, cubic, linear)), None
+        return self._interval[1]
+
+    def _time_weights(self, t: float, rows: slice):
+        """The Lagrange weights in t over the frames `rows`, those of the
+        interval last sampled, and the rate factor at t."""
+        if self._time is None or self._time[0] != t:
+            self._time = t, (qf.lagrange_weights(t, self.times[rows]),
+                             rate_factor(self.config, t))
+        return self._time[1]
+
+    def _space(self, rows: slice, cubic_all: np.ndarray, j: np.ndarray,
+               f: np.ndarray):
+        """v on the snapshots `rows` at the query points with left node j
+        and offset f from it in grid steps, as an (n_rows, len(j)) array:
+        4-point Lagrange in x where all four nodes are valid and inside the
+        grid, else linear between nodes j and j + 1.  All rows share one
+        stencil (indices and weights) and one gather; the linear values are
+        computed only when some point lacks the cubic stencil on some row
+        (cubic_all, by left node)."""
+        last = self.grid.n_points - 1
+        nodes = np.minimum(np.maximum(j + _OFFSETS, 0), last)
+        v = self.v[rows, nodes]  # (rows, 4, points)
+        cubic = (qf.cubic_weights(f) * v).sum(axis=1)
+        if cubic_all[j].all():
+            return cubic
+        ok = self.ok[rows, nodes]
         cubic_ok = ok.all(axis=1) & ((j - 1 >= 0) & (j + 2 <= last))
-        cubic = (np.array(qf.cubic_weights(f)) * v).sum(axis=1)
-        linear = (1 - f) * v[:, 1] + f * v[:, 2]
-        return np.where(cubic_ok, cubic, linear), linear_ok
+        return np.where(cubic_ok, cubic, (1 - f) * v[:, 1] + f * v[:, 2])
 
     def sample(self, xq: np.ndarray, t: float, i: int):
         """(velocity, ok) arrays at xq and time t, on interval i (from
-        snapshot i to i + 1); rate factor included."""
-        rows = _stencil(i, len(self.times))
-        v, ok = self._space(rows, np.asarray(xq, dtype=float))
-        w = qf.lagrange_weights(t, self.times[rows])
-        rate = rate_factor(self.config, t)
-        return rate * (w[:, None] * v).sum(axis=0), ok.all(axis=0)
+        snapshot i to i + 1); rate factor included.  A point is ok when
+        the two nodes around it are valid on every snapshot of the
+        interval."""
+        g = self.grid
+        s = (np.asarray(xq, dtype=float) - g.x_min) / g.dx
+        j = np.minimum(np.maximum(np.floor(s).astype(int), 0), g.n_points - 2)
+        rows, cubic, linear = self._stencils(i)
+        v = self._space(rows, cubic, j, s - j)
+        w, rate = self._time_weights(t, rows)
+        return rate * (w[:, None] * v).sum(axis=0), linear[j]
 
 
 def _rk4_step(sampler: VelocitySampler, x: np.ndarray, t: float, dt: float,

@@ -15,9 +15,11 @@ from qstream import fields as qf, propagators
 from qstream.errors import (AllBelowThreshold, PhaseUndefined,
                             StabilityViolation, ValidationError)
 from qstream.fields import node_mask, norm, position_spread
-from qstream.propagators import (_Transform, _friction_potential,
+from qstream.propagators import (_PLAIN, _MirroredPhaseFactor,
+                                 _PhaseFactor, _Transform, _cis,
+                                 _friction_potential,
                                  _mirrored_phase_factor, _phase_factor,
-                                 _split_step, check_stability,
+                                 _split_step, _stepper, check_stability,
                                  damped_oscillator,
                                  fft_shape, free_gaussian_width,
                                  largest_prime_factor, physical_energy,
@@ -480,6 +482,39 @@ class TestPropagate:
         for arg, copy in zip((values, half_V, kin), before):
             assert np.array_equal(arg, copy)
 
+    @pytest.mark.parametrize("model", ["caldirola_kanai", "kostin"])
+    def test_stepper_returns_fresh_arrays(self, model):
+        # the factors rebuilt at every step live in the stepper's buffers,
+        # the states it returns never do: two calls give two arrays, the
+        # second leaves the first as it was, and it is the step written
+        # with fresh arrays, bit for bit (for Kostin the Adams-Bashforth
+        # step, which test_run_equals_repeated_steps compares to 1e-6)
+        g = sym_grid(8, 256)
+        cfg = PropagatorConfig(model=model, potential=HARMONIC, gamma=0.3,
+                               dt=1e-2)
+        advance = _stepper(g, cfg)
+        v0 = coherent(g).values
+        v1 = advance(v0, 0.0)
+        kept = v1.copy()
+        v2 = advance(v1, cfg.dt)
+        assert not np.shares_memory(v1, v2)
+        assert np.array_equal(v1, kept)
+        V, k2_half = HARMONIC.evaluate(g, C), g.wavenumbers()[:129] ** 2
+        if model == "kostin":
+            W_mid = (1.5 * _friction_potential(v1, g, cfg)
+                     - 0.5 * _friction_potential(v0, g, cfg))
+            half_V = _phase_factor(-0.5 * cfg.dt / C.hbar * (V + W_mid))
+            kin = _mirrored_phase_factor(
+                -0.5 * C.hbar * 1.0 * cfg.dt / C.mass * k2_half, 256, _cis)
+        else:
+            t_mid = cfg.dt + 0.5 * cfg.dt
+            half_V = _phase_factor(-0.5 * cfg.dt / C.hbar
+                                   * (math.exp(0.3 * t_mid) * V))
+            kin = _mirrored_phase_factor(
+                -0.5 * C.hbar * math.exp(-0.3 * t_mid) * cfg.dt / C.mass
+                * k2_half, 256, _phase_factor)
+        assert np.array_equal(v2, _split_step(v1, half_V, kin))
+
     @pytest.mark.parametrize("model",
                              ["standard", "caldirola_kanai", "kostin"])
     def test_propagate_leaves_stored_states_unchanged(self, model):
@@ -753,16 +788,29 @@ FRICTION_STATES = {
 }
 
 
+def _buffered_phase_factor(phase):
+    """exp(i phase) by a _PhaseFactor that built another factor first, and
+    writes into a view that starts one value into a larger array."""
+    host = np.empty(phase.size + 1, dtype=complex)
+    build = _PhaseFactor(host[1:].reshape(phase.shape))
+    build.phase[...] = np.linspace(-7.0, 7.0, phase.size).reshape(phase.shape)
+    build()
+    build.phase[...] = phase
+    return build()
+
+
 class TestFastFormOracles:
     @pytest.mark.parametrize("scale", [1.0, 1e2, 1e4, 1e6])
     def test_phase_factor_is_complex_exp(self, scale):
         # the one-tangent form differed from np.exp(1j * phase) by at most
         # 2.7e-16 at these scales on x86-64 with numpy 2.4; the bound
-        # leaves room for other builds
+        # leaves room for other builds.  A builder's buffers change none
+        # of its bits
         phase = np.random.default_rng(7).uniform(-scale, scale, 100_000)
         out = _phase_factor(phase)
         assert out.dtype == complex
         assert max_abs(out - np.exp(1j * phase)) <= 4.5e-16
+        assert np.array_equal(_buffered_phase_factor(phase), out)
 
     def test_phase_factor_at_poles_of_the_tangent_and_huge_phases(self):
         # tan(phase / 2) is largest at odd multiples of pi; it stays finite
@@ -775,15 +823,19 @@ class TestFastFormOracles:
             out = _phase_factor(phase)
             assert np.isfinite(out).all()
             assert max_abs(np.abs(out) - 1.0) <= 1e-15
-        assert max_abs(_phase_factor(np.array([np.pi, -np.pi])) + 1.0) \
-            <= 1e-15
+            assert np.array_equal(_buffered_phase_factor(phase), out)
+        for factor in (_phase_factor, _buffered_phase_factor):
+            assert max_abs(factor(np.array([np.pi, -np.pi])) + 1.0) <= 1e-15
 
     def test_phase_factor_of_non_finite_phase_is_nan(self):
         # as cos + i sin gave
+        phase = np.array([np.nan, np.inf, -np.inf, 0.0])
         with np.errstate(invalid="ignore"):
-            out = _phase_factor(np.array([np.nan, np.inf, -np.inf, 0.0]))
+            out = _phase_factor(phase)
+            buffered = _buffered_phase_factor(phase)
         assert np.isnan(out.real[:3]).all() and np.isnan(out.imag[:3]).all()
         assert out[3] == 1.0
+        assert np.array_equal(buffered, out, equal_nan=True)
 
     @pytest.mark.parametrize("n", [8, 9, 2047, 2048, 49152])
     def test_mirrored_kinetic_factor_is_full_spectrum(self, n):
@@ -791,11 +843,18 @@ class TestFastFormOracles:
         k2 = g.wavenumbers() ** 2
         c = -0.5 * C.hbar * 0.37 * 2e-3 / C.mass
         phase = c * k2
-        out = _mirrored_phase_factor(c * k2[:n // 2 + 1], n)
+        out = _mirrored_phase_factor(c * k2[:n // 2 + 1], n, _phase_factor)
         # bit for bit against _phase_factor of the full spectrum, and
         # within its bound of the complex exponential
         assert np.array_equal(out, _phase_factor(phase))
         assert max_abs(out - np.exp(1j * phase)) <= 4.5e-16
+        # the same bits from the buffered builder after another
+        # coefficient, in FFT order and in the order of each length's
+        # transform (transposed where it is blocked, from 8192 on)
+        for transform in (_PLAIN, _Transform(n)):
+            build = _MirroredPhaseFactor(k2[:n // 2 + 1], n, transform)
+            build(2.5 * c)
+            assert np.array_equal(build(c), transform.spectral(out))
 
     def test_friction_interpolates_only_below_threshold(self):
         # the one-cumsum friction potential against the formula it

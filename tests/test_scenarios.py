@@ -1053,6 +1053,27 @@ class TestCli:
         assert code == 4
         assert "failed" in capsys.readouterr().err
 
+    def test_run_non_finite_state_exit_code(self, tmp_path, capsys):
+        # exp(gamma t) V overflows the first step's half-potential phase
+        # on this wide grid; the run stops at that step, as a scan of the
+        # state it would make stops, not at a later step's overflow of
+        # exp(gamma t) itself
+        path = tmp_path / "s.cfg"
+        path.write_text(
+            "scenario.name = ck-overflow\nscenario.kind = matter_wave\n"
+            "model.type = caldirola_kanai\nmodel.gamma = 5.6e5\n"
+            "potential.kind = harmonic\npotential.omega0 = 1.0\n"
+            "grid.x_min = -2000\ngrid.x_max = 2000\ngrid.n_points = 256\n"
+            "time.dt = 2.5e-3\ntime.t_final = 0.025\n"
+            "time.snapshot_every = 5\npacket1.sigma0 = 1.0\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out-dir", str(out)]) == 4
+        m = strict_json((out / "manifest.json").read_text())
+        assert m["failure_kind"] == "numeric"
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: stage propagate failed: ValueError: wavefunction "
+            "contains non-finite values")
+
     def test_out_dir_that_cannot_be_made_exit_code(self, tmp_path, capsys):
         out = tmp_path / "out"
         out.write_text("a file\n")
