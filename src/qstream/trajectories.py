@@ -121,10 +121,11 @@ class VelocitySampler:
     polynomial through the snapshots of interval i's _stencil.
 
     The work that does not depend on the query points is done once: each
-    interval's stencil validity when the interval is first sampled, and the
-    time weights and rate factor of each time for as long as it is sampled
-    again (the k2 and k3 stages of an RK4 step share theirs).  So the frames
-    must not change while the sampler is in use."""
+    interval's stencil validity when the interval is first sampled, and
+    the time weights and rate factor of the last time sampled, which the
+    next call reuses at the same time (the k2 and k3 stages of an RK4 step
+    share theirs).  So the frames must not change while the sampler is in
+    use."""
 
     def __init__(self, grid: GridSpec, config, times, v, ok):
         """A sampler over frames: their times, and their velocities (0
