@@ -21,12 +21,10 @@ path, so they reproduce it bit for bit and Kostin builds no friction
 potential.  Caldirola-Kanai with gamma > 0 rebuilds both factors every
 step, because both scales change, and Kostin its half-potential factor.
 A factor rebuilt every step is built in real arithmetic from one tangent
-(_PhaseFactor), in buffers allocated once per run, so that a step
-allocates only the fresh array of its new state, which stored states may
-share; one built once per run is cos + i sin (_cis), whose smaller
-rounding error is applied at every step.  The kinetic factor is built only
-on the n//2 + 1 distinct values of k^2 (k^2 is mirror-symmetric in FFT
-order) and mirrored onto the rest.
+(_phase_factor); one built once per run is cos + i sin (_cis), whose
+smaller rounding error is applied at every step.  The kinetic factor is
+built only on the n//2 + 1 distinct values of k^2 (k^2 is mirror-symmetric
+in FFT order) and mirrored onto the rest.
 
 A run scans only the states it hands out for non-finite values.  A
 standard or Caldirola-Kanai step from a finite state is finite exactly
@@ -185,43 +183,25 @@ def state_time(t0: float, dt: float, i: int) -> float:
     return float(t0 + i * dt)
 
 
-class _PhaseFactor:
-    """exp(i phase) of real phases of one shape from one tangent
-    t = tan(phase / 2): cos(phase) = (1 - t^2) / (1 + t^2) and
-    sin(phase) = 2t / (1 + t^2), written into the two halves of the complex
-    array `out`.  One np.tan costs a fifth to a third of np.cos plus np.sin,
-    for about twice their rounding error (cos = e - 1, sin = t e with
-    e = 2 / (1 + t^2) doubles it again: e - 1 loses a bit when e is near 2).
-    At odd multiples of pi the float t is large but finite, and the factor
-    is -1; a nan or inf phase gives nan.
-
-    The builder owns its buffers, so a call allocates nothing: the caller
-    writes a phase into `phase`, and each call overwrites it and `out`."""
-
-    def __init__(self, out: np.ndarray):
-        self.out = out
-        self.phase = np.empty(out.shape)
-        self._t2, self._d = np.empty(out.shape), np.empty(out.shape)
-
-    def __call__(self) -> np.ndarray:
-        t, t2, d, out = self.phase, self._t2, self._d, self.out
-        t *= 0.5
-        np.tan(t, out=t)
-        np.multiply(t, t, out=t2)
-        np.add(1.0, t2, out=d)
-        np.subtract(1.0, t2, out=t2)
-        np.divide(t2, d, out=out.real)
-        t *= 2.0
-        np.divide(t, d, out=out.imag)
-        return out
-
-
 def _phase_factor(phase: np.ndarray) -> np.ndarray:
-    """exp(i phase) of a real array in one fresh complex array, by a
-    _PhaseFactor of its own."""
-    build = _PhaseFactor(np.empty(phase.shape, dtype=complex))
-    build.phase[...] = phase
-    return build()
+    """exp(i phase) of a real array from one tangent t = tan(phase / 2):
+    cos(phase) = (1 - t^2) / (1 + t^2) and sin(phase) = 2t / (1 + t^2),
+    written into the two halves of one fresh complex array.  One np.tan
+    costs a fifth to a third of np.cos plus np.sin, for about twice their
+    rounding error (cos = e - 1, sin = t e with e = 2 / (1 + t^2) doubles
+    it again: e - 1 loses a bit when e is near 2).  At odd multiples of pi
+    the float t is large but finite, and the factor is -1; a nan or inf
+    phase gives nan."""
+    out = np.empty(phase.shape, dtype=complex)
+    t = 0.5 * phase
+    np.tan(t, out=t)
+    t2 = t * t
+    d = 1.0 + t2
+    np.subtract(1.0, t2, out=t2)
+    np.divide(t2, d, out=out.real)
+    t *= 2.0
+    np.divide(t, d, out=out.imag)
+    return out
 
 
 def _cis(phase: np.ndarray) -> np.ndarray:
@@ -231,6 +211,18 @@ def _cis(phase: np.ndarray) -> np.ndarray:
     out = np.empty(phase.shape, dtype=complex)
     np.cos(phase, out=out.real)
     np.sin(phase, out=out.imag)
+    return out
+
+
+def _mirrored_phase_factor(half_phase: np.ndarray, n: int,
+                           factor=_phase_factor) -> np.ndarray:
+    """exp(i phase) on the n FFT frequencies of a phase that is even in k,
+    from its values on the first n//2 + 1, built by `factor`: entry n - j
+    repeats entry j."""
+    out = np.empty(n, dtype=complex)
+    h = len(half_phase)
+    out[:h] = factor(half_phase)
+    out[h:] = out[1:n - h + 1][::-1]
     return out
 
 
@@ -273,17 +265,13 @@ class _Transform:
                                   * np.outer(np.arange(n1), np.arange(n2)))
             self.untwiddle = self.twiddle.conj()
 
-    def spectral(self, a: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-        # a transposing copy, into `out` when given: faster than a gather
-        # through an index array, or a factor built from k^2 stored in this
-        # order
+    def spectral(self, a: np.ndarray) -> np.ndarray:
+        # a transposing copy: faster than a gather through an index array,
+        # or a factor built from k^2 stored in this order
         if not self.blocked:
             return a
         n1, n2 = self.shape
-        if out is None:
-            out = np.empty_like(a)
-        out.reshape(n1, n2)[...] = a.reshape(n2, n1).T
-        return out
+        return a.reshape(n2, n1).T.ravel()
 
     def forward(self, buf: np.ndarray) -> None:
         if not self.blocked:
@@ -306,45 +294,6 @@ class _Transform:
 
 # plain transforms of any length: fft_shape(0) is (1, 0)
 _PLAIN = _Transform(0)
-
-
-def _mirror(out: np.ndarray, h: int) -> np.ndarray:
-    """Complete `out`, n values on the FFT frequencies of something even in
-    k, from its first h = n//2 + 1: entry n - j repeats entry j."""
-    n = len(out)
-    out[h:] = out[1:n - h + 1][::-1]
-    return out
-
-
-def _mirrored_phase_factor(half_phase: np.ndarray, n: int,
-                           factor) -> np.ndarray:
-    """exp(i phase) on the n FFT frequencies of a phase that is even in k,
-    from its values on the first n//2 + 1, built by `factor`."""
-    out = np.empty(n, dtype=complex)
-    out[:len(half_phase)] = factor(half_phase)
-    return _mirror(out, len(half_phase))
-
-
-class _MirroredPhaseFactor:
-    """exp(i c k^2) on the n FFT frequencies for a coefficient c given at
-    each call, in the order `transform` leaves the spectrum: a _PhaseFactor
-    on k2_half, the n//2 + 1 distinct values of k^2 (k^2 is mirror-symmetric
-    in FFT order), mirrored onto the rest.  Its buffers are allocated once;
-    each call overwrites the array the last one returned."""
-
-    def __init__(self, k2_half: np.ndarray, n: int,
-                 transform: _Transform = _PLAIN):
-        self.k2_half, self.transform = k2_half, transform
-        self._fft_order = np.empty(n, dtype=complex)
-        self._half = _PhaseFactor(self._fft_order[:len(k2_half)])
-        self._out = (np.empty(n, dtype=complex) if self.transform.blocked
-                     else None)
-
-    def __call__(self, c: float) -> np.ndarray:
-        np.multiply(c, self.k2_half, out=self._half.phase)
-        self._half()
-        _mirror(self._fft_order, len(self.k2_half))
-        return self.transform.spectral(self._fft_order, self._out)
 
 
 def _split_step(values: np.ndarray, half_V: np.ndarray, kinetic: np.ndarray,
@@ -435,11 +384,10 @@ def _phases_finite(potential_peak: float, kinetic_peak: float) -> bool:
 
 def _stepper(grid: GridSpec, config: PropagatorConfig):
     """The configured model's time step as a function (values, t) -> the
-    values one step of config.dt later, in a fresh array.  V and every phase
-    factor with a constant coefficient are built once, here, and so are the
-    buffers of the factors rebuilt at every step.  Kostin's step at
-    gamma > 0 is two-step: a call on the values the previous call returned
-    reuses that call's friction potential.
+    values one step of config.dt later.  V and every phase factor with a
+    constant coefficient are built once, here.  Kostin's step at gamma > 0
+    is two-step: a call on the values the previous call returned reuses
+    that call's friction potential.
 
     A step that would leave a non-finite state raises ValueError with
     fields.require_finite's message: the standard and Caldirola-Kanai steps
@@ -451,43 +399,34 @@ def _stepper(grid: GridSpec, config: PropagatorConfig):
     k2_half = grid.wavenumbers()[:n // 2 + 1] ** 2
     transform = _Transform(n)
     V_peak, k2_peak = float(np.abs(V).max()), float(k2_half.max())
-    # the phases of a step are potential_c * (scale * V) and
-    # kinetic_c(scale) * k^2
     potential_c = -0.5 * dt / c.hbar
 
     def kinetic_c(scale):
         return -0.5 * c.hbar * scale * dt / c.mass
 
-    if config.model == "caldirola_kanai" and gamma > 0:
-        half_V = _PhaseFactor(np.empty(n, dtype=complex))
-        kinetic = _MirroredPhaseFactor(k2_half, n, transform)
+    def kinetic(scale, factor=_phase_factor):
+        return transform.spectral(_mirrored_phase_factor(
+            kinetic_c(scale) * k2_half, n, factor))
 
+    def half_potential(V_eff, factor=_phase_factor):
+        return factor(potential_c * V_eff)
+
+    if config.model == "caldirola_kanai" and gamma > 0:
         def advance(values: np.ndarray, t: float) -> np.ndarray:
             t_mid = t + 0.5 * dt
             grow, shrink = math.exp(gamma * t_mid), math.exp(-gamma * t_mid)
-            kin_c = kinetic_c(shrink)
             if not _phases_finite(potential_c * (grow * V_peak),
-                                  kin_c * k2_peak):
+                                  kinetic_c(shrink) * k2_peak):
                 raise ValueError(qf.NON_FINITE)
-            np.multiply(grow, V, out=half_V.phase)
-            half_V.phase *= potential_c
-            return _split_step(values, half_V(), kinetic(kin_c), transform)
+            return _split_step(values, half_potential(grow * V),
+                               kinetic(shrink), transform)
         return advance
 
-    kin = transform.spectral(_mirrored_phase_factor(kinetic_c(1.0) * k2_half,
-                                                    n, _cis))
+    kin = kinetic(1.0, _cis)
     if config.model == "kostin" and gamma > 0:
         # the friction potential of the state the last call started from,
         # and the values that call returned
         W_last = out_last = None
-        half_V = _PhaseFactor(np.empty(n, dtype=complex))
-        half_W_last = np.empty(n)
-
-        def half_potential() -> np.ndarray:
-            """The factor of V + the friction potential in half_V.phase."""
-            np.add(V, half_V.phase, out=half_V.phase)
-            half_V.phase *= potential_c
-            return half_V()
 
         def advance(values: np.ndarray, t: float) -> np.ndarray:
             nonlocal W_last, out_last
@@ -495,29 +434,25 @@ def _stepper(grid: GridSpec, config: PropagatorConfig):
             # values other than the last call's result) the predictor-
             # corrector average of W at the step start and after a trial
             # step; otherwise the Adams-Bashforth 1.5 W(t_n) - 0.5 W(t_n-1)
-            W_mid = half_V.phase
             try:
                 W = _friction_potential(values, grid, config)
                 if values is out_last:
-                    np.multiply(W, 1.5, out=W_mid)
-                    np.multiply(W_last, 0.5, out=half_W_last)
-                    W_mid -= half_W_last
+                    W_mid = 1.5 * W - 0.5 * W_last
                 else:
-                    W_mid[...] = W
-                    trial = _split_step(values, half_potential(), kin,
+                    trial = _split_step(values, half_potential(V + W), kin,
                                         transform)
-                    np.add(W, _friction_potential(trial, grid, config),
-                           out=W_mid)
-                    W_mid *= 0.5
+                    W_mid = 0.5 * (W + _friction_potential(trial, grid,
+                                                           config))
             except qf.AllBelowThreshold as exc:
                 raise PhaseUndefined(str(exc)) from exc
-            out = _split_step(values, half_potential(), kin, transform)
+            out = _split_step(values, half_potential(V + W_mid), kin,
+                              transform)
             qf.require_finite(out)
             W_last, out_last = W, out
             return out
         return advance
 
-    half_V = _cis(potential_c * V)
+    half_V = half_potential(V, _cis)
     finite = _phases_finite(potential_c * V_peak, kinetic_c(1.0) * k2_peak)
 
     def advance(values: np.ndarray, t: float) -> np.ndarray:

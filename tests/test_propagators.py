@@ -15,9 +15,7 @@ from qstream import fields as qf, propagators
 from qstream.errors import (AllBelowThreshold, PhaseUndefined,
                             StabilityViolation, ValidationError)
 from qstream.fields import node_mask, norm, position_spread
-from qstream.propagators import (_PLAIN, _MirroredPhaseFactor,
-                                 _PhaseFactor, _Transform, _cis,
-                                 _friction_potential,
+from qstream.propagators import (_Transform, _cis, _friction_potential,
                                  _mirrored_phase_factor, _phase_factor,
                                  _split_step, _stepper, check_stability,
                                  damped_oscillator,
@@ -484,11 +482,11 @@ class TestPropagate:
 
     @pytest.mark.parametrize("model", ["caldirola_kanai", "kostin"])
     def test_stepper_returns_fresh_arrays(self, model):
-        # the factors rebuilt at every step live in the stepper's buffers,
-        # the states it returns never do: two calls give two arrays, the
-        # second leaves the first as it was, and it is the step written
-        # with fresh arrays, bit for bit (for Kostin the Adams-Bashforth
-        # step, which test_run_equals_repeated_steps compares to 1e-6)
+        # handed-out states are stored, so a step never writes into one:
+        # two calls give two arrays, the second leaves the first as it
+        # was, and it is the split step of the second step's factors, bit
+        # for bit (for Kostin the Adams-Bashforth step, which
+        # test_run_equals_repeated_steps compares only to 1e-6)
         g = sym_grid(8, 256)
         cfg = PropagatorConfig(model=model, potential=HARMONIC, gamma=0.3,
                                dt=1e-2)
@@ -512,7 +510,7 @@ class TestPropagate:
                                    * (math.exp(0.3 * t_mid) * V))
             kin = _mirrored_phase_factor(
                 -0.5 * C.hbar * math.exp(-0.3 * t_mid) * cfg.dt / C.mass
-                * k2_half, 256, _phase_factor)
+                * k2_half, 256)
         assert np.array_equal(v2, _split_step(v1, half_V, kin))
 
     @pytest.mark.parametrize("model",
@@ -788,29 +786,16 @@ FRICTION_STATES = {
 }
 
 
-def _buffered_phase_factor(phase):
-    """exp(i phase) by a _PhaseFactor that built another factor first, and
-    writes into a view that starts one value into a larger array."""
-    host = np.empty(phase.size + 1, dtype=complex)
-    build = _PhaseFactor(host[1:].reshape(phase.shape))
-    build.phase[...] = np.linspace(-7.0, 7.0, phase.size).reshape(phase.shape)
-    build()
-    build.phase[...] = phase
-    return build()
-
-
 class TestFastFormOracles:
     @pytest.mark.parametrize("scale", [1.0, 1e2, 1e4, 1e6])
     def test_phase_factor_is_complex_exp(self, scale):
         # the one-tangent form differed from np.exp(1j * phase) by at most
         # 2.7e-16 at these scales on x86-64 with numpy 2.4; the bound
-        # leaves room for other builds.  A builder's buffers change none
-        # of its bits
+        # leaves room for other builds
         phase = np.random.default_rng(7).uniform(-scale, scale, 100_000)
         out = _phase_factor(phase)
         assert out.dtype == complex
         assert max_abs(out - np.exp(1j * phase)) <= 4.5e-16
-        assert np.array_equal(_buffered_phase_factor(phase), out)
 
     def test_phase_factor_at_poles_of_the_tangent_and_huge_phases(self):
         # tan(phase / 2) is largest at odd multiples of pi; it stays finite
@@ -823,19 +808,15 @@ class TestFastFormOracles:
             out = _phase_factor(phase)
             assert np.isfinite(out).all()
             assert max_abs(np.abs(out) - 1.0) <= 1e-15
-            assert np.array_equal(_buffered_phase_factor(phase), out)
-        for factor in (_phase_factor, _buffered_phase_factor):
-            assert max_abs(factor(np.array([np.pi, -np.pi])) + 1.0) <= 1e-15
+        assert max_abs(_phase_factor(np.array([np.pi, -np.pi])) + 1.0) \
+            <= 1e-15
 
     def test_phase_factor_of_non_finite_phase_is_nan(self):
         # as cos + i sin gave
-        phase = np.array([np.nan, np.inf, -np.inf, 0.0])
         with np.errstate(invalid="ignore"):
-            out = _phase_factor(phase)
-            buffered = _buffered_phase_factor(phase)
+            out = _phase_factor(np.array([np.nan, np.inf, -np.inf, 0.0]))
         assert np.isnan(out.real[:3]).all() and np.isnan(out.imag[:3]).all()
         assert out[3] == 1.0
-        assert np.array_equal(buffered, out, equal_nan=True)
 
     @pytest.mark.parametrize("n", [8, 9, 2047, 2048, 49152])
     def test_mirrored_kinetic_factor_is_full_spectrum(self, n):
@@ -843,18 +824,11 @@ class TestFastFormOracles:
         k2 = g.wavenumbers() ** 2
         c = -0.5 * C.hbar * 0.37 * 2e-3 / C.mass
         phase = c * k2
-        out = _mirrored_phase_factor(c * k2[:n // 2 + 1], n, _phase_factor)
+        out = _mirrored_phase_factor(c * k2[:n // 2 + 1], n)
         # bit for bit against _phase_factor of the full spectrum, and
         # within its bound of the complex exponential
         assert np.array_equal(out, _phase_factor(phase))
         assert max_abs(out - np.exp(1j * phase)) <= 4.5e-16
-        # the same bits from the buffered builder after another
-        # coefficient, in FFT order and in the order of each length's
-        # transform (transposed where it is blocked, from 8192 on)
-        for transform in (_PLAIN, _Transform(n)):
-            build = _MirroredPhaseFactor(k2[:n // 2 + 1], n, transform)
-            build(2.5 * c)
-            assert np.array_equal(build(c), transform.spectral(out))
 
     def test_friction_interpolates_only_below_threshold(self):
         # the one-cumsum friction potential against the formula it
