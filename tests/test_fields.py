@@ -2,19 +2,21 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qstream import (ComplexField, GridSpec, PhysicalConstants,
                      PotentialSpec, PropagatorConfig, gaussian_packet, norm,
                      polar_decompose, probability_current, quantum_potential,
                      velocity_field)
 from qstream.errors import AllBelowThreshold
-from qstream.fields import (ROW_CHUNK, _unwrap_phase, derivative,
-                            format_rows, kinetic_energy, node_mask,
-                            position_spread, require_finite, write_rows,
-                            write_snapshot)
+from qstream.fields import (CHUNK_VALUES, REPR_BELOW, _unwrap_phase,
+                            derivative, format_rows, kinetic_energy,
+                            node_mask, position_spread, require_finite,
+                            write_rows, write_snapshot)
 from qstream.propagators import physical_energy
 
 from conftest import max_abs, sym_grid
@@ -414,8 +416,12 @@ class TestSnapshotSerialization:
             "  ".join(repr(float(v)) for v in (a[i], *b[i])) for i in range(4)]
 
 
-@pytest.mark.parametrize("n_rows", [0, 1, ROW_CHUNK - 1, ROW_CHUNK,
-                                    ROW_CHUNK + 1, 2 * ROW_CHUNK + 1])
+# a value and three more per row: CHUNK_VALUES // 4 rows per chunk
+ROWS = CHUNK_VALUES // 4
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, ROWS - 1, ROWS, ROWS + 1,
+                                    2 * ROWS + 1])
 def test_chunked_rows_equal_the_whole_table(n_rows):
     a = np.random.default_rng(n_rows).normal(size=n_rows) * 1e3
     b = np.arange(3.0 * n_rows).reshape(n_rows, 3) / 7
@@ -423,6 +429,72 @@ def test_chunked_rows_equal_the_whole_table(n_rows):
     write_rows(out, a, b)
     whole = "\n".join(format_rows(a, b)) + "\n" if n_rows else ""
     assert out.getvalue() == whole
+
+
+def test_a_row_wider_than_the_budget_is_a_chunk_of_its_own():
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=3)
+    b = rng.normal(size=(3, CHUNK_VALUES)) * 1e-7
+    out = io.StringIO()
+    write_rows(out, a, b)
+    assert out.getvalue() == "\n".join(format_rows(a, b)) + "\n"
+
+
+def test_write_rows_takes_float64_only():
+    with pytest.raises(TypeError):
+        write_rows(io.StringIO(), np.arange(REPR_BELOW))
+
+
+def _formatted(table):
+    """(write_rows text, format_rows text) of a table."""
+    out = io.StringIO()
+    write_rows(out, table)
+    return out.getvalue(), "\n".join(format_rows(table)) + "\n"
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64))
+def test_write_rows_is_repr_of_any_float64(patterns):
+    # repeated up to REPR_BELOW values, so the chunk is not left to repr
+    bits = np.resize(np.array(patterns, dtype=np.uint64), REPR_BELOW)
+    got, want = _formatted(bits.view(np.float64).reshape(-1, 4))
+    assert got == want
+
+
+def test_write_rows_is_repr_on_the_hard_cases():
+    values = [2.0 ** e for e in range(-1074, 1024)]
+    for k in range(-323, 309):
+        p = float(f"1e{k}")
+        values += [np.nextafter(p, 0.0), p, np.nextafter(p, np.inf)]
+    # subnormals with tiny mantissas and around the smallest normal
+    values += list(np.arange(1, 1000, dtype=np.uint64).view(np.float64))
+    values += list((np.uint64(2 ** 52) + np.arange(-500, 500).astype(np.uint64))
+                   .view(np.float64))
+    values += [float(2 ** 53 + i) for i in range(-100, 101)]
+    values += [1e16 + i for i in range(-100, 101)]
+    values += [0.0, np.inf, np.nan, np.copysign(np.nan, -1.0)]
+    values = np.array(values)
+    got, want = _formatted(np.concatenate([values, -values]).reshape(-1, 2))
+    assert got == want
+
+
+class _Discard:
+    def write(self, text):
+        pass
+
+
+def test_write_rows_memory_is_one_chunk_of_values():
+    table = np.random.default_rng(3).normal(size=(100, 2000))
+    write_rows(_Discard(), table[:3])  # build the formatter's tables first
+    tracemalloc.start()
+    try:
+        write_rows(_Discard(), table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # two rows (4,000 values) at a time take about 0.4 MB; all 100 rows
+    # at once took 12 MiB
+    assert peak < 2 ** 20
 
 
 def test_kinetic_energy_plane_wave_mode():

@@ -15,8 +15,9 @@ import qstream
 from qstream import (GridSpec, OpticalScene, SlitSpec, fresnel_propagate,
                      photon_path_bundle, transverse_momentum)
 from qstream.errors import EmptyScene, LeftDomain, ResolutionViolation
+from qstream.fields import CHUNK_VALUES, format_rows
 from qstream.optics import (ExactPoyntingSampler, FresnelEvaluator,
-                            _fast_len, _lattice_sample,
+                            PhotonPath, _fast_len, _lattice_sample,
                             gaussian_beam_intensity, poynting_field,
                             source_points, write_plane_profile, write_paths)
 from qstream.scenarios import _launch_positions, builtin_scenario
@@ -514,6 +515,20 @@ class TestSerialization:
         text = out.read_text()
         assert "# scenario = demo" in text
         assert "# path = 0" in text and "# path = 1" in text
+
+    def test_path_tables_equal_one_table_per_path(self, tmp_path):
+        # short paths share formatter calls; the long one spans three
+        rng = np.random.default_rng(4)
+        lengths = [1, 2, 151, 0, 40, CHUNK_VALUES // 3 * 2 + 5, 3] + [2] * 700
+        paths = [PhotonPath(0.05 * np.arange(n), rng.normal(size=n) * 1e-3,
+                            0.5 + rng.random(n)) for n in lengths]
+        out = tmp_path / "paths.txt"
+        write_paths(out, paths, metadata={"n_paths": len(paths)})
+        want = f"# n_paths = {len(paths)}\n" + "".join(
+            f"# path = {i}\n" + "".join(row + "\n" for row in
+                                         format_rows(p.s, p.x, p.z))
+            for i, p in enumerate(paths))
+        assert out.read_text() == want
 
 
 def test_gaussian_beam_intensity_normalized():
