@@ -18,7 +18,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AllBelowThreshold
-from .floattext import format_table
 
 NODE_THRESHOLD = 1e-12
 # what require_finite raises with
@@ -318,32 +317,29 @@ def _repr_rows(table: np.ndarray) -> list:
 
 
 # a chunk of fewer values is formatted by repr: floattext.format_table
-# costs about 0.4 ms per call plus 0.33 us per value against repr's
-# 1.45 us per value, so it is faster from about 350 values on (3- and
+# costs about 0.48 ms per call plus 0.28 us per value against repr's
+# 1.5 us per value, so it is faster from about 400 values on (3- and
 # 5-column tables, 2-core x86-64 VM, Python 3.11, numpy 2.4)
 REPR_BELOW = 512
-
-
-def format_text(*cols) -> str:
-    """The format_rows table of the float64 columns as one text, each row
-    ending in a newline: by floattext.format_table, or by repr when it
-    holds fewer than REPR_BELOW values.  Callers keep it to about
-    CHUNK_VALUES values."""
-    table = np.column_stack(cols)
-    if table.size < REPR_BELOW:
-        return "\n".join(_repr_rows(table)) + "\n"
-    return format_table(table)
 
 
 def write_rows(fh, *cols) -> None:
     """Write the format_rows table of the float64 columns (1D arrays, or 2D
     arrays of several columns) to the open text file fh, each row ending in
-    a newline, formatted by format_text about CHUNK_VALUES values at a time
-    (at least one row per chunk)."""
+    a newline, about CHUNK_VALUES values (at least one row) at a time.  A
+    chunk is formatted by floattext.format_table, the same bytes as
+    format_rows, or by repr when it holds fewer than REPR_BELOW values."""
     step = max(1, CHUNK_VALUES // sum([c.shape[1] if c.ndim == 2 else 1
                                        for c in cols]))
     for lo in range(0, len(cols[0]), step):
-        fh.write(format_text(*(c[lo:lo + step] for c in cols)))
+        table = np.column_stack([c[lo:lo + step] for c in cols])
+        if table.size < REPR_BELOW:
+            fh.write("\n".join(_repr_rows(table)) + "\n")
+        else:
+            # imported on first use: where bytecode is not cached,
+            # compiling it adds about 2.5 ms to every process's start-up
+            from .floattext import format_table
+            fh.write(format_table(table))
 
 
 def write_snapshot(path, psi: ComplexField, constants: PhysicalConstants,

@@ -31,14 +31,12 @@ three complex fields over the whole scene.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyScene, LeftDomain, ResolutionViolation
-from .fields import (CHUNK_VALUES, GridSpec, cubic_weights, format_text,
-                     lagrange_weights, write_rows)
+from .fields import GridSpec, cubic_weights, lagrange_weights, write_rows
 
 # CODATA 2022, SI units: speed of light, vacuum permittivity, permeability
 C_LIGHT, EPS0, MU0 = 299792458.0, 8.8541878188e-12, 1.25663706127e-06
@@ -421,31 +419,11 @@ def write_paths(path, paths, metadata: dict = None) -> None:
     with open(path, "w") as fh:
         for key, value in (metadata or {}).items():
             fh.write(f"# {key} = {value}\n")
-        lines = _path_lines(paths)
         for i, p in enumerate(paths):
             fh.write(f"# path = {i}\n")
-            fh.writelines(itertools.islice(lines, len(p.s)))
+            write_rows(fh, p.s, p.x, p.z)
         if not metadata and not paths:
             fh.write("\n")  # a table of nothing is one empty line
-
-
-def _path_lines(paths):
-    """The rows `s x z` of all paths in order.  Consecutive paths are
-    formatted together, CHUNK_VALUES // 3 rows at a time, because a
-    formatter call per short path would cost more than its rows."""
-    step = CHUNK_VALUES // 3
-    start = 0
-    while start < len(paths):
-        stop, rows = start + 1, len(paths[start].s)
-        while stop < len(paths) and rows + len(paths[stop].s) <= step:
-            rows += len(paths[stop].s)
-            stop += 1
-        cols = [np.concatenate([getattr(p, name) for p in paths[start:stop]])
-                for name in "sxz"]
-        for lo in range(0, rows, step):
-            yield from format_text(*(c[lo:lo + step]
-                                     for c in cols)).splitlines(True)
-        start = stop
 
 
 def gaussian_beam_intensity(slit: SlitSpec, x: np.ndarray, z: float,

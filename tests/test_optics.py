@@ -517,9 +517,9 @@ class TestSerialization:
         assert "# path = 0" in text and "# path = 1" in text
 
     def test_path_tables_equal_one_table_per_path(self, tmp_path):
-        # short paths share formatter calls; the long one spans three
+        # each path is a table of its own; the long one spans three chunks
         rng = np.random.default_rng(4)
-        lengths = [1, 2, 151, 0, 40, CHUNK_VALUES // 3 * 2 + 5, 3] + [2] * 700
+        lengths = [1, 2, 151, 0, 40, CHUNK_VALUES // 3 * 2 + 5, 3]
         paths = [PhotonPath(0.05 * np.arange(n), rng.normal(size=n) * 1e-3,
                             0.5 + rng.random(n)) for n in lengths]
         out = tmp_path / "paths.txt"
