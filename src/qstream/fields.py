@@ -186,12 +186,6 @@ def derivative(values: np.ndarray, dx: float, order: int = 1) -> np.ndarray:
     return out
 
 
-def spectral_derivative(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """FFT derivative; only valid for fields negligible at the box edges."""
-    k = grid.wavenumbers()
-    return np.fft.ifft(1j * k * np.fft.fft(values))
-
-
 def norm(psi: ComplexField) -> float:
     """Trapezoid integral of |Psi|^2 over the grid."""
     return float(np.trapezoid(np.abs(psi.values) ** 2, dx=psi.grid.dx))
@@ -234,22 +228,19 @@ def polar_decompose(psi: ComplexField,
     return PolarFields(psi.grid, rho, constants.hbar * phase, valid)
 
 
-def probability_current(psi: ComplexField, constants: PhysicalConstants,
-                        method: str = "fd4") -> np.ndarray:
-    """J = (hbar/m) Im(Psi* dPsi/dx)."""
-    if method == "spectral":
-        dpsi = spectral_derivative(psi.values, psi.grid)
-    else:
-        dpsi = derivative(psi.values, psi.grid.dx)
+def probability_current(psi: ComplexField,
+                        constants: PhysicalConstants) -> np.ndarray:
+    """J = (hbar/m) Im(Psi* dPsi/dx), dPsi/dx by `derivative`."""
+    dpsi = derivative(psi.values, psi.grid.dx)
     return (constants.hbar / constants.mass) * np.imag(np.conj(psi.values) * dpsi)
 
 
-def velocity_field(psi: ComplexField, constants: PhysicalConstants,
-                   method: str = "fd4") -> VelocityField:
+def velocity_field(psi: ComplexField,
+                   constants: PhysicalConstants) -> VelocityField:
     """v = J/rho above the node threshold; NaN elsewhere."""
     rho = np.abs(psi.values) ** 2
     valid = node_mask(rho)
-    J = probability_current(psi, constants, method=method)
+    J = probability_current(psi, constants)
     v = np.full(psi.grid.n_points, np.nan)
     v[valid] = J[valid] / rho[valid]
     return VelocityField(psi.grid, v, valid)

@@ -119,6 +119,17 @@ def source_points(scene: OpticalScene, source_dx: float = None) -> tuple:
     return lo, hi, int(np.ceil((hi - lo) / source_dx))
 
 
+def check_resolution(scene: OpticalScene, span: float) -> None:
+    """ResolutionViolation unless the transverse grid step resolves the
+    finest fringe at the nearest plane: dx < lambda z_min / (4 span), span
+    being the width of the aperture support."""
+    dx = scene.transverse_grid.dx
+    bound = scene.wavelength * min(scene.z_planes) / (4.0 * span)
+    if dx >= bound:
+        raise ResolutionViolation(
+            f"grid dx = {dx:g} must be < lambda z_min / (4 span) = {bound:g}")
+
+
 def _fast_len(n: int) -> int:
     """The smallest 2^a 3^b 5^c 7^d 11^e >= n, pocketfft's fast length for
     a complex transform (the length SciPy's next_fast_len returns)."""
@@ -150,18 +161,9 @@ class FresnelEvaluator:
         amp = scene.aperture_amplitude(self.x_src).astype(complex)
         norm = np.sqrt(np.sum(np.abs(amp) ** 2) * dxs)
         self.weights = amp * dxs / norm
-        self.aperture_span = hi - lo
         self._src_dx = dxs
         self._centre = 0.5 * (lo + hi)
-        self._check_resolution()
-
-    def _check_resolution(self):
-        g = self.scene.transverse_grid
-        z_min = min(self.scene.z_planes)
-        bound = self.scene.wavelength * z_min / (4.0 * self.aperture_span)
-        if g.dx >= bound:
-            raise ResolutionViolation(
-                f"grid dx = {g.dx:g} must be < lambda z_min / (4 span) = {bound:g}")
+        check_resolution(scene, hi - lo)
 
     def evaluate(self, x: np.ndarray, z) -> tuple:
         """Envelope psi and its (envelope) gradients at paired (x, z) points;
@@ -414,16 +416,14 @@ def write_plane_profile(path, scene: OpticalScene, z: float, psi, U, Sx, Sz,
         write_rows(fh, x, np.abs(psi) ** 2, U, Sx, Sz, kx_over_k)
 
 
-def write_paths(path, paths, metadata: dict = None) -> None:
-    """Path tables `s x z`, one block per path."""
+def write_paths(path, paths, metadata: dict) -> None:
+    """Path tables `s x z`, one block per path, with a metadata header."""
     with open(path, "w") as fh:
-        for key, value in (metadata or {}).items():
+        for key, value in metadata.items():
             fh.write(f"# {key} = {value}\n")
         for i, p in enumerate(paths):
             fh.write(f"# path = {i}\n")
             write_rows(fh, p.s, p.x, p.z)
-        if not metadata and not paths:
-            fh.write("\n")  # a table of nothing is one empty line
 
 
 def gaussian_beam_intensity(slit: SlitSpec, x: np.ndarray, z: float,

@@ -35,7 +35,7 @@ from . import optics as qo
 from . import propagators as qp
 from . import trajectories as qt
 from .errors import (ManifestWriteError, ParseError, QStreamError,
-                     ValidationError)
+                     ResolutionViolation, ValidationError)
 from .fields import ComplexField, GridSpec, PhysicalConstants
 from .optics import OpticalScene, SlitSpec
 from .propagators import PotentialSpec, PropagatorConfig
@@ -521,6 +521,11 @@ class OpticsScenario(_Scenario):
                     lambda: len(z) * (
                         grid.n_points + qo.source_points(scene, source_dx)[2]),
                     MAX_OPTICS_WORK)
+        lo, hi, _ = qo.source_points(scene, source_dx)
+        try:
+            qo.check_resolution(scene, hi - lo)
+        except ResolutionViolation as exc:
+            raise ValidationError("grid.n_points", str(exc))
         return dict(scene=scene, paths=paths, source_dx=source_dx)
 
     def _run(self, out_dir, required, manifest, files):

@@ -13,12 +13,12 @@ nonlinear state.
 A BundleStream marches an ensemble while the states are produced, holding
 only the four frames that an interval reads, and marches each interval as
 soon as the last state of its time stencil (_stencil) arrives;
-integrate_bundle replays a run's stored snapshots through it.  A
-VelocitySampler over every snapshot is the random-access path, and `_march`
-steps any rows, one trajectory included, through it.  A sampler builds an
-interval's x-stencil validity once, when it first samples the interval,
-and the time weights once per stage time; per query point there remain one
-gather, the cubic weights and the two Lagrange sums.
+integrate_bundle replays a run's stored snapshots through it.  Each
+interval is marched through a VelocitySampler over its stencil's frames,
+which builds their x-stencil validity once and the time weights once per
+stage time; per query point there remain one gather, the cubic weights and
+the two Lagrange sums.  The sequential oracle `_march` steps any rows, one
+trajectory included, through every interval of a run's velocity_frames.
 
 Diagnostics, at every stored state: strict ordering (the non-crossing
 property) and conservation of the probability enclosed between any two
@@ -88,11 +88,19 @@ def sample_initial_positions(rho: np.ndarray, grid: GridSpec, n: int,
     return InitialEnsemble(positions)
 
 
-def _velocity_frame(psi, constants, method: str = "fd4"):
+def _velocity_frame(psi, constants):
     """The guidance velocity of one state, 0 at invalid points, and its
     validity flags."""
-    vf = qf.velocity_field(psi, constants, method=method)
+    vf = qf.velocity_field(psi, constants)
     return np.where(vf.valid, vf.v, 0.0), vf.valid
+
+
+def velocity_frames(run: PropagationRun) -> tuple:
+    """(times, v, ok) of every stored snapshot of a run: the velocities (0
+    where invalid) and validity flags as (n_states, n_points) arrays."""
+    v, ok = zip(*(_velocity_frame(s, run.config.constants)
+                  for s in run.snapshots))
+    return np.array([s.time for s in run.snapshots]), np.array(v), np.array(ok)
 
 
 def rk4_steps(gap: float, dt_traj: float) -> int:
@@ -116,113 +124,85 @@ _OFFSETS = np.arange(-1, 3)[:, None]
 
 
 class VelocitySampler:
-    """v(x, t) from a snapshot sequence: cubic in x on valid points
-    (shrinking to linear beside invalid nodes), and in t the Lagrange
-    polynomial through the snapshots of interval i's _stencil.
+    """v(x, t) on one interval: cubic in x on valid points (shrinking to
+    linear beside invalid nodes), and in t the Lagrange polynomial through
+    the frames of the interval's _stencil.
 
-    The work that does not depend on the query points is done once: each
-    interval's stencil validity when the interval is first sampled, and
-    the time weights and rate factor of the last time sampled, which the
-    next call reuses at the same time (the k2 and k3 stages of an RK4 step
-    share theirs).  So the frames must not change while the sampler is in
-    use."""
+    The work that does not depend on the query points is done once: the
+    stencil validity when the sampler is built, and the time weights and
+    rate factor of the last time sampled, which the next call reuses at the
+    same time (the k2 and k3 stages of an RK4 step share theirs).  So the
+    frames must not change while the sampler is in use."""
 
     def __init__(self, grid: GridSpec, config, times, v, ok):
-        """A sampler over frames: their times, and their velocities (0
-        where invalid) and validity flags as (n_frames, n_points) arrays."""
+        """A sampler over the frames of one interval's stencil: their times,
+        and their velocities (0 where invalid) and validity flags as
+        (n_frames, n_points) arrays.  For each left node j of a query point
+        it flags whether its 4-point (cubic) and its 2-point (linear) x
+        stencil is valid on every frame."""
         self.grid, self.config = grid, config
         self.times, self.v, self.ok = times, v, ok
-        self._interval = self._time = None
+        valid = ok.all(axis=0)
+        self._linear = valid[:-1] & valid[1:]
+        # nodes j - 1 .. j + 2, all inside the grid
+        self._cubic = np.zeros_like(self._linear)
+        self._cubic[1:-1] = self._linear[:-2] & self._linear[2:]
+        self._time = None  # (t, its Lagrange weights, the rate factor)
 
-    @classmethod
-    def from_run(cls, run: PropagationRun,
-                 method: str = "fd4") -> VelocitySampler:
-        """A sampler over every stored snapshot of a run."""
-        frames = [_velocity_frame(s, run.config.constants, method)
-                  for s in run.snapshots]
-        return cls(run.snapshots[0].grid, run.config,
-                   np.array([s.time for s in run.snapshots]),
-                   np.asarray([v for v, _ in frames]),
-                   np.asarray([ok for _, ok in frames]))
-
-    def _stencils(self, i: int):
-        """Interval i's frames, and for each left node j of a query point
-        whether its 4-point (cubic) and its 2-point (linear) x stencil is
-        valid on every one of them: (rows, cubic, linear), the last two of
-        n_points - 1 flags."""
-        if self._interval is None or self._interval[0] != i:
-            rows = _stencil(i, len(self.times))
-            ok = self.ok[rows].all(axis=0)
-            linear = ok[:-1] & ok[1:]
-            # nodes j - 1 .. j + 2, all inside the grid
-            cubic = np.zeros_like(linear)
-            cubic[1:-1] = linear[:-2] & linear[2:]
-            self._interval, self._time = (i, (rows, cubic, linear)), None
-        return self._interval[1]
-
-    def _time_weights(self, t: float, rows: slice):
-        """The Lagrange weights in t over the frames `rows`, those of the
-        interval last sampled, and the rate factor at t."""
-        if self._time is None or self._time[0] != t:
-            self._time = t, (qf.lagrange_weights(t, self.times[rows]),
-                             rate_factor(self.config, t))
-        return self._time[1]
-
-    def _space(self, rows: slice, cubic_all: np.ndarray, j: np.ndarray,
-               f: np.ndarray):
-        """v on the snapshots `rows` at the query points with left node j
-        and offset f from it in grid steps, as an (n_rows, len(j)) array:
-        4-point Lagrange in x where all four nodes are valid and inside the
-        grid, else linear between nodes j and j + 1.  All rows share one
+    def _space(self, j: np.ndarray, f: np.ndarray):
+        """v on every frame at the query points with left node j and offset
+        f from it in grid steps, as an (n_frames, len(j)) array: 4-point
+        Lagrange in x where all four nodes are valid and inside the grid,
+        else linear between nodes j and j + 1.  All frames share one
         stencil (indices and weights) and one gather; the linear values are
-        computed only when some point lacks the cubic stencil on some row
-        (cubic_all, by left node)."""
+        computed only when some point lacks the cubic stencil on some
+        frame."""
         last = self.grid.n_points - 1
         nodes = np.minimum(np.maximum(j + _OFFSETS, 0), last)
-        v = self.v[rows, nodes]  # (rows, 4, points)
+        v = self.v[:, nodes]  # (frames, 4, points)
         cubic = (qf.cubic_weights(f) * v).sum(axis=1)
-        if cubic_all[j].all():
+        if self._cubic[j].all():
             return cubic
-        ok = self.ok[rows, nodes]
+        ok = self.ok[:, nodes]
         cubic_ok = ok.all(axis=1) & ((j - 1 >= 0) & (j + 2 <= last))
         return np.where(cubic_ok, cubic, (1 - f) * v[:, 1] + f * v[:, 2])
 
-    def sample(self, xq: np.ndarray, t: float, i: int):
-        """(velocity, ok) arrays at xq and time t, on interval i (from
-        snapshot i to i + 1); rate factor included.  A point is ok when
-        the two nodes around it are valid on every snapshot of the
-        interval."""
+    def sample(self, xq: np.ndarray, t: float):
+        """(velocity, ok) arrays at xq and time t; rate factor included.  A
+        point is ok when the two nodes around it are valid on every
+        frame."""
         g = self.grid
         s = (np.asarray(xq, dtype=float) - g.x_min) / g.dx
         j = np.minimum(np.maximum(np.floor(s).astype(int), 0), g.n_points - 2)
-        rows, cubic, linear = self._stencils(i)
-        v = self._space(rows, cubic, j, s - j)
-        w, rate = self._time_weights(t, rows)
-        return rate * (w[:, None] * v).sum(axis=0), linear[j]
+        v = self._space(j, s - j)
+        if self._time is None or self._time[0] != t:
+            self._time = (t, qf.lagrange_weights(t, self.times),
+                          rate_factor(self.config, t))
+        _, w, rate = self._time
+        return rate * (w[:, None] * v).sum(axis=0), self._linear[j]
 
 
-def _rk4_step(sampler: VelocitySampler, x: np.ndarray, t: float, dt: float,
-              i: int):
-    k1, o1 = sampler.sample(x, t, i)
-    k2, o2 = sampler.sample(x + 0.5 * dt * k1, t + 0.5 * dt, i)
-    k3, o3 = sampler.sample(x + 0.5 * dt * k2, t + 0.5 * dt, i)
-    k4, o4 = sampler.sample(x + dt * k3, t + dt, i)
+def _rk4_step(sampler: VelocitySampler, x: np.ndarray, t: float, dt: float):
+    k1, o1 = sampler.sample(x, t)
+    k2, o2 = sampler.sample(x + 0.5 * dt * k1, t + 0.5 * dt)
+    k3, o3 = sampler.sample(x + 0.5 * dt * k2, t + 0.5 * dt)
+    k4, o4 = sampler.sample(x + dt * k3, t + dt)
     return x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), o1 & o2 & o3 & o4
 
 
-def _step_with_halving(sampler, x: float, t: float, dt: float, i: int,
+def _step_with_halving(sampler, x: float, t: float, dt: float,
                        max_halvings: int = 8):
     """Scalar fallback near quasi-nodes: halve the step up to 8 times.
     Returns the new position and the number of halvings made."""
     xa = np.array([x])
-    out, ok = _rk4_step(sampler, xa, t, dt, i)
+    out, ok = _rk4_step(sampler, xa, t, dt)
     if ok[0]:
         return float(out[0]), 0
     if max_halvings == 0:
         raise NodeEncounter(f"invalid velocity region near x = {x:g}, t = {t:g}")
     h = 0.5 * dt
-    x, n1 = _step_with_halving(sampler, x, t, h, i, max_halvings - 1)
-    x, n2 = _step_with_halving(sampler, x, t + h, h, i, max_halvings - 1)
+    x, n1 = _step_with_halving(sampler, x, t, h, max_halvings - 1)
+    x, n2 = _step_with_halving(sampler, x, t + h, h, max_halvings - 1)
     return x, 1 + n1 + n2
 
 
@@ -230,9 +210,10 @@ class _March:
     """All rows marched from stored state to stored state, one RK4 call per
     step over the live rows; rows with an invalid velocity take the scalar
     halving fallback.  A row that meets a node or leaves the grid is dropped
-    and NaN at every state.  Each interval(sampler, i, dt_traj) crosses the
-    sampler's interval i, so the sampler may change between intervals.  The
-    positions at all n_states states are allocated up front."""
+    and NaN at every state.  Each interval(sampler, i, dt_traj) crosses
+    from the sampler's frame i to frame i + 1, through a sampler over that
+    interval's stencil.  The positions at all n_states states are allocated
+    up front."""
 
     def __init__(self, x0: np.ndarray, n_states: int):
         self.x = np.array(x0, dtype=float)
@@ -248,20 +229,20 @@ class _March:
         n_steps = rk4_steps(t1 - t0, dt_traj)
         dt = (t1 - t0) / n_steps
         for k in range(n_steps):
-            self._step(sampler, i, t0 + k * dt, dt)
+            self._step(sampler, t0 + k * dt, dt)
         self.xs[:, self.k] = np.nan
         self.xs[self.live, self.k] = self.x
         self.k += 1
 
-    def _step(self, sampler, i: int, t: float, dt: float) -> None:
+    def _step(self, sampler, t: float, dt: float) -> None:
         x, live = self.x, self.live
         g = sampler.grid
-        x_new, ok = _rk4_step(sampler, x, t, dt, i)
+        x_new, ok = _rk4_step(sampler, x, t, dt)
         failed = {}
         for r in np.flatnonzero(~ok):
             self.fallback_rows += 1
             try:
-                x_new[r], n = _step_with_halving(sampler, x[r], t, dt, i)
+                x_new[r], n = _step_with_halving(sampler, x[r], t, dt)
                 self.halvings += n
             except NodeEncounter as exc:
                 failed[r] = exc
@@ -284,12 +265,18 @@ class _March:
         return self.xs, self.errors, self.fallback_rows, self.halvings
 
 
-def _march(sampler: VelocitySampler, x0: np.ndarray, dt_traj: float):
-    """The _March over every interval of one sampler; returns
-    _March.result()."""
-    march = _March(x0, len(sampler.times))
-    for i in range(len(sampler.times) - 1):
-        march.interval(sampler, i, dt_traj)
+def _march(grid: GridSpec, config, frames: tuple, x0: np.ndarray,
+           dt_traj: float):
+    """The sequential oracle: the _March over every interval of a run's
+    velocity_frames, each through a sampler over its _stencil sliced from
+    them; returns _March.result()."""
+    times, v, ok = frames
+    n = len(times)
+    march = _March(x0, n)
+    for i in range(n - 1):
+        rows = _stencil(i, n)
+        sampler = VelocitySampler(grid, config, times[rows], v[rows], ok[rows])
+        march.interval(sampler, i - rows.start, dt_traj)
     return march.result()
 
 
@@ -306,11 +293,10 @@ class BundleStream:
     It holds the frames (v, ok, rho) of the last four states in
     (4, n_points) arrays, which its samplers view, and marches each
     interval once the last state of its _stencil arrives: the frames held
-    are then that stencil, which a VelocitySampler over every state picks
-    too, so the march and the tube values equal those over every stored
-    snapshot bit for bit.  The positions and tube values are allocated up
-    front; the frames grow with neither the number nor the density of the
-    states.
+    are then that stencil, the one `_march` slices from every state, so the
+    march and the tube values equal those over every stored snapshot bit
+    for bit.  The positions and tube values are allocated up front; the
+    frames grow with neither the number nor the density of the states.
     """
 
     def __init__(self, ensemble: InitialEnsemble, grid: GridSpec, config,
@@ -384,23 +370,18 @@ class BundleStream:
 
 
 def integrate_bundle(ensemble: InitialEnsemble, run: PropagationRun,
-                     dt_traj: float,
-                     sampler: VelocitySampler = None) -> TrajectoryBundle:
+                     dt_traj: float) -> TrajectoryBundle:
     """One trajectory per initial position, each reported at every stored
-    state: the stored snapshots (velocities from `sampler`, by default a
-    VelocitySampler.from_run of the run) replayed through a BundleStream.
+    state: the run's stored snapshots replayed through a BundleStream.
 
     Per-trajectory failures are recorded in bundle.errors as
     (index, error type, message), sorted by index, and the failing
     trajectory is NaN at every state; the other trajectories run on.
     """
-    if sampler is None:
-        sampler = VelocitySampler.from_run(run)
-    stream = BundleStream(ensemble, sampler.grid, run.config, dt_traj,
-                          len(run.snapshots))
-    for i, snap in enumerate(run.snapshots):
-        stream.push(sampler.times[i], sampler.v[i], sampler.ok[i],
-                    np.abs(snap.values) ** 2)
+    stream = BundleStream(ensemble, run.snapshots[0].grid, run.config,
+                          dt_traj, len(run.snapshots))
+    for snap in run.snapshots:
+        stream(snap)
     return stream.finish()
 
 
@@ -445,11 +426,11 @@ def tube_probability(bundle: TrajectoryBundle,
     return out
 
 
-def write_bundle(path, bundle: TrajectoryBundle, metadata: dict = None) -> None:
+def write_bundle(path, bundle: TrajectoryBundle, metadata: dict) -> None:
     """Text table: one row per stored state, columns t x_1 ... x_n, with a
     metadata header."""
     with open(path, "w") as fh:
-        for key, value in (metadata or {}).items():
+        for key, value in metadata.items():
             fh.write(f"# {key} = {value}\n")
         fh.write("# t " + " ".join(f"x_{i + 1}"
                                    for i in range(bundle.xs.shape[0])) + "\n")

@@ -22,7 +22,7 @@ from qstream.propagators import step
 from qstream.scenarios import (_launch_positions, _path_non_crossing,
                                builtin_scenario, initial_state,
                                parse_scenario, propagator_config)
-from qstream.trajectories import VelocitySampler, _march
+from qstream.trajectories import _march, velocity_frames
 
 from conftest import fresnel_planes, poynting_lattice
 
@@ -408,10 +408,11 @@ ensemble.dt_traj = 0.01
     config = parse_scenario(text)
     run = propagate(initial_state(config), propagator_config(config),
                     config.t_final, snapshot_every=config.snapshot_every)
-    sampler = VelocitySampler.from_run(run)
+    frames = velocity_frames(run)
     rho0 = np.abs(run.snapshots[0].values) ** 2
     ens = sample_initial_positions(rho0, config.grid, 12)
-    oracle = np.vstack([_march(sampler, np.array([x0]), 0.01)[0]
+    oracle = np.vstack([_march(config.grid, run.config, frames,
+                               np.array([x0]), 0.01)[0]
                         for x0 in ens.positions])
     written = np.loadtxt(outs["first"] / "bundle.txt")[:, 1:].T
     ok = dev < 1e-12 and identical and np.array_equal(written, oracle)

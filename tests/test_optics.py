@@ -203,7 +203,7 @@ class TestFresnelPropagation:
             "PropagatorConfig, SlitSpec, damped_oscillator, "
             "fresnel_propagate, gaussian_packet, photon_path_bundle, "
             "propagate)\n"
-            "from qstream.fields import kinetic_energy, spectral_derivative\n"
+            "from qstream.fields import kinetic_energy\n"
             "from qstream.optics import PoyntingField\n"
             "scene = OpticalScene((SlitSpec(3e-4),), 943e-9, "
             "GridSpec(-5e-3, 5e-3, 401), (0.5, 1.0))\n"
@@ -219,7 +219,6 @@ class TestFresnelPropagation:
             "potential=cfg.potential, gamma=0.3, dt=0.01), "
             "0.05)\n"
             "kinetic_energy(run.snapshots[-1], cfg.constants)\n"
-            "spectral_derivative(psi.values, psi.grid)\n"
             "for name in ('signal', 'interpolate', 'integrate', "
             "'constants', 'fft'):\n"
             "    assert 'scipy.' + name not in sys.modules, name\n"

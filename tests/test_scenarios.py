@@ -1045,6 +1045,21 @@ class TestCli:
         assert "unknown check 'bogus'" in capsys.readouterr().err
         assert not out.exists()  # no stage ran
 
+    def test_unresolved_optics_grid_exit_code(self, tmp_path, capsys):
+        # dx = 25 um cannot resolve the finest fringe of a 6.6 mm aperture
+        # support at 0.5 m (lambda z_min / (4 span) = 17.9 um); the rule
+        # reads only the config, so it fails validation, not the run
+        path = tmp_path / "s.cfg"
+        path.write_text(TWO_SLIT_OPTICS.replace("grid.n_points = 801",
+                                                "grid.n_points = 401"))
+        assert cli.main(["validate", str(path)]) == 2
+        assert "grid.n_points: grid dx = 2.5e-05 must be < " in (
+            capsys.readouterr().err)
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out-dir", str(out)]) == 2
+        assert "grid.n_points: grid dx" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_numeric_failure_exit_code(self, tmp_path, capsys):
         path = tmp_path / "s.cfg"
         path.write_text(UNSTABLE_MATTER)

@@ -17,7 +17,8 @@ from qstream.errors import NodeEncounter, ZeroDensity
 from qstream.propagators import (PropagationRun, rate_factor, state_count,
                                   state_time, whole_steps)
 from qstream.fields import lagrange_weights
-from qstream.trajectories import (BundleStream, VelocitySampler, _march,
+from qstream.trajectories import (BundleStream, VelocitySampler, _March,
+                                  _march, _stencil, velocity_frames,
                                   write_bundle)
 
 from conftest import max_abs, sym_grid
@@ -44,11 +45,34 @@ def plane_wave_run(k=2.0, t_final=3.0, n_snaps=31):
     return make_run(snaps, cfg)
 
 
-def march_one(x0, sampler, dt_traj):
+def plane_wave_frames(run, k=2.0):
+    """Exact frames of a plane_wave_run's states: (times, v = k, ok)."""
+    times = np.array([s.time for s in run.snapshots])
+    shape = (len(times), run.snapshots[0].grid.n_points)
+    return times, np.full(shape, k), np.ones(shape, dtype=bool)
+
+
+def march(run, frames, x0, dt_traj):
+    """_march of the rows x0 over frames of the run's states."""
+    return _march(run.snapshots[0].grid, run.config, frames, x0, dt_traj)
+
+
+def march_one(x0, run, frames, dt_traj):
     """(times, x, errors) of one trajectory from x0: the march a bundle
     runs, over a single row."""
-    xs, errors, _, _ = _march(sampler, np.array([float(x0)]), dt_traj)
-    return sampler.times, xs[0], errors
+    xs, errors, _, _ = march(run, frames, np.array([float(x0)]), dt_traj)
+    return frames[0], xs[0], errors
+
+
+def push_frames(ens, run, frames, dt_traj):
+    """The bundle a BundleStream marches over frames (times, v, ok) pushed
+    with the densities of the run's states."""
+    times, v, ok = frames
+    stream = BundleStream(ens, run.snapshots[0].grid, run.config, dt_traj,
+                          len(times))
+    for t, v_k, ok_k, snap in zip(times, v, ok, run.snapshots):
+        stream.push(t, v_k, ok_k, np.abs(snap.values) ** 2)
+    return stream.finish()
 
 
 # initial ensembles ---------------------------------------------------------
@@ -126,8 +150,8 @@ class TestIntegrateTrajectory:
 
     def test_plane_wave_advection(self):
         run = plane_wave_run()
-        sampler = VelocitySampler.from_run(run, method="spectral")
-        _, x, errors = march_one(1.0, sampler, dt_traj=0.01)
+        _, x, errors = march_one(1.0, run, plane_wave_frames(run),
+                                 dt_traj=0.01)
         assert errors == [] and abs(x[-1] - 7.0) < 1e-10
 
     def test_stationary_state_static_trajectory(self):
@@ -136,7 +160,7 @@ class TestIntegrateTrajectory:
                                                        omega0=1.0), dt=1e-3)
         run = propagate(gaussian_packet(g, C, math.sqrt(0.5)), cfg, 1.0,
                         snapshot_every=100)
-        _, x, errors = march_one(0.5, VelocitySampler.from_run(run),
+        _, x, errors = march_one(0.5, run, velocity_frames(run),
                                  dt_traj=0.01)
         assert errors == [] and max_abs(x - 0.5) < 1e-7
 
@@ -144,7 +168,7 @@ class TestIntegrateTrajectory:
         g = sym_grid(12, 1024)
         run = propagate(gaussian_packet(g, C, 1.0),
                         PropagatorConfig(dt=1e-3), 2.0, snapshot_every=2)
-        t, x, errors = march_one(1.0, VelocitySampler.from_run(run),
+        t, x, errors = march_one(1.0, run, velocity_frames(run),
                                  dt_traj=0.01)
         expect = np.sqrt(1.0 + (t / 2.0) ** 2)
         assert errors == [] and max_abs(x - expect) < 1e-5
@@ -171,10 +195,10 @@ class TestOrderOfAccuracy:
         g = sym_grid(12, 1024)
         run = propagate(gaussian_packet(g, C, 1.0),
                         PropagatorConfig(dt=1e-3), 2.0, snapshot_every=40)
-        sampler = VelocitySampler.from_run(run)
+        frames = velocity_frames(run)
         ends = {}
         for dt_traj in (0.04, 0.01, 0.0025):
-            ends[dt_traj] = march_one(1.0, sampler, dt_traj)[1][-1]
+            ends[dt_traj] = march_one(1.0, run, frames, dt_traj)[1][-1]
         e_coarse = abs(ends[0.04] - ends[0.0025])
         e_fine = abs(ends[0.01] - ends[0.0025])
         assert e_coarse / e_fine > 50.0
@@ -182,11 +206,10 @@ class TestOrderOfAccuracy:
 
 # velocity sampling ---------------------------------------------------------
 
-def _reference_space(sampler, i_snap, xq):
+def _reference_space(g, frames, i_snap, xq):
     """v and ok at xq on one snapshot, as the sampler computed them before
     both snapshots shared one stencil."""
-    g = sampler.grid
-    v, ok = sampler.v[i_snap], sampler.ok[i_snap]
+    v, ok = frames[1][i_snap], frames[2][i_snap]
     s = (xq - g.x_min) / g.dx
     j = np.clip(np.floor(s).astype(int), 0, g.n_points - 2)
     f = s - j
@@ -201,28 +224,36 @@ def _reference_space(sampler, i_snap, xq):
     return np.where(cubic_ok, cubic, linear), cubic_ok | (ok[j] & ok[j + 1])
 
 
-def _reference_sample(sampler, xq, t, i):
+def _reference_sample(g, config, frames, xq, t, i):
     """The Lagrange sum in t, term by term, of the per-snapshot values over
     snapshots i - 1 .. i + 2, shifted inside the run."""
-    times = sampler.times
+    times = frames[0]
     s = min(max(i - 1, 0), len(times) - 4)
     w = lagrange_weights(t, times[s:s + 4])
     v, ok = 0.0, True
     for a in range(4):
-        v_a, ok_a = _reference_space(sampler, s + a, xq)
+        v_a, ok_a = _reference_space(g, frames, s + a, xq)
         v, ok = v + w[a] * v_a, ok & ok_a
-    return rate_factor(sampler.config, t) * v, ok
+    return rate_factor(config, t) * v, ok
+
+
+def interval_sampler(g, config, frames, i):
+    """The VelocitySampler of interval i: over the frames of its _stencil."""
+    times, v, ok = frames
+    rows = _stencil(i, len(times))
+    return VelocitySampler(g, config, times[rows], v[rows], ok[rows])
 
 
 class TestVelocitySampler:
     @staticmethod
-    def _assert_matches_oracle(sampler, xq):
-        times = sampler.times
+    def _assert_matches_oracle(g, config, frames, xq):
+        times = frames[0]
         for i in range(len(times) - 1):
+            sampler = interval_sampler(g, config, frames, i)
             for t in times[i] + np.array([0.0, 0.3, 1.0]) * (times[i + 1]
                                                             - times[i]):
-                v, ok = sampler.sample(xq, t, i)
-                v_ref, ok_ref = _reference_sample(sampler, xq, t, i)
+                v, ok = sampler.sample(xq, t)
+                v_ref, ok_ref = _reference_sample(g, config, frames, xq, t, i)
                 assert np.array_equal(ok, ok_ref)
                 assert np.array_equal(v, v_ref)
 
@@ -247,14 +278,14 @@ class TestVelocitySampler:
         g = GridSpec(-2.0, 2.0, 41)
         times = np.array(times)
         v = np.array([field(g.x, t) for t in times])
-        sampler = VelocitySampler(g, PropagatorConfig(), times, v,
-                                  np.ones_like(v, dtype=bool))
+        frames = times, v, np.ones_like(v, dtype=bool)
         xq = np.random.default_rng(5).uniform(g.x_min + g.dx,
                                               g.x_max - 2 * g.dx, 50)
         for i in intervals:
+            sampler = interval_sampler(g, PropagatorConfig(), frames, i)
             for t in times[i] + np.array([0.0, 0.25, 0.6, 1.0]) * (
                     times[i + 1] - times[i]):
-                got, ok = sampler.sample(xq, t, i)
+                got, ok = sampler.sample(xq, t)
                 assert ok.all()
                 assert max_abs(got - field(xq, t)) < 1e-13
 
@@ -265,9 +296,9 @@ class TestVelocitySampler:
         b = gaussian_packet(g, C, 0.7, x0=2.5, p0=-6.0)
         psi = ComplexField(g, (a.values + b.values) / math.sqrt(2), 0.0)
         run = propagate(psi, PropagatorConfig(dt=1e-2), 0.6, snapshot_every=5)
-        sampler = VelocitySampler.from_run(run)
+        frames = velocity_frames(run)
         nodes = []
-        for ok in sampler.ok:
+        for ok in frames[2]:
             valid = np.flatnonzero(ok)
             nodes += list(valid[0] + np.flatnonzero(~ok[valid[0]:valid[-1]]))
         assert len(nodes) > 0
@@ -276,17 +307,18 @@ class TestVelocitySampler:
         xq = np.concatenate((
             [g.x_min, g.x_max], beside.ravel(),
             np.random.default_rng(3).uniform(-10, 10, 200)))
-        self._assert_matches_oracle(sampler, xq)
+        self._assert_matches_oracle(g, run.config, frames, xq)
 
     def test_shared_stencil_matches_per_snapshot_oracle_at_the_edges(self):
         # a plane wave is valid everywhere, so the stencil reaches the ends
-        sampler = VelocitySampler.from_run(plane_wave_run(n_snaps=7))
-        g = sampler.grid
-        assert sampler.ok.all()
+        run = plane_wave_run(n_snaps=7)
+        frames = velocity_frames(run)
+        g = run.snapshots[0].grid
+        assert frames[2].all()
         offsets = np.array([0.0, 0.4, 1.0, 1.4, 2.0, 2.6])
         xq = np.concatenate((g.x_min + offsets * g.dx,
                              g.x_max - offsets * g.dx))
-        self._assert_matches_oracle(sampler, xq)
+        self._assert_matches_oracle(g, run.config, frames, xq)
 
 
 # bundles -------------------------------------------------------------------
@@ -298,18 +330,17 @@ class TestBundles:
                         PropagatorConfig(dt=1e-3), 1.0, snapshot_every=5)
         rho0 = np.abs(run.snapshots[0].values) ** 2
         ens = sample_initial_positions(rho0, g, 12)
-        sampler = VelocitySampler.from_run(run)
-        bundle = integrate_bundle(ens, run, dt_traj=0.01, sampler=sampler)
-        oracle = np.vstack([march_one(x0, sampler, dt_traj=0.01)[1]
+        frames = velocity_frames(run)
+        bundle = integrate_bundle(ens, run, dt_traj=0.01)
+        oracle = np.vstack([march_one(x0, run, frames, dt_traj=0.01)[1]
                             for x0 in ens.positions])
         assert np.array_equal(bundle.xs, oracle)
         assert bundle.errors == ()
 
     def test_escaping_trajectory_recorded_not_fatal(self):
         run = plane_wave_run()  # v = 2, domain [0, ~12.57], t up to 3
-        sampler = VelocitySampler.from_run(run, method="spectral")
         ens = InitialEnsemble(np.array([1.0, 8.0]))
-        bundle = integrate_bundle(ens, run, dt_traj=0.01, sampler=sampler)
+        bundle = push_frames(ens, run, plane_wave_frames(run), dt_traj=0.01)
         assert len(bundle.errors) == 1
         assert bundle.errors[0][0] == 1
         assert bundle.errors[0][1] == "LeftDomain"
@@ -320,17 +351,18 @@ class TestBundles:
     def test_node_encounter_recorded_not_fatal(self):
         # v = 2: over t in [0, 1] only row 1 crosses 4
         run = plane_wave_run(t_final=1.0, n_snaps=11)
-        sampler = VelocitySampler.from_run(run, method="spectral")
-        sampler.ok[:, (sampler.grid.x > 3.9) & (sampler.grid.x < 4.1)] = False
+        frames = plane_wave_frames(run)
+        x = run.snapshots[0].grid.x
+        frames[2][:, (x > 3.9) & (x < 4.1)] = False
         ens = InitialEnsemble(np.array([0.5, 3.0, 4.5]))
-        bundle = integrate_bundle(ens, run, dt_traj=0.01, sampler=sampler)
+        bundle = push_frames(ens, run, frames, dt_traj=0.01)
         assert [e[:2] for e in bundle.errors] == [(1, "NodeEncounter")]
         assert np.all(np.isnan(bundle.xs[1]))
         for row in (0, 2):
-            _, oracle, errors = march_one(ens.positions[row], sampler,
+            _, oracle, errors = march_one(ens.positions[row], run, frames,
                                           dt_traj=0.01)
             assert errors == [] and np.array_equal(bundle.xs[row], oracle)
-        _, _, errors = march_one(3.0, sampler, dt_traj=0.01)
+        _, _, errors = march_one(3.0, run, frames, dt_traj=0.01)
         assert [type(exc) for _, exc in errors] == [NodeEncounter]
         # only row 1 met the band, once; its halvings all failed
         assert (bundle.fallback_rows, bundle.halvings) == (1, 0)
@@ -343,11 +375,12 @@ class TestBundles:
             grid = GridSpec(-2.0, 2.0, 101)
             times = np.array([0.0, 0.1])
 
-            def sample(self, x, t, i):
+            def sample(self, x, t):
                 return -50.0 * x, x > 0
 
-        xs, errors, fallback_rows, halvings = _march(
-            Decay(), np.array([1.0, -1.0]), 0.1)
+        march = _March(np.array([1.0, -1.0]), 2)
+        march.interval(Decay(), 0, 0.1)
+        xs, errors, fallback_rows, halvings = march.result()
         assert [(row, type(exc)) for row, exc in errors] == [
             (1, NodeEncounter)]
         assert (fallback_rows, halvings) == (2, 3)
@@ -363,9 +396,8 @@ class TestBundles:
 
     def test_bundle_serialization(self, tmp_path):
         run = plane_wave_run()
-        sampler = VelocitySampler.from_run(run, method="spectral")
         ens = InitialEnsemble(np.array([1.0, 2.0, 3.0]))
-        bundle = integrate_bundle(ens, run, dt_traj=0.1, sampler=sampler)
+        bundle = push_frames(ens, run, plane_wave_frames(run), dt_traj=0.1)
         path = tmp_path / "bundle.txt"
         write_bundle(path, bundle, metadata={"model": "standard"})
         lines = path.read_text().splitlines()
@@ -427,13 +459,13 @@ class TestBundleStream:
                                                  snapshot_every, dt_traj)
         replayed = integrate_bundle(ens, run, dt_traj)
         assert_same_bundle(streamed, replayed)
-        # the oracles: one sampler over every stored state, and the tube
-        # values from every stored density
-        sampler = VelocitySampler.from_run(run)
-        xs, errors, fallback_rows, halvings = _march(
-            sampler, ens.positions, dt_traj)
-        assert state_time(0.0, cfg.dt, run.steps) == sampler.times[-1]
-        assert np.array_equal(streamed.times, sampler.times)
+        # the oracles: the march over the frames of every stored state, and
+        # the tube values from every stored density
+        frames = velocity_frames(run)
+        xs, errors, fallback_rows, halvings = march(run, frames,
+                                                    ens.positions, dt_traj)
+        assert state_time(0.0, cfg.dt, run.steps) == frames[0][-1]
+        assert np.array_equal(streamed.times, frames[0])
         assert np.array_equal(streamed.xs, xs)
         assert (errors, fallback_rows, halvings) == ([], 0, 0)
         assert np.array_equal(streamed.tubes,
@@ -444,14 +476,14 @@ class TestBundleStream:
         # and 2 overshoot below 6 and take the halving fallback, which
         # succeeds; row 0 starts in the invalid region and fails
         run = plane_wave_run(n_snaps=7)
-        sampler = VelocitySampler.from_run(run)
-        x = sampler.grid.x
-        sampler.v[:] = -50.0 * (x - 7.0)
-        sampler.ok[:] = x > 6.0
+        frames = velocity_frames(run)
+        x = run.snapshots[0].grid.x
+        frames[1][:] = -50.0 * (x - 7.0)
+        frames[2][:] = x > 6.0
         ens = InitialEnsemble(np.array([5.0, 8.0, 9.0]))
-        bundle = integrate_bundle(ens, run, dt_traj=0.1, sampler=sampler)
-        xs, errors, fallback_rows, halvings = _march(sampler, ens.positions,
-                                                     0.1)
+        bundle = push_frames(ens, run, frames, dt_traj=0.1)
+        xs, errors, fallback_rows, halvings = march(run, frames,
+                                                    ens.positions, 0.1)
         assert np.array_equal(bundle.xs, xs, equal_nan=True)
         assert bundle.errors == tuple(
             (row, type(exc).__name__, str(exc)) for row, exc in errors)
@@ -474,15 +506,15 @@ class TestBundleStream:
         wave = plane_wave_run(t_final=1.6, n_snaps=len(times))
         run = make_run([ComplexField(s.grid, s.values, time=t)
                         for s, t in zip(wave.snapshots, times)], wave.config)
-        sampler = VelocitySampler.from_run(run)
-        x = sampler.grid.x
+        frames = velocity_frames(run)
+        x = run.snapshots[0].grid.x
         for i in range(len(times)):
-            sampler.v[i] = -30.0 * (x - 7.0 - 0.8 * (-1) ** i)
-        sampler.ok[:] = x > 6.0
+            frames[1][i] = -30.0 * (x - 7.0 - 0.8 * (-1) ** i)
+        frames[2][:] = x > 6.0
         ens = InitialEnsemble(np.array([7.2, 7.6]))
-        bundle = integrate_bundle(ens, run, dt_traj=0.1, sampler=sampler)
-        xs, errors, fallback_rows, halvings = _march(sampler, ens.positions,
-                                                     0.1)
+        bundle = push_frames(ens, run, frames, dt_traj=0.1)
+        xs, errors, fallback_rows, halvings = march(run, frames,
+                                                    ens.positions, 0.1)
         assert np.array_equal(bundle.times, times)
         assert errors == [] and bundle.errors == ()
         assert bundle.fallback_rows == fallback_rows > 10
@@ -496,10 +528,9 @@ class TestBundleStream:
         for snap in run.snapshots:
             stream(snap)
         streamed = stream.finish()
-        sampler = VelocitySampler.from_run(run)
-        assert_same_bundle(streamed, integrate_bundle(
-            ens, run, dt_traj=0.01, sampler=sampler))
-        xs, errors, _, _ = _march(sampler, ens.positions, 0.01)
+        frames = velocity_frames(run)
+        assert_same_bundle(streamed, push_frames(ens, run, frames, 0.01))
+        xs, errors, _, _ = march(run, frames, ens.positions, 0.01)
         assert np.array_equal(streamed.xs, xs, equal_nan=True)
         assert [e[:2] for e in streamed.errors] == [(2, "LeftDomain")]
         assert np.array_equal(streamed.tubes, tube_probability(streamed, run),
