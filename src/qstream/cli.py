@@ -27,8 +27,9 @@ _LOAD_ERRORS = (OSError, UnicodeDecodeError, ParseError, ValidationError)
 
 
 def _read(path: str):
-    """The scenario in a UTF-8 config file."""
-    with open(path, encoding="utf-8") as fh:
+    """The scenario in a UTF-8 config file, with or without a byte order
+    mark."""
+    with open(path, encoding="utf-8-sig") as fh:
         return parse_scenario(fh.read())
 
 

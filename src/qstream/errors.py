@@ -13,10 +13,6 @@ class StabilityViolation(QStreamError):
     """Time step violates the configured stability/accuracy bound."""
 
 
-class PhaseUndefined(QStreamError):
-    """Phase-dependent stepper got a state with no above-threshold support."""
-
-
 class LeftDomain(QStreamError):
     """A trajectory or path left the computational domain."""
 
@@ -27,10 +23,6 @@ class NodeEncounter(QStreamError):
 
 class ZeroDensity(QStreamError):
     """Cannot sample positions from a density that integrates to zero."""
-
-
-class EmptyScene(QStreamError):
-    """Optical scene has no slits."""
 
 
 class ResolutionViolation(QStreamError):

@@ -12,7 +12,7 @@ singular or undefined there and get flagged invalid instead of evaluated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -129,22 +129,13 @@ def require_finite(values: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class PolarFields:
-    """Madelung pair (rho, S) with S unwrapped along the grid."""
+    """Madelung pair (rho, S) with S unwrapped along the grid; valid=False
+    at nodes."""
 
     grid: GridSpec
     rho: np.ndarray
     S: np.ndarray
-    valid: np.ndarray = field(default=None, repr=False)
-
-    def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=float)
-        S = np.asarray(self.S, dtype=float)
-        if rho.shape != (self.grid.n_points,) or S.shape != (self.grid.n_points,):
-            raise ValueError("rho and S must match grid.n_points")
-        valid = node_mask(rho) if self.valid is None else self.valid
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "valid", np.asarray(valid, dtype=bool))
+    valid: np.ndarray
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyScene, LeftDomain, ResolutionViolation
+from .errors import LeftDomain, ResolutionViolation
 from .fields import GridSpec, cubic_weights, lagrange_weights, write_rows
 
 # CODATA 2022, SI units: speed of light, vacuum permittivity, permeability
@@ -85,6 +85,8 @@ class OpticalScene:
     def __post_init__(self):
         object.__setattr__(self, "slits", tuple(self.slits))
         object.__setattr__(self, "z_planes", tuple(float(z) for z in self.z_planes))
+        if not self.slits:
+            raise ValueError("scene has no slits")
         if self.wavelength <= 0:
             raise ValueError("wavelength must be > 0")
         z = self.z_planes
@@ -100,16 +102,12 @@ class OpticalScene:
         return C_LIGHT * self.k
 
     def aperture_amplitude(self, x: np.ndarray) -> np.ndarray:
-        if not self.slits:
-            raise EmptyScene("scene has no slits")
         return sum(s.amplitude(x) for s in self.slits)
 
 
 def source_points(scene: OpticalScene, source_dx: float = None) -> tuple:
     """(lo, hi, n_src): the aperture support [lo, hi] and the number of
     source points at spacing source_dx (default min(sigma)/150)."""
-    if not scene.slits:
-        raise EmptyScene("scene has no slits")
     if source_dx is None:
         source_dx = min(s.sigma for s in scene.slits) / 150.0
     if not source_dx > 0:
@@ -342,12 +340,12 @@ def _flow(sampler, x, z):
     return vx, vz, bad
 
 
-def default_ds(scene: OpticalScene, z_bounds: tuple) -> float:
+def default_ds(scene: OpticalScene) -> float:
     """Default photon-path step: half the larger of the transverse grid
-    step and the mean plane gap over z_bounds."""
-    zlo, zhi = z_bounds
+    step and the mean gap between the scene's planes."""
+    z = scene.z_planes
     return 0.5 * max(scene.transverse_grid.dx,
-                     (zhi - zlo) / max(len(scene.z_planes) - 1, 1))
+                     (z[-1] - z[0]) / max(len(z) - 1, 1))
 
 
 def photon_path_bundle(x0s, z0: float, sampler, ds: float = None):
@@ -365,7 +363,7 @@ def photon_path_bundle(x0s, z0: float, sampler, ds: float = None):
     if np.any((x0s < xlo) | (x0s > xhi)) or not zlo <= z0 <= zhi:
         raise LeftDomain("path start outside the field domain")
     if ds is None:
-        ds = default_ds(sampler.scene, sampler.z_bounds)
+        ds = default_ds(sampler.scene)
     if not ds > 0:
         raise ValueError("ds must be > 0")
     x = x0s.copy()

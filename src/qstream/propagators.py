@@ -62,7 +62,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import fields as qf
-from .errors import PhaseUndefined, StabilityViolation
+from .errors import AllBelowThreshold, StabilityViolation
 from .fields import ComplexField, GridSpec, PhysicalConstants
 
 STABILITY_SAFETY = 0.5
@@ -215,7 +215,7 @@ def _cis(phase: np.ndarray) -> np.ndarray:
 
 
 def _mirrored_phase_factor(half_phase: np.ndarray, n: int,
-                           factor=_phase_factor) -> np.ndarray:
+                           factor) -> np.ndarray:
     """exp(i phase) on the n FFT frequencies of a phase that is even in k,
     from its values on the first n//2 + 1, built by `factor`: entry n - j
     repeats entry j."""
@@ -292,18 +292,13 @@ class _Transform:
         np.fft.ifft(v, axis=0, out=v)
 
 
-# plain transforms of any length: fft_shape(0) is (1, 0)
-_PLAIN = _Transform(0)
-
-
 def _split_step(values: np.ndarray, half_V: np.ndarray, kinetic: np.ndarray,
-                transform: _Transform = _PLAIN) -> np.ndarray:
+                transform: _Transform) -> np.ndarray:
     """Symmetric split step with the phase factors half_V = exp(-i V dt/2
     hbar) and kinetic = exp(-i hbar k^2 dt/2m): half potential, full
     kinetic, half potential.  kinetic is in the order `transform` leaves
-    the spectrum (FFT order for _PLAIN, the default).  Both transforms run
-    in place on the fresh product half_V * values, never on `values`, which
-    stored snapshots share."""
+    the spectrum.  Both transforms run in place on the fresh product
+    half_V * values, never on `values`, which stored snapshots share."""
     buf = half_V * values
     transform.forward(buf)
     buf *= kinetic
@@ -320,7 +315,7 @@ def _density(values: np.ndarray) -> np.ndarray:
     return rho
 
 
-def _friction_potential(values: np.ndarray, grid: GridSpec,
+def _friction_potential(values: np.ndarray,
                         config: PropagatorConfig) -> np.ndarray:
     """gamma (S - int rho S dx) with rho normalized to unit mass.
 
@@ -346,7 +341,7 @@ def _friction_potential(values: np.ndarray, grid: GridSpec,
     edges = np.flatnonzero(valid[1:] != valid[:-1])
     lead, trail = int(not valid[0]), int(not valid[-1])
     if lead and not edges.size:
-        raise qf.AllBelowThreshold("density below node threshold everywhere")
+        raise AllBelowThreshold("density below node threshold everywhere")
     first = int(edges[0]) + 1 if lead else 0
     last = int(edges[-1]) if trail else len(values) - 1
     edges = edges[lead:len(edges) - trail] - first
@@ -434,17 +429,13 @@ def _stepper(grid: GridSpec, config: PropagatorConfig):
             # values other than the last call's result) the predictor-
             # corrector average of W at the step start and after a trial
             # step; otherwise the Adams-Bashforth 1.5 W(t_n) - 0.5 W(t_n-1)
-            try:
-                W = _friction_potential(values, grid, config)
-                if values is out_last:
-                    W_mid = 1.5 * W - 0.5 * W_last
-                else:
-                    trial = _split_step(values, half_potential(V + W), kin,
-                                        transform)
-                    W_mid = 0.5 * (W + _friction_potential(trial, grid,
-                                                           config))
-            except qf.AllBelowThreshold as exc:
-                raise PhaseUndefined(str(exc)) from exc
+            W = _friction_potential(values, config)
+            if values is out_last:
+                W_mid = 1.5 * W - 0.5 * W_last
+            else:
+                trial = _split_step(values, half_potential(V + W), kin,
+                                    transform)
+                W_mid = 0.5 * (W + _friction_potential(trial, config))
             out = _split_step(values, half_potential(V + W_mid), kin,
                               transform)
             qf.require_finite(out)

@@ -249,7 +249,6 @@ _OPTICS_KEYS = {
     "grid": {"x_min": _Key(_conv_length), "x_max": _Key(_conv_length),
              "n_points": _Key(_conv_int)},
     "slit*": {"sigma": _Key(_conv_length), "center": _Key(_conv_length, 0.0),
-              "window": _Key(_conv_length, None),
               "window_sigmas": _Key(_conv_float, None)},
     "paths": {"n_paths": _Key(_conv_int, 0, _must(
                   lambda v: 0 <= v <= MAX_PATHS,
@@ -486,13 +485,9 @@ class OpticsScenario(_Scenario):
         grid = _valid("grid", GridSpec, **r["grid"])
         slits = []
         for section, s in r["slit*"].items():
-            window = s["window"]
-            if s["window_sigmas"] is not None:
-                if window is not None:
-                    raise ValidationError(
-                        f"{section}.window",
-                        "give window or window_sigmas, not both")
-                window = s["window_sigmas"] * s["sigma"]
+            window = s["window_sigmas"]
+            if window is not None:
+                window *= s["sigma"]
             slits.append(_valid(section, SlitSpec, s["sigma"], s["center"],
                                 window))
         if not slits:
@@ -512,7 +507,7 @@ class OpticsScenario(_Scenario):
             raise ValidationError(
                 "paths.z_start", "must lie between the first and last z plane")
         if n_paths:
-            ds = paths["ds"] or qo.default_ds(scene, (z[0], z[-1]))
+            ds = paths["ds"] or qo.default_ds(scene)
             _check_work("paths.n_paths * path steps",
                         lambda: n_paths * (z[-1] - paths["z_start"]) / ds,
                         MAX_PATH_POINTS)
@@ -679,20 +674,15 @@ def _matter_text(name, model, gamma, grid, n_points, dt, t_final,
 
 
 def _optics_text(name, slits, z_planes="0.5 : 8.0 : 31", half_mm=10.0,
-                 n_points=1601, n_paths=40, z_start="0.5 m",
-                 source_dx_um=8.0, ds="0.05 m", notes=None):
+                 n_paths=40, source_dx_um=8.0):
     lines = [
         f"scenario.name = {name}",
         "scenario.kind = optics",
-    ]
-    if notes:
-        lines.append(f"scenario.notes = {notes}")
-    lines += [
         "optics.wavelength = 943 nm",
         f"optics.z_planes = {z_planes}",
         f"grid.x_min = -{half_mm!r} mm",
         f"grid.x_max = {half_mm!r} mm",
-        f"grid.n_points = {n_points}",
+        "grid.n_points = 1601",
     ]
     for i, s in enumerate(slits, start=1):
         for k, v in s.items():
@@ -700,8 +690,8 @@ def _optics_text(name, slits, z_planes="0.5 : 8.0 : 31", half_mm=10.0,
             lines.append(f"slit{i}.{k} = {v!r}{suffix}")
     lines += [
         f"paths.n_paths = {n_paths}",
-        f"paths.z_start = {z_start}",
-        f"paths.ds = {ds}",
+        "paths.z_start = 0.5 m",
+        "paths.ds = 0.05 m",
         f"quadrature.source_dx = {source_dx_um!r} um",
     ]
     if n_paths > 0:
@@ -772,8 +762,8 @@ def list_scenarios() -> dict:
     cat["oracle-gaussian-beam"] = (
         "single Gaussian slit against the closed-form beam width",
         _optics_text("oracle-gaussian-beam", [{"sigma": 0.3, "center": 0.0}],
-                     z_planes="0.5 m 3 m 8 m", half_mm=12.0, n_points=1601,
-                     n_paths=0, source_dx_um=2.0))
+                     z_planes="0.5 m 3 m 8 m", half_mm=12.0, n_paths=0,
+                     source_dx_um=2.0))
     return cat
 
 
@@ -889,8 +879,10 @@ def _peak_rss_mib() -> float:
 
 
 def _path_non_crossing(paths, z_lo, z_hi):
-    """Resample each path as x(z) on a shared z mesh (paths are monotone in
-    z here) and check the transverse ordering never flips."""
+    """Resample each path that reaches z_hi as x(z) on a shared z mesh
+    (paths are monotone in z here) and check the transverse ordering never
+    flips; not ok, with a NaN min gap, when fewer than two paths reach
+    z_hi."""
     z_common = np.linspace(z_lo, z_hi, 200)
     rows = []
     for p in paths:
@@ -898,7 +890,7 @@ def _path_non_crossing(paths, z_lo, z_hi):
             continue
         rows.append(np.interp(z_common, p.z, p.x))
     if len(rows) < 2:
-        return True, math.inf
+        return False, math.nan
     xs = np.vstack(rows)
     order = np.argsort(xs[:, 0])
     gaps = np.diff(xs[order], axis=0)

@@ -393,8 +393,10 @@ class NonCrossingReport:
 
 
 def check_non_crossing(bundle: TrajectoryBundle) -> NonCrossingReport:
-    """Verify x_i(t) < x_{i+1}(t) at every stored time; not ok, with a NaN
-    min_gap, when no two neighbours are left to compare."""
+    """Verify x_i(t) < x_{i+1}(t) at every stored time.  A single row
+    passes, with no min_gap.  Two or more rows are not ok, with a NaN
+    min_gap, when no gap between neighbours is left to compare, as when
+    every row failed."""
     xs = bundle.xs
     if xs.shape[0] < 2:
         return NonCrossingReport(ok=True)

@@ -14,12 +14,12 @@ from scipy.constants import c as C_LIGHT, epsilon_0 as EPS0, mu_0 as MU0
 import qstream
 from qstream import (GridSpec, OpticalScene, SlitSpec, fresnel_propagate,
                      photon_path_bundle, transverse_momentum)
-from qstream.errors import EmptyScene, LeftDomain, ResolutionViolation
+from qstream.errors import LeftDomain, ResolutionViolation
 from qstream.fields import CHUNK_VALUES, format_rows
 from qstream.optics import (ExactPoyntingSampler, FresnelEvaluator,
                             PhotonPath, _fast_len, _lattice_sample,
                             gaussian_beam_intensity, poynting_field,
-                            source_points, write_plane_profile, write_paths)
+                            write_plane_profile, write_paths)
 from qstream.scenarios import _launch_positions, builtin_scenario
 
 from conftest import fresnel_planes, max_abs, poynting_lattice
@@ -152,11 +152,8 @@ class TestInitialField:
         assert self.unit_norm(ev) == pytest.approx(1.0, abs=1e-9)
 
     def test_empty_scene_rejected(self):
-        scene = OpticalScene((), LAMBDA, GridSpec(-1, 1, 64), (1.0,))
-        with pytest.raises(EmptyScene):
-            source_points(scene)
-        with pytest.raises(EmptyScene):
-            scene.aperture_amplitude(scene.transverse_grid.x)
+        with pytest.raises(ValueError, match="scene has no slits"):
+            OpticalScene((), LAMBDA, GridSpec(-1, 1, 64), (1.0,))
 
 
 # propagation ---------------------------------------------------------------
@@ -402,7 +399,8 @@ class TestLatticeSample:
     PLANES = np.array([0.5, 0.7, 1.3, 1.6, 2.9, 3.0, 4.4, 6.0])
 
     def scene(self, planes):
-        return OpticalScene((), LAMBDA, self.GRID, planes)
+        # _lattice_sample reads only the grid and the planes
+        return OpticalScene((SlitSpec(0.1),), LAMBDA, self.GRID, planes)
 
     def points(self):
         # inside the lattice and up to one cell past each edge

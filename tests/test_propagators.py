@@ -12,8 +12,8 @@ from qstream import (ComplexField, PhysicalConstants, PotentialSpec,
                      PropagatorConfig, analytic_gaussian_oracle,
                      gaussian_packet, propagate, step)
 from qstream import fields as qf, propagators
-from qstream.errors import (AllBelowThreshold, PhaseUndefined,
-                            StabilityViolation, ValidationError)
+from qstream.errors import (AllBelowThreshold, StabilityViolation,
+                            ValidationError)
 from qstream.fields import node_mask, norm, position_spread
 from qstream.propagators import (_Transform, _cis, _friction_potential,
                                  _mirrored_phase_factor, _phase_factor,
@@ -220,11 +220,11 @@ def _counted_friction(monkeypatch, raise_on=None):
     returned list, raising AllBelowThreshold on call number raise_on."""
     calls = []
 
-    def friction(values, grid, config):
+    def friction(values, config):
         calls.append(None)
         if len(calls) == raise_on:
             raise AllBelowThreshold("state below threshold")
-        return _friction_potential(values, grid, config)
+        return _friction_potential(values, config)
 
     monkeypatch.setattr(propagators, "_friction_potential", friction)
     return calls
@@ -244,7 +244,7 @@ class TestKostin:
         psi = gaussian_packet(g, C, sigma0=math.sqrt(0.5))
         cfg = PropagatorConfig(model="kostin", potential=HARMONIC,
                                gamma=0.3, dt=1e-3)
-        W = _friction_potential(psi.values, psi.grid, cfg)
+        W = _friction_potential(psi.values, cfg)
         assert max_abs(W) < 1e-12
 
     def test_norm_drift_per_step(self):
@@ -261,16 +261,16 @@ class TestKostin:
         g = sym_grid(8, 256)
         psi = ComplexField(g, np.zeros(256, dtype=complex))
         cfg = PropagatorConfig(model="kostin", gamma=0.3, dt=1e-3)
-        with pytest.raises(PhaseUndefined):
+        with pytest.raises(AllBelowThreshold):
             step(psi, cfg)
 
     def test_trial_state_phase_undefined(self, monkeypatch):
         # the predictor-corrector's second friction potential, of the trial
-        # state, maps AllBelowThreshold to PhaseUndefined like the first
+        # state, raises AllBelowThreshold out of the step like the first
         calls = _counted_friction(monkeypatch, raise_on=2)
         cfg = PropagatorConfig(model="kostin", potential=HARMONIC,
                                gamma=0.3, dt=1e-3)
-        with pytest.raises(PhaseUndefined):
+        with pytest.raises(AllBelowThreshold):
             step(coherent(sym_grid(8, 256)), cfg)
         assert len(calls) == 2
 
@@ -475,7 +475,7 @@ class TestPropagate:
         half_V = _phase_factor(-5e-3 * HARMONIC.evaluate(g, C))
         kin = _phase_factor(-5e-3 * g.wavenumbers() ** 2)
         before = [a.copy() for a in (values, half_V, kin)]
-        out = _split_step(values, half_V, kin)
+        out = _split_step(values, half_V, kin, _Transform(256))
         assert not np.shares_memory(out, values)
         for arg, copy in zip((values, half_V, kin), before):
             assert np.array_equal(arg, copy)
@@ -499,8 +499,8 @@ class TestPropagate:
         assert np.array_equal(v1, kept)
         V, k2_half = HARMONIC.evaluate(g, C), g.wavenumbers()[:129] ** 2
         if model == "kostin":
-            W_mid = (1.5 * _friction_potential(v1, g, cfg)
-                     - 0.5 * _friction_potential(v0, g, cfg))
+            W_mid = (1.5 * _friction_potential(v1, cfg)
+                     - 0.5 * _friction_potential(v0, cfg))
             half_V = _phase_factor(-0.5 * cfg.dt / C.hbar * (V + W_mid))
             kin = _mirrored_phase_factor(
                 -0.5 * C.hbar * 1.0 * cfg.dt / C.mass * k2_half, 256, _cis)
@@ -510,8 +510,9 @@ class TestPropagate:
                                    * (math.exp(0.3 * t_mid) * V))
             kin = _mirrored_phase_factor(
                 -0.5 * C.hbar * math.exp(-0.3 * t_mid) * cfg.dt / C.mass
-                * k2_half, 256)
-        assert np.array_equal(v2, _split_step(v1, half_V, kin))
+                * k2_half, 256, _phase_factor)
+        assert np.array_equal(v2, _split_step(v1, half_V, kin,
+                                              _Transform(256)))
 
     @pytest.mark.parametrize("model",
                              ["standard", "caldirola_kanai", "kostin"])
@@ -824,7 +825,7 @@ class TestFastFormOracles:
         k2 = g.wavenumbers() ** 2
         c = -0.5 * C.hbar * 0.37 * 2e-3 / C.mass
         phase = c * k2
-        out = _mirrored_phase_factor(c * k2[:n // 2 + 1], n)
+        out = _mirrored_phase_factor(c * k2[:n // 2 + 1], n, _phase_factor)
         # bit for bit against _phase_factor of the full spectrum, and
         # within its bound of the complex exponential
         assert np.array_equal(out, _phase_factor(phase))
@@ -842,14 +843,13 @@ class TestFastFormOracles:
             if name == "three-interior-nodes":
                 assert gaps[-2:] == [(500, 501), (530, 532)]
             ref = _friction_oracle(psi.values, psi.grid, cfg)
-            W = _friction_potential(psi.values, psi.grid, cfg)
+            W = _friction_potential(psi.values, cfg)
             assert max_abs(W - ref) <= 1e-13 * max_abs(ref), name
 
     def test_friction_of_state_below_threshold_raises(self):
         cfg = PropagatorConfig(model="kostin", gamma=0.3)
         with pytest.raises(AllBelowThreshold):
-            _friction_potential(np.zeros(64, dtype=complex), sym_grid(1, 64),
-                                cfg)
+            _friction_potential(np.zeros(64, dtype=complex), cfg)
 
 
 # the series record against the diagnostics it replaces ---------------------

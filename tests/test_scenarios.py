@@ -290,11 +290,13 @@ class TestParser:
         with pytest.raises(ValidationError):
             parse_scenario(bad)
 
-    def test_window_and_window_sigmas_exclusive(self):
-        bad = QUICK_OPTICS + "slit1.window = 1 mm\nslit1.window_sigmas = 2\n"
+    def test_window_key_unknown(self):
+        # a slit's window is set by window_sigmas alone
+        bad = QUICK_OPTICS + "slit1.window = 1 mm\n"
         with pytest.raises(ValidationError) as info:
             parse_scenario(bad)
         assert info.value.key == "slit1.window"
+        assert info.value.constraint == "unknown key in section 'slit1'"
 
     @pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
     def test_bad_number_rejected(self, case):
@@ -1169,6 +1171,48 @@ class TestCli:
             parse_scenario(path.read_text())
         # 2 paths per slit is a valid count
         assert parse_scenario(text).paths["n_paths"] == 4
+
+    def test_paths_non_crossing_fails_when_no_two_paths_reach_last_plane(
+            self, tmp_path, capsys):
+        # on a grid of +/-0.4 mm every path leaves across the side before
+        # the last plane, so there is no ordering left to compare
+        path = tmp_path / "s.cfg"
+        path.write_text(
+            "scenario.name = escaping-paths\nscenario.kind = optics\n"
+            "optics.wavelength = 943 nm\noptics.z_planes = 0.5 : 8.0 : 31\n"
+            "grid.x_min = -0.4 mm\ngrid.x_max = 0.4 mm\n"
+            "grid.n_points = 1601\n"
+            "slit1.sigma = 0.1 mm\nslit1.center = 0.2 mm\n"
+            "slit2.sigma = 0.1 mm\nslit2.center = -0.2 mm\n"
+            "paths.n_paths = 4\npaths.ds = 0.05 m\n"
+            "quadrature.source_dx = 8 um\n"
+            "checks.required = paths_non_crossing\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out-dir", str(out)]) == 3
+        assert "check paths_non_crossing: FAIL  value=nan (required)" in (
+            capsys.readouterr().out)
+        m = strict_json((out / "manifest.json").read_text())
+        assert m["stages"][-1]["escaped_paths"] == 4
+        assert m["paths_non_crossing"] == {"ok": False, "min_gap": None}
+        [check] = m["checks"]
+        assert check["name"] == "paths_non_crossing"
+        assert not check["passed"] and check["value"] is None
+        assert m["failed_checks"] == ["paths_non_crossing"]
+
+    def test_byte_order_mark_accepted(self, tmp_path, capsys):
+        text = list_scenarios()["fig4-symmetric"][1]
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        assert cli.main(["validate", str(marked)]) == 0
+        assert "valid optics scenario 'fig4-symmetric'" in (
+            capsys.readouterr().out)
+        assert cli._read(str(marked)).sha256() == (
+            cli._read(str(plain)).sha256())
+        # bytes that are not UTF-8 after the mark are still unreadable
+        marked.write_bytes(b"\xef\xbb\xbfscenario.name = x\xff\n")
+        assert cli.main(["validate", str(marked)]) == 2
 
     def test_run_parse_failure_exit_code(self, tmp_path):
         path = tmp_path / "s.cfg"
