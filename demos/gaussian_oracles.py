@@ -9,16 +9,13 @@ import numpy as np
 
 from qstream import (GridSpec, PropagatorConfig, analytic_gaussian_oracle,
                      fresnel_propagate, gaussian_packet, propagate)
-from qstream.fields import PhysicalConstants
 from qstream.optics import gaussian_beam_intensity
 from qstream.scenarios import builtin_scenario
-
-const = PhysicalConstants()
 
 # free Gaussian spreading
 grid = GridSpec(-20.0, 20.0, 1024)
 cfg = PropagatorConfig(dt=1e-3)
-run = propagate(gaussian_packet(grid, const, 1.0), cfg, 4.0, snapshot_every=500)
+run = propagate(gaussian_packet(grid, 1.0), cfg, 4.0, snapshot_every=500)
 snap = run.snapshots[-1]
 oracle = analytic_gaussian_oracle({"sigma0": 1.0, "grid": grid}, cfg, snap.time)
 print(f"free Gaussian, t = {snap.time}: "
@@ -31,7 +28,7 @@ cfg = PropagatorConfig(potential=PotentialSpec("harmonic", omega0=omega0), dt=5e
 grid = GridSpec(-8.0, 8.0, 512)
 sigma = np.sqrt(0.5 / omega0)
 period = round(2 * np.pi / omega0 / cfg.dt) * cfg.dt  # whole steps of dt
-run = propagate(gaussian_packet(grid, const, sigma, x0=1.0), cfg, period,
+run = propagate(gaussian_packet(grid, sigma, x0=1.0), cfg, period,
                 snapshot_every=500)
 snap = run.snapshots[-1]
 oracle = analytic_gaussian_oracle({"sigma0": sigma, "x0": 1.0, "grid": grid},

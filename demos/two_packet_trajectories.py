@@ -10,16 +10,14 @@ import math
 
 import numpy as np
 
-from qstream import (ComplexField, GridSpec, PhysicalConstants,
-                     PropagatorConfig, check_non_crossing, gaussian_packet,
-                     integrate_bundle, propagate, sample_initial_positions,
-                     tube_probability)
+from qstream import (ComplexField, GridSpec, PropagatorConfig,
+                     check_non_crossing, gaussian_packet, integrate_bundle,
+                     propagate, sample_initial_positions, tube_probability)
 from qstream.fields import norm
 
-const = PhysicalConstants()
 grid = GridSpec(-30.0, 30.0, 2048)
-vals = (gaussian_packet(grid, const, 0.5, x0=-5.0).values
-        + gaussian_packet(grid, const, 0.5, x0=5.0).values)
+vals = (gaussian_packet(grid, 0.5, x0=-5.0).values
+        + gaussian_packet(grid, 0.5, x0=5.0).values)
 psi = ComplexField(grid, vals)
 psi = ComplexField(grid, vals / math.sqrt(norm(psi)))
 

@@ -1,8 +1,8 @@
 """Quantum-hydrodynamic wavepacket propagation, Bohmian trajectory
 ensembles, and electromagnetic energy streamlines."""
 
-from .fields import (ComplexField, GridSpec, PhysicalConstants, PolarFields,
-                     VelocityField, gaussian_packet, norm, polar_decompose,
+from .fields import (ComplexField, GridSpec, PolarFields, VelocityField,
+                     gaussian_packet, norm, polar_decompose,
                      probability_current, quantum_potential, velocity_field)
 from .propagators import (PotentialSpec, PropagatorConfig,
                           analytic_gaussian_oracle, damped_oscillator,

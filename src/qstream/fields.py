@@ -1,10 +1,11 @@
 """Grid primitives, Madelung decomposition, and local hydrodynamic fields.
 
 A wavefunction snapshot lives on a uniform 1D grid.  The polar (Madelung)
-split Psi = rho^{1/2} exp(iS/hbar) turns it into a density rho and a
+split Psi = rho^{1/2} exp(iS) turns it into a density rho and a
 continuous, unwrapped action field S, from which the probability current,
 the hydrodynamic velocity v = J/rho and the quantum potential
-Q = -(hbar^2/2m) (sqrt(rho))'' / sqrt(rho) are derived.
+Q = -(1/2) (sqrt(rho))'' / sqrt(rho) are derived.  Units are hbar = m = 1:
+any other hbar and m give the same dynamics once x and t are rescaled.
 
 Points where rho <= NODE_THRESHOLD * max(rho) are "nodes": v, S and Q are
 singular or undefined there and get flagged invalid instead of evaluated.
@@ -89,16 +90,6 @@ def lagrange_weights(z, nodes: np.ndarray) -> np.ndarray:
     return np.prod(np.where(off, z[..., None, None] - nodes[..., None, :], 1.0)
                    / np.where(off, nodes[..., :, None] - nodes[..., None, :],
                               1.0), axis=-1)
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    hbar: float = 1.0
-    mass: float = 1.0
-
-    def __post_init__(self):
-        if self.hbar <= 0 or self.mass <= 0:
-            raise ValueError("hbar and mass must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -203,12 +194,11 @@ def _unwrap_phase(raw: np.ndarray, valid: np.ndarray, i0: int) -> np.ndarray:
     return count
 
 
-def polar_decompose(psi: ComplexField,
-                    constants: PhysicalConstants) -> PolarFields:
-    """Madelung split Psi = rho^{1/2} exp(iS/hbar) with unwrapped S.
+def polar_decompose(psi: ComplexField) -> PolarFields:
+    """Madelung split Psi = rho^{1/2} exp(iS) with unwrapped S.
 
     S is referenced so its value at the maximum-density point lies in
-    (-pi*hbar, pi*hbar].
+    (-pi, pi].
     """
     rho = np.abs(psi.values) ** 2
     valid = node_mask(rho)
@@ -216,46 +206,41 @@ def polar_decompose(psi: ComplexField,
         raise AllBelowThreshold("density below node threshold everywhere")
     i0 = int(np.argmax(rho))
     phase = _unwrap_phase(np.angle(psi.values), valid, i0)
-    return PolarFields(psi.grid, rho, constants.hbar * phase, valid)
+    return PolarFields(psi.grid, rho, phase, valid)
 
 
-def probability_current(psi: ComplexField,
-                        constants: PhysicalConstants) -> np.ndarray:
-    """J = (hbar/m) Im(Psi* dPsi/dx), dPsi/dx by `derivative`."""
+def probability_current(psi: ComplexField) -> np.ndarray:
+    """J = Im(Psi* dPsi/dx), dPsi/dx by `derivative`."""
     dpsi = derivative(psi.values, psi.grid.dx)
-    return (constants.hbar / constants.mass) * np.imag(np.conj(psi.values) * dpsi)
+    return np.imag(np.conj(psi.values) * dpsi)
 
 
-def velocity_field(psi: ComplexField,
-                   constants: PhysicalConstants) -> VelocityField:
+def velocity_field(psi: ComplexField) -> VelocityField:
     """v = J/rho above the node threshold; NaN elsewhere."""
     rho = np.abs(psi.values) ** 2
     valid = node_mask(rho)
-    J = probability_current(psi, constants)
+    J = probability_current(psi)
     v = np.full(psi.grid.n_points, np.nan)
     v[valid] = J[valid] / rho[valid]
     return VelocityField(psi.grid, v, valid)
 
 
-def quantum_potential(psi: ComplexField,
-                      constants: PhysicalConstants) -> np.ndarray:
-    """Q = -(hbar^2/2m) (sqrt(rho))'' / sqrt(rho); NaN at nodes."""
+def quantum_potential(psi: ComplexField) -> np.ndarray:
+    """Q = -(1/2) (sqrt(rho))'' / sqrt(rho); NaN at nodes."""
     rho = np.abs(psi.values) ** 2
     valid = node_mask(rho)
     amp = np.sqrt(rho)
     d2 = derivative(amp, psi.grid.dx, order=2)
     Q = np.full(psi.grid.n_points, np.nan)
-    factor = -constants.hbar ** 2 / (2.0 * constants.mass)
-    Q[valid] = factor * d2[valid] / amp[valid]
+    Q[valid] = -0.5 * d2[valid] / amp[valid]
     return Q
 
 
-def kinetic_energy(psi: ComplexField, constants: PhysicalConstants) -> float:
-    """<T> via the spectral Laplacian."""
+def kinetic_energy(psi: ComplexField) -> float:
+    """<T> = <-(1/2) Psi''> via the spectral Laplacian."""
     k = psi.grid.wavenumbers()
     lap = np.fft.ifft(-(k ** 2) * np.fft.fft(psi.values))
-    T = -constants.hbar ** 2 / (2.0 * constants.mass)
-    integrand = np.conj(psi.values) * T * lap
+    integrand = np.conj(psi.values) * -0.5 * lap
     return float(np.real(np.trapezoid(integrand, dx=psi.grid.dx)))
 
 
@@ -275,14 +260,12 @@ def position_spread(psi: ComplexField) -> float:
     return float(np.sqrt(var))
 
 
-def gaussian_packet(grid: GridSpec, constants: PhysicalConstants,
-                    sigma0: float, x0: float = 0.0, p0: float = 0.0,
-                    time: float = 0.0) -> ComplexField:
-    """Normalized Gaussian (2 pi sigma0^2)^{-1/4} e^{-(x-x0)^2/4 sigma0^2 + i p0 (x-x0)/hbar}."""
+def gaussian_packet(grid: GridSpec, sigma0: float, x0: float = 0.0,
+                    p0: float = 0.0, time: float = 0.0) -> ComplexField:
+    """Normalized Gaussian (2 pi sigma0^2)^{-1/4} e^{-(x-x0)^2/4 sigma0^2 + i p0 (x-x0)}."""
     x = grid.x
     values = (2.0 * np.pi * sigma0 ** 2) ** -0.25 * np.exp(
-        -((x - x0) ** 2) / (4.0 * sigma0 ** 2)
-        + 1j * p0 * (x - x0) / constants.hbar)
+        -((x - x0) ** 2) / (4.0 * sigma0 ** 2) + 1j * p0 * (x - x0))
     return ComplexField(grid, values, time)
 
 
@@ -324,17 +307,16 @@ def write_rows(fh, *cols) -> None:
             fh.write(format_table(table))
 
 
-def write_snapshot(path, psi: ComplexField, constants: PhysicalConstants,
-                   model: str = "standard") -> None:
+def write_snapshot(path, psi: ComplexField, model: str = "standard") -> None:
     """Columnar text snapshot: header key = value lines, then one row per
     grid point `x Re(psi) Im(psi) rho S v Q` (invalid entries as nan)."""
     try:
-        polar = polar_decompose(psi, constants)
+        polar = polar_decompose(psi)
         S = np.where(polar.valid, polar.S, np.nan)
     except AllBelowThreshold:
         S = np.full(psi.grid.n_points, np.nan)
-    vel = velocity_field(psi, constants)
-    Q = quantum_potential(psi, constants)
+    vel = velocity_field(psi)
+    Q = quantum_potential(psi)
     g = psi.grid
     with open(path, "w") as fh:
         fh.write(f"x_min = {g.x_min!r}\n"

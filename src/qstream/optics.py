@@ -348,9 +348,10 @@ def default_ds(scene: OpticalScene) -> float:
                      (z[-1] - z[0]) / max(len(z) - 1, 1))
 
 
-def photon_path_bundle(x0s, z0: float, sampler, ds: float = None):
-    """RK4 integration of dr/ds = S/(cU) for an ensemble of start points;
-    `photon_path_bundle([x0], z0, sampler)[0]` traces one path.
+def photon_path_bundle(x0s, z0: float, sampler, ds: float):
+    """RK4 integration of dr/ds = S/(cU) in steps of ds for an ensemble of
+    start points; `photon_path_bundle([x0], z0, sampler, ds)[0]` traces
+    one path.
 
     All paths share the arc-length mesh; each path is truncated at the
     first sample outside the sampler bounds, or after MAX_PATH_STEPS steps.
@@ -362,8 +363,6 @@ def photon_path_bundle(x0s, z0: float, sampler, ds: float = None):
     zlo, zhi = sampler.z_bounds
     if np.any((x0s < xlo) | (x0s > xhi)) or not zlo <= z0 <= zhi:
         raise LeftDomain("path start outside the field domain")
-    if ds is None:
-        ds = default_ds(sampler.scene)
     if not ds > 0:
         raise ValueError("ds must be > 0")
     x = x0s.copy()

@@ -1,6 +1,8 @@
-"""One split-step stepper for the three dynamical models.
+"""One split-step stepper for the three dynamical models, in units
+hbar = m = 1.
 
-standard           i hbar dPsi/dt = -(hbar^2/2m) Psi'' + V Psi
+standard           i dPsi/dt = -(1/2) Psi'' + V Psi,  V = omega0^2 x^2 / 2
+                   (harmonic) or 0 (free)
 caldirola_kanai    kinetic term scaled by exp(-gamma t), potential by
                    exp(+gamma t); both coefficients evaluated at the
                    temporal midpoint of each step
@@ -63,7 +65,7 @@ import numpy as np
 
 from . import fields as qf
 from .errors import AllBelowThreshold, StabilityViolation
-from .fields import ComplexField, GridSpec, PhysicalConstants
+from .fields import ComplexField, GridSpec
 
 STABILITY_SAFETY = 0.5
 # Blocked transforms, for n >= BLOCKED_MIN_N: n2 is the smallest divisor of
@@ -90,11 +92,10 @@ MODELS = ("standard", "caldirola_kanai", "kostin")
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Potential selector: free, or harmonic(omega0, center)."""
+    """Potential selector: free, or harmonic(omega0) about x = 0."""
 
     kind: str = "free"
     omega0: float = 0.0
-    center: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("free", "harmonic"):
@@ -102,17 +103,16 @@ class PotentialSpec:
         if self.kind == "harmonic" and self.omega0 <= 0:
             raise ValueError("harmonic potential requires omega0 > 0")
 
-    def evaluate(self, grid: GridSpec, constants: PhysicalConstants) -> np.ndarray:
+    def evaluate(self, grid: GridSpec) -> np.ndarray:
         x = grid.x
         if self.kind == "free":
             return np.zeros_like(x)
-        return 0.5 * constants.mass * self.omega0 ** 2 * (x - self.center) ** 2
+        return 0.5 * self.omega0 ** 2 * x ** 2
 
 
 @dataclass(frozen=True)
 class PropagatorConfig:
     model: str = "standard"
-    constants: PhysicalConstants = dc_field(default_factory=PhysicalConstants)
     potential: PotentialSpec = dc_field(default_factory=PotentialSpec)
     gamma: float = 0.0
     dt: float = 1e-3
@@ -127,26 +127,25 @@ class PropagatorConfig:
 
 
 def check_stability(psi: ComplexField, config: PropagatorConfig) -> None:
-    """Accuracy bound dt <= safety * hbar / E_char.
+    """Accuracy bound dt <= safety / E_char.
 
     The split-step scheme is unitary, hence unconditionally stable; what
     degrades with large dt is the splitting accuracy, governed by the
     phase advanced per step.  E_char is the state's energy scale
     <T> + (<V> - min V).
     """
-    c = config.constants
-    T = qf.kinetic_energy(psi, c)
+    T = qf.kinetic_energy(psi)
     n = qf.norm(psi)
     if n <= 0:
         return
-    V = config.potential.evaluate(psi.grid, c)
+    V = config.potential.evaluate(psi.grid)
     rho = np.abs(psi.values) ** 2
     Vmean = np.trapezoid(V * rho, dx=psi.grid.dx) / n
     E = T / n + Vmean - V.min()
-    if E > 0 and config.dt > STABILITY_SAFETY * c.hbar / E:
+    if E > 0 and config.dt > STABILITY_SAFETY / E:
         raise StabilityViolation(
             f"dt = {config.dt:g} exceeds bound "
-            f"{STABILITY_SAFETY * c.hbar / E:g} (E_char = {E:g})")
+            f"{STABILITY_SAFETY / E:g} (E_char = {E:g})")
 
 
 def rate_factor(config: PropagatorConfig, t: float) -> float:
@@ -294,11 +293,11 @@ class _Transform:
 
 def _split_step(values: np.ndarray, half_V: np.ndarray, kinetic: np.ndarray,
                 transform: _Transform) -> np.ndarray:
-    """Symmetric split step with the phase factors half_V = exp(-i V dt/2
-    hbar) and kinetic = exp(-i hbar k^2 dt/2m): half potential, full
-    kinetic, half potential.  kinetic is in the order `transform` leaves
-    the spectrum.  Both transforms run in place on the fresh product
-    half_V * values, never on `values`, which stored snapshots share."""
+    """Symmetric split step with the phase factors half_V = exp(-i V dt/2)
+    and kinetic = exp(-i k^2 dt/2): half potential, full kinetic, half
+    potential.  kinetic is in the order `transform` leaves the spectrum.
+    Both transforms run in place on the fresh product half_V * values,
+    never on `values`, which stored snapshots share."""
     buf = half_V * values
     transform.forward(buf)
     buf *= kinetic
@@ -323,8 +322,8 @@ def _friction_potential(values: np.ndarray,
     continued from the valid region (linearly inside, constant beyond)
     so the friction potential stays smooth where the density vanishes.
 
-    S / hbar is one cumsum of phase increments from the first valid point
-    on, where it is 0 (W does not depend on where S is anchored).  Between
+    S is one cumsum of phase increments from the first valid point on,
+    where it is 0 (W does not depend on where S is anchored).  Between
     two valid neighbours the increment is angle(psi[j+1] conj psi[j]), the
     wrapped step of the raw phase; across an interior sub-threshold gap
     from valid point a to valid point b, the raw-phase jump
@@ -365,7 +364,7 @@ def _friction_potential(values: np.ndarray,
     mass = rho.sum() - 0.5 * (rho[0] + rho[-1])
     mean = (rho @ S - 0.5 * (rho[0] * S[0] + rho[-1] * S[-1])) / mass
     S -= mean
-    S *= config.gamma * config.constants.hbar
+    S *= config.gamma
     return S
 
 
@@ -388,16 +387,16 @@ def _stepper(grid: GridSpec, config: PropagatorConfig):
     fields.require_finite's message: the standard and Caldirola-Kanai steps
     before they start, when a phase is not finite (_phases_finite), and the
     Kostin step after it, by a scan of its result."""
-    c, dt, gamma = config.constants, config.dt, config.gamma
-    V = config.potential.evaluate(grid, c)
+    dt, gamma = config.dt, config.gamma
+    V = config.potential.evaluate(grid)
     n = grid.n_points
     k2_half = grid.wavenumbers()[:n // 2 + 1] ** 2
     transform = _Transform(n)
     V_peak, k2_peak = float(np.abs(V).max()), float(k2_half.max())
-    potential_c = -0.5 * dt / c.hbar
+    potential_c = -0.5 * dt
 
     def kinetic_c(scale):
-        return -0.5 * c.hbar * scale * dt / c.mass
+        return -0.5 * scale * dt
 
     def kinetic(scale, factor=_phase_factor):
         return transform.spectral(_mirrored_phase_factor(
@@ -462,15 +461,14 @@ def step(psi: ComplexField, config: PropagatorConfig) -> ComplexField:
 
 
 def physical_energy(psi: ComplexField, config: PropagatorConfig) -> float:
-    """<p^2/2m + V> in the physical variables.
+    """<p^2/2 + V> in the physical variables.
 
-    For Caldirola-Kanai the operator -i hbar d/dx is the canonical
+    For Caldirola-Kanai the operator -i d/dx is the canonical
     momentum, so the physical kinetic term carries exp(-2 gamma t)."""
-    c = config.constants
-    T = qf.kinetic_energy(psi, c)
+    T = qf.kinetic_energy(psi)
     if config.model == "caldirola_kanai":
         T *= math.exp(-2.0 * config.gamma * psi.time)
-    V = config.potential.evaluate(psi.grid, c)
+    V = config.potential.evaluate(psi.grid)
     rho = np.abs(psi.values) ** 2
     n = np.trapezoid(rho, dx=psi.grid.dx)
     return float(T / n + np.trapezoid(V * rho, dx=psi.grid.dx) / n)
@@ -486,22 +484,22 @@ class SeriesRecord:
     The grid tables are built once: the trapezoid weights times 1, x, x^2
     and V as one (4, n) matrix, with x taken from the grid's midpoint x_c
     so that <x^2> - <x>^2 does not cancel on a grid placed away from 0;
-    T_k = hbar^2 k^2 / 2m; and row n - 1 of the inverse DFT times T.  By
+    T_k = k^2 / 2; and row n - 1 of the inverse DFT times T.  By
     Parseval, sum_j conj(psi_j) ifft(T psi^)_j = sum_k T_k |psi^_k|^2 / n,
     so the kinetic trapezoid needs one forward FFT, and its end terms only
     the first and the last entry of ifft(T psi^)."""
 
     def __init__(self, grid: GridSpec, config: PropagatorConfig, rows: int):
-        c, n, dx = config.constants, grid.n_points, grid.dx
+        n, dx = grid.n_points, grid.dx
         self.config, self.dx = config, dx
         self.x_c = 0.5 * (grid.x_min + grid.x_max)
         w = np.full(n, dx)
         w[0] = w[-1] = 0.5 * dx
         x = grid.x - self.x_c
         self.weights = np.stack((w, w * x, w * x * x,
-                                 w * config.potential.evaluate(grid, c)))
+                                 w * config.potential.evaluate(grid)))
         k = grid.wavenumbers()
-        self.kinetic = (0.5 * c.hbar ** 2 / c.mass) * k * k
+        self.kinetic = 0.5 * k * k
         # entry n - 1 of ifft(a) is sum_k a_k exp(2 pi i k (n - 1) / n) / n
         self.last_row = self.kinetic * (np.exp((-2j * np.pi / n)
                                                * np.arange(n)) / n)
@@ -600,11 +598,10 @@ def analytic_gaussian_oracle(params: dict, config: PropagatorConfig,
 
     The state is written with a complex width factor s(t) solving the
     classical equation of motion (s'' = 0 free, s'' = -omega^2 s harmonic)
-    with s(0) = 1, s'(0) = i hbar / (2 m sigma0^2):
+    with s(0) = 1, s'(0) = i / (2 sigma0^2):
 
         psi = (2 pi sigma0^2)^{-1/4} s^{-1/2}
-              exp[ (i m / 2 hbar)(s'/s)(x - xc)^2
-                   + (i/hbar) pc (x - xc) + (i/hbar) phi ]
+              exp[ (i / 2)(s'/s)(x - xc)^2 + i pc (x - xc) + i phi ]
 
     with (xc, pc) the classical trajectory and phi the classical action
     integral of the Lagrangian along it.
@@ -613,27 +610,22 @@ def analytic_gaussian_oracle(params: dict, config: PropagatorConfig,
     x0 = params.get("x0", 0.0)
     p0 = params.get("p0", 0.0)
     grid = params["grid"]
-    hbar, m = config.constants.hbar, config.constants.mass
     x = grid.x
-    eps = hbar / (2.0 * m * sigma0 ** 2)
+    eps = 1.0 / (2.0 * sigma0 ** 2)
 
     if config.potential.kind == "free":
         s = 1.0 + 1j * eps * t
         s_dot = 1j * eps
-        xc = x0 + p0 * t / m
+        xc = x0 + p0 * t
         pc = p0
-        phi = p0 ** 2 * t / (2.0 * m)
+        phi = p0 ** 2 * t / 2.0
         theta = np.angle(s)  # no winding: Re s = 1
     else:
         w = config.potential.omega0
-        xc_rel = ((x0 - config.potential.center) * math.cos(w * t)
-                  + (p0 / (m * w)) * math.sin(w * t))
-        pc = (p0 * math.cos(w * t)
-              - m * w * (x0 - config.potential.center) * math.sin(w * t))
-        xc = config.potential.center + xc_rel
-        x0r = x0 - config.potential.center
-        phi = ((p0 ** 2 - (m * w * x0r) ** 2) * math.sin(2 * w * t) / (2 * w)
-               + m * x0r * p0 * (math.cos(2 * w * t) - 1.0)) / (2.0 * m)
+        xc = x0 * math.cos(w * t) + (p0 / w) * math.sin(w * t)
+        pc = p0 * math.cos(w * t) - w * x0 * math.sin(w * t)
+        phi = ((p0 ** 2 - (w * x0) ** 2) * math.sin(2 * w * t) / (2 * w)
+               + x0 * p0 * (math.cos(2 * w * t) - 1.0)) / 2.0
         s = math.cos(w * t) + 1j * (eps / w) * math.sin(w * t)
         s_dot = -w * math.sin(w * t) + 1j * eps * math.cos(w * t)
         # s winds around the origin once per period, staying within a
@@ -641,15 +633,15 @@ def analytic_gaussian_oracle(params: dict, config: PropagatorConfig,
         theta = w * t + np.angle(s * np.exp(-1j * w * t))
 
     inv_sqrt_s = np.exp(-0.5 * (np.log(abs(s)) + 1j * theta))
-    quad = (0.5j * m / hbar) * (s_dot / s) * (x - xc) ** 2
+    quad = 0.5j * (s_dot / s) * (x - xc) ** 2
     values = ((2.0 * np.pi * sigma0 ** 2) ** -0.25 * inv_sqrt_s
-              * np.exp(quad + 1j * (pc * (x - xc) + phi) / hbar))
+              * np.exp(quad + 1j * (pc * (x - xc) + phi)))
     return ComplexField(grid, values, t)
 
 
-def free_gaussian_width(sigma0: float, t, constants: PhysicalConstants):
-    """sigma(t) = sigma0 sqrt(1 + (hbar t / 2 m sigma0^2)^2)."""
-    eps = constants.hbar / (2.0 * constants.mass * sigma0 ** 2)
+def free_gaussian_width(sigma0: float, t):
+    """sigma(t) = sigma0 sqrt(1 + (t / 2 sigma0^2)^2)."""
+    eps = 1.0 / (2.0 * sigma0 ** 2)
     return sigma0 * np.sqrt(1.0 + (eps * np.asarray(t)) ** 2)
 
 

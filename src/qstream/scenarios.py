@@ -6,7 +6,8 @@ Configs are plain text, one assignment per line::
 
 Unknown sections or keys are rejected (no silent typos).  Lengths in
 optics scenarios accept unit suffixes (m, mm, um, nm) and are stored in
-metres; matter-wave scenarios are dimensionless.
+metres; matter-wave scenarios are in units hbar = m = 1, with the harmonic
+well at x = 0.
 
 `scenario.kind` picks the scenario type, `MatterScenario` (matter_wave) or
 `OpticsScenario` (optics); each type carries its own key table, validation
@@ -36,7 +37,7 @@ from . import propagators as qp
 from . import trajectories as qt
 from .errors import (ManifestWriteError, ParseError, QStreamError,
                      ResolutionViolation, ValidationError)
-from .fields import ComplexField, GridSpec, PhysicalConstants
+from .fields import ComplexField, GridSpec
 from .optics import OpticalScene, SlitSpec
 from .propagators import PotentialSpec, PropagatorConfig
 
@@ -207,17 +208,14 @@ _SCENARIO_KEYS = {
 
 # A section "packet*" stands for packet1, packet2, ... (numbered sections).
 # Keys without a rule are checked by the object _build makes of them:
-# PhysicalConstants, PotentialSpec, GridSpec, SlitSpec or OpticalScene.
+# PotentialSpec, GridSpec, SlitSpec or OpticalScene.
 _MATTER_KEYS = {
     "scenario": _SCENARIO_KEYS,
     "model": {"type": _Key(_conv_str, "standard", _one_of(qp.MODELS)),
               "gamma": _Key(_conv_float, 0.0,
-                            _must(lambda v: v >= 0, "must be >= 0")),
-              "hbar": _Key(_conv_float, 1.0),
-              "mass": _Key(_conv_float, 1.0)},
+                            _must(lambda v: v >= 0, "must be >= 0"))},
     "potential": {"kind": _Key(_conv_str, "free"),
-                  "omega0": _Key(_conv_float, 0.0),
-                  "center": _Key(_conv_float, 0.0)},
+                  "omega0": _Key(_conv_float, 0.0)},
     "grid": {"x_min": _Key(_conv_float), "x_max": _Key(_conv_float),
              "n_points": _Key(_conv_int, rule=_must(
                  lambda v: v <= MAX_GRID_POINTS,
@@ -332,7 +330,6 @@ class MatterScenario(_Scenario):
     keys: ClassVar[dict] = _MATTER_KEYS
     model: str
     gamma: float
-    constants: PhysicalConstants
     potential: PotentialSpec
     grid: GridSpec
     dt: float
@@ -349,8 +346,6 @@ class MatterScenario(_Scenario):
         model, time, ensemble = r["model"], r["time"], r["ensemble"]
         dt, t0, t_final = time["dt"], time["t0"], time["t_final"]
         snapshot_every = time["snapshot_every"]
-        constants = _valid("model", PhysicalConstants, model["hbar"],
-                           model["mass"])
         potential = _valid("potential", PotentialSpec, **r["potential"])
         grid = _valid("grid", GridSpec, **r["grid"])
         if t_final < t0:
@@ -376,9 +371,8 @@ class MatterScenario(_Scenario):
                                 spacing, ensemble["dt_traj"]) + 1),
                         MAX_TRAJECTORY_POINTS)
         return dict(model=model["type"], gamma=model["gamma"],
-                    constants=constants, potential=potential, grid=grid,
-                    dt=dt, t0=t0, t_final=t_final,
-                    snapshot_every=snapshot_every,
+                    potential=potential, grid=grid, dt=dt, t0=t0,
+                    t_final=t_final, snapshot_every=snapshot_every,
                     packets=tuple(r["packet*"].values()), ensemble=ensemble)
 
     def _bundle_stream(self, psi0, config) -> qt.BundleStream:
@@ -430,7 +424,7 @@ class MatterScenario(_Scenario):
             for tag, snap in (("initial", run.snapshots[0]),
                               ("final", run.snapshots[-1])):
                 p = os.path.join(out_dir, f"snapshot_{tag}.txt")
-                qf.write_snapshot(p, snap, self.constants, self.model)
+                qf.write_snapshot(p, snap, self.model)
                 files.append(p)
             manifest["norm_drift"] = float(np.max(np.abs(run.norms - 1.0)))
             manifest["energy_initial"] = float(run.energies[0])
@@ -506,17 +500,21 @@ class OpticsScenario(_Scenario):
         if not z[0] <= paths["z_start"] <= z[-1]:
             raise ValidationError(
                 "paths.z_start", "must lie between the first and last z plane")
+        paths["ds"] = paths["ds"] or qo.default_ds(scene)
         if n_paths:
-            ds = paths["ds"] or qo.default_ds(scene)
             _check_work("paths.n_paths * path steps",
-                        lambda: n_paths * (z[-1] - paths["z_start"]) / ds,
-                        MAX_PATH_POINTS)
+                        lambda: n_paths * (z[-1] - paths["z_start"])
+                        / paths["ds"], MAX_PATH_POINTS)
         source_dx = r["quadrature"]["source_dx"]
+        try:
+            lo, hi, n_src = qo.source_points(scene, source_dx)
+        except (OverflowError, ValueError):
+            # a count beyond int, or a default spacing that underflows:
+            # rejected by the work bound below
+            n_src = math.inf
         _check_work("z planes * (grid.n_points + source points)",
-                    lambda: len(z) * (
-                        grid.n_points + qo.source_points(scene, source_dx)[2]),
+                    lambda: len(z) * (grid.n_points + n_src),
                     MAX_OPTICS_WORK)
-        lo, hi, _ = qo.source_points(scene, source_dx)
         try:
             qo.check_resolution(scene, hi - lo)
         except ResolutionViolation as exc:
@@ -546,8 +544,7 @@ class OpticsScenario(_Scenario):
             with _stage(manifest, "paths") as st:
                 x0s = _launch_positions(scene, n_paths)
                 z0 = self.paths["z_start"]
-                paths = qo.photon_path_bundle(x0s, z0, pf,
-                                              ds=self.paths["ds"])
+                paths = qo.photon_path_bundle(x0s, z0, pf, self.paths["ds"])
                 st["stagnated_paths"] = sum(p.stagnated for p in paths)
                 # ended across the side or the near edge of the field, not
                 # past its last plane
@@ -804,21 +801,25 @@ def _resolve_out_dir(config, out_dir):
 
 
 def initial_state(config: MatterScenario) -> ComplexField:
-    """Normalized superposition of the configured packets."""
+    """Normalized superposition of the configured packets.  ValueError when
+    its norm is not finite and > 0: the weights overflow it, or cancel or
+    underflow it to 0, and no normalization is left to divide by."""
     values = np.zeros(config.grid.n_points, dtype=complex)
     for p in config.packets:
-        part = qf.gaussian_packet(config.grid, config.constants,
-                                  sigma0=p["sigma0"], x0=p["x0"], p0=p["p0"])
+        part = qf.gaussian_packet(config.grid, sigma0=p["sigma0"],
+                                  x0=p["x0"], p0=p["p0"])
         values += p["weight"] * np.exp(1j * p["phase"]) * part.values
     psi = ComplexField(config.grid, values, config.t0)
     n = qf.norm(psi)
+    if not (math.isfinite(n) and n > 0):
+        raise ValueError(f"packet superposition has norm {n!r}: "
+                         "must be finite and > 0")
     return ComplexField(config.grid, values / math.sqrt(n), config.t0)
 
 
 def propagator_config(config: MatterScenario) -> PropagatorConfig:
-    return PropagatorConfig(model=config.model, constants=config.constants,
-                            potential=config.potential, gamma=config.gamma,
-                            dt=config.dt)
+    return PropagatorConfig(model=config.model, potential=config.potential,
+                            gamma=config.gamma, dt=config.dt)
 
 
 # the errors that fail a run as "numeric", in the stage that meets them

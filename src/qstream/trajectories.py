@@ -88,18 +88,17 @@ def sample_initial_positions(rho: np.ndarray, grid: GridSpec, n: int,
     return InitialEnsemble(positions)
 
 
-def _velocity_frame(psi, constants):
+def _velocity_frame(psi):
     """The guidance velocity of one state, 0 at invalid points, and its
     validity flags."""
-    vf = qf.velocity_field(psi, constants)
+    vf = qf.velocity_field(psi)
     return np.where(vf.valid, vf.v, 0.0), vf.valid
 
 
 def velocity_frames(run: PropagationRun) -> tuple:
     """(times, v, ok) of every stored snapshot of a run: the velocities (0
     where invalid) and validity flags as (n_states, n_points) arrays."""
-    v, ok = zip(*(_velocity_frame(s, run.config.constants)
-                  for s in run.snapshots))
+    v, ok = zip(*(_velocity_frame(s) for s in run.snapshots))
     return np.array([s.time for s in run.snapshots]), np.array(v), np.array(ok)
 
 
@@ -313,7 +312,7 @@ class BundleStream:
 
     def __call__(self, psi) -> None:
         """Take the next stored state."""
-        v, ok = _velocity_frame(psi, self.config.constants)
+        v, ok = _velocity_frame(psi)
         self.push(psi.time, v, ok, np.abs(psi.values) ** 2)
 
     def push(self, time: float, v: np.ndarray, ok: np.ndarray,

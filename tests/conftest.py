@@ -5,14 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from qstream import (GridSpec, PhysicalConstants, fresnel_propagate,
-                     gaussian_packet)
+from qstream import GridSpec, fresnel_propagate, gaussian_packet
 from qstream.optics import PoyntingField
-
-
-@pytest.fixture(scope="session")
-def const():
-    return PhysicalConstants()
 
 
 def strict_json(text: str):

@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 from scipy.signal import argrelmax, argrelmin
 
-from qstream import (GridSpec, OpticalScene, PhysicalConstants,
-                     PotentialSpec, PropagatorConfig, SlitSpec,
-                     analytic_gaussian_oracle, check_non_crossing,
+from qstream import (GridSpec, OpticalScene, PotentialSpec,
+                     PropagatorConfig, SlitSpec, analytic_gaussian_oracle, check_non_crossing,
                      damped_oscillator, gaussian_packet, integrate_bundle,
                      photon_path_bundle, propagate, sample_initial_positions,
                      tube_probability)
@@ -26,7 +25,6 @@ from qstream.trajectories import _march, velocity_frames
 
 from conftest import fresnel_planes, poynting_lattice
 
-C = PhysicalConstants()
 OMEGA0 = 2 * math.pi / 10.0
 SIGMA_COH = math.sqrt(0.5 / OMEGA0)
 MM = 1e-3
@@ -46,7 +44,7 @@ def report(num, label, value, tol, passed, unit=""):
 def free_gaussian_run():
     grid = GridSpec(-20.0, 20.0, 2048)
     cfg = PropagatorConfig(dt=1e-3)
-    return propagate(gaussian_packet(grid, C, 1.0), cfg, 4.0,
+    return propagate(gaussian_packet(grid, 1.0), cfg, 4.0,
                      snapshot_every=4)
 
 
@@ -62,8 +60,8 @@ def free_gaussian_bundle(free_gaussian_run):
 def superposition_run_and_bundle():
     grid = GridSpec(-30.0, 30.0, 4096)
     cfg = PropagatorConfig(dt=1e-3)
-    vals = (gaussian_packet(grid, C, 0.5, x0=-5.0).values
-            + gaussian_packet(grid, C, 0.5, x0=5.0).values)
+    vals = (gaussian_packet(grid, 0.5, x0=-5.0).values
+            + gaussian_packet(grid, 0.5, x0=5.0).values)
     from qstream import ComplexField
     from qstream.fields import norm
     psi = ComplexField(grid, vals)
@@ -167,7 +165,7 @@ def test_criterion_06_ck_zero_point_pathology():
                             potential=PotentialSpec("harmonic",
                                                     omega0=OMEGA0),
                             dt=1e-3)
-    run0 = propagate(gaussian_packet(grid, C, SIGMA_COH, x0=2.0), cfg0,
+    run0 = propagate(gaussian_packet(grid, SIGMA_COH, x0=2.0), cfg0,
                      10.0, snapshot_every=100, consumers=())
     drift = float(np.max(np.abs(run0.energies - run0.energies[0])))
     ok = ok and drift < 1e-6
@@ -186,7 +184,7 @@ def test_criterion_07_nonlinear_friction_relaxation():
                            potential=PotentialSpec("harmonic",
                                                    omega0=OMEGA0),
                            gamma=0.3 * OMEGA0, dt=1e-3)
-    gs = gaussian_packet(grid, C, SIGMA_COH)
+    gs = gaussian_packet(grid, SIGMA_COH)
     run_gs = propagate(gs, cfg, 50.0, snapshot_every=10000)
     dev = max(float(np.max(np.abs(np.abs(s.values) - np.abs(gs.values))))
               for s in run_gs.snapshots[1:])
@@ -205,13 +203,13 @@ def _phase_and_trajectory_residuals(n, dt, t_final=2.0):
     pot = PotentialSpec("harmonic", omega0=OMEGA0)
     cfg = PropagatorConfig(model="kostin", potential=pot, gamma=gamma,
                            dt=dt)
-    run = propagate(gaussian_packet(grid, C, SIGMA_COH, x0=1.0), cfg,
+    run = propagate(gaussian_packet(grid, SIGMA_COH, x0=1.0), cfg,
                     t_final, snapshot_every=1)
-    V = pot.evaluate(grid, C)
+    V = pot.evaluate(grid)
     snaps = run.snapshots
     S, rho = [], []
     for s in snaps:
-        p = polar_decompose(s, C)
+        p = polar_decompose(s)
         S.append(p.S)
         rho.append(p.rho)
     S, rho = np.array(S), np.array(rho)
@@ -219,10 +217,10 @@ def _phase_and_trajectory_residuals(n, dt, t_final=2.0):
     for k in range(1, len(snaps) - 1):
         S_t = (S[k + 1] - S[k - 1]) / (2 * dt)
         S_x = derivative(S[k], grid.dx)
-        Q = quantum_potential(snaps[k], C)
+        Q = quantum_potential(snaps[k])
         r = rho[k]
         mean_S = np.trapezoid(r * S[k], dx=grid.dx)
-        R = S_t + S_x ** 2 / (2 * C.mass) + V + Q + gamma * (S[k] - mean_S)
+        R = S_t + S_x ** 2 / 2 + V + Q + gamma * (S[k] - mean_S)
         w = r > 1e-6 * r.max()
         gauge = (np.trapezoid(np.where(w, r * R, 0), dx=grid.dx)
                  / np.trapezoid(np.where(w, r, 0), dx=grid.dx))
@@ -234,7 +232,7 @@ def _phase_and_trajectory_residuals(n, dt, t_final=2.0):
     ens = sample_initial_positions(rho[0], grid, 8)
     bundle = integrate_bundle(ens, run, dt_traj=dt)
     snap_times = np.array([s.time for s in snaps])
-    dVQ = np.array([derivative(V + quantum_potential(s, C), grid.dx)
+    dVQ = np.array([derivative(V + quantum_potential(s), grid.dx)
                     for s in snaps])
     xs, ts = bundle.xs, bundle.times
     acc, cnt = 0.0, 0
@@ -243,7 +241,7 @@ def _phase_and_trajectory_residuals(n, dt, t_final=2.0):
         v = (xs[:, k + 1] - xs[:, k - 1]) / (2 * dt)
         i = int(np.argmin(np.abs(snap_times - ts[k])))
         grad = np.interp(xs[:, k], grid.x, dVQ[i])
-        R = C.mass * a + gamma * C.mass * v + grad
+        R = a + gamma * v + grad
         acc += float(np.mean(R ** 2))
         cnt += 1
     traj_res = math.sqrt(acc / cnt)
@@ -362,7 +360,7 @@ def test_criterion_13_reductions_and_determinism(tmp_path, capsys):
     # frictionless dissipative steppers reduce to the standard one
     grid = GridSpec(-8.0, 8.0, 512)
     pot = PotentialSpec("harmonic", omega0=OMEGA0)
-    psi = gaussian_packet(grid, C, SIGMA_COH, x0=1.0)
+    psi = gaussian_packet(grid, SIGMA_COH, x0=1.0)
     dev = 0.0
     std_cfg = PropagatorConfig(potential=pot, dt=1e-3)
     ck_cfg = PropagatorConfig(model="caldirola_kanai", potential=pot,

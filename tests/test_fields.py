@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qstream import (ComplexField, GridSpec, PhysicalConstants,
-                     PotentialSpec, PropagatorConfig, gaussian_packet, norm,
-                     polar_decompose, probability_current, quantum_potential,
-                     velocity_field)
+from qstream import (ComplexField, GridSpec, PotentialSpec, PropagatorConfig,
+                     gaussian_packet, norm, polar_decompose,
+                     probability_current, quantum_potential, velocity_field)
 from qstream.errors import AllBelowThreshold
 from qstream.fields import (CHUNK_VALUES, REPR_BELOW, _unwrap_phase,
                             derivative, format_rows, kinetic_energy,
@@ -20,8 +19,6 @@ from qstream.fields import (CHUNK_VALUES, REPR_BELOW, _unwrap_phase,
 from qstream.propagators import physical_energy
 
 from conftest import max_abs, sym_grid
-
-C = PhysicalConstants()
 
 
 # grid and value types ------------------------------------------------------
@@ -104,29 +101,29 @@ class TestComplexField:
 class TestPolarDecompose:
     def test_constant_real_field(self):
         g = sym_grid(1, 64)
-        p = polar_decompose(ComplexField(g, np.ones(64, dtype=complex)), C)
+        p = polar_decompose(ComplexField(g, np.ones(64, dtype=complex)))
         assert np.allclose(p.rho, 1.0)
         assert np.allclose(p.S, 0.0)
 
     def test_plane_wave_unwraps_many_turns(self):
         # e^{2ix} over [-30, 30] wraps the raw angle ~19 times
         g = sym_grid(30, 4096)
-        p = polar_decompose(ComplexField(g, np.exp(2j * g.x)), C)
+        p = polar_decompose(ComplexField(g, np.exp(2j * g.x)))
         assert np.allclose(p.rho, 1.0)
         ref = p.S - 2.0 * g.x
         assert max_abs(ref - ref[0]) < 1e-9
-        assert np.all(np.abs(np.diff(p.S)) < np.pi * C.hbar)
+        assert np.all(np.abs(np.diff(p.S)) < np.pi)
 
     def test_reference_point_phase_in_principal_branch(self):
         g = sym_grid(30, 4096)
-        p = polar_decompose(ComplexField(g, np.exp(2j * g.x)), C)
+        p = polar_decompose(ComplexField(g, np.exp(2j * g.x)))
         i0 = int(np.argmax(p.rho))
-        assert -np.pi * C.hbar < p.S[i0] <= np.pi * C.hbar
+        assert -np.pi < p.S[i0] <= np.pi
 
     def test_boosted_gaussian_linear_action(self):
         g = sym_grid(4, 1024)
-        psi = gaussian_packet(g, C, sigma0=0.5, p0=3.0)
-        p = polar_decompose(psi, C)
+        psi = gaussian_packet(g, sigma0=0.5, p0=3.0)
+        p = polar_decompose(psi)
         rho_ref = (2 * np.pi * 0.25) ** -0.5 * np.exp(-g.x ** 2 / 0.5)
         assert max_abs(p.rho - rho_ref) < 1e-12
         resid = (p.S - 3.0 * g.x)[p.valid]
@@ -135,7 +132,7 @@ class TestPolarDecompose:
     def test_all_below_threshold(self):
         g = sym_grid(1, 64)
         with pytest.raises(AllBelowThreshold):
-            polar_decompose(ComplexField(g, np.zeros(64, dtype=complex)), C)
+            polar_decompose(ComplexField(g, np.zeros(64, dtype=complex)))
 
 
 def _unwrap_phase_oracle(raw, valid, i0):
@@ -169,8 +166,8 @@ class TestUnwrapPhase:
 
 
 def compose(rho, S):
-    """The inverse Madelung map rho^{1/2} exp(iS/hbar)."""
-    return np.sqrt(rho) * np.exp(1j * S / C.hbar)
+    """The inverse Madelung map rho^{1/2} exp(iS)."""
+    return np.sqrt(rho) * np.exp(1j * S)
 
 
 class TestPolarCompose:
@@ -179,23 +176,23 @@ class TestPolarCompose:
     def test_unit_density_zero_action(self):
         g = sym_grid(1, 64)
         p = polar_decompose(ComplexField(g, compose(np.ones(64),
-                                                    np.zeros(64))), C)
+                                                    np.zeros(64))))
         assert np.all(p.rho == 1.0) and np.all(p.S == 0.0)
 
     def test_plane_wave_from_linear_action(self):
         g = sym_grid(1, 64)
-        S = C.hbar * 2 * g.x
-        p = polar_decompose(ComplexField(g, compose(np.ones(64), S)), C)
+        S = 2 * g.x
+        p = polar_decompose(ComplexField(g, compose(np.ones(64), S)))
         assert max_abs(p.S - S) < 1e-12
 
     def test_round_trip_two_gaussian_superposition(self):
         g = sym_grid(12, 2048)
-        psi = gaussian_packet(g, C, 1.0, x0=-3.0)
-        vals = psi.values + gaussian_packet(g, C, 1.0, x0=3.0).values \
+        psi = gaussian_packet(g, 1.0, x0=-3.0)
+        vals = psi.values + gaussian_packet(g, 1.0, x0=3.0).values \
             * np.exp(0.7j)
         psi = ComplexField(g, vals / math.sqrt(
             np.trapezoid(np.abs(vals) ** 2, dx=g.dx)))
-        p = polar_decompose(psi, C)
+        p = polar_decompose(psi)
         out = compose(p.rho, p.S)
         # identity up to a global phase on above-threshold points
         i0 = int(np.argmax(p.rho))
@@ -209,18 +206,18 @@ class TestPolarCompose:
 class TestProbabilityCurrent:
     def test_real_gaussian_zero_current(self):
         g = sym_grid(8, 1024)
-        J = probability_current(gaussian_packet(g, C, 1.0), C)
+        J = probability_current(gaussian_packet(g, 1.0))
         assert max_abs(J) < 1e-12
 
     def test_plane_wave_uniform_current(self):
         g = sym_grid(1, 2048)
-        J = probability_current(ComplexField(g, np.exp(2j * g.x)), C)
+        J = probability_current(ComplexField(g, np.exp(2j * g.x)))
         assert max_abs(J - 2.0) < 1e-5
 
     def test_boosted_gaussian_center_value(self):
         g = sym_grid(4, 1024)
-        psi = gaussian_packet(g, C, sigma0=0.5, p0=3.0)
-        J = probability_current(psi, C)
+        psi = gaussian_packet(g, sigma0=0.5, p0=3.0)
+        J = probability_current(psi)
         i0 = np.argmin(np.abs(g.x))
         rho0 = abs(psi.values[i0]) ** 2
         assert J[i0] == pytest.approx(3.0 * rho0, rel=1e-6)
@@ -229,29 +226,29 @@ class TestProbabilityCurrent:
 class TestVelocityField:
     def test_real_gaussian_zero_velocity(self):
         g = sym_grid(8, 1024)
-        vf = velocity_field(gaussian_packet(g, C, 1.0), C)
+        vf = velocity_field(gaussian_packet(g, 1.0))
         assert max_abs(vf.v[vf.valid]) < 1e-10
 
     def test_plane_wave_uniform_velocity(self):
         g = sym_grid(1, 2048)
-        vf = velocity_field(ComplexField(g, np.exp(2j * g.x)), C)
+        vf = velocity_field(ComplexField(g, np.exp(2j * g.x)))
         assert max_abs(vf.v[vf.valid] - 2.0) < 1e-5
 
     def test_superposition_velocity_antisymmetric(self):
         # symmetric zero-momentum pair, evolved briefly so v is nonzero
         from qstream import PropagatorConfig, propagate
         g = sym_grid(16, 1024)
-        vals = (gaussian_packet(g, C, 1.0, x0=-3.0).values
-                + gaussian_packet(g, C, 1.0, x0=3.0).values)
+        vals = (gaussian_packet(g, 1.0, x0=-3.0).values
+                + gaussian_packet(g, 1.0, x0=3.0).values)
         psi = ComplexField(g, vals / math.sqrt(
             np.trapezoid(np.abs(vals) ** 2, dx=g.dx)))
-        vf0 = velocity_field(psi, C)
+        vf0 = velocity_field(psi)
         v0 = np.where(vf0.valid, vf0.v, 0.0)
         assert max_abs(v0 + v0[::-1]) < 1e-8
         run = propagate(psi, PropagatorConfig(dt=1e-3), 0.5,
                         snapshot_every=500)
         final = run.snapshots[-1]
-        vf = velocity_field(final, C)
+        vf = velocity_field(final)
         rho = np.abs(final.values) ** 2
         bulk = vf.valid & (rho > 1e-6 * rho.max())
         v = np.where(bulk, vf.v, 0.0)
@@ -259,10 +256,10 @@ class TestVelocityField:
 
     def test_matches_action_gradient(self):
         g = sym_grid(6, 2048)
-        psi = gaussian_packet(g, C, sigma0=0.8, p0=1.5)
-        vf = velocity_field(psi, C)
-        p = polar_decompose(psi, C)
-        dS = derivative(p.S, g.dx) / C.mass
+        psi = gaussian_packet(g, sigma0=0.8, p0=1.5)
+        vf = velocity_field(psi)
+        p = polar_decompose(psi)
+        dS = derivative(p.S, g.dx)
         mask = p.valid & vf.valid
         assert max_abs((vf.v - dS)[mask]) < 1e-6
 
@@ -270,7 +267,7 @@ class TestVelocityField:
         g = sym_grid(1, 64)
         vals = np.ones(64, dtype=complex)
         vals[30:34] = 0.0
-        vf = velocity_field(ComplexField(g, vals), C)
+        vf = velocity_field(ComplexField(g, vals))
         assert not vf.valid[31]
         assert np.isnan(vf.v[31])
 
@@ -278,27 +275,27 @@ class TestVelocityField:
 class TestQuantumPotential:
     def test_plane_wave_zero(self):
         g = sym_grid(1, 512)
-        Q = quantum_potential(ComplexField(g, np.exp(2j * g.x)), C)
+        Q = quantum_potential(ComplexField(g, np.exp(2j * g.x)))
         assert max_abs(Q) < 1e-8
 
     def test_oscillator_ground_state_constant_total(self):
         # sigma^2 = 1/2 ground state: Q(x) + x^2/2 = 1/2 pointwise
         g = sym_grid(8, 2048)
-        psi = gaussian_packet(g, C, sigma0=math.sqrt(0.5))
-        Q = quantum_potential(psi, C)
+        psi = gaussian_packet(g, sigma0=math.sqrt(0.5))
+        Q = quantum_potential(psi)
         interior = np.abs(g.x) < 4.0
         total = Q[interior] + 0.5 * g.x[interior] ** 2
         assert max_abs(total - 0.5) < 1e-6
 
     def test_center_value_second_order_refinement(self):
-        # Q(0) = hbar^2 / (8 m sigma0^4) * (1 - 0) ... closed form for a
-        # Gaussian: Q(x) = (hbar^2/(4 m sigma^2)) (1 - x^2/(2 sigma^2))
+        # closed form for a Gaussian:
+        # Q(x) = (1/(4 sigma^2)) (1 - x^2/(2 sigma^2))
         sigma = 1.0
-        exact = C.hbar ** 2 / (4 * C.mass * sigma ** 2)
+        exact = 1 / (4 * sigma ** 2)
         errs = []
         for n in (256, 512):
             g = sym_grid(8, n + 1)
-            Q = quantum_potential(gaussian_packet(g, C, sigma), C)
+            Q = quantum_potential(gaussian_packet(g, sigma))
             i0 = np.argmin(np.abs(g.x))
             errs.append(abs(Q[i0] - exact))
         # stencil is 4th order; require at least the advertised 2nd order
@@ -332,7 +329,7 @@ class TestDerivativeStencils:
 class TestNorm:
     def test_unit_gaussian(self):
         g = sym_grid(12, 2048)
-        assert norm(gaussian_packet(g, C, 1.0)) == pytest.approx(1.0,
+        assert norm(gaussian_packet(g, 1.0)) == pytest.approx(1.0,
                                                                  abs=1e-10)
 
     def test_zero_field(self):
@@ -342,8 +339,8 @@ class TestNorm:
     def test_two_distant_gaussians(self):
         # centers 10 sigma apart: residual overlap 2 e^{-12.5} ~ 7.5e-6
         g = sym_grid(25, 4096)
-        vals = (gaussian_packet(g, C, 1.0, x0=-5.0).values
-                + gaussian_packet(g, C, 1.0, x0=5.0).values)
+        vals = (gaussian_packet(g, 1.0, x0=-5.0).values
+                + gaussian_packet(g, 1.0, x0=5.0).values)
         assert norm(ComplexField(g, vals)) == pytest.approx(2.0, abs=1e-5)
 
 
@@ -355,20 +352,20 @@ class TestExpectationEnergy:
 
     def test_oscillator_ground_state(self):
         g = sym_grid(8, 1024)
-        psi = gaussian_packet(g, C, sigma0=math.sqrt(0.5))
+        psi = gaussian_packet(g, sigma0=math.sqrt(0.5))
         assert physical_energy(psi, self.HARMONIC) == pytest.approx(0.5,
                                                                      abs=1e-4)
 
     def test_boosted_broad_gaussian(self):
         g = sym_grid(30, 4096)
         sigma = 2.0
-        psi = gaussian_packet(g, C, sigma0=sigma, p0=2.0)
+        psi = gaussian_packet(g, sigma0=sigma, p0=2.0)
         E = physical_energy(psi, PropagatorConfig())
         assert E == pytest.approx(2.0 + 1.0 / (8 * sigma ** 2), rel=1e-8)
 
     def test_displaced_coherent_state(self):
         g = sym_grid(8, 1024)
-        psi = gaussian_packet(g, C, sigma0=math.sqrt(0.5), x0=1.0)
+        psi = gaussian_packet(g, sigma0=math.sqrt(0.5), x0=1.0)
         assert physical_energy(psi, self.HARMONIC) == pytest.approx(1.0,
                                                                      abs=1e-4)
 
@@ -385,9 +382,9 @@ class TestNodeMask:
 class TestSnapshotSerialization:
     def test_round_trip_columns(self, tmp_path):
         g = sym_grid(8, 256)
-        psi = gaussian_packet(g, C, 1.0, p0=0.5)
+        psi = gaussian_packet(g, 1.0, p0=0.5)
         path = tmp_path / "snap.txt"
-        write_snapshot(path, psi, C)
+        write_snapshot(path, psi)
         lines = path.read_text().splitlines()
         header = [ln for ln in lines if "=" in ln]
         assert any(ln.startswith("n_points = 256") for ln in header)
@@ -404,7 +401,7 @@ class TestSnapshotSerialization:
         vals = np.ones(64, dtype=complex)
         vals[10] = 0.0
         path = tmp_path / "snap.txt"
-        write_snapshot(path, ComplexField(g, vals), C)
+        write_snapshot(path, ComplexField(g, vals))
         rows = [ln for ln in path.read_text().splitlines()
                 if "=" not in ln and not ln.startswith("#")]
         assert "nan" in rows[10]
@@ -498,16 +495,16 @@ def test_write_rows_memory_is_one_chunk_of_values():
 
 
 def test_kinetic_energy_plane_wave_mode():
-    # exact FFT mode of the periodic box: T = hbar^2 k^2 / 2m per unit norm
+    # exact FFT mode of the periodic box: T = k^2 / 2 per unit norm
     n = 256
     g = GridSpec(0.0, 4 * np.pi * (n - 1) / n, n)
     k = 2.0
     psi = ComplexField(g, np.exp(1j * k * g.x) / math.sqrt(4 * np.pi))
-    assert kinetic_energy(psi, C) == pytest.approx(
+    assert kinetic_energy(psi) == pytest.approx(
         0.5 * k ** 2 * norm(psi), rel=1e-10)
 
 
 def test_position_spread_gaussian():
     g = sym_grid(12, 2048)
-    assert position_spread(gaussian_packet(g, C, 1.3)) == pytest.approx(
+    assert position_spread(gaussian_packet(g, 1.3)) == pytest.approx(
         1.3, rel=1e-8)

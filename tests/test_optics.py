@@ -210,12 +210,11 @@ class TestFresnelPropagation:
             "cfg = PropagatorConfig(potential=PotentialSpec('harmonic', "
             "omega0=1.0), gamma=0.3)\n"
             "damped_oscillator(1.0, 0.0, 1.0, 0.3, [0.0, 2.5, 5.0])\n"
-            "psi = gaussian_packet(GridSpec(-8.0, 8.0, 256), cfg.constants, "
-            "1.0)\n"
+            "psi = gaussian_packet(GridSpec(-8.0, 8.0, 256), 1.0)\n"
             "run = propagate(psi, PropagatorConfig('caldirola_kanai', "
             "potential=cfg.potential, gamma=0.3, dt=0.01), "
             "0.05)\n"
-            "kinetic_energy(run.snapshots[-1], cfg.constants)\n"
+            "kinetic_energy(run.snapshots[-1])\n"
             "for name in ('signal', 'interpolate', 'integrate', "
             "'constants', 'fft'):\n"
             "    assert 'scipy.' + name not in sys.modules, name\n"

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qstream import (ComplexField, PhysicalConstants, PotentialSpec,
-                     PropagatorConfig, analytic_gaussian_oracle,
-                     gaussian_packet, propagate, step)
+from qstream import (ComplexField, PotentialSpec, PropagatorConfig,
+                     analytic_gaussian_oracle, gaussian_packet, propagate,
+                     step)
 from qstream import fields as qf, propagators
 from qstream.errors import (AllBelowThreshold, StabilityViolation,
                             ValidationError)
@@ -28,14 +28,13 @@ from qstream.scenarios import (builtin_scenario, initial_state,
 
 from conftest import max_abs, sym_grid
 
-C = PhysicalConstants()
 OMEGA0 = 2 * math.pi / 10.0
 SIGMA_COH = math.sqrt(0.5 / OMEGA0)
 HARMONIC = PotentialSpec("harmonic", omega0=1.0)
 
 
 def coherent(grid, a=1.0):
-    return gaussian_packet(grid, C, sigma0=math.sqrt(0.5), x0=a)
+    return gaussian_packet(grid, sigma0=math.sqrt(0.5), x0=a)
 
 
 # configuration validation --------------------------------------------------
@@ -68,7 +67,7 @@ class TestSpecs:
 
     def test_stability_bound_rejects_huge_step(self):
         g = sym_grid(8, 256)
-        psi = gaussian_packet(g, C, sigma0=math.sqrt(0.5), x0=3.0)
+        psi = gaussian_packet(g, sigma0=math.sqrt(0.5), x0=3.0)
         cfg = PropagatorConfig(potential=HARMONIC, dt=1.0)
         with pytest.raises(StabilityViolation):
             check_stability(psi, cfg)
@@ -80,13 +79,13 @@ def _check_reversible(n):
     """One split step with dt = 1e-3 on n points, then one with the
     conjugate factors, which is the step with -dt."""
     g = sym_grid(10, n)
-    psi = gaussian_packet(g, C, 1.0, p0=1.0)
+    psi = gaussian_packet(g, 1.0, p0=1.0)
     dt = 1e-3
     transform = _Transform(n)
     assert transform.blocked == (n >= 8192)
-    half_V = _phase_factor(-0.5 * dt / C.hbar * HARMONIC.evaluate(g, C))
+    half_V = _phase_factor(-0.5 * dt * HARMONIC.evaluate(g))
     kin = transform.spectral(_phase_factor(
-        -0.5 * C.hbar * dt / C.mass * g.wavenumbers() ** 2))
+        -0.5 * dt * g.wavenumbers() ** 2))
     fwd = _split_step(psi.values, half_V, kin, transform)
     back = _split_step(fwd, half_V.conj(), kin.conj(), transform)
     assert max_abs(back - psi.values) < 1e-9
@@ -95,7 +94,7 @@ def _check_reversible(n):
 class TestStandardStepper:
     def test_ground_state_one_period(self):
         g = sym_grid(8, 512)
-        psi0 = gaussian_packet(g, C, sigma0=math.sqrt(0.5))
+        psi0 = gaussian_packet(g, sigma0=math.sqrt(0.5))
         cfg = PropagatorConfig(potential=HARMONIC, dt=1e-3)
         # the whole number of steps nearest one period
         T = round(2 * math.pi / cfg.dt) * cfg.dt
@@ -116,7 +115,7 @@ class TestStandardStepper:
 
     def test_norm_drift_per_step(self):
         g = sym_grid(10, 512)
-        psi = gaussian_packet(g, C, 1.0, p0=1.0)
+        psi = gaussian_packet(g, 1.0, p0=1.0)
         cfg = PropagatorConfig(potential=HARMONIC, dt=1e-3)
         out = step(psi, cfg)
         assert abs(norm(out) - norm(psi)) < 1e-12
@@ -124,7 +123,7 @@ class TestStandardStepper:
     def test_free_gaussian_width_at_t2(self):
         g = sym_grid(20, 2048)
         cfg = PropagatorConfig(dt=1e-3)
-        run = propagate(gaussian_packet(g, C, 1.0), cfg, 2.0,
+        run = propagate(gaussian_packet(g, 1.0), cfg, 2.0,
                         snapshot_every=10 ** 6)
         assert abs(position_spread(run.snapshots[-1])
                    - math.sqrt(2.0)) < 1e-6
@@ -170,7 +169,7 @@ class TestCaldirolaKanai:
 
     def test_norm_drift_per_step(self):
         g = sym_grid(8, 1024)
-        psi = gaussian_packet(g, C, SIGMA_COH, x0=2.0)
+        psi = gaussian_packet(g, SIGMA_COH, x0=2.0)
         cfg = PropagatorConfig(model="caldirola_kanai",
                                potential=PotentialSpec("harmonic",
                                                        omega0=OMEGA0),
@@ -183,7 +182,7 @@ class TestCaldirolaKanai:
 
     def test_physical_energy_decreases(self):
         g = sym_grid(8, 1024)
-        psi = gaussian_packet(g, C, SIGMA_COH, x0=2.0)
+        psi = gaussian_packet(g, SIGMA_COH, x0=2.0)
         cfg = PropagatorConfig(model="caldirola_kanai",
                                potential=PotentialSpec("harmonic",
                                                        omega0=OMEGA0),
@@ -195,10 +194,9 @@ class TestCaldirolaKanai:
         # the CK Hamiltonian of a harmonic V is quadratic, so a Gaussian
         # stays Gaussian: its centroid follows the damped classical path,
         # its width is sigma0 |s| for the damped path s(t) from s = 1,
-        # s' = i hbar / (2 m sigma0^2), and its physical energy is the
-        # classical energy of both (hbar = m = 1)
+        # s' = i / (2 sigma0^2), and its physical energy is the classical
+        # energy of both
         sc = builtin_scenario("fig2a")
-        assert sc.constants == C and sc.potential.center == 0.0
         run = propagate(initial_state(sc), propagator_config(sc), 4.0,
                         snapshot_every=10, consumers=())
         (packet,) = sc.packets
@@ -241,7 +239,7 @@ class TestKostin:
 
     def test_constant_phase_state_kills_friction(self):
         g = sym_grid(8, 512)
-        psi = gaussian_packet(g, C, sigma0=math.sqrt(0.5))
+        psi = gaussian_packet(g, sigma0=math.sqrt(0.5))
         cfg = PropagatorConfig(model="kostin", potential=HARMONIC,
                                gamma=0.3, dt=1e-3)
         W = _friction_potential(psi.values, cfg)
@@ -319,20 +317,20 @@ class TestKostin:
 class TestPropagate:
     def test_zero_duration_returns_initial(self):
         g = sym_grid(8, 256)
-        psi = gaussian_packet(g, C, 1.0)
+        psi = gaussian_packet(g, 1.0)
         run = propagate(psi, PropagatorConfig(dt=1e-3), psi.time)
         assert len(run.snapshots) == 1
         assert run.snapshots[0] is psi
 
     def test_backwards_target_rejected(self):
         g = sym_grid(8, 256)
-        psi = gaussian_packet(g, C, 1.0)
+        psi = gaussian_packet(g, 1.0)
         with pytest.raises(ValueError):
             propagate(psi, PropagatorConfig(dt=1e-3), -1.0)
 
     def test_ground_state_norms_over_ten_periods(self):
         g = sym_grid(8, 256)
-        psi = gaussian_packet(g, C, sigma0=math.sqrt(0.5))
+        psi = gaussian_packet(g, sigma0=math.sqrt(0.5))
         cfg = PropagatorConfig(potential=HARMONIC, dt=2e-3)
         n_steps = round(20 * math.pi / cfg.dt)
         run = propagate(psi, cfg, n_steps * cfg.dt,
@@ -342,13 +340,13 @@ class TestPropagate:
 
     def test_off_grid_t_final_rejected(self):
         # 0.505 lies between the 50th and 51st step of 0.01
-        psi = gaussian_packet(sym_grid(8, 256), C, 1.0)
+        psi = gaussian_packet(sym_grid(8, 256), 1.0)
         with pytest.raises(ValueError, match="not a whole number of steps"):
             propagate(psi, PropagatorConfig(dt=0.01), 0.505)
 
     def test_rounded_division_accepted(self):
         # 0.3 / 0.1 = 2.9999999999999996: only the rounding of the division
-        psi = gaussian_packet(sym_grid(8, 256), C, 1.0)
+        psi = gaussian_packet(sym_grid(8, 256), 1.0)
         run = propagate(psi, PropagatorConfig(dt=0.1), 0.3)
         assert run.steps == 3
         assert len(run.snapshots) == 4
@@ -390,7 +388,7 @@ class TestPropagate:
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(n_steps=st.integers(0, 30), every=st.integers(1, 12))
     def test_consumers_called_state_count_times(self, n_steps, every):
-        psi = gaussian_packet(sym_grid(8, 32), C, 1.0)
+        psi = gaussian_packet(sym_grid(8, 32), 1.0)
         handed = []
         run = propagate(psi, PropagatorConfig(dt=1e-2), n_steps * 1e-2,
                         snapshot_every=every, consumers=(handed.append,))
@@ -398,7 +396,7 @@ class TestPropagate:
         assert handed[-1].time == state_time(0.0, 1e-2, n_steps)
 
     def test_state_times_are_t0_plus_i_dt(self, tmp_path):
-        psi = gaussian_packet(sym_grid(8, 256), C, 1.0, time=0.1)
+        psi = gaussian_packet(sym_grid(8, 256), 1.0, time=0.1)
         run = propagate(psi, PropagatorConfig(dt=1e-3), 0.6)
         assert run.steps == 500
         expected = [0.1 + i * 1e-3 for i in range(501)]
@@ -436,14 +434,14 @@ class TestPropagate:
         g = sym_grid(2000, 256)
         cfg = PropagatorConfig(model="caldirola_kanai", potential=HARMONIC,
                                gamma=5.6e5, dt=2.5e-3)
-        psi = gaussian_packet(g, C, sigma0=20.0)
+        psi = gaussian_packet(g, sigma0=20.0)
         with np.errstate(invalid="ignore", over="ignore"), \
                 pytest.raises(ValueError, match="non-finite"):
             propagate(psi, cfg, 2.5e-3)
 
     def test_stability_checked_on_entry(self):
         g = sym_grid(8, 256)
-        psi = gaussian_packet(g, C, sigma0=math.sqrt(0.5), x0=3.0)
+        psi = gaussian_packet(g, sigma0=math.sqrt(0.5), x0=3.0)
         cfg = PropagatorConfig(potential=PotentialSpec("harmonic",
                                                        omega0=5.0), dt=0.5)
         with pytest.raises(StabilityViolation):
@@ -472,7 +470,7 @@ class TestPropagate:
         # the transforms run in place, on a buffer of the split step's own
         g = sym_grid(8, 256)
         values = coherent(g).values
-        half_V = _phase_factor(-5e-3 * HARMONIC.evaluate(g, C))
+        half_V = _phase_factor(-5e-3 * HARMONIC.evaluate(g))
         kin = _phase_factor(-5e-3 * g.wavenumbers() ** 2)
         before = [a.copy() for a in (values, half_V, kin)]
         out = _split_step(values, half_V, kin, _Transform(256))
@@ -497,20 +495,20 @@ class TestPropagate:
         v2 = advance(v1, cfg.dt)
         assert not np.shares_memory(v1, v2)
         assert np.array_equal(v1, kept)
-        V, k2_half = HARMONIC.evaluate(g, C), g.wavenumbers()[:129] ** 2
+        V, k2_half = HARMONIC.evaluate(g), g.wavenumbers()[:129] ** 2
         if model == "kostin":
             W_mid = (1.5 * _friction_potential(v1, cfg)
                      - 0.5 * _friction_potential(v0, cfg))
-            half_V = _phase_factor(-0.5 * cfg.dt / C.hbar * (V + W_mid))
+            half_V = _phase_factor(-0.5 * cfg.dt * (V + W_mid))
             kin = _mirrored_phase_factor(
-                -0.5 * C.hbar * 1.0 * cfg.dt / C.mass * k2_half, 256, _cis)
+                -0.5 * 1.0 * cfg.dt * k2_half, 256, _cis)
         else:
             t_mid = cfg.dt + 0.5 * cfg.dt
-            half_V = _phase_factor(-0.5 * cfg.dt / C.hbar
+            half_V = _phase_factor(-0.5 * cfg.dt
                                    * (math.exp(0.3 * t_mid) * V))
             kin = _mirrored_phase_factor(
-                -0.5 * C.hbar * math.exp(-0.3 * t_mid) * cfg.dt / C.mass
-                * k2_half, 256, _phase_factor)
+                -0.5 * math.exp(-0.3 * t_mid) * cfg.dt * k2_half, 256,
+                _phase_factor)
         assert np.array_equal(v2, _split_step(v1, half_V, kin,
                                               _Transform(256)))
 
@@ -547,7 +545,7 @@ class TestPropagate:
         monkeypatch.setattr(propagators.SeriesRecord, "row", row)
         monkeypatch.setattr(propagators, "_stepper",
                             lambda grid, config: lambda values, t: values)
-        psi0 = gaussian_packet(sym_grid(8, 8), C, 1.0)
+        psi0 = gaussian_packet(sym_grid(8, 8), 1.0)
         cfg = PropagatorConfig(dt=1e-3)
         tracemalloc.start()
         try:
@@ -585,7 +583,7 @@ def _reference_friction(values, grid, config):
     i0 = int(np.argmax(rho))
     offset[i0 + 1:] = np.cumsum(corr[i0:])
     offset[:i0] = -np.cumsum(corr[:i0][::-1])[::-1]
-    S = config.constants.hbar * (raw + offset)
+    S = raw + offset
     if not valid.all():
         x = np.linspace(grid.x_min, grid.x_max, grid.n_points)
         S = np.interp(x, x[valid], S[valid])
@@ -603,14 +601,14 @@ def _reference_step(values, t, grid, config, W_last=None):
     average when W_last is None, and otherwise the Adams-Bashforth
     1.5 W - 0.5 W_last, W_last being the friction potential that the
     previous step returned."""
-    c, dt, gamma = config.constants, config.dt, config.gamma
-    V = config.potential.evaluate(grid, c)
-    kin_phase = -0.5j * c.hbar * (2.0 * np.pi
-                                  * np.fft.fftfreq(grid.n_points, grid.dx)) ** 2
+    dt, gamma = config.dt, config.gamma
+    V = config.potential.evaluate(grid)
+    kin_phase = -0.5j * (2.0 * np.pi
+                         * np.fft.fftfreq(grid.n_points, grid.dx)) ** 2
 
     def split(vals, V_eff, scale=1.0):
-        half_V = np.exp(-0.5j * V_eff * dt / c.hbar)
-        kin = np.exp(kin_phase * scale * dt / c.mass)
+        half_V = np.exp(-0.5j * V_eff * dt)
+        kin = np.exp(kin_phase * scale * dt)
         return half_V * np.fft.ifft(kin * np.fft.fft(half_V * vals))
 
     t_mid = t + 0.5 * dt
@@ -642,7 +640,7 @@ def _check_against_reference(case, n, t_final):
     against _reference_step, state by state, with dt = 5e-3."""
     g = sym_grid(8, n)
     cfg = PropagatorConfig(potential=HARMONIC, dt=5e-3, **ORACLE_CASES[case])
-    psi0 = gaussian_packet(g, C, math.sqrt(0.5), x0=1.0, p0=0.5)
+    psi0 = gaussian_packet(g, math.sqrt(0.5), x0=1.0, p0=0.5)
     run = propagate(psi0, cfg, t_final, snapshot_every=1)
     assert len(run.snapshots) == whole_steps(0.0, t_final, cfg.dt) + 1
     # repeated step() is the predictor-corrector throughout, which a
@@ -726,7 +724,7 @@ def _friction_oracle(values, grid, config):
     """Kostin's friction potential as it was computed before the one-cumsum
     form: polar_decompose, np.interp over the valid S, and two np.trapezoid
     calls."""
-    polar = qf.polar_decompose(ComplexField(grid, values), config.constants)
+    polar = qf.polar_decompose(ComplexField(grid, values))
     rho, S, valid = polar.rho, polar.S, polar.valid
     if not valid.all():
         # np.interp returns S itself at the valid points, so only the
@@ -749,7 +747,7 @@ def _interior_gaps(values):
 def _packet_with_nodes(nodes):
     # wide box: the tails fall below the node threshold
     g = sym_grid(30, 1024)
-    values = gaussian_packet(g, C, 1.0, x0=1.0, p0=0.7).values.copy()
+    values = gaussian_packet(g, 1.0, x0=1.0, p0=0.7).values.copy()
     values[nodes] = 0.0
     return ComplexField(g, values)
 
@@ -769,7 +767,7 @@ def _kostin_wide_state():
     # noise in the tails leaves many sub-threshold fragments
     cfg = PropagatorConfig(model="kostin", potential=PotentialSpec(
         "harmonic", omega0=OMEGA0), gamma=0.3 * OMEGA0, dt=5e-3)
-    psi0 = gaussian_packet(sym_grid(8, 1024), C, SIGMA_COH, x0=2.0)
+    psi0 = gaussian_packet(sym_grid(8, 1024), SIGMA_COH, x0=2.0)
     psi = propagate(psi0, cfg, 2.0, snapshot_every=10 ** 6,
                     consumers=()).snapshots[-1]
     assert len(_interior_gaps(psi.values)) >= 5
@@ -777,7 +775,7 @@ def _kostin_wide_state():
 
 
 FRICTION_STATES = {
-    "all-valid": lambda: gaussian_packet(sym_grid(4, 512), C, 1.0, x0=0.5,
+    "all-valid": lambda: gaussian_packet(sym_grid(4, 512), 1.0, x0=0.5,
                                          p0=6.0),
     "tails-only": lambda: _packet_with_nodes([]),
     "three-interior-nodes": lambda: _packet_with_nodes([500, 530, 531]),
@@ -823,7 +821,7 @@ class TestFastFormOracles:
     def test_mirrored_kinetic_factor_is_full_spectrum(self, n):
         g = sym_grid(8, n)
         k2 = g.wavenumbers() ** 2
-        c = -0.5 * C.hbar * 0.37 * 2e-3 / C.mass
+        c = -0.5 * 0.37 * 2e-3
         phase = c * k2
         out = _mirrored_phase_factor(c * k2[:n // 2 + 1], n, _phase_factor)
         # bit for bit against _phase_factor of the full spectrum, and
@@ -873,7 +871,7 @@ class TestSeriesRecord:
                                **RECORD_CASES[case])
         # wide enough that |psi|^2 at the box ends is 1e-3 of its peak, so
         # the trapezoid's end terms count
-        psi0 = gaussian_packet(sym_grid(8, n), C, 2.5, x0=1.0, p0=0.5,
+        psi0 = gaussian_packet(sym_grid(8, n), 2.5, x0=1.0, p0=0.5,
                                time=1.0)
         run = propagate(psi0, cfg, 1.1, snapshot_every=2)
         assert len(run.snapshots) == len(run.times) == 6
@@ -889,7 +887,7 @@ class TestSeriesRecord:
     def test_width_on_a_grid_away_from_zero(self):
         # <x^2> - <x>^2 about x = 0 would cancel to about 1e-11 here
         g = qf.GridSpec(100.0, 116.0, 1024)
-        psi = gaussian_packet(g, C, 0.5, x0=108.5, p0=0.5)
+        psi = gaussian_packet(g, 0.5, x0=108.5, p0=0.5)
         record = propagators.SeriesRecord(g, PropagatorConfig(), 1)
         _, _, mean, sigma, _ = record.row(psi)
         assert abs(mean - qf.expectation_position(psi)) <= 1e-13 * 108.5
@@ -904,7 +902,7 @@ class TestOracle:
         cfg = PropagatorConfig(dt=1e-3)
         out = analytic_gaussian_oracle({"sigma0": 1.0, "x0": 0.5, "p0": 2.0,
                                         "grid": g}, cfg, 0.0)
-        ref = gaussian_packet(g, C, 1.0, x0=0.5, p0=2.0)
+        ref = gaussian_packet(g, 1.0, x0=0.5, p0=2.0)
         assert max_abs(out.values - ref.values) < 1e-12
 
     def test_free_width_formula(self):
@@ -912,7 +910,7 @@ class TestOracle:
         cfg = PropagatorConfig(dt=1e-3)
         out = analytic_gaussian_oracle({"sigma0": 1.0, "grid": g}, cfg, 2.0)
         assert abs(position_spread(out) - math.sqrt(2.0)) < 1e-9
-        assert free_gaussian_width(1.0, 2.0, C) == pytest.approx(
+        assert free_gaussian_width(1.0, 2.0) == pytest.approx(
             math.sqrt(2.0))
 
     def test_coherent_half_period_mirror(self):
@@ -1020,13 +1018,13 @@ class TestClassicalTrajectory:
 
 def test_physical_energy_ck_uses_damped_kinetic_term():
     g = sym_grid(8, 512)
-    psi = ComplexField(g, gaussian_packet(g, C, SIGMA_COH).values, time=2.0)
+    psi = ComplexField(g, gaussian_packet(g, SIGMA_COH).values, time=2.0)
     pot = PotentialSpec("harmonic", omega0=OMEGA0)
     gamma = 0.5
     std = physical_energy(psi, PropagatorConfig(potential=pot, dt=1e-3))
     ck = physical_energy(psi, PropagatorConfig(
         model="caldirola_kanai", potential=pot, gamma=gamma, dt=1e-3))
     from qstream.fields import kinetic_energy
-    T = kinetic_energy(psi, C)
+    T = kinetic_energy(psi)
     assert ck == pytest.approx(std - T * (1 - math.exp(-2 * gamma * 2.0)),
                                rel=1e-10)

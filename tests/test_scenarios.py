@@ -80,10 +80,14 @@ BAD_NUMBERS = {
                   "model.type = standard\nmodel.gamma = nan"),
     "x0-nan": (QUICK_MATTER, "packet1.sigma0 = 1.0",
                "packet1.sigma0 = 1.0\npacket1.x0 = nan"),
+    # units hbar = m = 1 and the well at x = 0 are fixed: the keys that
+    # set them are unknown
     "hbar-zero": (QUICK_MATTER, "model.type = standard",
                   "model.type = standard\nmodel.hbar = 0"),
     "mass-zero": (QUICK_MATTER, "model.type = standard",
                   "model.type = standard\nmodel.mass = 0"),
+    "center-zero": (QUICK_MATTER, "potential.kind = free",
+                    "potential.kind = free\npotential.center = 0"),
     "gamma-negative": (QUICK_MATTER, "model.type = standard",
                        "model.type = standard\nmodel.gamma = -1"),
     "one-trajectory": (QUICK_MATTER, "ensemble.n_trajectories = 6",
@@ -159,8 +163,13 @@ BAD_NUMBERS = {
         .replace("ensemble.n_trajectories = 6", "ensemble.n_trajectories = 0"),
         "time.t_final = 0.5", "time.t_final = 1e5"),
 }
-# the product each memory-bound case exceeds
+# the product each memory-bound case exceeds, and each source-count case:
+# a count beyond int, or a default spacing that underflows, fails there too
 MEMORY_BOUND_KEYS = {
+    "source_dx-tiny": "z planes * (grid.n_points + source points)",
+    "source_dx-subnormal": "z planes * (grid.n_points + source points)",
+    "default-source_dx-underflow":
+        "z planes * (grid.n_points + source points)",
     "path-points-huge": "paths.n_paths * path steps",
     "path-points-default-ds": "paths.n_paths * path steps",
     "trajectory-points-huge": "ensemble.n_trajectories * RK4 steps",
@@ -399,7 +408,8 @@ REJECTED = {
 # keys whose default _build derives from other keys: what it derives for the
 # table bases
 DERIVED = {MatterScenario: {"ensemble.dt_traj": "0.05"},  # the state spacing
-           OpticsScenario: {"paths.z_start": "0.5 m"}}   # the first plane
+           OpticsScenario: {"paths.z_start": "0.5 m",    # the first plane
+                            "paths.ds": "0.25 m"}}       # half a plane gap
 
 
 def _table_rows(cls):
@@ -495,6 +505,16 @@ class TestKeyTables:
         assert info.value.key == extra.split(" =", 1)[0]
         assert info.value.constraint == f"unknown section {section!r}"
 
+    @pytest.mark.parametrize("case, key", [
+        ("hbar-zero", "model.hbar"), ("mass-zero", "model.mass"),
+        ("center-zero", "potential.center")])
+    def test_unit_and_origin_keys_unknown(self, case, key):
+        with pytest.raises(ValidationError) as info:
+            parse_scenario(bad_number_text(case))
+        assert info.value.key == key
+        section = key.split(".", 1)[0]
+        assert info.value.constraint == f"unknown key in section {section!r}"
+
     def test_numbered_sections_in_number_order(self):
         cfg = parse_scenario(QUICK_MATTER + "packet10.sigma0 = 3.0\n"
                              "packet2.sigma0 = 2.0\npacket0.sigma0 = 0.5\n")
@@ -503,7 +523,7 @@ class TestKeyTables:
     def test_cross_key_rules_name_their_key(self):
         for text, key in (
                 (_with(QUICK_MATTER, "time.t0", "1.0"), "time.t_final"),
-                (_with(QUICK_MATTER, "model.mass", "0"), "model"),
+                (_with(QUICK_MATTER, "grid.n_points", "4"), "grid"),
                 (_with(QUICK_MATTER, "potential.kind", "well"), "potential")):
             with pytest.raises(ValidationError) as info:
                 parse_scenario(text)
@@ -1090,6 +1110,30 @@ class TestCli:
         assert capsys.readouterr().err.splitlines()[-1] == (
             "error: stage propagate failed: ValueError: wavefunction "
             "contains non-finite values")
+
+    @pytest.mark.parametrize("weight, norm", [("1e308", "inf"),
+                                              ("0", "0.0")])
+    @pytest.mark.parametrize("n_traj", [0, 6])
+    def test_initial_norm_not_finite_and_positive_exit_code(
+            self, tmp_path, capsys, weight, norm, n_traj):
+        # the weight overflows the superposition's norm, or zeroes it:
+        # there is no state to normalize, and no trajectory stage runs
+        path = tmp_path / "s.cfg"
+        path.write_text(
+            QUICK_MATTER.replace("packet1.sigma0 = 1.0",
+                                 f"packet1.sigma0 = 1.0\n"
+                                 f"packet1.weight = {weight}")
+            .replace("ensemble.n_trajectories = 6",
+                     f"ensemble.n_trajectories = {n_traj}"))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out-dir", str(out)]) == 4
+        m = strict_json((out / "manifest.json").read_text())
+        assert m["failure_kind"] == "numeric"
+        assert [(s["name"], s["status"]) for s in m["stages"]] == [
+            ("propagate", "failed")]
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: stage propagate failed: ValueError: packet "
+            f"superposition has norm {norm}: must be finite and > 0")
 
     def test_out_dir_that_cannot_be_made_exit_code(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -8,11 +8,10 @@ import warnings
 import numpy as np
 import pytest
 
-from qstream import (ComplexField, GridSpec, InitialEnsemble,
-                     PhysicalConstants, PotentialSpec, PropagatorConfig,
-                     TrajectoryBundle, check_non_crossing, gaussian_packet,
-                     integrate_bundle, propagate, sample_initial_positions,
-                     tube_probability)
+from qstream import (ComplexField, GridSpec, InitialEnsemble, PotentialSpec,
+                     PropagatorConfig, TrajectoryBundle, check_non_crossing,
+                     gaussian_packet, integrate_bundle, propagate,
+                     sample_initial_positions, tube_probability)
 from qstream.errors import NodeEncounter, ZeroDensity
 from qstream.propagators import (PropagationRun, rate_factor, state_count,
                                   state_time, whole_steps)
@@ -22,8 +21,6 @@ from qstream.trajectories import (BundleStream, VelocitySampler, _March,
                                   write_bundle)
 
 from conftest import max_abs, sym_grid
-
-C = PhysicalConstants()
 
 
 def make_run(snapshots, config):
@@ -115,7 +112,7 @@ class TestSampling:
         # the edges of the node mask, where rho is about 1e-12 of its peak,
         # lost the end rows to NodeEncounter
         g = sym_grid(10, 512)
-        run = propagate(gaussian_packet(g, C, sigma0),
+        run = propagate(gaussian_packet(g, sigma0),
                         PropagatorConfig(dt=1e-2), 0.5, snapshot_every=5)
         ens = sample_initial_positions(np.abs(run.snapshots[0].values) ** 2,
                                        g, n, scheme="equal_spacing")
@@ -158,7 +155,7 @@ class TestIntegrateTrajectory:
         g = sym_grid(8, 512)
         cfg = PropagatorConfig(potential=PotentialSpec("harmonic",
                                                        omega0=1.0), dt=1e-3)
-        run = propagate(gaussian_packet(g, C, math.sqrt(0.5)), cfg, 1.0,
+        run = propagate(gaussian_packet(g, math.sqrt(0.5)), cfg, 1.0,
                         snapshot_every=100)
         _, x, errors = march_one(0.5, run, velocity_frames(run),
                                  dt_traj=0.01)
@@ -166,7 +163,7 @@ class TestIntegrateTrajectory:
 
     def test_free_gaussian_scaling_law(self):
         g = sym_grid(12, 1024)
-        run = propagate(gaussian_packet(g, C, 1.0),
+        run = propagate(gaussian_packet(g, 1.0),
                         PropagatorConfig(dt=1e-3), 2.0, snapshot_every=2)
         t, x, errors = march_one(1.0, run, velocity_frames(run),
                                  dt_traj=0.01)
@@ -181,7 +178,7 @@ class TestCoherentBundle:
         cfg = PropagatorConfig(potential=PotentialSpec("harmonic",
                                                        omega0=1.0), dt=5e-4)
         # one period, to the nearest whole step of dt_traj
-        run = propagate(gaussian_packet(g, C, math.sqrt(0.5), x0=1.0), cfg,
+        run = propagate(gaussian_packet(g, math.sqrt(0.5), x0=1.0), cfg,
                         round(2 * math.pi / 0.01) * 0.01, snapshot_every=4)
         rho0 = np.abs(run.snapshots[0].values) ** 2
         ens = sample_initial_positions(rho0, g, 8)
@@ -193,7 +190,7 @@ class TestCoherentBundle:
 class TestOrderOfAccuracy:
     def test_endpoint_error_scales_fourth_order(self):
         g = sym_grid(12, 1024)
-        run = propagate(gaussian_packet(g, C, 1.0),
+        run = propagate(gaussian_packet(g, 1.0),
                         PropagatorConfig(dt=1e-3), 2.0, snapshot_every=40)
         frames = velocity_frames(run)
         ends = {}
@@ -292,8 +289,8 @@ class TestVelocitySampler:
     def test_shared_stencil_matches_per_snapshot_oracle_beside_nodes(self):
         # two colliding packets: interference nodes inside the support
         g = sym_grid(10, 512)
-        a = gaussian_packet(g, C, 0.7, x0=-2.5, p0=6.0)
-        b = gaussian_packet(g, C, 0.7, x0=2.5, p0=-6.0)
+        a = gaussian_packet(g, 0.7, x0=-2.5, p0=6.0)
+        b = gaussian_packet(g, 0.7, x0=2.5, p0=-6.0)
         psi = ComplexField(g, (a.values + b.values) / math.sqrt(2), 0.0)
         run = propagate(psi, PropagatorConfig(dt=1e-2), 0.6, snapshot_every=5)
         frames = velocity_frames(run)
@@ -326,7 +323,7 @@ class TestVelocitySampler:
 class TestBundles:
     def test_bundle_matches_per_trajectory_oracle(self):
         g = sym_grid(12, 1024)
-        run = propagate(gaussian_packet(g, C, 1.0),
+        run = propagate(gaussian_packet(g, 1.0),
                         PropagatorConfig(dt=1e-3), 1.0, snapshot_every=5)
         rho0 = np.abs(run.snapshots[0].values) ** 2
         ens = sample_initial_positions(rho0, g, 12)
@@ -454,7 +451,7 @@ class TestBundleStream:
                                potential=PotentialSpec("harmonic",
                                                        omega0=omega0),
                                gamma=0.3 * omega0, dt=1e-3)
-        psi0 = gaussian_packet(g, C, math.sqrt(0.5 / omega0), x0=2.0)
+        psi0 = gaussian_packet(g, math.sqrt(0.5 / omega0), x0=2.0)
         ens, streamed, run = streamed_and_stored(psi0, cfg, t_final,
                                                  snapshot_every, dt_traj)
         replayed = integrate_bundle(ens, run, dt_traj)
@@ -577,7 +574,7 @@ class TestBundleStream:
         # peak by at most 5 % of their 7.4 MB
         g = sym_grid(12, 512)
         cfg = PropagatorConfig(dt=1e-3)
-        peaks = self._streamed_peaks(g, cfg, gaussian_packet(g, C, 1.0),
+        peaks = self._streamed_peaks(g, cfg, gaussian_packet(g, 1.0),
                                      [(1.0, 10), (1.0, 1)], 0.01)
         extra_bytes = 900 * g.n_points * 16
         assert peaks[1.0, 1] - peaks[1.0, 10] < 0.05 * extra_bytes
@@ -588,7 +585,7 @@ class TestBundleStream:
         # the states and however many intervals the run takes
         g = sym_grid(12, 512)
         cfg = PropagatorConfig(dt=1e-3)
-        peaks = self._streamed_peaks(g, cfg, gaussian_packet(g, C, 1.0),
+        peaks = self._streamed_peaks(g, cfg, gaussian_packet(g, 1.0),
                                      [(0.3, 50), (0.3, 1), (1.2, 1)], 0.05)
         window_bytes = 4 * 17 * g.n_points
         # 294 more stored states: each adds its series row (40 B) and the
@@ -649,7 +646,7 @@ class TestNonCrossing:
 @pytest.fixture(scope="module")
 def free_run_and_bundle():
     g = sym_grid(12, 1024)
-    run = propagate(gaussian_packet(g, C, 1.0),
+    run = propagate(gaussian_packet(g, 1.0),
                     PropagatorConfig(dt=1e-3), 2.0, snapshot_every=2)
     rho0 = np.abs(run.snapshots[0].values) ** 2
     ens = sample_initial_positions(rho0, g, 2)
@@ -678,7 +675,7 @@ class TestTubeProbability:
                                potential=PotentialSpec("harmonic",
                                                        omega0=omega0),
                                gamma=0.3 * omega0, dt=1e-3)
-        psi0 = gaussian_packet(g, C, math.sqrt(0.5 / omega0), x0=2.0)
+        psi0 = gaussian_packet(g, math.sqrt(0.5 / omega0), x0=2.0)
         run = propagate(psi0, cfg, 2.0, snapshot_every=2)
         rho0 = np.abs(run.snapshots[0].values) ** 2
         ens = sample_initial_positions(rho0, g, 8)
@@ -691,7 +688,7 @@ class TestTubeProbability:
 class TestEnsembleDensityConsistency:
     def test_kolmogorov_smirnov_distance(self):
         g = sym_grid(12, 1024)
-        run = propagate(gaussian_packet(g, C, 1.0),
+        run = propagate(gaussian_packet(g, 1.0),
                         PropagatorConfig(dt=1e-3), 2.0, snapshot_every=10)
         rho0 = np.abs(run.snapshots[0].values) ** 2
         ens = sample_initial_positions(rho0, g, 256)
